@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from . import diagnostics, dynamics, fourier, spectral, verify
 from .generator import build_level_generator
-from .statespace import StateCapExceeded
+from .statespace import StateCapExceeded, state_cap
 from .graph import (
     Graph, is_complete, is_edge_subgraph, load_graph, make_complete, make_cycle,
     make_half_complete_cycle, max_degree, to_json_dict, uniform_rate,
@@ -191,9 +191,8 @@ def config_echo(args: argparse.Namespace, keys: list[str]) -> dict:
         value = getattr(args, key.replace("-", "_"))
         if value is not None:
             echo[key] = value
-    cap = os.environ.get("XPROC_STATE_CAP")
-    if cap:
-        echo["state_cap"] = int(cap)
+    if os.environ.get("XPROC_STATE_CAP"):
+        echo["state_cap"] = state_cap()
     return echo
 
 

@@ -11,8 +11,7 @@ Inner products are uniform-measure weighted throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,37 +21,25 @@ from .statespace import LevelStateSpace, bit_position, enumerate_level
 
 @dataclass(eq=False)
 class LevelGenerator:
-    """-Q on one level slice, with the graph that produced it."""
+    """-Q on one level slice, with the graph that produced it.
+
+    Row e of edge_permutations holds, per state index, the index of the
+    state after swap e.
+    """
 
     graph: Graph
     space: LevelStateSpace
     matrix: np.ndarray
-    graph_fingerprint: str = field(default="")
-
-    def __post_init__(self):
-        if not self.graph_fingerprint:
-            self.graph_fingerprint = self.graph.fingerprint()
-
-    @cached_property
-    def edge_permutations(self) -> np.ndarray:
-        """Row e holds, per state index, the index of the state after swap e."""
-        return _edge_permutations(self.graph, self.space)
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.matrix @ f
+    edge_permutations: np.ndarray
 
 
 def _edge_permutations(g: Graph, space: LevelStateSpace) -> np.ndarray:
-    n = g.n
+    ends = np.array([(u, v) for u, v, _ in g.edges], dtype=np.int64).reshape(-1, 2)
+    bu = np.int64(1) << bit_position(g.n, ends[:, :1])     # (edges, 1)
+    bv = np.int64(1) << bit_position(g.n, ends[:, 1:])
     words = space.words
-    perms = np.empty((len(g.edges), space.size), dtype=np.int64)
-    for k, (u, v, _) in enumerate(g.edges):
-        bu = np.int64(1) << bit_position(n, u)
-        bv = np.int64(1) << bit_position(n, v)
-        differ = ((words & bu) != 0) != ((words & bv) != 0)
-        swapped = np.where(differ, words ^ (bu | bv), words)
-        perms[k] = np.array([space.index[int(w)] for w in swapped], dtype=np.int64)
-    return perms
+    differ = ((words & bu) != 0) != ((words & bv) != 0)
+    return space.rank(np.where(differ, words ^ (bu | bv), words))
 
 
 def build_level_generator(g: Graph, level: int) -> LevelGenerator:
@@ -60,24 +47,16 @@ def build_level_generator(g: Graph, level: int) -> LevelGenerator:
     if not is_connected(g):
         raise ValueError("generator requires a connected graph")
     space = enumerate_level(g.n, level)
-    size = space.size
-    m = np.zeros((size, size))
-    for k, (u, v, rate) in enumerate(g.edges):
-        bu = np.int64(1) << bit_position(g.n, u)
-        bv = np.int64(1) << bit_position(g.n, v)
-        words = space.words
-        differ = ((words & bu) != 0) != ((words & bv) != 0)
-        src = np.nonzero(differ)[0]
-        if len(src) == 0:
-            continue
-        dst = np.array(
-            [space.index[int(words[i] ^ (bu | bv))] for i in src], dtype=np.int64
-        )
-        m[src, dst] -= rate
+    perms = _edge_permutations(g, space)
+    m = np.zeros((space.size, space.size))
+    # Distinct edges never join the same pair of states, so each
+    # off-diagonal entry is written once; fixed states land on the diagonal.
+    rates = np.array([rate for _, _, rate in g.edges])
+    m[np.arange(space.size), perms] = -rates[:, None]
     # Exact zero row sums: the diagonal balances the off-diagonal mass.
     np.fill_diagonal(m, 0.0)
     np.fill_diagonal(m, -m.sum(axis=1))
-    return LevelGenerator(graph=g, space=space, matrix=m)
+    return LevelGenerator(graph=g, space=space, matrix=m, edge_permutations=perms)
 
 
 def dirichlet_form(gen: LevelGenerator, f: np.ndarray) -> float:

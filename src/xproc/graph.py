@@ -7,7 +7,6 @@ representation and file output is deterministic.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -50,13 +49,6 @@ class Graph:
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, v, _ in self.edges)
-
-    def fingerprint(self) -> str:
-        """Stable hash of (n, edges, rates), used to tag derived matrices."""
-        payload = json.dumps(
-            {"n": self.n, "edges": [[u, v, repr(r)] for u, v, r in self.edges]}
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def make_complete(n: int, rate: float) -> Graph:

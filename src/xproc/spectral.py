@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .graph import Graph
 from .generator import LevelGenerator, build_level_generator
-from .statespace import LevelStateSpace, bit_position, enumerate_level
+from .statespace import LevelStateSpace, enumerate_level, lift_table
 
 GROUP_RTOL = 1e-8       # eigenvalues within 1e-8 * max(1, lam) form one cluster
 ZERO_TOL = 1e-8         # below this an eigenvalue counts as zero in masks
@@ -73,14 +72,19 @@ def group_eigenvalues(eigenvalues: np.ndarray, rtol: float = GROUP_RTOL) -> list
 
 
 def fix_sign(vec: np.ndarray) -> np.ndarray:
-    """Flip the vector if its first nonzero coordinate is negative."""
-    scale = np.max(np.abs(vec))
-    if scale == 0.0:
-        return vec
-    nz = np.nonzero(np.abs(vec) > SIGN_TOL * scale)[0]
-    if len(nz) and vec[nz[0]] < 0:
-        return -vec
-    return vec
+    """Flip each column whose first nonzero coordinate is negative.
+
+    Takes one vector or a (size, k) matrix of column vectors; a coordinate
+    counts as nonzero above SIGN_TOL times the column's largest magnitude.
+    Beyond the copy it returns it allocates only boolean temporaries, so a
+    full basis costs one extra matrix, not four.
+    """
+    scale = np.maximum(vec.max(axis=0, initial=0.0), -vec.min(axis=0, initial=0.0))
+    tol = SIGN_TOL * scale
+    first = ((vec > tol) | (vec < -tol)).argmax(axis=0)
+    lead = np.take_along_axis(vec, first[np.newaxis], axis=0)[0]
+    # The first nonzero coordinate is negative iff it lies below -tol.
+    return np.negative(vec, out=vec.copy(), where=lead < -tol)
 
 
 def eigendecompose(gen: LevelGenerator) -> SpectralBasis:
@@ -114,8 +118,7 @@ def eigendecompose(gen: LevelGenerator) -> SpectralBasis:
     w = w.copy()
     w[0] = 0.0
     vectors[:, 0] = 1.0
-    for i in range(1, size):
-        vectors[:, i] = fix_sign(vectors[:, i])
+    vectors[:, 1:] = fix_sign(vectors[:, 1:])
     return SpectralBasis(gen.space, w, vectors, group_eigenvalues(w))
 
 
@@ -128,6 +131,23 @@ def all_level_bases(g: Graph) -> list[SpectralBasis]:
 # lifting operators
 # ---------------------------------------------------------------------------
 
+def _gather_sum(space: LevelStateSpace, psi: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """out[i] = sum_j psi[table[i, j]], added one column at a time, left to right.
+
+    The fixed order keeps every result bit-identical to a scalar loop; psi
+    may be one function (size,) or a batch of columns (size, k).
+    """
+    psi = np.asarray(psi, dtype=float)
+    if psi.ndim not in (1, 2) or psi.shape[0] != space.size:
+        raise ValueError(
+            f"function has shape {psi.shape}, expected ({space.size},) or ({space.size}, k)"
+        )
+    out = np.zeros((table.shape[0],) + psi.shape[1:])
+    for j in range(table.shape[1]):
+        out += psi[table[:, j]]
+    return out
+
+
 def lift_down(space: LevelStateSpace, psi: np.ndarray) -> np.ndarray:
     """Sum psi over single-marble additions: a function on level-1 fewer marbles.
 
@@ -136,42 +156,17 @@ def lift_down(space: LevelStateSpace, psi: np.ndarray) -> np.ndarray:
     """
     if space.level == 0:
         raise ValueError("cannot lift below level 0")
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (space.size,):
-        raise ValueError(f"function has shape {psi.shape}, expected ({space.size},)")
-    target = enumerate_level(space.n, space.level - 1)
-    out = np.zeros(target.size)
-    n = space.n
-    for i, w in enumerate(target.words):
-        w = int(w)
-        acc = 0.0
-        for v in range(n):
-            bit = 1 << bit_position(n, v)
-            if not (w & bit):
-                acc += psi[space.index[w | bit]]
-        out[i] = acc
-    return out
+    return _gather_sum(space, psi, lift_table(space.n, space.level, space.level - 1))
 
 
 def lift_up(space: LevelStateSpace, psi: np.ndarray) -> np.ndarray:
     """Sum psi over single-marble removals: a function on level+1 marbles."""
     if space.level == space.n:
         raise ValueError("cannot lift above the full level")
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (space.size,):
-        raise ValueError(f"function has shape {psi.shape}, expected ({space.size},)")
-    target = enumerate_level(space.n, space.level + 1)
-    out = np.zeros(target.size)
-    n = space.n
-    for i, w in enumerate(target.words):
-        w = int(w)
-        acc = 0.0
-        for v in range(n):
-            bit = 1 << bit_position(n, v)
-            if w & bit:
-                acc += psi[space.index[w ^ bit]]
-        out[i] = acc
-    return out
+    # Removals by ascending vertex are the one-smaller subconfigurations
+    # in reverse lexicographic order.
+    table = lift_table(space.n, space.level, space.level + 1)[:, ::-1]
+    return _gather_sum(space, psi, table)
 
 
 def sum_lift(space: LevelStateSpace, psi: np.ndarray, level: int) -> np.ndarray:
@@ -183,23 +178,7 @@ def sum_lift(space: LevelStateSpace, psi: np.ndarray, level: int) -> np.ndarray:
     m = space.level
     if not (m < level <= space.n):
         raise ValueError(f"target level must be in {m + 1}..{space.n}, got {level}")
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (space.size,):
-        raise ValueError(f"function has shape {psi.shape}, expected ({space.size},)")
-    target = enumerate_level(space.n, level)
-    out = np.zeros(target.size)
-    n = space.n
-    for i, w in enumerate(target.words):
-        w = int(w)
-        black = [v for v in range(n) if (w >> bit_position(n, v)) & 1]
-        acc = 0.0
-        for sub in combinations(black, m):
-            sub_word = 0
-            for v in sub:
-                sub_word |= 1 << bit_position(n, v)
-            acc += psi[space.index[sub_word]]
-        out[i] = acc
-    return out
+    return _gather_sum(space, psi, lift_table(space.n, m, level))
 
 
 def pi_norm(space: LevelStateSpace, f: np.ndarray) -> float:
@@ -246,10 +225,9 @@ def complete_graph_basis(n: int, level: int, alpha: float) -> SpectralBasis:
     vectors = np.ones((1, 1))
     for m in range(1, level + 1):
         target = enumerate_level(n, m)
-        lifted = np.empty((target.size, vectors.shape[1]))
-        for i in range(vectors.shape[1]):
-            up = lift_up(space, vectors[:, i])
-            lifted[:, i] = up / pi_norm(target, up)
+        up = lift_up(space, vectors)
+        # Norms of contiguous copies: a strided dot rounds differently.
+        lifted = up / [pi_norm(target, up[:, i].copy()) for i in range(up.shape[1])]
         new_count = target.size - lifted.shape[1]
         if new_count:
             # Orthonormal complement of the lifted span; SVD keeps it
@@ -264,8 +242,7 @@ def complete_graph_basis(n: int, level: int, alpha: float) -> SpectralBasis:
         space = target
     vectors = vectors.copy()
     vectors[:, 0] = 1.0
-    for i in range(1, vectors.shape[1]):
-        vectors[:, i] = fix_sign(vectors[:, i])
+    vectors[:, 1:] = fix_sign(vectors[:, 1:])
     w = np.array(eigenvalues)
     return SpectralBasis(space, w, vectors, group_eigenvalues(w))
 
@@ -280,9 +257,7 @@ def mirror_basis(basis: SpectralBasis) -> SpectralBasis:
     n = space.n
     mask = (1 << n) - 1
     target = enumerate_level(n, n - space.level)
-    perm = np.array(
-        [space.index[int(w) ^ mask] for w in target.words], dtype=np.int64
-    )
+    perm = space.rank(target.words ^ mask)
     return SpectralBasis(
         target,
         basis.eigenvalues.copy(),

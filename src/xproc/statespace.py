@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -36,7 +37,15 @@ class StateCapExceeded(RuntimeError):
 def state_cap() -> int:
     """Current state cap; XPROC_STATE_CAP overrides the default of 20000."""
     raw = os.environ.get("XPROC_STATE_CAP")
-    return int(raw) if raw else DEFAULT_STATE_CAP
+    if not raw:
+        return DEFAULT_STATE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"XPROC_STATE_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 def bit_position(n: int, v: int) -> int:
@@ -112,8 +121,7 @@ class LevelStateSpace:
 
     n: int
     level: int
-    words: np.ndarray          # sorted ascending, dtype int64
-    index: dict[int, int]      # word -> position in words
+    words: np.ndarray          # sorted ascending, dtype int64, read-only
 
     @property
     def size(self) -> int:
@@ -127,15 +135,28 @@ class LevelStateSpace:
         """Uniform probability of each state."""
         return 1.0 / self.size
 
+    def rank(self, words):
+        """Positions of words (a scalar or any array) in this slice.
+
+        Raises ValueError naming the first word that is not in the slice.
+        """
+        words = np.asarray(words, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.words, words), self.size - 1)
+        missing = self.words[pos] != words
+        if np.any(missing):
+            raise ValueError(
+                f"word {words[missing][0]} is not in level slice C({self.n},{self.level})"
+            )
+        return pos
+
     def position(self, x: Configuration) -> int:
-        return self.index[x.word]
+        return int(self.rank(x.word))
 
 
-@lru_cache(maxsize=256)
-def _level_words(n: int, level: int) -> tuple[int, ...]:
+def _level_words(n: int, level: int) -> list[int]:
     # Gosper's hack walks the words of a fixed popcount in ascending order.
     if level == 0:
-        return (0,)
+        return [0]
     out = []
     w = (1 << level) - 1
     top = 1 << n
@@ -144,13 +165,21 @@ def _level_words(n: int, level: int) -> tuple[int, ...]:
         c = w & -w
         r = w + c
         w = (((r ^ w) >> 2) // c) | r
-    return tuple(out)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _level_slice(n: int, level: int) -> LevelStateSpace:
+    words = np.array(_level_words(n, level), dtype=np.int64)
+    words.flags.writeable = False
+    return LevelStateSpace(n, level, words)
 
 
 def enumerate_level(n: int, level: int) -> LevelStateSpace:
-    """Enumerate the level slice, ascending by word value.
+    """The level slice, ascending by word value.
 
-    Raises StateCapExceeded before allocating anything when C(n, level)
+    Slices are cached per (n, level) and their words are read-only.
+    Raises StateCapExceeded on every call, cached or not, when C(n, level)
     is over the configured cap.
     """
     if not (2 <= n <= 63):
@@ -161,6 +190,38 @@ def enumerate_level(n: int, level: int) -> LevelStateSpace:
     cap = state_cap()
     if size > cap:
         raise StateCapExceeded(n, level, size, cap)
-    words = np.array(_level_words(n, level), dtype=np.int64)
-    index = {int(w): i for i, w in enumerate(words)}
-    return LevelStateSpace(n, level, words, index)
+    return _level_slice(n, level)
+
+
+def lift_table(n: int, source: int, target: int) -> np.ndarray:
+    """Read-only (C(n, target), k) table of the source-level ranks a lift sums.
+
+    Row i lists, in summation order, the level-`source` states that feed
+    state i of level `target`. For target = source - 1 they are the
+    single-marble additions by ascending vertex; for target > source they
+    are the weight-`source` subconfigurations in lexicographic vertex order.
+    Tables are cached per (n, source, target); the state cap is checked on
+    every call, as in enumerate_level.
+    """
+    enumerate_level(n, target)
+    return _lift_table(n, source, target)
+
+
+@lru_cache(maxsize=None)
+def _lift_table(n: int, source: int, target: int) -> np.ndarray:
+    dst = enumerate_level(n, target)
+    bits = np.int64(1) << bit_position(n, np.arange(n, dtype=np.int64))
+    black = (dst.words[:, None] & bits) != 0
+    if target == source - 1:
+        free = np.nonzero(~black)[1].reshape(dst.size, n - target)
+        words = dst.words[:, None] | bits[free]
+    elif target > source:
+        black_bits = bits[np.nonzero(black)[1].reshape(dst.size, target)]
+        subsets = np.array(list(combinations(range(target), source)), dtype=np.intp)
+        subsets = subsets.reshape(math.comb(target, source), source)
+        words = black_bits[:, subsets].sum(axis=-1)
+    else:
+        raise ValueError(f"no lift from level {source} to level {target}")
+    table = enumerate_level(n, source).rank(words)
+    table.flags.writeable = False
+    return table

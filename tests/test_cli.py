@@ -248,3 +248,12 @@ def test_dumps_json_17_digits():
     assert '"flag": true' in text
     assert json.loads(text) == {"x": 0.1, "flag": True, "n": 3, "s": "a",
                                 "v": [1.5], "none": None}
+
+
+@pytest.mark.parametrize("raw", ["-5", "abc"])
+def test_bad_state_cap_env_exit_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("XPROC_STATE_CAP", raw)
+    code, out, err = run(["spectrum", "--graph", "complete:4", "--rate", "1",
+                          "--level", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "XPROC_STATE_CAP" in err

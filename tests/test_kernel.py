@@ -1,0 +1,353 @@
+"""The vectorized level-operator kernel against scalar reference loops.
+
+The references below are the per-word double loops over a word -> index
+dict that the kernel replaced. Every comparison is exact (==), not
+approximate: the kernel must reproduce them bit for bit.
+"""
+
+import math
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from xproc.generator import build_level_generator
+from xproc.graph import make_complete, make_cycle, make_half_complete_cycle
+from xproc.spectral import (
+    SIGN_TOL,
+    complete_graph_basis,
+    eigendecompose,
+    fix_sign,
+    lift_down,
+    lift_up,
+    mirror_basis,
+    sum_lift,
+)
+from xproc.statespace import (
+    StateCapExceeded,
+    bit_position,
+    enumerate_level,
+    lift_table,
+    state_cap,
+)
+from xproc.verify import random_connected_graph
+
+
+# ---------------------------------------------------------------------------
+# scalar references
+# ---------------------------------------------------------------------------
+
+def ref_index(space):
+    return {int(w): i for i, w in enumerate(space.words)}
+
+
+def ref_lift_down(space, psi):
+    index = ref_index(space)
+    target = enumerate_level(space.n, space.level - 1)
+    out = np.zeros(target.size)
+    n = space.n
+    for i, w in enumerate(target.words):
+        w = int(w)
+        acc = 0.0
+        for v in range(n):
+            bit = 1 << bit_position(n, v)
+            if not (w & bit):
+                acc += psi[index[w | bit]]
+        out[i] = acc
+    return out
+
+
+def ref_lift_up(space, psi):
+    index = ref_index(space)
+    target = enumerate_level(space.n, space.level + 1)
+    out = np.zeros(target.size)
+    n = space.n
+    for i, w in enumerate(target.words):
+        w = int(w)
+        acc = 0.0
+        for v in range(n):
+            bit = 1 << bit_position(n, v)
+            if w & bit:
+                acc += psi[index[w ^ bit]]
+        out[i] = acc
+    return out
+
+
+def ref_sum_lift(space, psi, level):
+    index = ref_index(space)
+    m = space.level
+    target = enumerate_level(space.n, level)
+    out = np.zeros(target.size)
+    n = space.n
+    for i, w in enumerate(target.words):
+        w = int(w)
+        black = [v for v in range(n) if (w >> bit_position(n, v)) & 1]
+        acc = 0.0
+        for sub in combinations(black, m):
+            sub_word = 0
+            for v in sub:
+                sub_word |= 1 << bit_position(n, v)
+            acc += psi[index[sub_word]]
+        out[i] = acc
+    return out
+
+
+def ref_fix_sign(vec):
+    scale = np.max(np.abs(vec))
+    if scale == 0.0:
+        return vec
+    nz = np.nonzero(np.abs(vec) > SIGN_TOL * scale)[0]
+    if len(nz) and vec[nz[0]] < 0:
+        return -vec
+    return vec
+
+
+def ref_complete_graph_basis(n, level, alpha):
+    space = enumerate_level(n, 0)
+    eigenvalues = [0.0]
+    vectors = np.ones((1, 1))
+    for m in range(1, level + 1):
+        target = enumerate_level(n, m)
+        lifted = np.empty((target.size, vectors.shape[1]))
+        for i in range(vectors.shape[1]):
+            up = ref_lift_up(space, vectors[:, i])
+            lifted[:, i] = up / math.sqrt(float(np.dot(up, up)) / target.size)
+        new_count = target.size - lifted.shape[1]
+        if new_count:
+            u, _, _ = np.linalg.svd(lifted / math.sqrt(target.size), full_matrices=True)
+            extra = u[:, lifted.shape[1]:] * math.sqrt(target.size)
+            eigenvalues = eigenvalues + [alpha * m * (n - m + 1)] * new_count
+            vectors = np.hstack([lifted, extra])
+        else:
+            vectors = lifted
+        space = target
+    vectors = vectors.copy()
+    vectors[:, 0] = 1.0
+    for i in range(1, vectors.shape[1]):
+        vectors[:, i] = ref_fix_sign(vectors[:, i])
+    return np.array(eigenvalues), vectors
+
+
+def ref_generator_matrix(g, level):
+    space = enumerate_level(g.n, level)
+    index = ref_index(space)
+    m = np.zeros((space.size, space.size))
+    for u, v, rate in g.edges:
+        bu = 1 << bit_position(g.n, u)
+        bv = 1 << bit_position(g.n, v)
+        for i, w in enumerate(space.words):
+            w = int(w)
+            if bool(w & bu) != bool(w & bv):
+                m[i, index[w ^ (bu | bv)]] -= rate
+    np.fill_diagonal(m, 0.0)
+    np.fill_diagonal(m, -m.sum(axis=1))
+    return m
+
+
+def rough(rng, *shape):
+    """Values spread over 16 decades, so any change of summation order shows."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+
+# ---------------------------------------------------------------------------
+# bit-exact lifts
+# ---------------------------------------------------------------------------
+
+SMALL_SLICES = [(n, level) for n in range(2, 11) for level in range(n + 1)]
+LARGE_SLICES = [(12, 6), (13, 4), (14, 7)]
+
+
+@pytest.mark.parametrize("n,level", SMALL_SLICES + LARGE_SLICES)
+def test_lift_down_and_up_bit_exact(n, level):
+    rng = np.random.default_rng(1000 * n + level)
+    space = enumerate_level(n, level)
+    psi = rough(rng, space.size)
+    batch = rough(rng, space.size, 3)
+    for lift, ref, ok in ((lift_down, ref_lift_down, level > 0),
+                          (lift_up, ref_lift_up, level < n)):
+        if not ok:
+            continue
+        assert np.array_equal(lift(space, psi), ref(space, psi))
+        out = lift(space, batch)
+        assert out.shape[1] == 3
+        for c in range(3):
+            assert np.array_equal(out[:, c], ref(space, batch[:, c]))
+
+
+def test_lift_down_with_many_neighbours():
+    # every level-0 state has 10 single-marble additions at n = 10
+    space = enumerate_level(10, 1)
+    assert lift_table(10, 1, 0).shape == (1, 10)
+    psi = rough(np.random.default_rng(3), space.size)
+    assert np.array_equal(lift_down(space, psi), ref_lift_down(space, psi))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sum_lift_bit_exact_all_levels(n):
+    rng = np.random.default_rng(n)
+    for m in range(n):
+        space = enumerate_level(n, m)
+        psi = rough(rng, space.size)
+        batch = rough(rng, space.size, 2)
+        for level in range(m + 1, n + 1):
+            assert np.array_equal(sum_lift(space, psi, level), ref_sum_lift(space, psi, level))
+            out = sum_lift(space, batch, level)
+            for c in range(2):
+                assert np.array_equal(out[:, c], ref_sum_lift(space, batch[:, c], level))
+
+
+@pytest.mark.parametrize("n,m,level", [(10, 0, 5), (10, 2, 7), (10, 4, 9), (12, 3, 6)])
+def test_sum_lift_bit_exact_large(n, m, level):
+    space = enumerate_level(n, m)
+    psi = rough(np.random.default_rng(level), space.size)
+    assert np.array_equal(sum_lift(space, psi, level), ref_sum_lift(space, psi, level))
+
+
+def test_lift_rejects_bad_shapes():
+    space = enumerate_level(5, 2)
+    for bad in (np.ones(space.size + 1), np.ones((space.size, 2, 2)), np.ones((1, space.size))):
+        with pytest.raises(ValueError, match="shape"):
+            lift_up(space, bad)
+
+
+# ---------------------------------------------------------------------------
+# bases and generators built on the kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_complete_graph_basis_matches_reference(n):
+    alpha = 1.0 / n
+    for level in range(n // 2 + 1):
+        basis = complete_graph_basis(n, level, alpha)
+        eigenvalues, vectors = ref_complete_graph_basis(n, level, alpha)
+        assert np.array_equal(basis.eigenvalues, eigenvalues)
+        assert np.array_equal(basis.vectors, vectors)
+
+
+@pytest.mark.parametrize("n", [5, 8, 9])
+def test_mirror_basis_matches_reference(n):
+    g = make_cycle(n, 0.5)
+    for level in range(n + 1):
+        basis = eigendecompose(build_level_generator(g, level))
+        target = enumerate_level(n, n - level)
+        index = ref_index(basis.space)
+        mask = (1 << n) - 1
+        perm = [index[int(w) ^ mask] for w in target.words]
+        mirrored = mirror_basis(basis)
+        assert mirrored.space is target
+        assert np.array_equal(mirrored.vectors, basis.vectors[perm, :])
+
+
+def test_generator_matches_reference():
+    rng = np.random.default_rng(5)
+    graphs = [make_complete(7, 0.3), make_cycle(9, 1.5), make_half_complete_cycle(4, 0.25),
+              random_connected_graph(rng, 8, 0.7)]
+    for g in graphs:
+        for level in range(g.n + 1):
+            gen = build_level_generator(g, level)
+            assert np.array_equal(gen.matrix, ref_generator_matrix(g, level))
+            index = ref_index(gen.space)
+            for k, (u, v, _) in enumerate(g.edges):
+                bu, bv = 1 << bit_position(g.n, u), 1 << bit_position(g.n, v)
+                want = [index[w ^ (bu | bv)] if bool(w & bu) != bool(w & bv) else i
+                        for i, w in enumerate(map(int, gen.space.words))]
+                assert gen.edge_permutations[k].tolist() == want
+
+
+def test_fix_sign_columns_match_per_column():
+    edge = SIGN_TOL * 4.0
+    columns = [
+        [0.0, 0.0, 0.0],                            # zero column: unchanged
+        [-edge, 4.0, -1.0],                         # first entry at the edge: skipped
+        [-np.nextafter(edge, 1.0), 4.0, -1.0],      # just above the edge: counted
+        [edge, -4.0, 1.0],
+        [0.0, -2.0, 3.0],
+        [-1.0, -2.0, -3.0],
+        [1e-300, -1e-290, 0.0],
+    ]
+    mat = np.array(columns).T
+    rng = np.random.default_rng(9)
+    mat = np.hstack([mat, rough(rng, 3, 20)])
+    got = fix_sign(mat)
+    for c in range(mat.shape[1]):
+        assert np.array_equal(got[:, c], ref_fix_sign(mat[:, c]))
+        assert np.array_equal(fix_sign(mat[:, c]), ref_fix_sign(mat[:, c]))
+    assert np.array_equal(got[:, 1], mat[:, 1]) and np.array_equal(got[:, 2], -mat[:, 2])
+
+
+def test_eigendecompose_signs_match_per_column():
+    g = random_connected_graph(np.random.default_rng(4), 8, 0.9)
+    gen = build_level_generator(g, 4)
+    basis = eigendecompose(gen)
+    _, v = np.linalg.eigh(gen.matrix)
+    vectors = v * math.sqrt(gen.space.size)
+    vectors[:, 0] = 1.0
+    for i in range(1, gen.space.size):
+        vectors[:, i] = ref_fix_sign(vectors[:, i])
+    assert np.array_equal(basis.vectors, vectors)
+
+
+# ---------------------------------------------------------------------------
+# ranks and the slice cache
+# ---------------------------------------------------------------------------
+
+def test_rank_round_trips():
+    space = enumerate_level(9, 4)
+    assert np.array_equal(space.rank(space.words), np.arange(space.size))
+    assert space.rank(int(space.words[17])) == 17
+    grid = space.words[[[3, 1], [0, 5]]]
+    assert space.rank(grid).tolist() == [[3, 1], [0, 5]]
+
+
+@pytest.mark.parametrize("bad", [0b0111, 1 << 6, -3])
+def test_rank_rejects_words_outside_the_slice(bad):
+    space = enumerate_level(6, 2)     # 0b0111 has popcount 3; 64 >= 2^6
+    with pytest.raises(ValueError, match=f"word {bad} "):
+        space.rank(bad)
+    with pytest.raises(ValueError, match=f"word {bad} "):
+        space.rank(np.array([3, bad, 5]))
+
+
+def test_cached_arrays_are_read_only():
+    space = enumerate_level(7, 3)
+    assert enumerate_level(7, 3) is space
+    with pytest.raises(ValueError):
+        space.words[0] = 99
+    for table in (lift_table(7, 3, 2), lift_table(7, 3, 4), lift_table(7, 2, 5)):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
+def test_lift_table_rejects_non_lifts():
+    with pytest.raises(ValueError, match="no lift"):
+        lift_table(6, 3, 1)
+    with pytest.raises(ValueError, match="no lift"):
+        lift_table(6, 3, 3)
+
+
+def test_cached_slice_still_respects_the_cap(monkeypatch):
+    space = enumerate_level(12, 6)
+    source = enumerate_level(12, 5)
+    lift_up(source, np.ones(source.size))           # caches the gather table
+    monkeypatch.setenv("XPROC_STATE_CAP", "100")
+    with pytest.raises(StateCapExceeded):
+        enumerate_level(12, 6)
+    with pytest.raises(StateCapExceeded):
+        lift_up(source, np.ones(source.size))
+    monkeypatch.setenv("XPROC_STATE_CAP", "1000")
+    assert enumerate_level(12, 6) is space
+
+
+@pytest.mark.parametrize("raw", ["-5", "0", "abc", "1.5", " "])
+def test_state_cap_rejects_nonsense(monkeypatch, raw):
+    monkeypatch.setenv("XPROC_STATE_CAP", raw)
+    with pytest.raises(ValueError, match="XPROC_STATE_CAP"):
+        state_cap()
+
+
+def test_state_cap_reads_positive_integers(monkeypatch):
+    monkeypatch.setenv("XPROC_STATE_CAP", "1")
+    assert state_cap() == 1
+    monkeypatch.delenv("XPROC_STATE_CAP")
+    assert state_cap() == 20000
+

@@ -36,7 +36,7 @@ def test_enumerate_sorted_unique_with_inverse():
     space = enumerate_level(7, 3)
     words = list(space.words)
     assert words == sorted(set(words))
-    assert all(space.index[w] == i for i, w in enumerate(words))
+    assert all(space.rank(w) == i for i, w in enumerate(words))
     assert all(space.position(s) == i for i, s in enumerate(space.states))
     assert all(s.weight() == 3 for s in space.states)
 
