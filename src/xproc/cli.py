@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -185,6 +186,14 @@ def parse_n_grid(spec: str) -> list[int]:
     return list(range(a, b + 1))
 
 
+def check_horizons(args: argparse.Namespace, subcommand: str) -> None:
+    if args.t is None and args.eps is None:
+        raise ConfigError(f"--t and/or --eps is required for {subcommand!r}")
+    for flag, value in (("--t", args.t), ("--eps", args.eps)):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{flag} must be finite and >= 0, got {value}")
+
+
 def config_echo(args: argparse.Namespace, keys: list[str]) -> dict:
     echo = {"subcommand": args.subcommand}
     for key in keys:
@@ -299,8 +308,7 @@ def _profile_sweep(args) -> int:
 def cmd_exact(args) -> int:
     g = resolve_graph(args.graph, args.rate, args.rate_policy)
     f = resolve_function(args.function, g.n)
-    if args.t is None and args.eps is None:
-        raise ConfigError("--t and/or --eps is required for 'exact'")
+    check_horizons(args, "exact")
     config = config_echo(args, ["graph", "rate", "rate_policy", "function", "t", "eps"])
     profile = fourier.spectral_profile(f, spectral.all_level_bases(g))
     body: dict = {"mean": profile.mean, "variance": profile.variance()}
@@ -318,8 +326,7 @@ def cmd_exact(args) -> int:
 def cmd_simulate(args) -> int:
     g = resolve_graph(args.graph, args.rate, args.rate_policy)
     f = resolve_function(args.function, g.n)
-    if args.t is None and args.eps is None:
-        raise ConfigError("--t and/or --eps is required for 'simulate'")
+    check_horizons(args, "simulate")
     level = None
     if args.level != "all":
         level = parse_levels(args.level, g.n)[0]

@@ -1,48 +1,50 @@
 """Continuous-time Monte Carlo simulation of the exclusion process.
 
-Paths use the total-rate jump construction: with R the sum of all edge
-rates, waiting times are Exponential(R) and each jump picks an edge with
-probability rate/R and swaps its endpoints (a no-op when they match).
-This has the same law as independent per-edge Poisson clocks.
+Paths use uniformization. With R the sum of all edge rates, the number of
+jumps by time t is Poisson(R t); the jumps pick edges i.i.d. with
+probability rate/R, independently of their number, and each swaps its
+edge's endpoints (a no-op when they match). This is the law of the
+total-rate jump chain, and so of independent per-edge Poisson clocks.
+The endpoint depends only on the jump count and the edge sequence, so all
+samples advance in lockstep: jump k moves the samples with more than k
+jumps.
 
-Every sample runs on its own counter-based substream keyed by
-(seed, sample_index), so results are bit-reproducible regardless of how
-samples are dispatched.
+Samples are split into chunks of CHUNK. Chunk c of a run with seed s
+draws from its own counter-based Philox stream keyed by (s, c): first the
+start words, then the jump counts, then one edge per moving sample and
+jump index. Results are bit-reproducible, and a full chunk's samples do
+not depend on how many samples the run has.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fourier import BooleanFunction
 from .graph import Graph
-from .statespace import Configuration, bit_position, enumerate_level
+from .generator import edge_masks
+from .statespace import Configuration, enumerate_level, swap_words
 
-_U64 = np.uint64
+CHUNK = 4096
 
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """Sampling policy: start distribution, horizon, seed, sample count.
+    """Sampling policy of the estimators: start distribution, seed, sample count.
 
     level None draws the start uniformly over all 2^n configurations;
-    an integer draws uniformly over that level slice. graph and t mirror
-    the estimator arguments for self-contained specs; explicit estimator
-    arguments take precedence when both are given.
+    an integer draws uniformly over that level slice.
     """
 
-    graph: Graph | None = None
-    t: float = 0.0
     level: int | None = None
     seed: int = 0
     samples: int = 1
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.t}")
         if self.samples < 1:
             raise ValueError(f"need at least 1 sample, got {self.samples}")
 
@@ -54,50 +56,66 @@ class EstimateResult:
     samples: int
 
 
-def sample_rng(seed: int, sample_index: int) -> np.random.Generator:
-    """Counter-based substream for one sample of one run."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, sample_index], dtype=_U64)
+def _check_horizon(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and >= 0, got {t}")
+
+
+def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+    """Counter-based stream of one chunk of one run."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 class _EdgeTable:
-    """Precomputed per-edge bit masks and the cumulative rate table."""
+    """Per-edge endpoint bit masks and the table that picks edges by rate."""
 
     def __init__(self, g: Graph):
-        self.n = g.n
-        self.masks = []
-        self.shift_u = []
-        self.shift_v = []
-        rates = []
-        for u, v, rate in g.edges:
-            bu = bit_position(g.n, u)
-            bv = bit_position(g.n, v)
-            self.masks.append((1 << bu) | (1 << bv))
-            self.shift_u.append(bu)
-            self.shift_v.append(bv)
-            rates.append(rate)
-        self.rates = np.array(rates)
-        self.total_rate = float(self.rates.sum())
-        self.cumulative = np.cumsum(self.rates)
-        self.uniform = bool(np.all(self.rates == self.rates[0]))
-        self.count = len(rates)
+        self.bu, self.bv = edge_masks(g)
+        rates = np.array([rate for _, _, rate in g.edges])
+        self.total_rate = float(rates.sum())
+        # None when all rates are equal: edges are then drawn by index.
+        self.cumulative = np.cumsum(rates) if np.any(rates != rates[:1]) else None
 
-    def pick(self, rng: np.random.Generator) -> int:
-        if self.uniform:
-            return int(rng.integers(self.count))
-        u = rng.random() * self.total_rate
-        return min(int(np.searchsorted(self.cumulative, u)), self.count - 1)
+    def pick(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size i.i.d. edge indices, edge k with probability rate_k / total_rate."""
+        count = self.bu.size
+        if self.cumulative is None:
+            return rng.integers(count, size=size)
+        u = rng.random(size) * self.total_rate
+        return np.minimum(np.searchsorted(self.cumulative, u), count - 1)
 
 
-def _evolve(word: int, table: _EdgeTable, t: float, rng: np.random.Generator) -> int:
-    mean = 1.0 / table.total_rate
-    clock = rng.exponential(mean)
-    while clock <= t:
-        k = table.pick(rng)
-        if ((word >> table.shift_u[k]) ^ (word >> table.shift_v[k])) & 1:
-            word ^= table.masks[k]
-        clock += rng.exponential(mean)
-    return word
+def _evolve(words: np.ndarray, table: _EdgeTable, t: float,
+            rng: np.random.Generator) -> np.ndarray:
+    """End words at time t of independent paths started at words (int64)."""
+    jumps = rng.poisson(table.total_rate * t, size=words.size)
+    # Most jumps first, so that jump k moves a prefix of the paths.
+    order = np.argsort(-jumps, kind="stable")
+    ascending = -jumps[order]
+    w = words[order]
+    for k in range(int(jumps.max(initial=0))):
+        m = int(np.searchsorted(ascending, -k))     # paths with more than k jumps
+        e = table.pick(rng, m)
+        w[:m] = swap_words(w[:m], table.bu[e], table.bv[e])
+    out = np.empty_like(w)
+    out[order] = w
+    return out
+
+
+def _start_end(g: Graph, level: int | None, t: float, seed: int,
+               samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(start words, end words) of a run's samples, one chunk at a time."""
+    table = _EdgeTable(g)
+    starts = None if level is None else enumerate_level(g.n, level).words
+    for chunk, lo in enumerate(range(0, samples, CHUNK)):
+        rng = _chunk_rng(seed, chunk)
+        size = min(CHUNK, samples - lo)
+        if starts is None:
+            w0 = rng.integers(1 << g.n, size=size)
+        else:
+            w0 = starts[rng.integers(starts.size, size=size)]
+        yield w0, _evolve(w0, table, t, rng)
 
 
 def simulate_path(g: Graph, x0: Configuration, t: float, seed: int) -> Configuration:
@@ -105,26 +123,12 @@ def simulate_path(g: Graph, x0: Configuration, t: float, seed: int) -> Configura
 
     The marble count is conserved on every path.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    _check_horizon(t)
     if x0.n != g.n:
         raise ValueError(f"configuration is on {x0.n} vertices, graph has {g.n}")
-    table = _EdgeTable(g)
-    word = _evolve(x0.word, table, t, sample_rng(seed, 0))
-    return Configuration(g.n, word)
-
-
-def _draw_start(g: Graph, level: int | None, rng: np.random.Generator,
-                level_words: np.ndarray | None) -> int:
-    if level is None:
-        return int(rng.integers(1 << g.n))
-    return int(level_words[int(rng.integers(len(level_words)))])
-
-
-def _start_words(g: Graph, level: int | None) -> np.ndarray | None:
-    if level is None:
-        return None
-    return enumerate_level(g.n, level).words
+    word = _evolve(np.array([x0.word], dtype=np.int64), _EdgeTable(g), t,
+                   _chunk_rng(seed, 0))
+    return Configuration(g.n, int(word[0]))
 
 
 def estimate_covariance(g: Graph, f: BooleanFunction, t: float,
@@ -132,19 +136,16 @@ def estimate_covariance(g: Graph, f: BooleanFunction, t: float,
     """Monte Carlo Cov(f(X_0), f(X_t)) with a jackknife standard error."""
     if f.n != g.n:
         raise ValueError(f"function is on {f.n} vertices, graph has {g.n}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    table = _EdgeTable(g)
-    words = _start_words(g, spec.level)
+    _check_horizon(t)
     m = spec.samples
     a = np.empty(m)   # f at the start
     p = np.empty(m)   # product across the pair
-    for i in range(m):
-        rng = sample_rng(spec.seed, i)
-        w0 = _draw_start(g, spec.level, rng, words)
-        wt = _evolve(w0, table, t, rng)
-        a[i] = f.values[w0]
-        p[i] = a[i] * f.values[wt]
+    lo = 0
+    for w0, wt in _start_end(g, spec.level, t, spec.seed, m):
+        hi = lo + w0.size
+        a[lo:hi] = f.values[w0]
+        p[lo:hi] = a[lo:hi] * f.values[wt]
+        lo = hi
     point = float(p.mean() - a.mean() ** 2)
     if m == 1:
         return EstimateResult(point, 0.0, m)
@@ -162,18 +163,11 @@ def estimate_flip_probability(g: Graph, f: BooleanFunction, eps: float,
         raise ValueError("flip probability requires a Boolean function")
     if f.n != g.n:
         raise ValueError(f"function is on {f.n} vertices, graph has {g.n}")
-    if eps < 0:
-        raise ValueError(f"time must be >= 0, got {eps}")
-    table = _EdgeTable(g)
-    words = _start_words(g, spec.level)
+    _check_horizon(eps)
     m = spec.samples
     flips = 0
-    for i in range(m):
-        rng = sample_rng(spec.seed, i)
-        w0 = _draw_start(g, spec.level, rng, words)
-        wt = _evolve(w0, table, eps, rng)
-        if f.values[w0] != f.values[wt]:
-            flips += 1
+    for w0, wt in _start_end(g, spec.level, eps, spec.seed, m):
+        flips += int(np.count_nonzero(f.values[w0] != f.values[wt]))
     p_hat = flips / m
     se = math.sqrt(p_hat * (1.0 - p_hat) / m)
     return EstimateResult(p_hat, se, m)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, is_connected
-from .statespace import LevelStateSpace, bit_position, enumerate_level
+from .statespace import LevelStateSpace, bit_position, enumerate_level, swap_words
 
 
 @dataclass(eq=False)
@@ -33,13 +33,16 @@ class LevelGenerator:
     edge_permutations: np.ndarray
 
 
-def _edge_permutations(g: Graph, space: LevelStateSpace) -> np.ndarray:
+def edge_masks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Single-bit int64 masks of the two endpoints of each edge, in edge order."""
     ends = np.array([(u, v) for u, v, _ in g.edges], dtype=np.int64).reshape(-1, 2)
-    bu = np.int64(1) << bit_position(g.n, ends[:, :1])     # (edges, 1)
-    bv = np.int64(1) << bit_position(g.n, ends[:, 1:])
-    words = space.words
-    differ = ((words & bu) != 0) != ((words & bv) != 0)
-    return space.rank(np.where(differ, words ^ (bu | bv), words))
+    bits = np.int64(1) << bit_position(g.n, ends)
+    return bits[:, 0], bits[:, 1]
+
+
+def _edge_permutations(g: Graph, space: LevelStateSpace) -> np.ndarray:
+    bu, bv = edge_masks(g)
+    return space.rank(swap_words(space.words, bu[:, None], bv[:, None]))
 
 
 def build_level_generator(g: Graph, level: int) -> LevelGenerator:

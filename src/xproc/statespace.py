@@ -100,6 +100,16 @@ def swap_word(word: int, n: int, u: int, v: int) -> int:
     return word
 
 
+def swap_words(words: np.ndarray, bu, bv) -> np.ndarray:
+    """Words with bits bu and bv interchanged wherever the two differ.
+
+    bu and bv are single-bit masks (scalars or arrays) that broadcast
+    against the int64 array words; the result is a new array.
+    """
+    differ = ((words & bu) != 0) != ((words & bv) != 0)
+    return np.where(differ, words ^ (bu | bv), words)
+
+
 def swap_edge(x: Configuration, e: tuple[int, int]) -> Configuration:
     """Interchange the marbles at the endpoints of e; fixes x iff they match."""
     u, v = e[0], e[1]

@@ -122,6 +122,16 @@ def test_simulate_deterministic(capsys):
     assert doc["covariance"]["samples"] == 400
 
 
+@pytest.mark.parametrize("subcommand", ["exact", "simulate"])
+@pytest.mark.parametrize("flag", ["--t", "--eps"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_bad_horizon_exit_2(capsys, subcommand, flag, value):
+    code, out, err = run([subcommand, "--graph", "cycle:5", "--rate", "0.5",
+                          "--function", "dictator:0", f"{flag}={value}"], capsys)
+    assert code == 2 and out == ""
+    assert f"config error: {flag} must be finite and >= 0" in err
+
+
 def test_graph_file_and_rate_policy(tmp_path, capsys):
     path = tmp_path / "g.json"
     save_graph(make_half_complete_cycle(3, 1.0), str(path))

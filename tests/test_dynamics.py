@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from xproc.dynamics import (
+    CHUNK,
     SimulationSpec,
+    _chunk_rng,
     _EdgeTable,
     _evolve,
+    _start_end,
     estimate_covariance,
     estimate_flip_probability,
-    sample_rng,
     simulate_path,
 )
 from xproc.fourier import (
@@ -31,6 +33,11 @@ from xproc.statespace import Configuration, enumerate_level
 CHI2_P001 = {2: 13.816, 5: 20.515, 9: 27.877, 14: 36.123, 19: 43.820}
 
 
+def _pairs(g, level, t, seed, samples):
+    pairs = list(_start_end(g, level, t, seed, samples))
+    return (np.concatenate([a for a, _ in pairs]), np.concatenate([b for _, b in pairs]))
+
+
 def test_time_zero_returns_start():
     g = make_cycle(5, 1.0)
     x0 = Configuration(5, 0b10110)
@@ -41,6 +48,19 @@ def test_negative_time_rejected():
     g = make_cycle(5, 1.0)
     with pytest.raises(ValueError):
         simulate_path(g, Configuration(5, 1), -1.0, seed=0)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+def test_bad_horizon_rejected(t):
+    g = make_cycle(5, 1.0)
+    f = parity_on_set(5, [0, 2])
+    spec = SimulationSpec(seed=0, samples=10)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        simulate_path(g, Configuration(5, 1), t, seed=0)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        estimate_covariance(g, f, t, spec)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        estimate_flip_probability(g, f, t, spec)
 
 
 def test_paths_conserve_marbles():
@@ -71,14 +91,32 @@ def test_empirical_law_matches_oracle_row():
     x0 = Configuration.from_string("100")
     row = probs[space.position(x0)]
     samples = 20000
-    table = _EdgeTable(g)
-    counts = np.zeros(space.size)
-    for i in range(samples):
-        w = _evolve(x0.word, table, t, sample_rng(123, i))
-        counts[space.rank(w)] += 1
+    ends = _evolve(np.full(samples, x0.word), _EdgeTable(g), t, _chunk_rng(123, 0))
+    counts = np.bincount(space.rank(ends), minlength=space.size)
     expected = row * samples
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < CHI2_P001[2]
+
+
+def test_empirical_law_with_unequal_rates():
+    # unequal rates draw edges through the cumulative rate table; the law of
+    # X_t from "110000" must still match the matrix exponential's row
+    g = Graph(6, ((0, 1, 0.5), (1, 2, 1.2), (2, 3, 0.5), (3, 4, 0.8), (4, 5, 0.5),
+                  (0, 5, 0.9), (1, 4, 0.3)))
+    t = 1.0
+    gen = build_level_generator(g, 2)
+    probs = matrix_exponential(gen, t).probs
+    space = gen.space
+    x0 = Configuration.from_string("110000")
+    row = probs[space.position(x0)]
+    samples = 20000
+    table = _EdgeTable(g)
+    assert table.cumulative is not None
+    ends = _evolve(np.full(samples, x0.word), table, t, _chunk_rng(17, 0))
+    counts = np.bincount(space.rank(ends), minlength=space.size)
+    expected = row * samples
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    assert chi2 < CHI2_P001[space.size - 1]
 
 
 def test_stationarity_on_level():
@@ -87,13 +125,9 @@ def test_stationarity_on_level():
     space = enumerate_level(5, 2)
     samples = 20000
     spec = SimulationSpec(level=2, seed=5, samples=samples)
-    table = _EdgeTable(g)
     counts = np.zeros(space.size)
-    for i in range(samples):
-        rng = sample_rng(spec.seed, i)
-        w0 = int(space.words[int(rng.integers(space.size))])
-        wt = _evolve(w0, table, 0.6, rng)
-        counts[space.rank(wt)] += 1
+    for _, wt in _start_end(g, spec.level, 0.6, spec.seed, spec.samples):
+        counts += np.bincount(space.rank(wt), minlength=space.size)
     expected = samples / space.size
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < CHI2_P001[space.size - 1]
@@ -106,18 +140,44 @@ def test_exchangeable_pair():
     g = make_cycle(n, 0.6)
     f = rng.integers(0, 2, size=32).astype(float)
     h = rng.integers(0, 2, size=32).astype(float)
-    table = _EdgeTable(g)
     samples = 20000
-    fg = np.empty(samples)
-    gf = np.empty(samples)
-    for i in range(samples):
-        sub = sample_rng(21, i)
-        w0 = int(sub.integers(32))
-        wt = _evolve(w0, table, 0.8, sub)
-        fg[i] = f[w0] * h[wt]
-        gf[i] = h[w0] * f[wt]
+    w0, wt = _pairs(g, None, 0.8, 21, samples)
+    fg = f[w0] * h[wt]
+    gf = h[w0] * f[wt]
     pooled = math.sqrt(fg.var(ddof=1) / samples + gf.var(ddof=1) / samples)
     assert abs(fg.mean() - gf.mean()) <= 3 * pooled
+
+
+def test_full_chunks_do_not_depend_on_sample_count():
+    g = make_cycle(6, 0.5)
+    w0, wt = _pairs(g, None, 0.9, 31, 2 * CHUNK + 1)
+    v0, vt = _pairs(g, None, 0.9, 31, CHUNK)
+    assert w0.shape == wt.shape == (2 * CHUNK + 1,)
+    assert np.array_equal(w0[:CHUNK], v0)
+    assert np.array_equal(wt[:CHUNK], vt)
+    # the second chunk runs on a stream of its own
+    assert not np.array_equal(w0[CHUNK:2 * CHUNK], v0)
+
+
+@pytest.mark.parametrize("samples", [1, 100, CHUNK - 1])
+def test_runs_shorter_than_a_chunk(samples):
+    g = make_cycle(6, 0.5)
+    w0, wt = _pairs(g, 3, 0.9, 12, samples)
+    assert w0.shape == wt.shape == (samples,)
+    space = enumerate_level(6, 3)
+    space.rank(w0)      # raises unless every word is on the start level
+    space.rank(wt)
+    f = parity_on_set(6, [0, 3])
+    spec = SimulationSpec(level=3, seed=12, samples=samples)
+    cov = estimate_covariance(g, f, 0.9, spec)
+    a, b = f.values[w0], f.values[wt]
+    assert cov.samples == samples
+    assert cov.point == float((a * b).mean() - a.mean() ** 2)
+    flip = estimate_flip_probability(g, f, 0.9, spec)
+    assert flip.samples == samples
+    assert flip.point == np.count_nonzero(a != b) / samples
+    if samples == 1:
+        assert cov.std_error == 0.0 and flip.std_error == 0.0
 
 
 def test_covariance_constant_function():
@@ -194,7 +254,5 @@ def test_estimators_bit_reproducible():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        SimulationSpec(t=-1.0)
     with pytest.raises(ValueError):
         SimulationSpec(samples=0)
