@@ -109,6 +109,9 @@ def resolve_graph(spec: str | None, rate: float | None, rate_policy: str,
                   field: str = "--graph") -> Graph:
     if not spec:
         raise ConfigError(f"{field} is required")
+    rate_flag = field.replace("--graph", "--rate")
+    if rate is not None and not (math.isfinite(rate) and rate > 0):
+        raise ConfigError(f"{rate_flag} must be finite and > 0, got {rate}")
     if spec.startswith("@"):
         g = load_graph(spec[1:])
         if rate_policy == "one-over-max-degree":
@@ -136,9 +139,7 @@ def resolve_graph(spec: str | None, rate: float | None, rate_policy: str,
         probe = makers[head](size, 1.0)
         return makers[head](size, 1.0 / max_degree(probe))
     if rate is None:
-        raise ConfigError(f"--rate is required with rate policy 'uniform' for {field}")
-    if rate <= 0:
-        raise ConfigError(f"--rate must be > 0, got {rate}")
+        raise ConfigError(f"{rate_flag} is required with rate policy 'uniform' for {field}")
     return makers[head](size, rate)
 
 
@@ -353,6 +354,10 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite != "all":
         raise ConfigError(f"--suite: only 'all' is supported, got {args.suite!r}")
+    if args.nmax < 4:
+        raise ConfigError(f"--nmax must be >= 4, got {args.nmax}")
+    if args.mc_samples < 1:
+        raise ConfigError(f"--mc-samples must be >= 1, got {args.mc_samples}")
     config = config_echo(args, ["suite", "nmax", "seed", "mc_samples"])
     result = verify.run_suite(nmax=args.nmax, seed=args.seed,
                               mc_samples=args.mc_samples)

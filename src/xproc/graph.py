@@ -18,7 +18,7 @@ class GraphFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph with a strictly positive rate on each edge."""
+    """Undirected simple graph with a finite, strictly positive rate on each edge."""
 
     n: int
     edges: tuple[tuple[int, int, float], ...] = field(default=())
@@ -33,15 +33,20 @@ class Graph:
                 u, v, rate = e
             except (TypeError, ValueError):
                 raise GraphFormatError(f"edge {k}: expected (u, v, rate), got {e!r}")
-            u, v, rate = int(u), int(v), float(rate)
+            try:
+                u, v, rate = int(u), int(v), float(rate)
+            except (TypeError, ValueError):
+                raise GraphFormatError(
+                    f"edge {k}: expected integer endpoints and a numeric rate, got {e!r}"
+                )
             if not (0 <= u < v < self.n):
                 raise GraphFormatError(
                     f"edge {k}: endpoints must satisfy 0 <= u < v < n, got ({u}, {v}) with n={self.n}"
                 )
             if (u, v) in seen:
                 raise GraphFormatError(f"edge {k}: duplicate edge ({u}, {v})")
-            if not rate > 0.0:
-                raise GraphFormatError(f"edge {k}: rate must be > 0, got {rate}")
+            if not (math.isfinite(rate) and rate > 0.0):
+                raise GraphFormatError(f"edge {k}: rate must be finite and > 0, got {rate}")
             seen.add((u, v))
             canon.append((u, v, rate))
         canon.sort()

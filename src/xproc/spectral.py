@@ -61,14 +61,17 @@ class SpectralBasis:
 
 
 def group_eigenvalues(eigenvalues: np.ndarray, rtol: float = GROUP_RTOL) -> list[list[int]]:
-    """Cluster ascending eigenvalues that differ by at most rtol * max(1, lam)."""
-    groups: list[list[int]] = []
-    for i, lam in enumerate(eigenvalues):
-        if groups and lam - eigenvalues[groups[-1][-1]] <= rtol * max(1.0, abs(lam)):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+    """Cluster ascending eigenvalues that differ by at most rtol * max(1, lam).
+
+    Eigenvalue i joins the group of i - 1 iff w[i] - w[i-1] <= rtol *
+    max(1, |w[i]|); every other index starts a new group.
+    """
+    w = np.asarray(eigenvalues, dtype=float)
+    if w.size == 0:
+        return []
+    joins = np.diff(w) <= rtol * np.maximum(1.0, np.abs(w[1:]))
+    bounds = [0, *(np.flatnonzero(~joins) + 1).tolist(), w.size]
+    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 def fix_sign(vec: np.ndarray) -> np.ndarray:

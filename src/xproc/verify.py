@@ -13,7 +13,9 @@ import numpy as np
 
 from . import diagnostics, dynamics, fourier, oracle, spectral
 from .generator import build_level_generator, dirichlet_form
-from .graph import Graph, make_complete, make_cycle, make_half_complete_cycle, max_degree
+from .graph import (
+    Graph, is_complete, make_complete, make_cycle, make_half_complete_cycle, max_degree,
+)
 from .statespace import enumerate_level
 
 
@@ -56,6 +58,39 @@ class _Tally:
     def result(self) -> CheckResult:
         worst = 0.0 if self.instances == 0 else float(self.worst)
         return CheckResult(self.name, self.instances, self.violations, worst, self.label)
+
+
+class BasisTable:
+    """Complete-graph eigenbases of one suite run, each solved once.
+
+    Keyed by (Graph, level): Graph is a frozen dataclass, so a complete
+    graph built at two call sites with equal rates is one key. Only
+    complete graphs are held; any other graph is solved on every call, since
+    holding every basis of a run would cost three times the memory for
+    little more speed. Held arrays are read-only, so no check can change a
+    basis another check reads. eigendecompose is deterministic for identical
+    input, so reusing a basis changes no report.
+    """
+
+    def __init__(self):
+        self._bases: dict[tuple[Graph, int], spectral.SpectralBasis] = {}
+
+    def basis(self, g: Graph, level: int, gen=None) -> spectral.SpectralBasis:
+        """The level's eigenbasis; gen, if given, is g's generator on that level."""
+        key = (g, level)
+        basis = self._bases.get(key)
+        if basis is None:
+            if gen is None:
+                gen = build_level_generator(g, level)
+            basis = spectral.eigendecompose(gen)
+            if is_complete(g):
+                basis.eigenvalues.flags.writeable = False
+                basis.vectors.flags.writeable = False
+                self._bases[key] = basis
+        return basis
+
+    def all_levels(self, g: Graph) -> list[spectral.SpectralBasis]:
+        return [self.basis(g, level) for level in range(g.n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +217,8 @@ def basis_defect(gen, basis) -> float:
     return max(eig_err if norm2 > 0 else 0.0, ortho_err, kernel_err)
 
 
-def check_eigensolver(nmax: int, rng: np.random.Generator) -> CheckResult:
+def check_eigensolver(nmax: int, rng: np.random.Generator,
+                      table: BasisTable) -> CheckResult:
     tally = _Tally("eigensolver_residuals")
     for n in range(3, min(nmax, 8) + 1):
         for name, g in ((f"K_{n}", make_complete(n, 1.0)),
@@ -190,7 +226,7 @@ def check_eigensolver(nmax: int, rng: np.random.Generator) -> CheckResult:
                         (f"random_{n}", random_connected_graph(rng, n, 1.0))):
             for level in range(n + 1):
                 gen = build_level_generator(g, level)
-                basis = spectral.eigendecompose(gen)
+                basis = table.basis(g, level, gen)
                 tally.add(basis_defect(gen, basis), 1e-10, f"{name} level {level}")
     return tally.result()
 
@@ -202,13 +238,13 @@ def expected_complete_spectrum(n: int, level: int, alpha: float) -> np.ndarray:
     return np.array(sorted(values))
 
 
-def check_complete_multiplicities(nmax: int) -> CheckResult:
+def check_complete_multiplicities(nmax: int, table: BasisTable) -> CheckResult:
     tally = _Tally("complete_graph_multiplicities")
     for n in range(2, nmax + 1):
         for alpha in (1.0, 1.0 / n):
             g = make_complete(n, alpha)
             for level in range(n // 2 + 1):
-                basis = spectral.eigendecompose(build_level_generator(g, level))
+                basis = table.basis(g, level)
                 expected = expected_complete_spectrum(n, level, alpha)
                 err = float(
                     np.max(np.abs(np.sort(basis.eigenvalues) - expected)
@@ -237,25 +273,25 @@ def lift_length_error(n: int, level: int, alpha: float, basis) -> float:
     return worst
 
 
-def check_lift_lengths(nmax: int) -> CheckResult:
+def check_lift_lengths(nmax: int, table: BasisTable) -> CheckResult:
     tally = _Tally("lift_length_formulas")
     for n in range(2, nmax + 1):
         for alpha in (1.0, 1.0 / n):
             g = make_complete(n, alpha)
             for level in range(n // 2 + 1):
-                basis = spectral.eigendecompose(build_level_generator(g, level))
+                basis = table.basis(g, level)
                 err = lift_length_error(n, level, alpha, basis)
                 tally.add(err, 1e-8, f"K_{n} alpha={alpha:g} level {level}")
     return tally.result()
 
 
-def check_orthogonality_preserved(nmax: int) -> CheckResult:
+def check_orthogonality_preserved(nmax: int, table: BasisTable) -> CheckResult:
     """Lifts of orthogonal complete-graph eigenvectors stay orthogonal."""
     tally = _Tally("lift_orthogonality")
     for n in range(3, nmax + 1):
         g = make_complete(n, 1.0)
         for level in range(1, n // 2 + 1):
-            basis = spectral.eigendecompose(build_level_generator(g, level))
+            basis = table.basis(g, level)
             downs = spectral.lift_down(basis.space, basis.vectors)
             ups = spectral.lift_up(basis.space, basis.vectors)
             for tag, mat in (("down", downs), ("up", ups)):
@@ -315,7 +351,8 @@ def check_oracle_equivalence(rng: np.random.Generator, count: int = 15) -> Check
     return tally.result()
 
 
-def check_containment(nmax: int, rng: np.random.Generator) -> CheckResult:
+def check_containment(nmax: int, rng: np.random.Generator,
+                      table: BasisTable) -> CheckResult:
     tally = _Tally("containment_residual")
     for n in (6, 8, 10, 12):
         if n > nmax:
@@ -325,7 +362,7 @@ def check_containment(nmax: int, rng: np.random.Generator) -> CheckResult:
         if n % 2 == 0:
             others.append(("half_complete_cycle", make_half_complete_cycle(n // 2, 1.0)))
         others.append(("random", random_connected_graph(rng, n, 1.0)))
-        bases_c = spectral.all_level_bases(complete)
+        bases_c = table.all_levels(complete)
         for name, raw in others:
             other = with_rate(raw, 1.0 / max_degree(raw))
             bases_o = spectral.all_level_bases(other)
@@ -339,7 +376,7 @@ def check_containment(nmax: int, rng: np.random.Generator) -> CheckResult:
     return tally.result()
 
 
-def check_projection_mass(nmax: int, rng: np.random.Generator,
+def check_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable,
                           count: int = 25) -> CheckResult:
     tally = _Tally("projection_mass_inequality")
     for i in range(count):
@@ -349,7 +386,10 @@ def check_projection_mass(nmax: int, rng: np.random.Generator,
         other = with_rate(raw, 1.0 / max_degree(raw))
         f = random_boolean_function(rng, n)
         k = float(rng.uniform(0.05, n / 4.0))
-        lhs, rhs = diagnostics.projection_mass_inequality(complete, other, f, k)
+        lhs, rhs = diagnostics.projection_mass_inequality(
+            complete, other, f, k,
+            profile_complete=fourier.spectral_profile(f, table.all_levels(complete)),
+        )
         tally.add(rhs - lhs, 1e-10, f"draw {i} (n={n}, k={k:.3f})")
     return tally.result()
 
@@ -379,7 +419,7 @@ def check_monotonicity(rng: np.random.Generator, count: int = 25) -> CheckResult
     return tally.result()
 
 
-def check_monte_carlo(seed: int, samples: int = 4000) -> CheckResult:
+def check_monte_carlo(seed: int, table: BasisTable, samples: int = 4000) -> CheckResult:
     """Estimates agree with the exact formulas within 3 standard errors."""
     tally = _Tally("monte_carlo_agreement")
     cases = [
@@ -390,7 +430,7 @@ def check_monte_carlo(seed: int, samples: int = 4000) -> CheckResult:
          fourier.dictator(6, 1), "cov", 0.5),
     ]
     for idx, (label, g, f, kind, t) in enumerate(cases):
-        profile = fourier.spectral_profile(f, spectral.all_level_bases(g))
+        profile = fourier.spectral_profile(f, table.all_levels(g))
         spec = dynamics.SimulationSpec(seed=seed + idx, samples=samples)
         if kind == "cov":
             est = dynamics.estimate_covariance(g, f, t, spec)
@@ -406,19 +446,20 @@ def check_monte_carlo(seed: int, samples: int = 4000) -> CheckResult:
 def run_suite(nmax: int = 8, seed: int = 7, mc_samples: int = 4000) -> dict:
     """Run every check; the report is JSON-ready and fully deterministic."""
     rng = np.random.default_rng(seed)
+    table = BasisTable()
     checks = [
         check_generator_invariants(nmax, rng),
-        check_eigensolver(nmax, rng),
-        check_complete_multiplicities(nmax),
-        check_lift_lengths(nmax),
-        check_orthogonality_preserved(nmax),
+        check_eigensolver(nmax, rng, table),
+        check_complete_multiplicities(nmax, table),
+        check_lift_lengths(nmax, table),
+        check_orthogonality_preserved(nmax, table),
         check_eigenvalue_bound(nmax, rng),
         check_parseval(nmax, rng),
         check_oracle_equivalence(rng),
-        check_containment(nmax, rng),
-        check_projection_mass(nmax, rng),
+        check_containment(nmax, rng, table),
+        check_projection_mass(nmax, rng, table),
         check_monotonicity(rng),
-        check_monte_carlo(seed, mc_samples),
+        check_monte_carlo(seed, table, mc_samples),
     ]
     return {
         "suite": "all",

@@ -252,6 +252,43 @@ def test_verify_small(tmp_path, capsys):
             "monte_carlo_agreement"} <= names
 
 
+@pytest.mark.parametrize("flag", ["--rate", "--rate-b"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_bad_rate_flag_exit_2(capsys, flag, value):
+    code, out, err = run(["compare", "--graph", "complete:5", "--rate", "1",
+                          "--graph-b", "cycle:5", "--rate-b", "1",
+                          f"{flag}={value}"], capsys)
+    assert code == 2 and out == ""
+    assert f"config error: {flag} must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("flag", ["--rate", "--rate-b"])
+def test_non_numeric_rate_flag_exit_2(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--graph", "complete:5", "--rate", "1",
+              "--graph-b", "cycle:5", "--rate-b", "1", f"{flag}=abc"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid float value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["1e999", "NaN", '"abc"'])
+def test_bad_rate_in_graph_file_exit_2(tmp_path, capsys, literal):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 3, "edges": [[0, 1, 1.0], [1, 2, ' + literal + ']]}')
+    code, out, err = run(["exact", "--graph", f"@{path}", "--function",
+                          "dictator:0", "--t", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "edges[1]" in err and "edge 1:" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--nmax", "2"), ("--nmax", "3"),
+                                        ("--mc-samples", "0"), ("--mc-samples", "-5")])
+def test_verify_bad_sizes_exit_2(capsys, flag, value):
+    code, out, err = run(["verify", flag, value], capsys)
+    assert code == 2 and out == ""
+    assert f"config error: {flag} must be >= " in err
+
+
 def test_dumps_json_17_digits():
     text = dumps_json({"x": 0.1, "flag": True, "n": 3, "s": "a", "v": [1.5], "none": None})
     assert "0.10000000000000001" in text

@@ -189,3 +189,21 @@ def test_loader_rejects_wrong_shape(tmp_path):
     path.write_text(json.dumps({"n": 4, "edges": [[0, 1]]}))
     with pytest.raises(GraphFormatError):
         load_graph(str(path))
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan, "abc"])
+def test_bad_rate_rejected_with_edge_index(rate):
+    with pytest.raises(GraphFormatError, match="edge 1:"):
+        Graph(3, ((0, 1, 1.0), (1, 2, rate)))
+
+
+@pytest.mark.parametrize("literal", ["1e999", "NaN", '"abc"'])
+def test_loader_rejects_bad_rate(tmp_path, literal):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{\n  "n": 3,\n  "edges": [\n    [0, 1, 1.0],\n    [1, 2, ' + literal + ']\n  ]\n}\n'
+    )
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(str(path))
+    assert "edges[1] (line 5)" in str(exc.value)
+    assert "edge 1:" in str(exc.value)

@@ -14,10 +14,12 @@ import pytest
 from xproc.generator import build_level_generator
 from xproc.graph import make_complete, make_cycle, make_half_complete_cycle
 from xproc.spectral import (
+    GROUP_RTOL,
     SIGN_TOL,
     complete_graph_basis,
     eigendecompose,
     fix_sign,
+    group_eigenvalues,
     lift_down,
     lift_up,
     mirror_basis,
@@ -100,6 +102,16 @@ def ref_fix_sign(vec):
     if len(nz) and vec[nz[0]] < 0:
         return -vec
     return vec
+
+
+def ref_group_eigenvalues(eigenvalues, rtol=GROUP_RTOL):
+    groups = []
+    for i, lam in enumerate(eigenvalues):
+        if groups and lam - eigenvalues[groups[-1][-1]] <= rtol * max(1.0, abs(lam)):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
 
 
 def ref_complete_graph_basis(n, level, alpha):
@@ -285,6 +297,47 @@ def test_eigendecompose_signs_match_per_column():
     for i in range(1, gen.space.size):
         vectors[:, i] = ref_fix_sign(vectors[:, i])
     assert np.array_equal(basis.vectors, vectors)
+
+
+def test_group_eigenvalues_matches_reference_on_random_spectra():
+    rng = np.random.default_rng(21)
+    for size in (0, 1, 2, 7, 200):
+        w = np.sort(rng.uniform(-1e-9, 50.0, size))
+        # Repeat some values exactly and nudge others just inside the tolerance.
+        w[1::3] = w[0:-1:3][: len(w[1::3])]
+        w[2::5] += GROUP_RTOL * 0.5 * np.maximum(1.0, w[2::5])
+        w = np.sort(w)
+        assert group_eigenvalues(w) == ref_group_eigenvalues(w)
+    spectrum = np.array([0.0, 4.0, 4.0, 4.0, 6.0, 6.0])
+    assert group_eigenvalues(spectrum) == [[0], [1, 2, 3], [4, 5]]
+    assert group_eigenvalues(spectrum) == ref_group_eigenvalues(spectrum)
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0, 5.0, 1234.5])
+def test_group_eigenvalues_at_the_tolerance_edge(lam):
+    tol = GROUP_RTOL * max(1.0, lam)
+    # The lowest predecessor still within tolerance, found one ulp at a time.
+    prev = lam - tol
+    while lam - prev > tol:
+        prev = np.nextafter(prev, np.inf)
+    while lam - np.nextafter(prev, -np.inf) <= tol:
+        prev = np.nextafter(prev, -np.inf)
+    for before, groups in ((prev, 1), (np.nextafter(prev, -np.inf), 2)):
+        w = np.array([before, lam])
+        assert group_eigenvalues(w) == ref_group_eigenvalues(w)
+        assert len(group_eigenvalues(w)) == groups
+
+
+@pytest.mark.parametrize("lam", [0.5, 4.0])
+def test_group_eigenvalues_joins_a_gap_equal_to_the_tolerance(lam):
+    # A power-of-two rtol makes the gap exactly rtol * max(1, lam).
+    rtol = 2.0**-20
+    prev = lam - rtol * max(1.0, lam)
+    assert lam - prev == rtol * max(1.0, lam)
+    for before, groups in ((prev, 1), (np.nextafter(prev, -np.inf), 2)):
+        w = np.array([before, lam])
+        assert group_eigenvalues(w, rtol) == ref_group_eigenvalues(w, rtol)
+        assert len(group_eigenvalues(w, rtol)) == groups
 
 
 # ---------------------------------------------------------------------------

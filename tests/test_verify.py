@@ -1,0 +1,82 @@
+"""The verify suite's run-scoped basis table."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from xproc import diagnostics, spectral, verify
+from xproc.graph import is_complete, make_complete, make_cycle
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Count eigendecompose calls per (graph, level), through every import path."""
+    counts = Counter()
+    inner = spectral.eigendecompose
+
+    def counting(gen):
+        counts[(gen.graph, gen.space.level)] += 1
+        return inner(gen)
+
+    monkeypatch.setattr(spectral, "eigendecompose", counting)
+    monkeypatch.setattr(diagnostics, "eigendecompose", counting)
+    return counts
+
+
+def complete_solves(counts):
+    return {key: c for key, c in counts.items() if is_complete(key[0])}
+
+
+def test_each_complete_basis_is_solved_once_per_run(solves):
+    verify.run_suite(nmax=8, seed=7, mc_samples=400)
+    complete = complete_solves(solves)
+    # K_n at rates 1, 1/n and others, several levels each: the table is in use.
+    assert len(complete) > 50
+    assert max(complete.values()) == 1
+    # Other graphs are still solved by every check that needs them.
+    assert any(c > 1 for key, c in solves.items() if not is_complete(key[0]))
+
+
+def test_each_run_starts_with_an_empty_table(solves):
+    verify.run_suite(nmax=8, seed=7, mc_samples=400)
+    first = complete_solves(solves)
+    assert len(first) > 50
+    solves.clear()
+    verify.run_suite(nmax=8, seed=7, mc_samples=400)
+    assert complete_solves(solves) == first
+
+
+def test_held_bases_are_shared_and_read_only():
+    table = verify.BasisTable()
+    basis = table.basis(make_complete(5, 0.2), 2)
+    assert table.basis(make_complete(5, 1.0 / 5), 2) is basis
+    assert table.all_levels(make_complete(5, 0.2))[2] is basis
+    with pytest.raises(ValueError):
+        basis.vectors[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        basis.eigenvalues[1] = 0.0
+
+
+def test_other_graphs_are_not_held():
+    table = verify.BasisTable()
+    cycle = make_cycle(5, 1.0)
+    first = table.basis(cycle, 2)
+    second = table.basis(cycle, 2)
+    assert first is not second
+    assert np.array_equal(first.vectors, second.vectors)
+    assert first.vectors.flags.writeable
+
+
+def test_held_basis_equals_a_fresh_solve():
+    g = make_complete(6, 1.0)
+    table = verify.BasisTable()
+    for level, fresh in enumerate(spectral.all_level_bases(g)):
+        held = table.basis(g, level)
+        assert np.array_equal(held.vectors, fresh.vectors)
+        assert np.array_equal(held.eigenvalues, fresh.eigenvalues)
+        assert held.groups == fresh.groups
+
+
+def test_two_runs_in_one_process_give_equal_reports():
+    assert verify.run_suite(nmax=8, seed=7) == verify.run_suite(nmax=8, seed=7)
