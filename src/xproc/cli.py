@@ -22,7 +22,7 @@ from .generator import build_level_generator
 from .statespace import StateCapExceeded, state_cap
 from .graph import (
     Graph, is_complete, is_edge_subgraph, load_graph, make_complete, make_cycle,
-    make_half_complete_cycle, max_degree, to_json_dict, uniform_rate,
+    make_half_complete_cycle, max_degree, to_json_dict,
 )
 
 SCHEMA_VERSION = "xproc-report-1"
@@ -374,56 +374,39 @@ def cmd_compare(args) -> int:
                                 "rate-policy-b", "function", "k", "kprime"])
     checks = []
     f = resolve_function(args.function, g_a.n) if args.function else None
-
-    if is_edge_subgraph(g_b, g_a):
-        gap = diagnostics.spectra_domination_gap(g_b, g_a)
-        checks.append({
-            "name": "spectra_dominated_by_supergraph",
-            "instances": g_a.n + 1,
-            "violations": int(gap > 1e-10),
-            "max_residual": gap,
-        })
-        if f is not None and args.k is not None and args.kprime is not None:
-            lhs, rhs = diagnostics.monotonicity_inequality_check(
-                g_a, g_b, f, args.k, args.kprime
-            )
-            checks.append({
-                "name": "monotonicity_inequality",
-                "instances": 1,
-                "violations": int(lhs > rhs + 1e-10),
-                "max_residual": lhs - rhs,
-                "lhs": lhs,
-                "rhs": rhs,
-            })
+    subgraph = is_edge_subgraph(g_b, g_a)
+    holds = None  # the containment hypothesis; None when g_a is not complete or k is unset
     if is_complete(g_a) and args.k is not None:
         kprime = args.kprime if args.kprime is not None else 2.0 * args.k
-        alpha = uniform_rate(g_a)
-        n = g_a.n
-        if alpha * kprime * (n - kprime + 1) >= args.k * (1 - 1e-9):
-            bases_a = spectral.all_level_bases(g_a)
-            bases_b = spectral.all_level_bases(g_b)
-            worst = 0.0
-            for level in range(n + 1):
-                worst = max(worst, diagnostics.containment_residual(
-                    g_a, g_b, level, args.k, kprime,
-                    basis_complete=bases_a[level], basis_other=bases_b[level],
-                ))
-            checks.append({
-                "name": "containment_residual",
-                "instances": n + 1,
-                "violations": int(worst > 1e-8),
-                "max_residual": worst,
-            })
-        else:
-            checks.append({
-                "name": "containment_residual",
-                "instances": 0,
-                "violations": 0,
-                "max_residual": 0.0,
-                "skipped": "threshold hypothesis does not hold for these k, k'",
-            })
+        holds = diagnostics.containment_hypothesis(g_a, args.k, kprime)
+    if subgraph or holds:
+        bases_a, bases_b = spectral.all_level_bases(g_a), spectral.all_level_bases(g_b)
+    if subgraph:
+        gap = diagnostics.spectra_domination_gap(g_b, g_a, bases_b, bases_a)
+        checks.append({"name": "spectra_dominated_by_supergraph", "instances": g_a.n + 1,
+                       "violations": int(gap > 1e-10), "max_residual": gap})
+        if f is not None and args.k is not None and args.kprime is not None:
+            lhs, rhs = diagnostics.monotonicity_inequality_check(
+                g_a, g_b, f, args.k, args.kprime,
+                profile=fourier.spectral_profile(f, bases_a),
+                profile_sub=fourier.spectral_profile(f, bases_b),
+            )
+            checks.append({"name": "monotonicity_inequality", "instances": 1,
+                           "violations": int(lhs > rhs + 1e-10), "max_residual": lhs - rhs,
+                           "lhs": lhs, "rhs": rhs})
+    if holds:
+        worst = max(diagnostics.containment_residual(
+            g_a, g_b, level, args.k, kprime,
+            basis_complete=bases_a[level], basis_other=bases_b[level],
+        ) for level in range(g_a.n + 1))
+        checks.append({"name": "containment_residual", "instances": g_a.n + 1,
+                       "violations": int(worst > 1e-8), "max_residual": worst})
+    elif holds is False:
+        checks.append({"name": "containment_residual", "instances": 0, "violations": 0,
+                       "max_residual": 0.0,
+                       "skipped": "threshold hypothesis does not hold for these k, k'"})
     body = {
-        "edge_subgraph": is_edge_subgraph(g_b, g_a),
+        "edge_subgraph": subgraph,
         "checks": checks,
         "violations": int(sum(c["violations"] for c in checks)),
     }

@@ -22,18 +22,20 @@ from typing import Callable
 
 import numpy as np
 
-from .fourier import BooleanFunction, SpectralProfile, low_frequency_mass, spectral_profile, tail_mass
+from .fourier import (
+    THRESH_SLACK, BooleanFunction, SpectralProfile, low_frequency_mass, spectral_profile,
+    tail_mass, threshold_mask,
+)
 from .generator import build_level_generator
 from .graph import Graph, is_complete, is_connected, is_edge_subgraph, max_degree, uniform_rate
 from .spectral import SpectralBasis, ZERO_TOL, all_level_bases, eigendecompose
 from .statespace import StateCapExceeded
 
-THRESH_SLACK = 1e-9      # relative slack for eigenvalue-vs-threshold comparisons
 
-
-def _within(lam: np.ndarray, k: float) -> np.ndarray:
-    """lam <= k with a tiny relative slack so exact-boundary spectra count."""
-    return lam <= k * (1.0 + THRESH_SLACK) + 1e-12
+def containment_hypothesis(g_complete: Graph, k: float, kprime: float) -> bool:
+    """alpha * k' * (n - k' + 1) >= k, without which containment says nothing."""
+    n = g_complete.n
+    return bool(threshold_mask(uniform_rate(g_complete) * kprime * (n - kprime + 1), k, ">="))
 
 
 def containment_residual(
@@ -50,9 +52,7 @@ def containment_residual(
     Takes the complete-graph eigenvectors at this level with eigenvalue in
     (0, k] and projects each onto the span of the other graph's eigenvectors
     with eigenvalue at most 2 * beta * kprime * d, where d is the other
-    graph's maximum degree. Requires alpha * kprime * (n - kprime + 1) >= k
-    (checked with a small relative tolerance); refuses otherwise, since the
-    containment statement has no content without it.
+    graph's maximum degree. Refuses unless containment_hypothesis holds.
     """
     if not is_complete(g_complete):
         raise ValueError("containment requires the first graph to be complete")
@@ -60,13 +60,10 @@ def containment_residual(
         raise ValueError("graphs must share a vertex set")
     if not (k > 0 and kprime > 0):
         raise ValueError("thresholds must be > 0")
-    alpha = uniform_rate(g_complete)
     beta = uniform_rate(g_other)
-    n = g_complete.n
-    hypothesis = alpha * kprime * (n - kprime + 1)
-    if hypothesis < k * (1.0 - THRESH_SLACK) - 1e-12:
+    if not containment_hypothesis(g_complete, k, kprime):
         raise ValueError(
-            f"hypothesis alpha*k'*(n-k'+1) >= k fails: {hypothesis:g} < {k:g}; "
+            f"hypothesis alpha*k'*(n-k'+1) >= k fails for k={k:g}, k'={kprime:g}; "
             "the containment statement does not apply"
         )
     d = max_degree(g_other)
@@ -75,11 +72,11 @@ def containment_residual(
     if basis_other is None:
         basis_other = eigendecompose(build_level_generator(g_other, level))
     lam = basis_complete.eigenvalues
-    pick = (lam > ZERO_TOL) & _within(lam, k)
+    pick = (lam > ZERO_TOL) & threshold_mask(lam, k, "<=")
     if not pick.any():
         return 0.0
     mu = basis_other.eigenvalues
-    target = _within(mu, 2.0 * beta * kprime * d)
+    target = threshold_mask(mu, 2.0 * beta * kprime * d, "<=")
     psi = basis_complete.vectors[:, pick]
     chi = basis_other.vectors[:, target]
     size = basis_complete.size
@@ -153,18 +150,25 @@ def monotonicity_inequality_check(
         profile = spectral_profile(f, all_level_bases(g))
     if profile_sub is None:
         profile_sub = spectral_profile(f, all_level_bases(g_sub))
-    lam = profile.eigenvalues
-    sq = profile.coefficients**2
-    low = float(sq[(lam > ZERO_TOL) & _within(lam, k)].sum())
-    high = float(sq[~_within(lam, max(k, ZERO_TOL))].sum())
-    mu = profile_sub.eigenvalues
-    sq_sub = profile_sub.coefficients**2
-    lhs = float(sq_sub[~_within(mu, max(kprime, ZERO_TOL))].sum())
+    low = low_frequency_mass(profile, k)
+    high = _strict_tail_mass(profile, k)
+    lhs = _strict_tail_mass(profile_sub, kprime)
     rhs = (np.sqrt(k / kprime * low) + np.sqrt(high)) ** 2
     return lhs, float(rhs)
 
 
-def spectra_domination_gap(g_sub: Graph, g: Graph) -> float:
+def _strict_tail_mass(profile: SpectralProfile, k: float) -> float:
+    """Squared-coefficient mass over eigenvalues beyond k (and beyond zero)."""
+    mask = threshold_mask(profile.eigenvalues, max(k, ZERO_TOL), ">")
+    return float((profile.coefficients**2)[mask].sum())
+
+
+def spectra_domination_gap(
+    g_sub: Graph,
+    g: Graph,
+    bases_sub: list[SpectralBasis] | None = None,
+    bases: list[SpectralBasis] | None = None,
+) -> float:
     """Largest amount by which a subgraph eigenvalue exceeds the supergraph's.
 
     Sorted level spectra should be pointwise nondecreasing under edge
@@ -172,12 +176,12 @@ def spectra_domination_gap(g_sub: Graph, g: Graph) -> float:
     """
     if not is_edge_subgraph(g_sub, g):
         raise ValueError("first graph must be an equal-rate edge subgraph of the second")
-    worst = -np.inf
-    for level in range(g.n + 1):
-        small = np.sort(eigendecompose(build_level_generator(g_sub, level)).eigenvalues)
-        big = np.sort(eigendecompose(build_level_generator(g, level)).eigenvalues)
-        worst = max(worst, float((small - big).max()))
-    return worst
+    if bases_sub is None:
+        bases_sub = all_level_bases(g_sub)
+    if bases is None:
+        bases = all_level_bases(g)
+    return max(float((np.sort(small.eigenvalues) - np.sort(big.eigenvalues)).max())
+               for small, big in zip(bases_sub, bases))
 
 
 @dataclass(eq=False)
@@ -260,11 +264,7 @@ def sensitivity_profile(
         })
         # mass decomposition: (0, k] block + strict tail + zero block = total
         for k in k_grid:
-            lam = profile.eigenvalues
-            strict_tail = float(
-                (profile.coefficients[lam > max(float(k), ZERO_TOL)] ** 2).sum()
-            )
-            res = abs(low_frequency_mass(profile, float(k)) + strict_tail
+            res = abs(low_frequency_mass(profile, float(k)) + _strict_tail_mass(profile, k)
                       + profile.zero_mass() - profile.total_mass)
             identity_instances += 1
             identity_residual = max(identity_residual, res)

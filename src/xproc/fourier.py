@@ -22,6 +22,8 @@ import numpy as np
 
 from .spectral import GROUP_RTOL, SpectralBasis, ZERO_TOL
 
+THRESH_SLACK = 1e-9      # relative slack for eigenvalue-vs-threshold comparisons
+
 
 @dataclass(eq=False)
 class BooleanFunction:
@@ -197,22 +199,35 @@ def exact_flip_probability(profile: SpectralProfile, eps: float) -> float:
     return value
 
 
-def low_frequency_mass(profile: SpectralProfile, k: float) -> float:
-    """Squared-coefficient mass over eigenvalues in (0, k]."""
+def threshold_mask(lam: np.ndarray, k: float, side: str) -> np.ndarray:
+    """Which of lam are "<=" k, ">=" k or ">" k: the one threshold rule.
+
+    A value within THRESH_SLACK (relative) plus 1e-12 of k counts as equal
+    to it, so a threshold on an eigenvalue takes its whole cluster however
+    the solver rounded each member.
+    """
+    if side == ">=":
+        return lam >= k * (1.0 - THRESH_SLACK) - 1e-12
+    hi = k * (1.0 + THRESH_SLACK) + 1e-12
+    return {"<=": lam <= hi, ">": lam > hi}[side]
+
+
+def _band_mass(profile: SpectralProfile, k: float, side: str) -> float:
     if not k > 0:
         raise ValueError(f"threshold must be > 0, got {k}")
     lam = profile.eigenvalues
-    mask = (lam > ZERO_TOL) & (lam <= k)
+    mask = (lam > ZERO_TOL) & threshold_mask(lam, k, side)
     return float((profile.coefficients[mask] ** 2).sum())
+
+
+def low_frequency_mass(profile: SpectralProfile, k: float) -> float:
+    """Squared-coefficient mass over eigenvalues in (0, k]."""
+    return _band_mass(profile, k, "<=")
 
 
 def tail_mass(profile: SpectralProfile, k: float) -> float:
     """Squared-coefficient mass over eigenvalues >= k (zero block excluded)."""
-    if not k > 0:
-        raise ValueError(f"threshold must be > 0, got {k}")
-    lam = profile.eigenvalues
-    mask = (lam > ZERO_TOL) & (lam >= k)
-    return float((profile.coefficients[mask] ** 2).sum())
+    return _band_mass(profile, k, ">=")
 
 
 def mass_by_eigenvalue(profile: SpectralProfile) -> list[tuple[float, float]]:

@@ -33,12 +33,20 @@ class Graph:
                 u, v, rate = e
             except (TypeError, ValueError):
                 raise GraphFormatError(f"edge {k}: expected (u, v, rate), got {e!r}")
+            # int() and float() accept booleans; numpy's are not bool instances
+            if any(isinstance(x, bool) or getattr(x, "dtype", None) == bool
+                   for x in (u, v, rate)):
+                raise GraphFormatError(f"edge {k}: endpoints and rate cannot be booleans, got {e!r}")
             try:
-                u, v, rate = int(u), int(v), float(rate)
-            except (TypeError, ValueError):
+                iu, iv, rate = int(u), int(v), float(rate)
+                integral = (iu, iv) == (u, v)
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
                 raise GraphFormatError(
                     f"edge {k}: expected integer endpoints and a numeric rate, got {e!r}"
                 )
+            u, v = iu, iv
             if not (0 <= u < v < self.n):
                 raise GraphFormatError(
                     f"edge {k}: endpoints must satisfy 0 <= u < v < n, got ({u}, {v}) with n={self.n}"

@@ -413,8 +413,9 @@ def check_monotonicity(rng: np.random.Generator, count: int = 25) -> CheckResult
             ("half_complete_cycle", make_half_complete_cycle(half, 0.5)),
             ("complete", make_complete(2 * half, 0.5)),
         )
+        bases = {g: spectral.all_level_bases(g) for g in {g for _, g in chain}}
         for (sname, small), (bname, big) in zip(chain, chain[1:]):
-            gap = diagnostics.spectra_domination_gap(small, big)
+            gap = diagnostics.spectra_domination_gap(small, big, bases[small], bases[big])
             tally.add(gap, 1e-10, f"{sname} vs {bname} on {2 * half} vertices")
     return tally.result()
 

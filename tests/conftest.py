@@ -1,0 +1,22 @@
+"""Fixtures shared by several test modules."""
+
+from collections import Counter
+
+import pytest
+
+from xproc import diagnostics, spectral
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Count eigendecompose calls per (graph, level), through every import path."""
+    counts = Counter()
+    inner = spectral.eigendecompose
+
+    def counting(gen):
+        counts[(gen.graph, gen.space.level)] += 1
+        return inner(gen)
+
+    monkeypatch.setattr(spectral, "eigendecompose", counting)
+    monkeypatch.setattr(diagnostics, "eigendecompose", counting)
+    return counts

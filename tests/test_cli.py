@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from xproc import diagnostics
 from xproc.cli import dumps_json, main
-from xproc.graph import make_half_complete_cycle, save_graph
+from xproc.graph import make_complete, make_cycle, make_half_complete_cycle, save_graph
 
 
 def run(args, capsys):
@@ -96,6 +97,20 @@ def test_profile_n_grid_sweep(capsys):
     # dictators keep low-frequency mass bounded away from zero at k=4
     assert all(r["low_frequency_mass"]["4.0"] > 0.05 for r in doc["records"])
     assert doc["checks"][0]["violations"] == 0
+
+
+def test_profile_n_grid_boundary_k_takes_whole_cluster(capsys):
+    # k = 6 is the K_6 eigenvalue holding all of the dictator's non-zero mass
+    code, out, _ = run(["profile", "--graph", "complete", "--n-grid", "4:8", "--rate", "1",
+                        "--k", "6", "--function", "dictator:0"], capsys)
+    assert code == 0
+    record = json.loads(out)["records"][2]
+    code, out, _ = run(["profile", "--graph", "complete:6", "--rate", "1",
+                        "--function", "dictator:0"], capsys)
+    pooled = {round(e["eigenvalue"]): e["mass"] for e in json.loads(out)["mass_by_eigenvalue"]}
+    assert record["n"] == 6 and pooled[6] > 0.2
+    assert record["low_frequency_mass"]["6.0"] == pytest.approx(pooled[6], rel=1e-12)
+    assert record["tail_mass"]["6.0"] == pytest.approx(pooled[6], rel=1e-12)
 
 
 def test_profile_n_grid_validation(capsys):
@@ -210,6 +225,33 @@ def test_compare_containment(capsys):
     assert checks["containment_residual"]["max_residual"] <= 1e-8
 
 
+def test_compare_solves_each_level_once(capsys, solves):
+    code, out, _ = run(["compare", "--graph", "complete:10", "--rate", "0.1", "--graph-b",
+                        "cycle:10", "--rate-b", "0.1", "--function", "dictator:0", "--k", "1",
+                        "--kprime", "2"], capsys)
+    assert code == 0
+    assert [c["name"] for c in json.loads(out)["checks"]] == [
+        "spectra_dominated_by_supergraph", "monotonicity_inequality", "containment_residual"]
+    assert set(solves.values()) == {1}
+    assert len(solves) == 2 * 11
+
+
+def test_compare_containment_uses_the_diagnostics_hypothesis(capsys):
+    # alpha * k' * (n - k' + 1) = 5/3 falls short of k by 1e-9 relative:
+    # inside the slack, so the check runs
+    k = 1.6666666683338331
+    code, out, _ = run(["compare", "--graph", "complete:6", "--rate", str(1 / 6),
+                        "--graph-b", "cycle:6", "--rate-b", "0.5", "--kprime", "2",
+                        "--k", repr(k)], capsys)
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert "skipped" not in check and check["instances"] == 7
+    complete, cycle = make_complete(6, 1 / 6), make_cycle(6, 0.5)
+    assert diagnostics.containment_hypothesis(complete, k, 2.0)
+    assert check["max_residual"] == max(
+        diagnostics.containment_residual(complete, cycle, level, k, 2.0) for level in range(7))
+
+
 def test_config_errors_exit_2(capsys, tmp_path):
     code, _, err = run(["spectrum", "--graph", "petersen:10", "--rate", "1"], capsys)
     assert code == 2 and "--graph" in err
@@ -304,3 +346,13 @@ def test_bad_state_cap_env_exit_2(capsys, monkeypatch, raw):
                           "--level", "2"], capsys)
     assert code == 2 and out == ""
     assert "XPROC_STATE_CAP" in err
+
+
+@pytest.mark.parametrize("entry", ["[0, 2.5, 1.0]", "[false, 2, 1.0]", "[1, 2, true]"])
+def test_non_integral_or_boolean_edge_in_graph_file_exit_2(tmp_path, capsys, entry):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 3, "edges": [[0, 1, 1.0], ' + entry + ']}')
+    code, out, err = run(["exact", "--graph", f"@{path}", "--function",
+                          "dictator:0", "--t", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "edges[1]" in err and "edge 1:" in err

@@ -211,7 +211,10 @@ def test_sensitivity_profile_example_contrast():
     key = repr(k)
     for rc, rh in zip(cyc.records, chord.records):
         assert rc["low_frequency_mass"][key] < rh["low_frequency_mass"][key]
-    assert cyc.trends[f"low_frequency_mass@{key}"] == "nonincreasing"
+    # k = 2 is an eigenvalue of every C_2n at rate 1/2 (two level-1 modes
+    # summing to 2). With that cluster counted whole, the cycle's mass rises
+    # from n = 3 to n = 4 (0.1051 -> 0.1058) before it falls.
+    assert cyc.trends[f"low_frequency_mass@{key}"] == "mixed"
     assert chord.trends[f"low_frequency_mass@{key}"] == "nondecreasing"
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from xproc.fourier import (
+    THRESH_SLACK,
     BooleanFunction,
     SpectralProfile,
     dictator,
@@ -22,6 +23,7 @@ from xproc.fourier import (
     profile_summary,
     spectral_profile,
     tail_mass,
+    threshold_mask,
 )
 from xproc.graph import make_complete, make_cycle
 from xproc.oracle import brute_force_correlation
@@ -300,6 +302,33 @@ def test_mass_boundary_conventions():
         low_frequency_mass(profile, 0.0)
     with pytest.raises(ValueError):
         tail_mass(profile, -1.0)
+
+
+def test_threshold_mask_slack_edges():
+    k = 6.0
+    hi = k * (1.0 + THRESH_SLACK) + 1e-12
+    lo = k * (1.0 - THRESH_SLACK) - 1e-12
+    lam = np.array([np.nextafter(lo, 0), lo, k, hi, np.nextafter(hi, 9)])
+    assert threshold_mask(lam, k, "<=").tolist() == [True, True, True, True, False]
+    assert threshold_mask(lam, k, ">").tolist() == [False, False, False, False, True]
+    assert threshold_mask(lam, k, ">=").tolist() == [False, True, True, True, True]
+    # plain floats too, as containment_hypothesis passes them
+    assert [threshold_mask(x, k, side) for x in (k, 7.0) for side in ("<=", ">=", ">")] == [
+        True, True, False, False, True, True]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_masses_take_whole_clusters_at_a_boundary_k(n):
+    # K_n at rate 1 has the integer eigenvalues i * (n - i + 1); k = n is one
+    # of them, and eigh rounds the members of that cluster to either side.
+    profile = profile_for(make_complete(n, 1.0), dictator(n, 0))
+    k = float(n)
+    pooled = [(round(v), m) for v, m in mass_by_eigenvalue(profile)]
+    assert any(v == k for v, _ in pooled)
+    low = sum(m for v, m in pooled if 0 < v <= k)
+    tail = sum(m for v, m in pooled if v >= k)
+    assert low_frequency_mass(profile, k) == pytest.approx(low, rel=1e-12, abs=1e-15)
+    assert tail_mass(profile, k) == pytest.approx(tail, rel=1e-12, abs=1e-15)
 
 
 def test_mass_extremes_on_real_profile():

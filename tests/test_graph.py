@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from xproc.graph import (
@@ -203,6 +204,32 @@ def test_loader_rejects_bad_rate(tmp_path, literal):
     path.write_text(
         '{\n  "n": 3,\n  "edges": [\n    [0, 1, 1.0],\n    [1, 2, ' + literal + ']\n  ]\n}\n'
     )
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(str(path))
+    assert "edges[1] (line 5)" in str(exc.value)
+    assert "edge 1:" in str(exc.value)
+
+
+BAD_EDGES = [(1.7, 2, 1.0), (1, 2.5, 1.0), (False, 2, 1.0), (True, 2, 1.0), (1, 2, True),
+             (1, 2, np.True_), ("1", 2, 1.0), (1, math.inf, 1.0), (math.nan, 2, 1.0)]
+
+
+@pytest.mark.parametrize("edge", BAD_EDGES, ids=repr)
+def test_non_integral_or_boolean_edge_rejected_with_edge_index(edge):
+    with pytest.raises(GraphFormatError, match="edge 1:"):
+        Graph(3, ((0, 1, 1.0), edge))
+
+
+def test_integral_endpoints_of_any_numeric_type_accepted():
+    g = Graph(3, ((np.int64(0), 1.0, np.float64(0.5)), (1, np.float64(2), 2)))
+    assert g.edges == ((0, 1, 0.5), (1, 2, 2.0))
+    assert all(type(x) is int for u, v, _ in g.edges for x in (u, v))
+
+
+@pytest.mark.parametrize("entry", ["[0, 2.5, 1.0]", "[false, 2, 1.0]", "[1, 2, true]"])
+def test_loader_rejects_non_integral_or_boolean_edge(tmp_path, entry):
+    path = tmp_path / "bad.json"
+    path.write_text('{\n  "n": 3,\n  "edges": [\n    [0, 1, 1.0],\n    ' + entry + '\n  ]\n}\n')
     with pytest.raises(GraphFormatError) as exc:
         load_graph(str(path))
     assert "edges[1] (line 5)" in str(exc.value)

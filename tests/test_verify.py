@@ -1,27 +1,10 @@
-"""The verify suite's run-scoped basis table."""
-
-from collections import Counter
+"""The verify suite's run-scoped basis table, and one solve per graph in its checks."""
 
 import numpy as np
 import pytest
 
-from xproc import diagnostics, spectral, verify
-from xproc.graph import is_complete, make_complete, make_cycle
-
-
-@pytest.fixture
-def solves(monkeypatch):
-    """Count eigendecompose calls per (graph, level), through every import path."""
-    counts = Counter()
-    inner = spectral.eigendecompose
-
-    def counting(gen):
-        counts[(gen.graph, gen.space.level)] += 1
-        return inner(gen)
-
-    monkeypatch.setattr(spectral, "eigendecompose", counting)
-    monkeypatch.setattr(diagnostics, "eigendecompose", counting)
-    return counts
+from xproc import spectral, verify
+from xproc.graph import is_complete, make_complete, make_cycle, make_half_complete_cycle
 
 
 def complete_solves(counts):
@@ -80,3 +63,11 @@ def test_held_basis_equals_a_fresh_solve():
 
 def test_two_runs_in_one_process_give_equal_reports():
     assert verify.run_suite(nmax=8, seed=7) == verify.run_suite(nmax=8, seed=7)
+
+
+def test_monotonicity_chain_solves_each_graph_once(solves):
+    verify.check_monotonicity(np.random.default_rng(7), count=0)
+    chain = [g for half in (2, 3) for g in (make_cycle(2 * half, 0.5),
+                                            make_half_complete_cycle(half, 0.5),
+                                            make_complete(2 * half, 0.5))]
+    assert dict(solves) == {(g, level): 1 for g in chain for level in range(g.n + 1)}
