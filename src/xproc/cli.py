@@ -195,6 +195,13 @@ def check_horizons(args: argparse.Namespace, subcommand: str) -> None:
             raise ConfigError(f"{flag} must be finite and >= 0, got {value}")
 
 
+def check_thresholds(flags) -> None:
+    """Reject an eigenvalue threshold that is not finite and > 0, naming its flag."""
+    for flag, value in flags:
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
+
+
 def config_echo(args: argparse.Namespace, keys: list[str]) -> dict:
     echo = {"subcommand": args.subcommand}
     for key in keys:
@@ -280,8 +287,7 @@ def _profile_sweep(args) -> int:
         k_grid = [float(s) for s in (args.k or "1.0").split(",")]
     except ValueError:
         raise ConfigError(f"--k: expected a comma-separated list of thresholds, got {args.k!r}")
-    if any(k <= 0 for k in k_grid):
-        raise ConfigError("--k: thresholds must be > 0")
+    check_thresholds(("--k", k) for k in k_grid)
     function_spec = args.function
     if not function_spec or function_spec.startswith("@"):
         raise ConfigError("--function: a named family is required with --n-grid")
@@ -356,8 +362,9 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--suite: only 'all' is supported, got {args.suite!r}")
     if args.nmax < 4:
         raise ConfigError(f"--nmax must be >= 4, got {args.nmax}")
-    if args.mc_samples < 1:
-        raise ConfigError(f"--mc-samples must be >= 1, got {args.mc_samples}")
+    if args.mc_samples < verify.MIN_MC_SAMPLES:
+        raise ConfigError(f"--mc-samples must be >= {verify.MIN_MC_SAMPLES}, "
+                          f"got {args.mc_samples}")
     config = config_echo(args, ["suite", "nmax", "seed", "mc_samples"])
     result = verify.run_suite(nmax=args.nmax, seed=args.seed,
                               mc_samples=args.mc_samples)
@@ -366,6 +373,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    check_thresholds((("--k", args.k), ("--kprime", args.kprime)))
     g_a = resolve_graph(args.graph, args.rate, args.rate_policy)
     g_b = resolve_graph(args.graph_b, args.rate_b, args.rate_policy_b, "--graph-b")
     if g_a.n != g_b.n:
@@ -384,7 +392,8 @@ def cmd_compare(args) -> int:
     if subgraph:
         gap = diagnostics.spectra_domination_gap(g_b, g_a, bases_b, bases_a)
         checks.append({"name": "spectra_dominated_by_supergraph", "instances": g_a.n + 1,
-                       "violations": int(gap > 1e-10), "max_residual": gap})
+                       "violations": int(gap > diagnostics.DOMINATION_TOL),
+                       "max_residual": gap})
         if f is not None and args.k is not None and args.kprime is not None:
             lhs, rhs = diagnostics.monotonicity_inequality_check(
                 g_a, g_b, f, args.k, args.kprime,
@@ -392,15 +401,16 @@ def cmd_compare(args) -> int:
                 profile_sub=fourier.spectral_profile(f, bases_b),
             )
             checks.append({"name": "monotonicity_inequality", "instances": 1,
-                           "violations": int(lhs > rhs + 1e-10), "max_residual": lhs - rhs,
-                           "lhs": lhs, "rhs": rhs})
+                           "violations": int(lhs > rhs + diagnostics.MONOTONICITY_TOL),
+                           "max_residual": lhs - rhs, "lhs": lhs, "rhs": rhs})
     if holds:
         worst = max(diagnostics.containment_residual(
             g_a, g_b, level, args.k, kprime,
             basis_complete=bases_a[level], basis_other=bases_b[level],
         ) for level in range(g_a.n + 1))
         checks.append({"name": "containment_residual", "instances": g_a.n + 1,
-                       "violations": int(worst > 1e-8), "max_residual": worst})
+                       "violations": int(worst > diagnostics.CONTAINMENT_TOL),
+                       "max_residual": worst})
     elif holds is False:
         checks.append({"name": "containment_residual", "instances": 0, "violations": 0,
                        "max_residual": 0.0,
@@ -533,10 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = apply_config_file(argv)
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, StateCapExceeded) as exc:
+    except (ConfigError, OSError, ValueError, StateCapExceeded) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,19 +17,26 @@ annotates monotone trends instead of claiming limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .fourier import (
-    THRESH_SLACK, BooleanFunction, SpectralProfile, low_frequency_mass, spectral_profile,
-    tail_mass, threshold_mask,
+    THRESH_SLACK, BooleanFunction, SpectralProfile, band_mask, band_mass, spectral_profile,
+    threshold_mask,
 )
 from .generator import build_level_generator
 from .graph import Graph, is_complete, is_connected, is_edge_subgraph, max_degree, uniform_rate
-from .spectral import SpectralBasis, ZERO_TOL, all_level_bases, eigendecompose
+from .spectral import SpectralBasis, all_level_bases, eigendecompose
 from .statespace import StateCapExceeded
+
+# A comparison check counts a violation where its residual exceeds its theorem's tolerance.
+CONTAINMENT_TOL = 1e-8       # containment_residual
+DOMINATION_TOL = 1e-10       # spectra_domination_gap
+PROJECTION_MASS_TOL = 1e-10  # rhs - lhs of projection_mass_inequality
+MONOTONICITY_TOL = 1e-10     # lhs - rhs of monotonicity_inequality_check
+DECOMPOSITION_TOL = 1e-10    # zero block + (0, k] + (k, inf) against the total mass
 
 
 def containment_hypothesis(g_complete: Graph, k: float, kprime: float) -> bool:
@@ -72,7 +79,7 @@ def containment_residual(
     if basis_other is None:
         basis_other = eigendecompose(build_level_generator(g_other, level))
     lam = basis_complete.eigenvalues
-    pick = (lam > ZERO_TOL) & threshold_mask(lam, k, "<=")
+    pick = band_mask(lam, k, "<=")
     if not pick.any():
         return 0.0
     mu = basis_other.eigenvalues
@@ -120,8 +127,8 @@ def projection_mass_inequality(
         profile_complete = spectral_profile(f, all_level_bases(g_complete))
     if profile_other is None:
         profile_other = spectral_profile(f, all_level_bases(g_other))
-    lhs = low_frequency_mass(profile_other, 4.0 * k)
-    rhs = low_frequency_mass(profile_complete, k)
+    lhs = band_mass(profile_other, 4.0 * k, "<=")
+    rhs = band_mass(profile_complete, k, "<=")
     return lhs, rhs
 
 
@@ -150,17 +157,11 @@ def monotonicity_inequality_check(
         profile = spectral_profile(f, all_level_bases(g))
     if profile_sub is None:
         profile_sub = spectral_profile(f, all_level_bases(g_sub))
-    low = low_frequency_mass(profile, k)
-    high = _strict_tail_mass(profile, k)
-    lhs = _strict_tail_mass(profile_sub, kprime)
+    low = band_mass(profile, k, "<=")
+    high = band_mass(profile, k, ">")
+    lhs = band_mass(profile_sub, kprime, ">")
     rhs = (np.sqrt(k / kprime * low) + np.sqrt(high)) ** 2
     return lhs, float(rhs)
-
-
-def _strict_tail_mass(profile: SpectralProfile, k: float) -> float:
-    """Squared-coefficient mass over eigenvalues beyond k (and beyond zero)."""
-    mask = threshold_mask(profile.eigenvalues, max(k, ZERO_TOL), ">")
-    return float((profile.coefficients**2)[mask].sum())
 
 
 def spectra_domination_gap(
@@ -201,19 +202,10 @@ class SensitivityReport:
     checks: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n_grid": self.n_grid,
-            "k_grid": self.k_grid,
-            "records": self.records,
-            "trends": self.trends,
-            "checks": self.checks,
-        }
+        return asdict(self)
 
 
 def _trend(values: list[float]) -> str:
-    if len(values) < 2:
-        return "flat"
     up = all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     down = all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     if up and down:
@@ -239,9 +231,7 @@ def sensitivity_profile(
     """
     report = SensitivityReport(family=family, n_grid=list(n_grid),
                                k_grid=[float(k) for k in k_grid])
-    identity_residual = 0.0
-    identity_instances = 0
-    identity_violations = 0
+    residuals = []  # of the mass decomposition identity, one per (n, k)
     for n in n_grid:
         try:
             g, f = make_instance(n)
@@ -253,28 +243,25 @@ def sensitivity_profile(
                 "reason": str(exc),
             })
             continue
+        # (key, mass in (0, k], mass in [k, inf), mass in (k, inf)) per k
+        masses = [(repr(float(k)), *(band_mass(profile, float(k), side)
+                                     for side in ("<=", ">=", ">"))) for k in k_grid]
         report.records.append({
             "n": n,
             "variance": profile.variance(),
             "conditional_mean_variance": profile.conditional_mean_variance,
-            "low_frequency_mass": {
-                repr(float(k)): low_frequency_mass(profile, k) for k in k_grid
-            },
-            "tail_mass": {repr(float(k)): tail_mass(profile, k) for k in k_grid},
+            "low_frequency_mass": {key: low for key, low, _, _ in masses},
+            "tail_mass": {key: tail for key, _, tail, _ in masses},
         })
         # mass decomposition: (0, k] block + strict tail + zero block = total
-        for k in k_grid:
-            res = abs(low_frequency_mass(profile, float(k)) + _strict_tail_mass(profile, k)
-                      + profile.zero_mass() - profile.total_mass)
-            identity_instances += 1
-            identity_residual = max(identity_residual, res)
-            if res > 1e-10:
-                identity_violations += 1
+        zero = profile.zero_mass()
+        residuals += [abs(low + beyond + zero - profile.total_mass)
+                      for _, low, _, beyond in masses]
     report.checks.append({
         "name": "mass_decomposition_identity",
-        "instances": identity_instances,
-        "violations": identity_violations,
-        "max_residual": identity_residual,
+        "instances": len(residuals),
+        "violations": sum(res > DECOMPOSITION_TOL for res in residuals),
+        "max_residual": max(residuals, default=0.0),
     })
     full = [r for r in report.records if not r.get("truncated")]
     for k in k_grid:

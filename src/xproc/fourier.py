@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import GROUP_RTOL, SpectralBasis, ZERO_TOL
+from .spectral import SpectralBasis, group_eigenvalues, zero_mask
 
 THRESH_SLACK = 1e-9      # relative slack for eigenvalue-vs-threshold comparisons
 
@@ -111,9 +111,9 @@ class SpectralProfile:
     """Coefficients of a function against a full-space eigenbasis.
 
     Entries are parallel arrays (level, index-within-level, eigenvalue,
-    coefficient); the squared coefficients over the zero eigenvalue block
-    aggregate to the variance of the level-conditional mean plus the
-    squared mean.
+    coefficient); zero marks the zero eigenvalue block, over which the
+    squared coefficients aggregate to the variance of the level-conditional
+    mean plus the squared mean.
     """
 
     n: int
@@ -125,19 +125,19 @@ class SpectralProfile:
     boolean: bool
     total_mass: float = field(init=False)
     conditional_mean_variance: float = field(init=False)
+    zero: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sq = self.coefficients**2
         self.total_mass = float(sq.sum())
-        zero = np.abs(self.eigenvalues) <= ZERO_TOL
-        self.conditional_mean_variance = float(sq[zero].sum() - self.mean**2)
+        self.zero = zero_mask(self.eigenvalues)
+        self.conditional_mean_variance = float(sq[self.zero].sum() - self.mean**2)
 
     def variance(self) -> float:
         return self.total_mass - self.mean**2
 
     def zero_mass(self) -> float:
-        zero = np.abs(self.eigenvalues) <= ZERO_TOL
-        return float((self.coefficients[zero] ** 2).sum())
+        return float((self.coefficients[self.zero] ** 2).sum())
 
     def entries(self):
         for l, i, lam, c in zip(self.levels, self.indices, self.eigenvalues,
@@ -193,10 +193,8 @@ def exact_flip_probability(profile: SpectralProfile, eps: float) -> float:
         raise ValueError("flip probability requires a Boolean function")
     if eps < 0:
         raise ValueError(f"time must be >= 0, got {eps}")
-    value = 2.0 * float(
-        np.sum((1.0 - np.exp(-eps * profile.eigenvalues)) * profile.coefficients**2)
-    )
-    return value
+    return 2.0 * float(
+        np.sum((1.0 - np.exp(-eps * profile.eigenvalues)) * profile.coefficients**2))
 
 
 def threshold_mask(lam: np.ndarray, k: float, side: str) -> np.ndarray:
@@ -212,36 +210,44 @@ def threshold_mask(lam: np.ndarray, k: float, side: str) -> np.ndarray:
     return {"<=": lam <= hi, ">": lam > hi}[side]
 
 
-def _band_mass(profile: SpectralProfile, k: float, side: str) -> float:
+def band_mask(lam: np.ndarray, k: float, side: str) -> np.ndarray:
+    """Which nonzero eigenvalues of lam are on one side of k > 0.
+
+    side "<=" is the band (0, k], ">=" is [k, inf) and ">" is (k, inf), by
+    threshold_mask; the zero block, "<=" and ">" partition every spectrum.
+    """
     if not k > 0:
         raise ValueError(f"threshold must be > 0, got {k}")
-    lam = profile.eigenvalues
-    mask = (lam > ZERO_TOL) & threshold_mask(lam, k, side)
+    return ~zero_mask(lam) & threshold_mask(lam, k, side)
+
+
+def band_mass(profile: SpectralProfile, k: float, side: str) -> float:
+    """Squared-coefficient mass over band_mask(eigenvalues, k, side)."""
+    mask = band_mask(profile.eigenvalues, k, side)
     return float((profile.coefficients[mask] ** 2).sum())
 
 
 def low_frequency_mass(profile: SpectralProfile, k: float) -> float:
     """Squared-coefficient mass over eigenvalues in (0, k]."""
-    return _band_mass(profile, k, "<=")
+    return band_mass(profile, k, "<=")
 
 
 def tail_mass(profile: SpectralProfile, k: float) -> float:
     """Squared-coefficient mass over eigenvalues >= k (zero block excluded)."""
-    return _band_mass(profile, k, ">=")
+    return band_mass(profile, k, ">=")
 
 
 def mass_by_eigenvalue(profile: SpectralProfile) -> list[tuple[float, float]]:
-    """(eigenvalue, mass) pairs with near-equal eigenvalues pooled."""
+    """(eigenvalue, mass) per group_eigenvalues cluster of the sorted spectrum.
+
+    A cluster is named by its smallest member; its mass is summed left to
+    right in the stable sort order.
+    """
     order = np.argsort(profile.eigenvalues, kind="stable")
     lam = profile.eigenvalues[order]
     sq = profile.coefficients[order] ** 2
-    out: list[list[float]] = []
-    for value, mass in zip(lam, sq):
-        if out and value - out[-1][0] <= GROUP_RTOL * max(1.0, abs(value)):
-            out[-1][1] += float(mass)
-        else:
-            out.append([float(value), float(mass)])
-    return [(v, m) for v, m in out]
+    return [(float(lam[g[0]]), float(np.cumsum(sq[g[0]:g[-1] + 1])[-1]))
+            for g in group_eigenvalues(lam)]
 
 
 def profile_csv_rows(profile: SpectralProfile) -> list[tuple[int, float, float]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 
@@ -37,6 +38,9 @@ class Graph:
             if any(isinstance(x, bool) or getattr(x, "dtype", None) == bool
                    for x in (u, v, rate)):
                 raise GraphFormatError(f"edge {k}: endpoints and rate cannot be booleans, got {e!r}")
+            # float() would also read a string such as "1.5"
+            if not isinstance(rate, numbers.Real):
+                raise GraphFormatError(f"edge {k}: rate must be a real number, got {rate!r}")
             try:
                 iu, iv, rate = int(u), int(v), float(rate)
                 integral = (iu, iv) == (u, v)

@@ -29,6 +29,11 @@ ZERO_TOL = 1e-8         # below this an eigenvalue counts as zero in masks
 SIGN_TOL = 1e-12        # entries below this (relative) are "zero" for sign fixing
 
 
+def zero_mask(eigenvalues: np.ndarray) -> np.ndarray:
+    """The zero block, |lam| <= ZERO_TOL; its complement is every "nonzero" eigenvalue."""
+    return np.abs(eigenvalues) <= ZERO_TOL
+
+
 @dataclass(eq=False)
 class SpectralBasis:
     """Ascending eigenvalues with uniform-orthonormal eigenvectors.
@@ -48,7 +53,7 @@ class SpectralBasis:
         return self.space.size
 
     def zero_indices(self) -> list[int]:
-        return [i for i, lam in enumerate(self.eigenvalues) if abs(lam) <= ZERO_TOL]
+        return np.flatnonzero(zero_mask(self.eigenvalues)).tolist()
 
     def projector(self, indices) -> np.ndarray:
         """Matrix of the orthogonal projection onto span of the given columns."""

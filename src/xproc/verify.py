@@ -7,8 +7,6 @@ CLI `verify` subcommand serializes these results and exits nonzero on any
 violation.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import diagnostics, dynamics, fourier, oracle, spectral
@@ -18,27 +16,14 @@ from .graph import (
 )
 from .statespace import enumerate_level
 
-
-@dataclass
-class CheckResult:
-    name: str
-    instances: int
-    violations: int
-    max_residual: float
-    worst_instance: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "instances": self.instances,
-            "violations": self.violations,
-            "max_residual": float(self.max_residual),
-            "worst_instance": self.worst_instance,
-        }
+# Fewest samples at which check_monte_carlo's 3-standard-error test means
+# something: below it a sample with no spread, and so a zero standard error,
+# is too likely.
+MIN_MC_SAMPLES = 100
 
 
 class _Tally:
-    """Instance counter with a violation threshold and worst-case tracking."""
+    """One check's result: instances, violations and the worst residual seen."""
 
     def __init__(self, name: str):
         self.name = name
@@ -55,9 +40,14 @@ class _Tally:
         if residual > threshold:
             self.violations += 1
 
-    def result(self) -> CheckResult:
-        worst = 0.0 if self.instances == 0 else float(self.worst)
-        return CheckResult(self.name, self.instances, self.violations, worst, self.label)
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "instances": self.instances,
+            "violations": self.violations,
+            "max_residual": 0.0 if self.instances == 0 else float(self.worst),
+            "worst_instance": self.label,
+        }
 
 
 class BasisTable:
@@ -152,7 +142,7 @@ def with_rate(g: Graph, rate: float) -> Graph:
 # checks
 # ---------------------------------------------------------------------------
 
-def check_generator_invariants(nmax: int, rng: np.random.Generator) -> CheckResult:
+def check_generator_invariants(nmax: int, rng: np.random.Generator) -> _Tally:
     """Row sums, symmetry, sign pattern, kernel, complete-graph diagonal,
     and edge-monotonicity of the quadratic form."""
     tally = _Tally("generator_invariants")
@@ -200,7 +190,7 @@ def check_generator_invariants(nmax: int, rng: np.random.Generator) -> CheckResu
         gap = dirichlet_form(gen_sub, f) - dirichlet_form(gen, f)
         tally.add(gap, 1e-10 * max(1.0, abs(dirichlet_form(gen, f))),
                   f"dirichlet monotonicity draw {i} (n={n})")
-    return tally.result()
+    return tally
 
 
 def basis_defect(gen, basis) -> float:
@@ -218,7 +208,7 @@ def basis_defect(gen, basis) -> float:
 
 
 def check_eigensolver(nmax: int, rng: np.random.Generator,
-                      table: BasisTable) -> CheckResult:
+                      table: BasisTable) -> _Tally:
     tally = _Tally("eigensolver_residuals")
     for n in range(3, min(nmax, 8) + 1):
         for name, g in ((f"K_{n}", make_complete(n, 1.0)),
@@ -228,17 +218,15 @@ def check_eigensolver(nmax: int, rng: np.random.Generator,
                 gen = build_level_generator(g, level)
                 basis = table.basis(g, level, gen)
                 tally.add(basis_defect(gen, basis), 1e-10, f"{name} level {level}")
-    return tally.result()
+    return tally
 
 
 def expected_complete_spectrum(n: int, level: int, alpha: float) -> np.ndarray:
-    values = []
-    for lam, mult in spectral.complete_graph_eigenvalue_table(n, level, alpha):
-        values.extend([lam] * mult)
-    return np.array(sorted(values))
+    lam, mult = zip(*spectral.complete_graph_eigenvalue_table(n, level, alpha))
+    return np.sort(np.repeat(lam, mult))
 
 
-def check_complete_multiplicities(nmax: int, table: BasisTable) -> CheckResult:
+def check_complete_multiplicities(nmax: int, table: BasisTable) -> _Tally:
     tally = _Tally("complete_graph_multiplicities")
     for n in range(2, nmax + 1):
         for alpha in (1.0, 1.0 / n):
@@ -251,7 +239,7 @@ def check_complete_multiplicities(nmax: int, table: BasisTable) -> CheckResult:
                            / np.maximum(1.0, expected))
                 )
                 tally.add(err, 1e-8, f"K_{n} alpha={alpha:g} level {level}")
-    return tally.result()
+    return tally
 
 
 def lift_length_error(n: int, level: int, alpha: float, basis) -> float:
@@ -273,7 +261,7 @@ def lift_length_error(n: int, level: int, alpha: float, basis) -> float:
     return worst
 
 
-def check_lift_lengths(nmax: int, table: BasisTable) -> CheckResult:
+def check_lift_lengths(nmax: int, table: BasisTable) -> _Tally:
     tally = _Tally("lift_length_formulas")
     for n in range(2, nmax + 1):
         for alpha in (1.0, 1.0 / n):
@@ -282,10 +270,10 @@ def check_lift_lengths(nmax: int, table: BasisTable) -> CheckResult:
                 basis = table.basis(g, level)
                 err = lift_length_error(n, level, alpha, basis)
                 tally.add(err, 1e-8, f"K_{n} alpha={alpha:g} level {level}")
-    return tally.result()
+    return tally
 
 
-def check_orthogonality_preserved(nmax: int, table: BasisTable) -> CheckResult:
+def check_orthogonality_preserved(nmax: int, table: BasisTable) -> _Tally:
     """Lifts of orthogonal complete-graph eigenvectors stay orthogonal."""
     tally = _Tally("lift_orthogonality")
     for n in range(3, nmax + 1):
@@ -299,11 +287,11 @@ def check_orthogonality_preserved(nmax: int, table: BasisTable) -> CheckResult:
                 off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
                 tally.add(off, 1e-10 * max(1.0, float(np.max(np.abs(gram)))),
                           f"K_{n} level {level} {tag}")
-    return tally.result()
+    return tally
 
 
 def check_eigenvalue_bound(nmax: int, rng: np.random.Generator,
-                           count: int = 30) -> CheckResult:
+                           count: int = 30) -> _Tally:
     tally = _Tally("eigenvalue_upper_bound")
     for i in range(count):
         n = int(rng.integers(3, min(nmax, 8) + 1))
@@ -315,10 +303,10 @@ def check_eigenvalue_bound(nmax: int, rng: np.random.Generator,
             bound = 2.0 * rate * level * d
             gap = float(basis.eigenvalues[-1]) - bound
             tally.add(gap, 1e-9 * max(1.0, bound), f"draw {i} (n={n}) level {level}")
-    return tally.result()
+    return tally
 
 
-def check_parseval(nmax: int, rng: np.random.Generator, count: int = 12) -> CheckResult:
+def check_parseval(nmax: int, rng: np.random.Generator, count: int = 12) -> _Tally:
     tally = _Tally("parseval")
     for i in range(count):
         n = int(rng.integers(3, min(nmax, 7) + 1))
@@ -334,10 +322,10 @@ def check_parseval(nmax: int, rng: np.random.Generator, count: int = 12) -> Chec
         err = max(err, abs(profile.zero_mass() - cond))
         err = max(err, abs(fourier.exact_correlation(profile, 0.0) - direct))
         tally.add(err, 1e-10, f"draw {i} (n={n})")
-    return tally.result()
+    return tally
 
 
-def check_oracle_equivalence(rng: np.random.Generator, count: int = 15) -> CheckResult:
+def check_oracle_equivalence(rng: np.random.Generator, count: int = 15) -> _Tally:
     tally = _Tally("oracle_equivalence")
     for i in range(count):
         n = int(rng.integers(3, 7))
@@ -348,11 +336,11 @@ def check_oracle_equivalence(rng: np.random.Generator, count: int = 15) -> Check
         err = abs(fourier.exact_correlation(profile, t)
                   - oracle.brute_force_correlation(g, f, t))
         tally.add(err, 1e-8, f"draw {i} (n={n}, t={t:.3f})")
-    return tally.result()
+    return tally
 
 
 def check_containment(nmax: int, rng: np.random.Generator,
-                      table: BasisTable) -> CheckResult:
+                      table: BasisTable) -> _Tally:
     tally = _Tally("containment_residual")
     for n in (6, 8, 10, 12):
         if n > nmax:
@@ -372,12 +360,13 @@ def check_containment(nmax: int, rng: np.random.Generator,
                         complete, other, level, k, 2.0 * k,
                         basis_complete=bases_c[level], basis_other=bases_o[level],
                     )
-                    tally.add(res, 1e-8, f"{name} n={n} k={k:g} level {level}")
-    return tally.result()
+                    tally.add(res, diagnostics.CONTAINMENT_TOL,
+                              f"{name} n={n} k={k:g} level {level}")
+    return tally
 
 
 def check_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable,
-                          count: int = 25) -> CheckResult:
+                          count: int = 25) -> _Tally:
     tally = _Tally("projection_mass_inequality")
     for i in range(count):
         n = int(rng.integers(4, min(nmax, 8) + 1))
@@ -390,11 +379,11 @@ def check_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable
             complete, other, f, k,
             profile_complete=fourier.spectral_profile(f, table.all_levels(complete)),
         )
-        tally.add(rhs - lhs, 1e-10, f"draw {i} (n={n}, k={k:.3f})")
-    return tally.result()
+        tally.add(rhs - lhs, diagnostics.PROJECTION_MASS_TOL, f"draw {i} (n={n}, k={k:.3f})")
+    return tally
 
 
-def check_monotonicity(rng: np.random.Generator, count: int = 25) -> CheckResult:
+def check_monotonicity(rng: np.random.Generator, count: int = 25) -> _Tally:
     tally = _Tally("monotonicity_inequality")
     for i in range(count):
         n = int(rng.integers(5, 7))
@@ -405,7 +394,8 @@ def check_monotonicity(rng: np.random.Generator, count: int = 25) -> CheckResult
         k = float(rng.uniform(1e-3, 2.0 * lam_max))
         kprime = float(rng.uniform(1e-3, 2.0 * lam_max))
         lhs, rhs = diagnostics.monotonicity_inequality_check(g, sub, f, k, kprime)
-        tally.add(lhs - rhs, 1e-10, f"draw {i} (n={n}, k={k:.3f}, k'={kprime:.3f})")
+        tally.add(lhs - rhs, diagnostics.MONOTONICITY_TOL,
+                  f"draw {i} (n={n}, k={k:.3f}, k'={kprime:.3f})")
     # the example chain: spectra grow pointwise under edge addition
     for half in (2, 3):
         chain = (
@@ -416,11 +406,12 @@ def check_monotonicity(rng: np.random.Generator, count: int = 25) -> CheckResult
         bases = {g: spectral.all_level_bases(g) for g in {g for _, g in chain}}
         for (sname, small), (bname, big) in zip(chain, chain[1:]):
             gap = diagnostics.spectra_domination_gap(small, big, bases[small], bases[big])
-            tally.add(gap, 1e-10, f"{sname} vs {bname} on {2 * half} vertices")
-    return tally.result()
+            tally.add(gap, diagnostics.DOMINATION_TOL,
+                      f"{sname} vs {bname} on {2 * half} vertices")
+    return tally
 
 
-def check_monte_carlo(seed: int, table: BasisTable, samples: int = 4000) -> CheckResult:
+def check_monte_carlo(seed: int, table: BasisTable, samples: int = 4000) -> _Tally:
     """Estimates agree with the exact formulas within 3 standard errors."""
     tally = _Tally("monte_carlo_agreement")
     cases = [
@@ -441,7 +432,7 @@ def check_monte_carlo(seed: int, table: BasisTable, samples: int = 4000) -> Chec
             exact = fourier.exact_flip_probability(profile, t)
         dev = abs(est.point - exact) / max(est.std_error, 1e-12)
         tally.add(dev, 3.0, label)
-    return tally.result()
+    return tally
 
 
 def run_suite(nmax: int = 8, seed: int = 7, mc_samples: int = 4000) -> dict:

@@ -313,7 +313,7 @@ def test_non_numeric_rate_flag_exit_2(capsys, flag):
     assert f"argument {flag}: invalid float value" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("literal", ["1e999", "NaN", '"abc"'])
+@pytest.mark.parametrize("literal", ["1e999", "NaN", '"abc"', '"1.5"'])
 def test_bad_rate_in_graph_file_exit_2(tmp_path, capsys, literal):
     path = tmp_path / "g.json"
     path.write_text('{"n": 3, "edges": [[0, 1, 1.0], [1, 2, ' + literal + ']]}')
@@ -324,11 +324,34 @@ def test_bad_rate_in_graph_file_exit_2(tmp_path, capsys, literal):
 
 
 @pytest.mark.parametrize("flag,value", [("--nmax", "2"), ("--nmax", "3"),
-                                        ("--mc-samples", "0"), ("--mc-samples", "-5")])
+                                        ("--mc-samples", "0"), ("--mc-samples", "-5"),
+                                        ("--mc-samples", "1"), ("--mc-samples", "99")])
 def test_verify_bad_sizes_exit_2(capsys, flag, value):
     code, out, err = run(["verify", flag, value], capsys)
     assert code == 2 and out == ""
     assert f"config error: {flag} must be >= " in err
+
+
+THRESHOLD_COMMANDS = {
+    "compare --k": lambda v: ["compare", "--graph", "complete:5", "--rate", "1", "--graph-b",
+                              "cycle:5", "--rate-b", "1", "--function", "dictator:0",
+                              f"--k={v}", "--kprime", "2"],
+    "compare --kprime": lambda v: ["compare", "--graph", "complete:5", "--rate", "1",
+                                   "--graph-b", "cycle:5", "--rate-b", "1", "--k", "1",
+                                   f"--kprime={v}"],
+    "profile --n-grid --k": lambda v: ["profile", "--graph", "cycle", "--rate", "1",
+                                       "--function", "dictator:0", "--n-grid", "3:4",
+                                       f"--k=1,{v}"],
+}
+
+
+@pytest.mark.parametrize("command", THRESHOLD_COMMANDS)
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_bad_threshold_exit_2(capsys, command, value):
+    code, out, err = run(THRESHOLD_COMMANDS[command](value), capsys)
+    assert code == 2 and out == ""
+    flag = command.split()[-1]
+    assert f"config error: {flag} must be finite and > 0, got {float(value)}" in err
 
 
 def test_dumps_json_17_digits():

@@ -9,6 +9,7 @@ from xproc.fourier import (
     THRESH_SLACK,
     BooleanFunction,
     SpectralProfile,
+    band_mass,
     dictator,
     exact_correlation,
     exact_covariance,
@@ -27,7 +28,9 @@ from xproc.fourier import (
 )
 from xproc.graph import make_complete, make_cycle
 from xproc.oracle import brute_force_correlation
-from xproc.spectral import all_level_bases, complete_graph_basis, eigendecompose, mirror_basis
+from xproc.spectral import (
+    all_level_bases, complete_graph_basis, eigendecompose, group_eigenvalues, mirror_basis,
+)
 from xproc.generator import build_level_generator
 from xproc.statespace import Configuration, enumerate_level
 
@@ -342,6 +345,24 @@ def test_mass_extremes_on_real_profile():
     assert low_frequency_mass(profile, lam_min / 2) == 0.0
     assert tail_mass(profile, lam_max + 1.0) == 0.0
     assert tail_mass(profile, lam_min / 2) == pytest.approx(nonzero, abs=1e-12)
+
+
+def test_mass_by_eigenvalue_pools_the_clusters_of_group_eigenvalues():
+    # Each neighbour gap is within GROUP_RTOL, the first-to-last gap is not.
+    lam = [0.0, 1.0, 1.0 + 0.6e-8, 1.0 + 1.2e-8]
+    profile = synthetic_profile(lam, [0.5, 0.1, 0.2, 0.3])
+    assert group_eigenvalues(np.array(lam)) == [[0], [1, 2, 3]]
+    assert mass_by_eigenvalue(profile) == [(0.0, 0.25), (1.0, 0.1**2 + 0.2**2 + 0.3**2)]
+
+
+@pytest.mark.parametrize("k", [1e-9, 1e-8, 0.5, 2.0, 3.0])
+def test_zero_block_band_and_strict_tail_partition_the_spectrum(k):
+    # 1e-8 + 5e-13 is nonzero, and at k = 1e-9 it lies beyond k.
+    profile = synthetic_profile([0.0, 1e-8 + 5e-13, 2.0], [0.5, 0.5, 0.5])
+    assert profile.total_mass == 0.75
+    blocks = profile.zero_mass() + band_mass(profile, k, "<=") + band_mass(profile, k, ">")
+    assert blocks == profile.total_mass
+    assert band_mass(profile, 1e-9, ">") == 0.5
 
 
 def test_low_mass_against_coefficient_table():

@@ -192,13 +192,13 @@ def test_loader_rejects_wrong_shape(tmp_path):
         load_graph(str(path))
 
 
-@pytest.mark.parametrize("rate", [math.inf, math.nan, "abc"])
+@pytest.mark.parametrize("rate", [math.inf, math.nan, "abc", "1.5"])
 def test_bad_rate_rejected_with_edge_index(rate):
     with pytest.raises(GraphFormatError, match="edge 1:"):
         Graph(3, ((0, 1, 1.0), (1, 2, rate)))
 
 
-@pytest.mark.parametrize("literal", ["1e999", "NaN", '"abc"'])
+@pytest.mark.parametrize("literal", ["1e999", "NaN", '"abc"', '"1.5"'])
 def test_loader_rejects_bad_rate(tmp_path, literal):
     path = tmp_path / "bad.json"
     path.write_text(

@@ -11,11 +11,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from xproc.fourier import dictator, majority, mass_by_eigenvalue, parity_on_set, spectral_profile
 from xproc.generator import build_level_generator
-from xproc.graph import make_complete, make_cycle, make_half_complete_cycle
+from xproc.graph import Graph, make_complete, make_cycle, make_half_complete_cycle
 from xproc.spectral import (
     GROUP_RTOL,
     SIGN_TOL,
+    all_level_bases,
     complete_graph_basis,
     eigendecompose,
     fix_sign,
@@ -112,6 +114,20 @@ def ref_group_eigenvalues(eigenvalues, rtol=GROUP_RTOL):
         else:
             groups.append([i])
     return groups
+
+
+def ref_mass_by_eigenvalue(profile):
+    """Pool sorted eigenvalues that lie within GROUP_RTOL of their cluster's first."""
+    order = np.argsort(profile.eigenvalues, kind="stable")
+    lam = profile.eigenvalues[order]
+    sq = profile.coefficients[order] ** 2
+    out = []
+    for value, mass in zip(lam, sq):
+        if out and value - out[-1][0] <= GROUP_RTOL * max(1.0, abs(value)):
+            out[-1][1] += float(mass)
+        else:
+            out.append([float(value), float(mass)])
+    return [(v, m) for v, m in out]
 
 
 def ref_complete_graph_basis(n, level, alpha):
@@ -338,6 +354,21 @@ def test_group_eigenvalues_joins_a_gap_equal_to_the_tolerance(lam):
         w = np.array([before, lam])
         assert group_eigenvalues(w, rtol) == ref_group_eigenvalues(w, rtol)
         assert len(group_eigenvalues(w, rtol)) == groups
+
+
+def unequal_rate_graph(rng, n):
+    g = random_connected_graph(rng, n, 1.0)
+    return Graph(n, tuple((u, v, float(rng.uniform(0.25, 2.0))) for u, v, _ in g.edges))
+
+
+@pytest.mark.parametrize("name", ["K_12", "C_12", "random_12"])
+def test_pooled_masses_match_reference_bit_for_bit(name):
+    g = {"K_12": lambda: make_complete(12, 1.0 / 12), "C_12": lambda: make_cycle(12, 0.5),
+         "random_12": lambda: unequal_rate_graph(np.random.default_rng(12), 12)}[name]()
+    bases = all_level_bases(g)
+    for f in (majority(12), dictator(12, 0), parity_on_set(12, [0, 2, 5])):
+        profile = spectral_profile(f, bases)
+        assert mass_by_eigenvalue(profile) == ref_mass_by_eigenvalue(profile)
 
 
 # ---------------------------------------------------------------------------
