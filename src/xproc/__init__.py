@@ -26,12 +26,19 @@ from .statespace import (
     is_below,
     swap_edge,
 )
-from .generator import LevelGenerator, build_level_generator, dirichlet_form, rayleigh_quotient
+from .generator import (
+    LevelGenerator,
+    NumericalError,
+    build_level_generator,
+    dirichlet_form,
+    rayleigh_quotient,
+)
 from .spectral import (
     SpectralBasis,
     all_level_bases,
     complete_graph_basis,
     eigendecompose,
+    level_bases,
     lift_down,
     lift_up,
     mirror_basis,

@@ -3,7 +3,8 @@
 Output is deterministic byte-for-byte for a fixed config (including the
 seed): floats print with 17 significant digits in JSON and 12 in CSV, key
 order is fixed, and no timestamps are embedded. Exit codes: 0 success,
-1 verification failures, 2 config errors.
+1 verification failures, 2 config errors, 3 numerical failures (a solver
+or the oracle failed on valid input).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import diagnostics, dynamics, fourier, spectral, verify
-from .generator import build_level_generator
+from .generator import NumericalError, build_level_generator
 from .statespace import StateCapExceeded, state_cap
 from .graph import (
     Graph, is_complete, is_edge_subgraph, load_graph, make_complete, make_cycle,
@@ -221,22 +222,20 @@ def cmd_spectrum(args) -> int:
     g = resolve_graph(args.graph, args.rate, args.rate_policy)
     levels = parse_levels(args.level, g.n)
     config = config_echo(args, ["graph", "rate", "rate_policy", "level", "format"])
-    bases = []
+    rows = []
     for level in levels:
         gen = build_level_generator(g, level)
         if args.dump_matrix:
-            rows = [tuple(row) for row in gen.matrix]
             path = args.dump_matrix
             if len(levels) > 1:
                 root, ext = os.path.splitext(path)
                 path = f"{root}.level{level}{ext or '.csv'}"
-            emit(format_csv([f"c{j}" for j in range(gen.space.size)], rows, config), path)
-        bases.append(spectral.eigendecompose(gen))
-    rows = []
-    for level, basis in zip(levels, bases):
-        for gid, group in enumerate(basis.groups):
-            for i in group:
-                rows.append((level, i, float(basis.eigenvalues[i]), gid))
+            emit(format_csv([f"c{j}" for j in range(gen.space.size)],
+                            [tuple(row) for row in gen.matrix], config), path)
+        basis = spectral.eigendecompose(gen)
+        rows += [(level, i, float(basis.eigenvalues[i]), gid)
+                 for gid, group in enumerate(basis.groups) for i in group]
+        del gen, basis  # free this level before the next one is built
     if args.format == "csv":
         emit(format_csv(["level", "index", "eigenvalue", "multiplicity_group_id"],
                         rows, config), args.out)
@@ -258,7 +257,7 @@ def cmd_profile(args) -> int:
     g = resolve_graph(args.graph, args.rate, args.rate_policy)
     f = resolve_function(args.function, g.n)
     config = config_echo(args, ["graph", "rate", "rate_policy", "function", "format"])
-    profile = fourier.spectral_profile(f, spectral.all_level_bases(g))
+    profile = fourier.spectral_profile(f, spectral.level_bases(g))
     if args.format == "csv":
         emit(format_csv(["level", "eigenvalue", "coeff_sq"],
                         fourier.profile_csv_rows(profile), config), args.out)
@@ -317,7 +316,7 @@ def cmd_exact(args) -> int:
     f = resolve_function(args.function, g.n)
     check_horizons(args, "exact")
     config = config_echo(args, ["graph", "rate", "rate_policy", "function", "t", "eps"])
-    profile = fourier.spectral_profile(f, spectral.all_level_bases(g))
+    profile = fourier.spectral_profile(f, spectral.level_bases(g))
     body: dict = {"mean": profile.mean, "variance": profile.variance()}
     if args.t is not None:
         body["t"] = args.t
@@ -374,6 +373,8 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     check_thresholds((("--k", args.k), ("--kprime", args.kprime)))
+    if args.kprime is not None and args.k is None:
+        raise ConfigError("--k is required with --kprime; no check reads --kprime alone")
     g_a = resolve_graph(args.graph, args.rate, args.rate_policy)
     g_b = resolve_graph(args.graph_b, args.rate_b, args.rate_policy_b, "--graph-b")
     if g_a.n != g_b.n:
@@ -546,6 +547,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError, ValueError, StateCapExceeded) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from .fourier import (
 )
 from .generator import build_level_generator
 from .graph import Graph, is_complete, is_connected, is_edge_subgraph, max_degree, uniform_rate
-from .spectral import SpectralBasis, all_level_bases, eigendecompose
+from .spectral import SpectralBasis, eigendecompose, level_bases
 from .statespace import StateCapExceeded
 
 # A comparison check counts a violation where its residual exceeds its theorem's tolerance.
@@ -124,9 +124,9 @@ def projection_mass_inequality(
     if not k > 0:
         raise ValueError("threshold must be > 0")
     if profile_complete is None:
-        profile_complete = spectral_profile(f, all_level_bases(g_complete))
+        profile_complete = spectral_profile(f, level_bases(g_complete))
     if profile_other is None:
-        profile_other = spectral_profile(f, all_level_bases(g_other))
+        profile_other = spectral_profile(f, level_bases(g_other))
     lhs = band_mass(profile_other, 4.0 * k, "<=")
     rhs = band_mass(profile_complete, k, "<=")
     return lhs, rhs
@@ -154,9 +154,9 @@ def monotonicity_inequality_check(
     if not (is_connected(g) and is_connected(g_sub)):
         raise ValueError("both graphs must be connected")
     if profile is None:
-        profile = spectral_profile(f, all_level_bases(g))
+        profile = spectral_profile(f, level_bases(g))
     if profile_sub is None:
-        profile_sub = spectral_profile(f, all_level_bases(g_sub))
+        profile_sub = spectral_profile(f, level_bases(g_sub))
     low = band_mass(profile, k, "<=")
     high = band_mass(profile, k, ">")
     lhs = band_mass(profile_sub, kprime, ">")
@@ -173,16 +173,24 @@ def spectra_domination_gap(
     """Largest amount by which a subgraph eigenvalue exceeds the supergraph's.
 
     Sorted level spectra should be pointwise nondecreasing under edge
-    addition; the return value is positive only on a violation.
+    addition; the return value is positive only on a violation. Without
+    bases, each graph's levels are solved one at a time and only their
+    sorted eigenvalues are kept.
     """
     if not is_edge_subgraph(g_sub, g):
         raise ValueError("first graph must be an equal-rate edge subgraph of the second")
-    if bases_sub is None:
-        bases_sub = all_level_bases(g_sub)
-    if bases is None:
-        bases = all_level_bases(g)
-    return max(float((np.sort(small.eigenvalues) - np.sort(big.eigenvalues)).max())
-               for small, big in zip(bases_sub, bases))
+    spectra = zip(_sorted_spectra(g_sub, bases_sub), _sorted_spectra(g, bases))
+    return max(float((small - big).max()) for small, big in spectra)
+
+
+def _sorted_spectra(g: Graph, bases: list[SpectralBasis] | None):
+    """Each level's sorted eigenvalues, from bases or else from level_bases(g).
+
+    map holds no basis once its eigenvalues are sorted, so level_bases frees
+    each level before solving the next.
+    """
+    return map(lambda basis: np.sort(basis.eigenvalues),
+               level_bases(g) if bases is None else bases)
 
 
 @dataclass(eq=False)
@@ -235,7 +243,7 @@ def sensitivity_profile(
     for n in n_grid:
         try:
             g, f = make_instance(n)
-            profile = spectral_profile(f, all_level_bases(g))
+            profile = spectral_profile(f, level_bases(g))
         except StateCapExceeded as exc:
             report.records.append({
                 "n": n,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SpectralBasis, group_eigenvalues, zero_mask
+from .spectral import group_eigenvalues, zero_mask
 
 THRESH_SLACK = 1e-9      # relative slack for eigenvalue-vs-threshold comparisons
 
@@ -145,13 +145,18 @@ class SpectralProfile:
             yield int(l), int(i), float(lam), float(c)
 
 
-def spectral_profile(f: BooleanFunction, bases: list[SpectralBasis]) -> SpectralProfile:
-    """Coefficients of f against the lifted per-level bases of one graph."""
+def spectral_profile(f: BooleanFunction, bases) -> SpectralProfile:
+    """Coefficients of f against the lifted per-level bases of one graph.
+
+    bases is any iterable of the levels 0..n in order, such as
+    spectral.level_bases(g); each basis is read once and only its level's
+    eigenvalues and coefficients are kept, so a generator's bases are freed
+    as the loop goes (see level_bases for the loop that allows this).
+    """
     n = f.n
-    if len(bases) != n + 1:
-        raise ValueError(f"need bases for all levels 0..{n}, got {len(bases)}")
     levels, indices, eigenvalues, coeffs = [], [], [], []
-    for level, basis in enumerate(bases):
+    level = 0
+    for basis in bases:
         space = basis.space
         if space.n != n or space.level != level:
             raise ValueError(
@@ -164,6 +169,10 @@ def spectral_profile(f: BooleanFunction, bases: list[SpectralBasis]) -> Spectral
         indices.append(np.arange(space.size, dtype=np.int64))
         eigenvalues.append(basis.eigenvalues)
         coeffs.append(coeffs_level)
+        del basis  # before the next level is solved
+        level += 1
+    if level != n + 1:
+        raise ValueError(f"need bases for all levels 0..{n}, got {level}")
     return SpectralProfile(
         n=n,
         levels=np.concatenate(levels),

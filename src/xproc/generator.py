@@ -33,6 +33,18 @@ class LevelGenerator:
     edge_permutations: np.ndarray
 
 
+class NumericalError(ArithmeticError):
+    """A numerical stage failed on one level generator: not a bad input.
+
+    The message names the stage and the level's size (n, level, states).
+    """
+
+    def __init__(self, stage: str, gen: LevelGenerator, detail: str):
+        space = gen.space
+        super().__init__(f"{stage} on n={space.n}, level={space.level} "
+                         f"({space.size} states): {detail}")
+
+
 def edge_masks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Single-bit int64 masks of the two endpoints of each edge, in edge order."""
     ends = np.array([(u, v) for u, v, _ in g.edges], dtype=np.int64).reshape(-1, 2)

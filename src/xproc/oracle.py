@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import BooleanFunction
-from .generator import LevelGenerator, build_level_generator
+from .generator import LevelGenerator, NumericalError, build_level_generator
 from .graph import Graph
 from .statespace import LevelStateSpace
 
@@ -31,7 +31,11 @@ class TransitionMatrix:
 
 
 def matrix_exponential(gen: LevelGenerator, t: float) -> TransitionMatrix:
-    """exp(tQ) on one level via scaling-and-squaring of the Taylor series."""
+    """exp(tQ) on one level via scaling-and-squaring of the Taylor series.
+
+    Raises NumericalError when the result has a negative entry or a row
+    sum off 1.
+    """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     a = -t * gen.matrix          # tQ; the stored matrix is -Q
@@ -50,10 +54,12 @@ def matrix_exponential(gen: LevelGenerator, t: float) -> TransitionMatrix:
         result = result @ result
     low = float(result.min())
     if low < -1e-12:
-        raise ArithmeticError(f"matrix exponential produced entry {low:g} < -1e-12")
+        raise NumericalError("matrix_exponential", gen,
+                             f"t={t:g} produced entry {low:g} < -1e-12")
     row_err = float(np.max(np.abs(result.sum(axis=1) - 1.0)))
     if row_err > 1e-10:
-        raise ArithmeticError(f"matrix exponential row sums off by {row_err:g}")
+        raise NumericalError("matrix_exponential", gen,
+                             f"t={t:g} row sums off by {row_err:g}")
     return TransitionMatrix(gen.space, t, np.clip(result, 0.0, None))
 
 

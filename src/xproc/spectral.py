@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .generator import LevelGenerator, build_level_generator
+from .generator import LevelGenerator, NumericalError, build_level_generator
 from .statespace import LevelStateSpace, enumerate_level, lift_table
 
 GROUP_RTOL = 1e-8       # eigenvalues within 1e-8 * max(1, lam) form one cluster
@@ -101,13 +101,16 @@ def eigendecompose(gen: LevelGenerator) -> SpectralBasis:
     Uses the dense symmetric LAPACK driver (deterministic for identical
     input on one build), then rescales to the uniform-measure convention,
     installs the exact (0, constant) eigenpair, and fixes signs so the
-    first nonzero coordinate of each vector is positive.
+    first nonzero coordinate of each vector is positive. Raises
+    NumericalError when the matrix is not symmetric, the solver does not
+    converge or the smallest eigenvalue is not numerically zero.
     """
     m = gen.matrix
     asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
     scale = float(np.max(np.abs(m))) if m.size else 0.0
     if asym > 1e-12 * max(1.0, scale):
-        raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:g}")
+        raise NumericalError("eigendecompose", gen,
+                             f"matrix is not symmetric: max |A - A^T| = {asym:g}")
     size = gen.space.size
     if size == 1:
         return SpectralBasis(gen.space, np.zeros(1), np.ones((1, 1)), [[0]])
@@ -115,13 +118,15 @@ def eigendecompose(gen: LevelGenerator) -> SpectralBasis:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         off = m - np.diag(np.diag(m))
-        raise ValueError(
+        raise NumericalError(
+            "eigendecompose", gen,
             f"eigensolver failed to converge ({exc}); "
-            f"max off-diagonal entry {np.max(np.abs(off)):g}"
+            f"max off-diagonal entry {np.max(np.abs(off)):g}",
         ) from exc
     kernel_bound = 1e-10 * max(1.0, scale)
     if abs(w[0]) > kernel_bound:
-        raise ValueError(f"smallest eigenvalue {w[0]:g} is not numerically zero")
+        raise NumericalError("eigendecompose", gen,
+                             f"smallest eigenvalue {w[0]:g} is not numerically zero")
     vectors = v * math.sqrt(size)
     w = w.copy()
     w[0] = 0.0
@@ -130,9 +135,30 @@ def eigendecompose(gen: LevelGenerator) -> SpectralBasis:
     return SpectralBasis(gen.space, w, vectors, group_eigenvalues(w))
 
 
+def level_bases(g: Graph):
+    """Yield the eigendecompositions of levels 0..n of the process on g, in order.
+
+    Level l is built and solved only when the consumer asks for it, and the
+    generator keeps no basis it has yielded. A consumer that drops each
+    basis before asking for the next therefore holds one level's basis at a
+    time, and the peak is the largest level's eigensolve. Iterate with a
+    plain `for basis in level_bases(g)` and `del basis` at the end of the
+    body (or with map): the loop variable, and the result tuple that
+    enumerate() and zip() reuse, keep the previous basis alive while the
+    next level is solved.
+    """
+    for level in range(g.n + 1):
+        yield eigendecompose(build_level_generator(g, level))
+
+
 def all_level_bases(g: Graph) -> list[SpectralBasis]:
-    """Eigendecompositions of every level 0..n of the process on g."""
-    return [eigendecompose(build_level_generator(g, level)) for level in range(g.n + 1)]
+    """Every level's eigendecomposition 0..n at once, as list(level_bases(g)).
+
+    Holds all n + 1 bases together, sum over l of C(n, l)^2 doubles, so it
+    is only for callers that index across levels or read a level twice;
+    a caller that reads each level once iterates level_bases instead.
+    """
+    return list(level_bases(g))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from xproc import diagnostics
@@ -379,3 +380,32 @@ def test_non_integral_or_boolean_edge_in_graph_file_exit_2(tmp_path, capsys, ent
                           "dictator:0", "--t", "1"], capsys)
     assert code == 2 and out == ""
     assert "edges[1]" in err and "edge 1:" in err
+
+
+def test_compare_kprime_without_k_exit_2(capsys):
+    code, out, err = run(["compare", "--graph", "complete:5", "--rate", "1", "--graph-b",
+                          "cycle:5", "--rate-b", "1", "--function", "dictator:0",
+                          "--kprime", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "config error: --k is required with --kprime" in err
+
+
+def test_eigensolver_failure_exit_3(capsys, monkeypatch):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code, out, err = run(["spectrum", "--graph", "cycle:4", "--rate", "1"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical error: eigendecompose on n=4, level=1 (4 states): "
+                          "eigensolver failed to converge")
+
+
+def test_dump_matrix_all_levels_keeps_spectrum(tmp_path, capsys):
+    argv = ["spectrum", "--graph", "cycle:4", "--rate", "1", "--format", "json"]
+    code, plain, _ = run(argv, capsys)
+    assert code == 0
+    code, dumped, _ = run(argv + ["--dump-matrix", str(tmp_path / "m.csv")], capsys)
+    assert code == 0
+    assert json.loads(dumped)["spectrum"] == json.loads(plain)["spectrum"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"m.level{l}.csv" for l in range(5)]

@@ -5,7 +5,7 @@ import pytest
 
 from xproc.fourier import BooleanFunction, dictator, from_table, spectral_profile
 from xproc.fourier import exact_correlation
-from xproc.generator import build_level_generator
+from xproc.generator import NumericalError, build_level_generator
 from xproc.graph import Graph, make_complete, make_cycle
 from xproc.oracle import brute_force_correlation, matrix_exponential
 from xproc.spectral import all_level_bases
@@ -15,6 +15,22 @@ def test_t_zero_is_identity():
     gen = build_level_generator(make_cycle(5, 0.5), 2)
     trans = matrix_exponential(gen, 0.0)
     np.testing.assert_array_equal(trans.probs, np.eye(10))
+
+
+def test_negative_entry_is_numerical_error():
+    gen = build_level_generator(make_cycle(3, 1.0), 1)
+    gen.matrix *= -1.0  # negative rates: exp(tQ) gets negative off-diagonal entries
+    with pytest.raises(NumericalError, match=r"^matrix_exponential on n=3, level=1 "
+                                            r"\(3 states\): t=1 produced entry"):
+        matrix_exponential(gen, 1.0)
+
+
+def test_row_sum_defect_is_numerical_error():
+    gen = build_level_generator(make_cycle(3, 1.0), 1)
+    gen.matrix += np.eye(3)  # rows no longer sum to zero
+    with pytest.raises(NumericalError, match=r"^matrix_exponential on n=3, level=1 "
+                                            r"\(3 states\): t=1 row sums off by"):
+        matrix_exponential(gen, 1.0)
 
 
 def test_negative_time_rejected():

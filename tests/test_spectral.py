@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from xproc.generator import build_level_generator
+from xproc.generator import NumericalError, build_level_generator
 from xproc.graph import make_complete, make_cycle
 from xproc.spectral import (
     all_level_bases,
@@ -68,8 +68,28 @@ def test_invariants_hold(n):
 def test_symmetry_checked():
     gen = build_level_generator(make_cycle(4, 1.0), 1)
     gen.matrix[0, 1] += 1e-3
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError, match=r"^eigendecompose on n=4, level=1 \(4 states\): "
+                                            "matrix is not symmetric"):
         eigendecompose(gen)
+
+
+def test_eigensolver_failure_is_numerical_error(monkeypatch):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    gen = build_level_generator(make_cycle(5, 1.0), 2)
+    with pytest.raises(NumericalError, match=r"^eigendecompose on n=5, level=2 \(10 states\): "
+                                            "eigensolver failed to converge"):
+        eigendecompose(gen)
+
+
+def test_nonzero_kernel_is_numerical_error():
+    gen = build_level_generator(make_cycle(4, 1.0), 2)
+    gen.matrix += np.eye(gen.space.size)  # symmetric, smallest eigenvalue 1
+    with pytest.raises(NumericalError, match="smallest eigenvalue 1 is not numerically zero"):
+        eigendecompose(gen)
+    assert not issubclass(NumericalError, ValueError)
 
 
 def test_deterministic_decomposition():
