@@ -20,10 +20,10 @@ import numpy as np
 from . import __version__
 from . import diagnostics, dynamics, fourier, spectral, verify
 from .generator import NumericalError, build_level_generator
-from .statespace import StateCapExceeded, state_cap
+from .statespace import StateCapExceeded, check_levels, state_cap
 from .graph import (
-    Graph, is_complete, is_edge_subgraph, load_graph, make_complete, make_cycle,
-    make_half_complete_cycle, max_degree, to_json_dict,
+    FAMILIES, Graph, is_complete, is_edge_subgraph, load_graph, max_degree, to_json_dict,
+    with_rate,
 )
 
 SCHEMA_VERSION = "xproc-report-1"
@@ -106,48 +106,67 @@ def report(config: dict, body: dict) -> dict:
 # flag parsing helpers
 # ---------------------------------------------------------------------------
 
+def check_numbers(*rules) -> None:
+    """The one rule for numeric flags: each (flag, value, op, bound), op ">" or ">=",
+    needs a finite value op bound; an unset value (None) passes."""
+    for flag, value, op, bound in rules:
+        if value is not None and not ((value > bound if op == ">" else value >= bound)
+                                      and math.isfinite(value)):
+            finite = "finite and " if isinstance(value, float) else ""
+            raise ConfigError(f"{flag} must be {finite}{op} {bound}, got {value}")
+
+
+def horizon_rules(args: argparse.Namespace) -> tuple:
+    """check_numbers rules for --t and --eps, at least one of which is required."""
+    if args.t is None and args.eps is None:
+        raise ConfigError(f"--t and/or --eps is required for {args.subcommand!r}")
+    return ("--t", args.t, ">=", 0), ("--eps", args.eps, ">=", 0)
+
+
 def resolve_graph(spec: str | None, rate: float | None, rate_policy: str,
                   field: str = "--graph") -> Graph:
+    """The graph of --graph, --rate and --rate-policy (or of their -b twins)."""
     if not spec:
         raise ConfigError(f"{field} is required")
-    rate_flag = field.replace("--graph", "--rate")
-    if rate is not None and not (math.isfinite(rate) and rate > 0):
-        raise ConfigError(f"{rate_flag} must be finite and > 0, got {rate}")
+    check_numbers((field.replace("--graph", "--rate"), rate, ">", 0))
     if spec.startswith("@"):
-        g = load_graph(spec[1:])
-        if rate_policy == "one-over-max-degree":
-            d = max_degree(g)
-            g = Graph(g.n, tuple((u, v, 1.0 / d) for u, v, _ in g.edges))
-        elif rate is not None:
-            g = Graph(g.n, tuple((u, v, rate) for u, v, _ in g.edges))
-        return g
+        return rate_step(load_graph(spec[1:]), rate, rate_policy)
     head, _, arg = spec.partition(":")
-    makers = {
-        "complete": make_complete,
-        "cycle": make_cycle,
-        "half_complete_cycle": make_half_complete_cycle,
-    }
-    if head not in makers:
+    if head not in FAMILIES:
         raise ConfigError(
-            f"{field}: unknown family {head!r}; expected complete, cycle, "
-            "half_complete_cycle, or @file.json"
+            f"{field}: unknown family {head!r}; expected {', '.join(FAMILIES)}, or @file.json"
         )
     try:
         size = int(arg)
     except ValueError:
         raise ConfigError(f"{field}: family parameter must be an integer, got {arg!r}")
+    return family_graph(head, size, rate, rate_policy, field)
+
+
+def family_graph(head: str, size: int, rate: float | None, rate_policy: str,
+                 field: str = "--graph") -> Graph:
+    """FAMILIES[head] at size, built at rate 1 and rated by rate_step; it has no
+    rates of its own, so the uniform policy needs a rate."""
+    if rate is None and rate_policy == "uniform":
+        raise ConfigError(f"{field.replace('--graph', '--rate')} is required with "
+                          f"rate policy 'uniform' for {field}")
+    return rate_step(FAMILIES[head](size, 1.0), rate, rate_policy)
+
+
+def rate_step(g: Graph, rate: float | None, rate_policy: str) -> Graph:
+    """g at rate 1/max-degree under one-over-max-degree, else at rate if one is given."""
     if rate_policy == "one-over-max-degree":
-        probe = makers[head](size, 1.0)
-        return makers[head](size, 1.0 / max_degree(probe))
-    if rate is None:
-        raise ConfigError(f"{rate_flag} is required with rate policy 'uniform' for {field}")
-    return makers[head](size, rate)
+        return with_rate(g, 1.0 / max_degree(g))
+    return g if rate is None else with_rate(g, rate)
 
 
 def resolve_function(spec: str | None, n: int) -> fourier.BooleanFunction:
+    """The --function table on n vertices; a table too large to allocate names --graph."""
     if not spec:
         raise ConfigError("--function is required")
-    if spec.startswith("@"):
+    try:
+        if not spec.startswith("@"):
+            return fourier.make_function(n, spec)
         with open(spec[1:]) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict) or "n" not in raw or "values" not in raw:
@@ -159,10 +178,11 @@ def resolve_function(spec: str | None, n: int) -> fourier.BooleanFunction:
                 f"--function: table is for n={raw['n']} but the graph has n={n}"
             )
         return fourier.from_table(n, raw["values"])
-    try:
-        return fourier.make_function(n, spec)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"--function: {exc}")
+    except MemoryError as exc:
+        raise ConfigError(f"--graph: n={n} is too large for a function table of 2^{n} "
+                          f"values ({exc})")
 
 
 def parse_levels(spec: str, n: int) -> list[int]:
@@ -186,21 +206,6 @@ def parse_n_grid(spec: str) -> list[int]:
     if a > b:
         raise ConfigError(f"--n-grid must be nondecreasing, got {spec!r}")
     return list(range(a, b + 1))
-
-
-def check_horizons(args: argparse.Namespace, subcommand: str) -> None:
-    if args.t is None and args.eps is None:
-        raise ConfigError(f"--t and/or --eps is required for {subcommand!r}")
-    for flag, value in (("--t", args.t), ("--eps", args.eps)):
-        if value is not None and not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"{flag} must be finite and >= 0, got {value}")
-
-
-def check_thresholds(flags) -> None:
-    """Reject an eigenvalue threshold that is not finite and > 0, naming its flag."""
-    for flag, value in flags:
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
 
 
 def config_echo(args: argparse.Namespace, keys: list[str]) -> dict:
@@ -255,6 +260,7 @@ def cmd_profile(args) -> int:
     if args.n_grid:
         return _profile_sweep(args)
     g = resolve_graph(args.graph, args.rate, args.rate_policy)
+    check_levels(g.n)
     f = resolve_function(args.function, g.n)
     config = config_echo(args, ["graph", "rate", "rate_policy", "function", "format"])
     profile = fourier.spectral_profile(f, spectral.level_bases(g))
@@ -271,11 +277,11 @@ def _profile_sweep(args) -> int:
     """Sensitivity tabulation of one (graph family, function) over an n-grid."""
     if not args.graph or ":" in args.graph or args.graph.startswith("@"):
         raise ConfigError(
-            "--graph: with --n-grid give a bare family name "
-            "(complete, cycle, half_complete_cycle); the grid supplies the size"
+            f"--graph: with --n-grid give a bare family name ({', '.join(FAMILIES)}); "
+            "the grid supplies the size"
         )
     family = args.graph
-    if family not in ("complete", "cycle", "half_complete_cycle"):
+    if family not in FAMILIES:
         raise ConfigError(f"--graph: unknown family {family!r}")
     n_grid = parse_n_grid(args.n_grid)
     if family == "half_complete_cycle" and any(n % 2 for n in n_grid):
@@ -286,19 +292,15 @@ def _profile_sweep(args) -> int:
         k_grid = [float(s) for s in (args.k or "1.0").split(",")]
     except ValueError:
         raise ConfigError(f"--k: expected a comma-separated list of thresholds, got {args.k!r}")
-    check_thresholds(("--k", k) for k in k_grid)
+    check_numbers(*(("--k", k, ">", 0) for k in k_grid), ("--rate", args.rate, ">", 0))
     function_spec = args.function
     if not function_spec or function_spec.startswith("@"):
         raise ConfigError("--function: a named family is required with --n-grid")
 
     def make_instance(n: int):
-        if family == "complete":
-            spec = f"complete:{n}"
-        elif family == "cycle":
-            spec = f"cycle:{n}"
-        else:
-            spec = f"half_complete_cycle:{n // 2}"
-        g = resolve_graph(spec, args.rate, args.rate_policy)
+        size = n // 2 if family == "half_complete_cycle" else n
+        g = family_graph(family, size, args.rate, args.rate_policy)
+        check_levels(g.n)
         return g, resolve_function(function_spec, g.n)
 
     config = config_echo(args, ["graph", "rate", "rate_policy", "function",
@@ -313,8 +315,9 @@ def _profile_sweep(args) -> int:
 
 def cmd_exact(args) -> int:
     g = resolve_graph(args.graph, args.rate, args.rate_policy)
+    check_levels(g.n)
     f = resolve_function(args.function, g.n)
-    check_horizons(args, "exact")
+    check_numbers(*horizon_rules(args))
     config = config_echo(args, ["graph", "rate", "rate_policy", "function", "t", "eps"])
     profile = fourier.spectral_profile(f, spectral.level_bases(g))
     body: dict = {"mean": profile.mean, "variance": profile.variance()}
@@ -332,7 +335,7 @@ def cmd_exact(args) -> int:
 def cmd_simulate(args) -> int:
     g = resolve_graph(args.graph, args.rate, args.rate_policy)
     f = resolve_function(args.function, g.n)
-    check_horizons(args, "simulate")
+    check_numbers(*horizon_rules(args), ("--samples", args.samples, ">=", 1))
     level = None
     if args.level != "all":
         level = parse_levels(args.level, g.n)[0]
@@ -359,11 +362,9 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite != "all":
         raise ConfigError(f"--suite: only 'all' is supported, got {args.suite!r}")
-    if args.nmax < 4:
-        raise ConfigError(f"--nmax must be >= 4, got {args.nmax}")
-    if args.mc_samples < verify.MIN_MC_SAMPLES:
-        raise ConfigError(f"--mc-samples must be >= {verify.MIN_MC_SAMPLES}, "
-                          f"got {args.mc_samples}")
+    check_numbers(("--nmax", args.nmax, ">=", 4),
+                  ("--mc-samples", args.mc_samples, ">=", verify.MIN_MC_SAMPLES),
+                  ("--seed", args.seed, ">=", 0))
     config = config_echo(args, ["suite", "nmax", "seed", "mc_samples"])
     result = verify.run_suite(nmax=args.nmax, seed=args.seed,
                               mc_samples=args.mc_samples)
@@ -372,7 +373,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    check_thresholds((("--k", args.k), ("--kprime", args.kprime)))
+    check_numbers(("--k", args.k, ">", 0), ("--kprime", args.kprime, ">", 0))
     if args.kprime is not None and args.k is None:
         raise ConfigError("--k is required with --kprime; no check reads --kprime alone")
     g_a = resolve_graph(args.graph, args.rate, args.rate_policy)
@@ -509,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def apply_config_file(argv: list[str]) -> list[str]:
-    """Expand --config FILE into flags; explicit flags take precedence."""
+    """Expand --config FILE into flags read before the explicit ones, so that an
+    explicit flag wins in either form (--k 1 or --k=1); a JSON null leaves its flag unset."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -525,17 +527,11 @@ def apply_config_file(argv: list[str]) -> list[str]:
     head = []
     if rest and not rest[0].startswith("-"):
         head, rest = [rest[0]], rest[1:]
-    elif "subcommand" in raw:
+    elif raw.get("subcommand") is not None:
         head = [str(raw["subcommand"])]
-    extra = []
-    for key, value in raw.items():
-        if key == "subcommand":
-            continue
-        flag = "--" + key.replace("_", "-")
-        if flag in rest:
-            continue
-        extra.extend([flag, str(value)])
-    return head + rest + extra
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in raw.items()
+             if key != "subcommand" and value is not None]
+    return head + flags + rest
 
 
 def main(argv: list[str] | None = None) -> int:

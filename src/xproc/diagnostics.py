@@ -99,7 +99,6 @@ def projection_mass_inequality(
     f: BooleanFunction,
     k: float,
     profile_complete: SpectralProfile | None = None,
-    profile_other: SpectralProfile | None = None,
 ) -> tuple[float, float]:
     """(general-graph mass in (0, 4k], complete-graph mass in (0, k]).
 
@@ -125,9 +124,7 @@ def projection_mass_inequality(
         raise ValueError("threshold must be > 0")
     if profile_complete is None:
         profile_complete = spectral_profile(f, level_bases(g_complete))
-    if profile_other is None:
-        profile_other = spectral_profile(f, level_bases(g_other))
-    lhs = band_mass(profile_other, 4.0 * k, "<=")
+    lhs = band_mass(spectral_profile(f, level_bases(g_other)), 4.0 * k, "<=")
     rhs = band_mass(profile_complete, k, "<=")
     return lhs, rhs
 

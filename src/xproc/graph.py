@@ -14,7 +14,11 @@ from dataclasses import dataclass, field
 
 
 class GraphFormatError(ValueError):
-    """Raised when a graph file or edge list is malformed."""
+    """A malformed graph file or edge list; index is the offending edge's, if one is."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -33,14 +37,16 @@ class Graph:
             try:
                 u, v, rate = e
             except (TypeError, ValueError):
-                raise GraphFormatError(f"edge {k}: expected (u, v, rate), got {e!r}")
+                raise GraphFormatError(f"edge {k}: expected (u, v, rate), got {e!r}", k)
             # int() and float() accept booleans; numpy's are not bool instances
             if any(isinstance(x, bool) or getattr(x, "dtype", None) == bool
                    for x in (u, v, rate)):
-                raise GraphFormatError(f"edge {k}: endpoints and rate cannot be booleans, got {e!r}")
+                raise GraphFormatError(
+                    f"edge {k}: endpoints and rate cannot be booleans, got {e!r}", k
+                )
             # float() would also read a string such as "1.5"
             if not isinstance(rate, numbers.Real):
-                raise GraphFormatError(f"edge {k}: rate must be a real number, got {rate!r}")
+                raise GraphFormatError(f"edge {k}: rate must be a real number, got {rate!r}", k)
             try:
                 iu, iv, rate = int(u), int(v), float(rate)
                 integral = (iu, iv) == (u, v)
@@ -48,17 +54,18 @@ class Graph:
                 integral = False
             if not integral:
                 raise GraphFormatError(
-                    f"edge {k}: expected integer endpoints and a numeric rate, got {e!r}"
+                    f"edge {k}: expected integer endpoints and a numeric rate, got {e!r}", k
                 )
             u, v = iu, iv
             if not (0 <= u < v < self.n):
                 raise GraphFormatError(
-                    f"edge {k}: endpoints must satisfy 0 <= u < v < n, got ({u}, {v}) with n={self.n}"
+                    f"edge {k}: endpoints must satisfy 0 <= u < v < n, got ({u}, {v}) with n={self.n}",
+                    k,
                 )
             if (u, v) in seen:
-                raise GraphFormatError(f"edge {k}: duplicate edge ({u}, {v})")
+                raise GraphFormatError(f"edge {k}: duplicate edge ({u}, {v})", k)
             if not (math.isfinite(rate) and rate > 0.0):
-                raise GraphFormatError(f"edge {k}: rate must be finite and > 0, got {rate}")
+                raise GraphFormatError(f"edge {k}: rate must be finite and > 0, got {rate}", k)
             seen.add((u, v))
             canon.append((u, v, rate))
         canon.sort()
@@ -70,10 +77,6 @@ class Graph:
 
 def make_complete(n: int, rate: float) -> Graph:
     """Complete graph on n vertices, every edge at the given rate."""
-    if n < 2:
-        raise ValueError(f"complete graph needs n >= 2, got {n}")
-    if not rate > 0.0:
-        raise ValueError(f"rate must be > 0, got {rate}")
     edges = [(u, v, rate) for u in range(n) for v in range(u + 1, n)]
     return Graph(n, tuple(edges))
 
@@ -82,8 +85,6 @@ def make_cycle(n: int, rate: float) -> Graph:
     """Cycle 0-1-2-...-(n-1)-0, every vertex of degree 2."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    if not rate > 0.0:
-        raise ValueError(f"rate must be > 0, got {rate}")
     edges = [(i, i + 1, rate) for i in range(n - 1)]
     edges.append((0, n - 1, rate))
     return Graph(n, tuple(edges))
@@ -96,8 +97,6 @@ def make_half_complete_cycle(n: int, rate: float) -> Graph:
     """
     if n < 2:
         raise ValueError(f"half-complete cycle needs n >= 2, got {n}")
-    if not rate > 0.0:
-        raise ValueError(f"rate must be > 0, got {rate}")
     base = make_cycle(2 * n, rate)
     present = set(base.edge_set())
     edges = list(base.edges)
@@ -106,6 +105,19 @@ def make_half_complete_cycle(n: int, rate: float) -> Graph:
             if (u, v) not in present:
                 edges.append((u, v, rate))
     return Graph(2 * n, tuple(edges))
+
+
+# family name -> maker(size, rate); half_complete_cycle's size is half its vertex count
+FAMILIES = {
+    "complete": make_complete,
+    "cycle": make_cycle,
+    "half_complete_cycle": make_half_complete_cycle,
+}
+
+
+def with_rate(g: Graph, rate: float) -> Graph:
+    """g with every edge at the given rate."""
+    return Graph(g.n, tuple((u, v, rate) for u, v, _ in g.edges))
 
 
 def degrees(g: Graph) -> list[int]:
@@ -197,20 +209,8 @@ def load_graph(path: str) -> Graph:
     try:
         return Graph(raw["n"], tuple((e[0], e[1], e[2]) for e in raw["edges"]))
     except GraphFormatError as exc:
-        k = _offending_index(str(exc))
-        if k is not None:
-            raise GraphFormatError(f"{path}: {_locate_edge(text, k)}: {exc}") from exc
-        raise GraphFormatError(f"{path}: {exc}") from exc
-
-
-def _offending_index(msg: str) -> int | None:
-    if msg.startswith("edge "):
-        head = msg.split(":", 1)[0]
-        try:
-            return int(head.split()[1])
-        except (IndexError, ValueError):
-            return None
-    return None
+        where = "" if exc.index is None else f"{_locate_edge(text, exc.index)}: "
+        raise GraphFormatError(f"{path}: {where}{exc}", exc.index) from exc
 
 
 def _locate_edge(text: str, k: int) -> str:

@@ -38,19 +38,22 @@ def zero_mask(eigenvalues: np.ndarray) -> np.ndarray:
 class SpectralBasis:
     """Ascending eigenvalues with uniform-orthonormal eigenvectors.
 
-    vectors[:, i] is the i-th eigenvector; groups partitions column indices
-    into clusters of numerically equal eigenvalues. The first eigenpair is
-    installed exactly as (0, constant one).
+    vectors[:, i] is the i-th eigenvector. The first eigenpair is installed
+    exactly as (0, constant one).
     """
 
     space: LevelStateSpace
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    groups: list[list[int]]
 
     @property
     def size(self) -> int:
         return self.space.size
+
+    @property
+    def groups(self) -> list[list[int]]:
+        """Column indices in clusters of numerically equal eigenvalues (group_eigenvalues)."""
+        return group_eigenvalues(self.eigenvalues)
 
     def zero_indices(self) -> list[int]:
         return np.flatnonzero(zero_mask(self.eigenvalues)).tolist()
@@ -113,7 +116,7 @@ def eigendecompose(gen: LevelGenerator) -> SpectralBasis:
                              f"matrix is not symmetric: max |A - A^T| = {asym:g}")
     size = gen.space.size
     if size == 1:
-        return SpectralBasis(gen.space, np.zeros(1), np.ones((1, 1)), [[0]])
+        return SpectralBasis(gen.space, np.zeros(1), np.ones((1, 1)))
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -132,7 +135,7 @@ def eigendecompose(gen: LevelGenerator) -> SpectralBasis:
     w[0] = 0.0
     vectors[:, 0] = 1.0
     vectors[:, 1:] = fix_sign(vectors[:, 1:])
-    return SpectralBasis(gen.space, w, vectors, group_eigenvalues(w))
+    return SpectralBasis(gen.space, w, vectors)
 
 
 def level_bases(g: Graph):
@@ -277,8 +280,7 @@ def complete_graph_basis(n: int, level: int, alpha: float) -> SpectralBasis:
     vectors = vectors.copy()
     vectors[:, 0] = 1.0
     vectors[:, 1:] = fix_sign(vectors[:, 1:])
-    w = np.array(eigenvalues)
-    return SpectralBasis(space, w, vectors, group_eigenvalues(w))
+    return SpectralBasis(space, np.array(eigenvalues), vectors)
 
 
 def mirror_basis(basis: SpectralBasis) -> SpectralBasis:
@@ -292,9 +294,4 @@ def mirror_basis(basis: SpectralBasis) -> SpectralBasis:
     mask = (1 << n) - 1
     target = enumerate_level(n, n - space.level)
     perm = space.rank(target.words ^ mask)
-    return SpectralBasis(
-        target,
-        basis.eigenvalues.copy(),
-        basis.vectors[perm, :].copy(),
-        [list(g) for g in basis.groups],
-    )
+    return SpectralBasis(target, basis.eigenvalues.copy(), basis.vectors[perm, :].copy())

@@ -203,6 +203,15 @@ def enumerate_level(n: int, level: int) -> LevelStateSpace:
     return _level_slice(n, level)
 
 
+def check_levels(n: int) -> None:
+    """Raise StateCapExceeded, enumerating nothing, where solving levels 0..n in order would."""
+    cap = state_cap()
+    for level in range(n // 2 + 1):
+        size = math.comb(n, level)
+        if size > cap:
+            raise StateCapExceeded(n, level, size, cap)
+
+
 def lift_table(n: int, source: int, target: int) -> np.ndarray:
     """Read-only (C(n, target), k) table of the source-level ranks a lift sums.
 

@@ -13,6 +13,7 @@ from . import diagnostics, dynamics, fourier, oracle, spectral
 from .generator import build_level_generator, dirichlet_form
 from .graph import (
     Graph, is_complete, make_complete, make_cycle, make_half_complete_cycle, max_degree,
+    with_rate,
 )
 from .statespace import enumerate_level
 
@@ -20,6 +21,9 @@ from .statespace import enumerate_level
 # something: below it a sample with no spread, and so a zero standard error,
 # is too likely.
 MIN_MC_SAMPLES = 100
+
+EXTRA_EDGE_PROB = 0.35  # random_connected_graph: chance of each non-tree edge
+KEEP_PROB = 0.5         # random_connected_subgraph: chance of keeping each non-tree edge
 
 
 class _Tally:
@@ -87,8 +91,7 @@ class BasisTable:
 # randomized instance generators (shared with the test suite)
 # ---------------------------------------------------------------------------
 
-def random_connected_graph(rng: np.random.Generator, n: int, rate: float,
-                           extra_edge_prob: float = 0.35) -> Graph:
+def random_connected_graph(rng: np.random.Generator, n: int, rate: float) -> Graph:
     """Random spanning tree plus independent extra edges; always connected."""
     edges = {}
     for v in range(1, n):
@@ -96,13 +99,12 @@ def random_connected_graph(rng: np.random.Generator, n: int, rate: float,
         edges[(u, v)] = rate
     for u in range(n):
         for v in range(u + 1, n):
-            if (u, v) not in edges and rng.random() < extra_edge_prob:
+            if (u, v) not in edges and rng.random() < EXTRA_EDGE_PROB:
                 edges[(u, v)] = rate
     return Graph(n, tuple((u, v, r) for (u, v), r in sorted(edges.items())))
 
 
-def random_connected_subgraph(rng: np.random.Generator, g: Graph,
-                              keep_prob: float = 0.5) -> Graph:
+def random_connected_subgraph(rng: np.random.Generator, g: Graph) -> Graph:
     """Connected equal-rate subgraph: a spanning tree of g plus kept extras."""
     order = list(range(len(g.edges)))
     rng.shuffle(order)
@@ -124,7 +126,7 @@ def random_connected_subgraph(rng: np.random.Generator, g: Graph,
     kept = [
         g.edges[k]
         for k in range(len(g.edges))
-        if k in tree or rng.random() < keep_prob
+        if k in tree or rng.random() < KEEP_PROB
     ]
     return Graph(g.n, tuple(kept))
 
@@ -132,10 +134,6 @@ def random_connected_subgraph(rng: np.random.Generator, g: Graph,
 def random_boolean_function(rng: np.random.Generator, n: int) -> fourier.BooleanFunction:
     values = rng.integers(0, 2, size=1 << n).astype(float)
     return fourier.BooleanFunction(n, values, name="random")
-
-
-def with_rate(g: Graph, rate: float) -> Graph:
-    return Graph(g.n, tuple((u, v, rate) for u, v, _ in g.edges))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ import numpy as np
 from xproc import cli, diagnostics, dynamics, fourier, oracle, spectral, verify
 from xproc.generator import build_level_generator
 from xproc.graph import (
-    Graph,
     make_complete,
     make_cycle,
     make_half_complete_cycle,
     max_degree,
+    with_rate,
 )
 
 MC_SEED = 20260810
@@ -25,10 +25,6 @@ MC_SEED = 20260810
 def report(cid: int, ok: bool, detail: str):
     print(f"[criterion {cid:2d}] {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, f"criterion {cid}: {detail}"
-
-
-def with_rate(g: Graph, rate: float) -> Graph:
-    return Graph(g.n, tuple((u, v, rate) for u, v, _ in g.edges))
 
 
 def test_criterion_1_complete_graph_spectrum():

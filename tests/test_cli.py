@@ -1,12 +1,14 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
 import json
+import resource
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xproc import diagnostics
-from xproc.cli import dumps_json, main
+from xproc.cli import apply_config_file, build_parser, dumps_json, main
 from xproc.graph import make_complete, make_cycle, make_half_complete_cycle, save_graph
 
 
@@ -409,3 +411,146 @@ def test_dump_matrix_all_levels_keeps_spectrum(tmp_path, capsys):
     assert code == 0
     assert json.loads(dumped)["spectrum"] == json.loads(plain)["spectrum"]
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"m.level{l}.csv" for l in range(5)]
+
+
+def test_config_file_explicit_equals_form_wins(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"graph": "complete:6", "rate": 1, "graph_b": "cycle:6",
+                               "rate_b": 1, "k": "9"}))
+    for k in (["--k=1"], ["--k", "1"]):
+        code, out, _ = run(["compare", "--config", str(cfg), *k], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["k"] == 1.0
+
+
+def test_config_file_null_leaves_flag_unset(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"graph": "cycle:4", "rate": 1, "dump_matrix": None,
+                               "level": None}))
+    code, out, _ = run(["spectrum", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+    code, plain, _ = run(["spectrum", "--graph", "cycle:4", "--rate", "1"], capsys)
+    assert out == plain
+
+
+EXACT_FLAGS = {
+    "graph": st.sampled_from(["complete:4", "cycle:5", "half_complete_cycle:3", "@g.json"]),
+    "rate": st.floats(min_value=1e-3, max_value=1e3),
+    "rate_policy": st.sampled_from(["uniform", "one-over-max-degree"]),
+    "function": st.sampled_from(["dictator:0", "majority", "parity_on_set:0,2", "@f.json"]),
+    "t": st.floats(min_value=0.0, max_value=10.0),
+    "eps": st.floats(min_value=0.0, max_value=10.0),
+    "out": st.sampled_from(["r.json", "out dir/r.json"]),
+}
+
+
+@st.composite
+def split_exact_flags(draw):
+    """An exact flag set, each flag in the file, on argv, or in both with its own value."""
+    final, in_file, on_argv = {}, {}, []
+    for key, values in EXACT_FLAGS.items():
+        place = draw(st.sampled_from(["unset", "file", "argv", "both"]))
+        if place == "unset":
+            continue
+        final[key] = draw(values)
+        if place == "file":
+            in_file[key] = final[key]
+            continue
+        if place == "both":
+            in_file[key] = draw(values)
+        flag = "--" + key.replace("_", "-")
+        on_argv.append([f"{flag}={final[key]}"] if draw(st.booleans())
+                       else [flag, str(final[key])])
+    on_argv = [word for pair in draw(st.permutations(on_argv)) for word in pair]
+    return final, in_file, on_argv, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_exact_flags())
+def test_config_file_split_parses_as_explicit_flags(tmp_path_factory, split):
+    final, in_file, on_argv, subcommand_in_file = split
+    cfg = tmp_path_factory.mktemp("config") / "c.json"
+    if subcommand_in_file:
+        cfg.write_text(json.dumps({"subcommand": "exact", **in_file}))
+        argv = ["--config", str(cfg), *on_argv]
+    else:
+        cfg.write_text(json.dumps(in_file))
+        argv = ["exact", "--config", str(cfg), *on_argv]
+    explicit = ["exact"]
+    for key, value in final.items():
+        explicit.append(f"--{key.replace('_', '-')}={value}")
+    parser = build_parser()
+    assert parser.parse_args(apply_config_file(argv)) == parser.parse_args(explicit)
+
+
+def test_simulate_zero_samples_exit_2(capsys):
+    code, out, err = run(["simulate", "--graph", "cycle:5", "--rate", "1", "--function",
+                          "dictator:0", "--t", "1", "--samples", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err == "config error: --samples must be >= 1, got 0\n"
+
+
+def test_simulate_accepts_negative_seed(capsys):
+    code, out, _ = run(["simulate", "--graph", "cycle:5", "--rate", "1", "--function",
+                        "dictator:0", "--t", "1", "--samples", "50", "--seed", "-3"], capsys)
+    assert code == 0 and json.loads(out)["config"]["seed"] == -3
+
+
+def test_verify_negative_seed_exit_2(capsys):
+    code, out, err = run(["verify", "--seed", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "config error: --seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (json.dumps({"n": 3, "values": [0, 2, 1, 0, 1, 0, 0, 1]}),
+     "Boolean mode requires all values in {0, 1}"),
+    (json.dumps({"n": 3, "values": [0, 1, 1]}), "table has length (3,), expected (8,)"),
+    ("not json", "Expecting value: line 1 column 1 (char 0)"),
+    (json.dumps({"n": 3, "values": {"0": 1}}),
+     "float() argument must be a string or a real number, not 'dict'"),
+])
+def test_bad_function_table_names_the_flag(tmp_path, capsys, text, message):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    code, out, err = run(["exact", "--graph", "complete:3", "--rate", "1", "--function",
+                          f"@{path}", "--t", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: --function: {message}\n"
+
+
+@pytest.fixture
+def address_space_limit():
+    """Cap this process's address space at 1 TiB, so an 8 TiB table is refused at once."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 2**40 if hard == resource.RLIM_INFINITY else min(2**40, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    yield
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+# 2^40 table entries: far over the state cap, and refused by numpy at once
+TOO_LARGE = ["--graph", "cycle:40", "--rate", "1", "--function", "dictator:0"]
+CAP_AT_40 = "level slice C(40,4) has 91390 states, exceeding the cap 20000"
+
+
+def test_too_large_graph_exact_exit_2(capsys, address_space_limit):
+    code, out, err = run(["exact", *TOO_LARGE, "--t", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: {CAP_AT_40}")
+
+
+def test_too_large_graph_sweep_records_truncation(capsys, address_space_limit):
+    code, out, _ = run(["profile", "--graph", "cycle", "--rate", "1", "--function",
+                        "majority", "--n-grid", "40:40"], capsys)
+    assert code == 0
+    (record,) = json.loads(out)["records"]
+    assert record["truncated"] and record["reason"].startswith(CAP_AT_40)
+
+
+def test_too_large_graph_simulate_names_graph(capsys, address_space_limit):
+    code, out, err = run(["simulate", *TOO_LARGE, "--t", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: --graph: n=40 is too large for a function table")

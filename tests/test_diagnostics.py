@@ -11,12 +11,8 @@ from xproc.diagnostics import (
     spectra_domination_gap,
 )
 from xproc.fourier import dictator, from_table, parity_on_set
-from xproc.graph import Graph, make_complete, make_cycle, make_half_complete_cycle, max_degree
+from xproc.graph import make_complete, make_cycle, make_half_complete_cycle, max_degree, with_rate
 from xproc.verify import random_boolean_function, random_connected_graph, random_connected_subgraph
-
-
-def with_rate(g: Graph, rate: float) -> Graph:
-    return Graph(g.n, tuple((u, v, rate) for u, v, _ in g.edges))
 
 
 def test_containment_vacuous_below_gap():

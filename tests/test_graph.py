@@ -17,6 +17,7 @@ from xproc.graph import (
     max_degree,
     save_graph,
     uniform_rate,
+    with_rate,
 )
 
 
@@ -234,3 +235,33 @@ def test_loader_rejects_non_integral_or_boolean_edge(tmp_path, entry):
         load_graph(str(path))
     assert "edges[1] (line 5)" in str(exc.value)
     assert "edge 1:" in str(exc.value)
+
+
+@pytest.mark.parametrize("edge", BAD_EDGES + [(1, 2), (1, 1, 1.0), (1, 3, 1.0), (0, 1, 2.0),
+                                              (1, 2, -1.0), (1, 2, "1.5")], ids=repr)
+def test_format_error_carries_edge_index(edge):
+    with pytest.raises(GraphFormatError) as exc:
+        Graph(3, ((0, 1, 1.0), edge))
+    assert exc.value.index == 1
+
+
+def test_loader_keeps_the_edge_index(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 3, "edges": [\n[0, 1, 1.0],\n[0, 1, 2.0]]}')
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(str(path))
+    assert exc.value.index == 1
+    assert str(exc.value) == f"{path}: edges[1] (line 3): edge 1: duplicate edge (0, 1)"
+
+
+def test_format_error_without_an_edge_has_no_index(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": "3", "edges": []}')
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(str(path))
+    assert exc.value.index is None
+
+
+def test_with_rate_matches_the_family_at_that_rate():
+    assert with_rate(make_cycle(5, 1.0), 0.5) == make_cycle(5, 0.5)
+    assert with_rate(make_half_complete_cycle(3, 2.0), 0.25) == make_half_complete_cycle(3, 0.25)
