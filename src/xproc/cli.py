@@ -343,18 +343,21 @@ def cmd_simulate(args) -> int:
                                 "eps", "level", "samples", "seed"])
     spec = dynamics.SimulationSpec(level=level, seed=args.seed, samples=args.samples)
     body: dict = {}
-    if args.t is not None:
-        est = dynamics.estimate_covariance(g, f, args.t, spec)
-        body["covariance"] = {
-            "t": args.t, "point": est.point,
-            "std_error": est.std_error, "samples": est.samples,
-        }
-    if args.eps is not None:
-        est = dynamics.estimate_flip_probability(g, f, args.eps, spec)
-        body["flip_probability"] = {
-            "eps": args.eps, "point": est.point,
-            "std_error": est.std_error, "samples": est.samples,
-        }
+    try:
+        if args.t is not None:
+            est = dynamics.estimate_covariance(g, f, args.t, spec)
+            body["covariance"] = {
+                "t": args.t, "point": est.point,
+                "std_error": est.std_error, "samples": est.samples,
+            }
+        if args.eps is not None:
+            est = dynamics.estimate_flip_probability(g, f, args.eps, spec)
+            body["flip_probability"] = {
+                "eps": args.eps, "point": est.point,
+                "std_error": est.std_error, "samples": est.samples,
+            }
+    except MemoryError as exc:
+        raise ConfigError(f"--samples: {args.samples} samples are too many to allocate ({exc})")
     emit(dumps_json(report(config, body)) + "\n", args.out)
     return 0
 
@@ -392,31 +395,24 @@ def cmd_compare(args) -> int:
     if subgraph or holds:
         bases_a, bases_b = spectral.all_level_bases(g_a), spectral.all_level_bases(g_b)
     if subgraph:
-        gap = diagnostics.spectra_domination_gap(g_b, g_a, bases_b, bases_a)
-        checks.append({"name": "spectra_dominated_by_supergraph", "instances": g_a.n + 1,
-                       "violations": int(gap > diagnostics.DOMINATION_TOL),
-                       "max_residual": gap})
+        checks.append(diagnostics.check_record(
+            "spectra_dominated_by_supergraph",
+            diagnostics.spectra_domination_gap(g_b, g_a, bases_b, bases_a),
+            diagnostics.DOMINATION_TOL))
         if f is not None and args.k is not None and args.kprime is not None:
             lhs, rhs = diagnostics.monotonicity_inequality_check(
-                g_a, g_b, f, args.k, args.kprime,
-                profile=fourier.spectral_profile(f, bases_a),
-                profile_sub=fourier.spectral_profile(f, bases_b),
-            )
-            checks.append({"name": "monotonicity_inequality", "instances": 1,
-                           "violations": int(lhs > rhs + diagnostics.MONOTONICITY_TOL),
-                           "max_residual": lhs - rhs, "lhs": lhs, "rhs": rhs})
-    if holds:
-        worst = max(diagnostics.containment_residual(
-            g_a, g_b, level, args.k, kprime,
-            basis_complete=bases_a[level], basis_other=bases_b[level],
-        ) for level in range(g_a.n + 1))
-        checks.append({"name": "containment_residual", "instances": g_a.n + 1,
-                       "violations": int(worst > diagnostics.CONTAINMENT_TOL),
-                       "max_residual": worst})
-    elif holds is False:
-        checks.append({"name": "containment_residual", "instances": 0, "violations": 0,
-                       "max_residual": 0.0,
-                       "skipped": "threshold hypothesis does not hold for these k, k'"})
+                g_a, g_b, args.k, args.kprime, fourier.spectral_profile(f, bases_a),
+                fourier.spectral_profile(f, bases_b))
+            checks.append({**diagnostics.check_record("monotonicity_inequality", [lhs - rhs],
+                                                      diagnostics.MONOTONICITY_TOL),
+                           "lhs": lhs, "rhs": rhs})
+    if holds is not None:
+        residuals = diagnostics.containment_residual(
+            g_a, g_b, args.k, kprime, bases_a, bases_b) if holds else []
+        checks.append(diagnostics.check_record("containment_residual", residuals,
+                                               diagnostics.CONTAINMENT_TOL))
+        if not holds:
+            checks[-1]["skipped"] = "threshold hypothesis does not hold for these k, k'"
     body = {
         "edge_subgraph": subgraph,
         "checks": checks,
@@ -510,20 +506,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def apply_config_file(argv: list[str]) -> list[str]:
-    """Expand --config FILE into flags read before the explicit ones, so that an
-    explicit flag wins in either form (--k 1 or --k=1); a JSON null leaves its flag unset."""
-    if "--config" not in argv:
+    """Expand --config FILE (or --config=FILE, given once) into flags read before the
+    explicit ones, so that an explicit flag wins in either form (--k 1 or --k=1); a JSON
+    null leaves its flag unset."""
+    found = [i for i, word in enumerate(argv) if word.partition("=")[0] == "--config"]
+    if not found:
         return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise ConfigError("--config requires a path")
+    if len(found) > 1:
+        raise ConfigError("--config may be given only once")
+    idx = found[0]
+    _, eq, path = argv[idx].partition("=")
+    rest = argv[:idx] + argv[idx + 1:]
+    if not eq:
+        if idx == len(rest):
+            raise ConfigError("--config requires a path")
+        path = rest.pop(idx)
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError("--config: file must hold a JSON object of flag values")
-    rest = argv[:idx] + argv[idx + 2:]
     head = []
     if rest and not rest[0].startswith("-"):
         head, rest = [rest[0]], rest[1:]

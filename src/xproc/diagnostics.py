@@ -26,9 +26,8 @@ from .fourier import (
     THRESH_SLACK, BooleanFunction, SpectralProfile, band_mask, band_mass, spectral_profile,
     threshold_mask,
 )
-from .generator import build_level_generator
 from .graph import Graph, is_complete, is_connected, is_edge_subgraph, max_degree, uniform_rate
-from .spectral import SpectralBasis, eigendecompose, level_bases
+from .spectral import SpectralBasis, level_bases
 from .statespace import StateCapExceeded
 
 # A comparison check counts a violation where its residual exceeds its theorem's tolerance.
@@ -48,18 +47,18 @@ def containment_hypothesis(g_complete: Graph, k: float, kprime: float) -> bool:
 def containment_residual(
     g_complete: Graph,
     g_other: Graph,
-    level: int,
     k: float,
     kprime: float,
-    basis_complete: SpectralBasis | None = None,
-    basis_other: SpectralBasis | None = None,
-) -> float:
-    """Worst projection residual of low eigenvectors onto the other span.
+    bases_complete,
+    bases_other,
+) -> list[float]:
+    """Worst projection residual of low eigenvectors onto the other span, per level.
 
-    Takes the complete-graph eigenvectors at this level with eigenvalue in
+    At each level takes the complete-graph eigenvectors with eigenvalue in
     (0, k] and projects each onto the span of the other graph's eigenvectors
     with eigenvalue at most 2 * beta * kprime * d, where d is the other
-    graph's maximum degree. Refuses unless containment_hypothesis holds.
+    graph's maximum degree. bases_complete and bases_other are the two
+    graphs' levels 0..n in order. Refuses unless containment_hypothesis holds.
     """
     if not is_complete(g_complete):
         raise ValueError("containment requires the first graph to be complete")
@@ -67,23 +66,23 @@ def containment_residual(
         raise ValueError("graphs must share a vertex set")
     if not (k > 0 and kprime > 0):
         raise ValueError("thresholds must be > 0")
-    beta = uniform_rate(g_other)
     if not containment_hypothesis(g_complete, k, kprime):
         raise ValueError(
             f"hypothesis alpha*k'*(n-k'+1) >= k fails for k={k:g}, k'={kprime:g}; "
             "the containment statement does not apply"
         )
-    d = max_degree(g_other)
-    if basis_complete is None:
-        basis_complete = eigendecompose(build_level_generator(g_complete, level))
-    if basis_other is None:
-        basis_other = eigendecompose(build_level_generator(g_other, level))
-    lam = basis_complete.eigenvalues
-    pick = band_mask(lam, k, "<=")
+    bound = 2.0 * uniform_rate(g_other) * kprime * max_degree(g_other)
+    return [_level_containment(basis_complete, basis_other, k, bound)
+            for basis_complete, basis_other in zip(bases_complete, bases_other, strict=True)]
+
+
+def _level_containment(basis_complete: SpectralBasis, basis_other: SpectralBasis,
+                       k: float, bound: float) -> float:
+    """containment_residual at one level: the other span is eigenvalues <= bound."""
+    pick = band_mask(basis_complete.eigenvalues, k, "<=")
     if not pick.any():
         return 0.0
-    mu = basis_other.eigenvalues
-    target = threshold_mask(mu, 2.0 * beta * kprime * d, "<=")
+    target = threshold_mask(basis_other.eigenvalues, bound, "<=")
     psi = basis_complete.vectors[:, pick]
     chi = basis_other.vectors[:, target]
     size = basis_complete.size
@@ -96,15 +95,15 @@ def containment_residual(
 def projection_mass_inequality(
     g_complete: Graph,
     g_other: Graph,
-    f: BooleanFunction,
     k: float,
-    profile_complete: SpectralProfile | None = None,
+    profile_complete: SpectralProfile,
+    profile_other: SpectralProfile,
 ) -> tuple[float, float]:
     """(general-graph mass in (0, 4k], complete-graph mass in (0, k]).
 
     Valid for the complete graph at rate 1/n against any connected graph at
     rate 1/max-degree, with k <= n/4; the first component can never be
-    smaller than the second.
+    smaller than the second. The profiles are of one function on each graph.
     """
     n = g_complete.n
     if not is_complete(g_complete):
@@ -122,9 +121,7 @@ def projection_mass_inequality(
         raise ValueError(f"threshold must satisfy k <= n/4 = {n / 4.0:g}, got {k}")
     if not k > 0:
         raise ValueError("threshold must be > 0")
-    if profile_complete is None:
-        profile_complete = spectral_profile(f, level_bases(g_complete))
-    lhs = band_mass(spectral_profile(f, level_bases(g_other)), 4.0 * k, "<=")
+    lhs = band_mass(profile_other, 4.0 * k, "<=")
     rhs = band_mass(profile_complete, k, "<=")
     return lhs, rhs
 
@@ -132,17 +129,17 @@ def projection_mass_inequality(
 def monotonicity_inequality_check(
     g: Graph,
     g_sub: Graph,
-    f: BooleanFunction,
     k: float,
     kprime: float,
-    profile: SpectralProfile | None = None,
-    profile_sub: SpectralProfile | None = None,
+    profile: SpectralProfile,
+    profile_sub: SpectralProfile,
 ) -> tuple[float, float]:
     """(subgraph tail mass beyond k', bound from the supergraph profile).
 
     The bound is (sqrt(k/k' * mass in (0, k]) + sqrt(mass beyond k))^2 with
     both masses taken under the supergraph. Requires the subgraph's rated
-    edges to be a subset of the supergraph's, and both connected.
+    edges to be a subset of the supergraph's, and both connected. The
+    profiles are of one function on each graph.
     """
     if not (k > 0 and kprime > 0):
         raise ValueError("thresholds must be > 0")
@@ -150,10 +147,6 @@ def monotonicity_inequality_check(
         raise ValueError("second graph must be an equal-rate edge subgraph of the first")
     if not (is_connected(g) and is_connected(g_sub)):
         raise ValueError("both graphs must be connected")
-    if profile is None:
-        profile = spectral_profile(f, level_bases(g))
-    if profile_sub is None:
-        profile_sub = spectral_profile(f, level_bases(g_sub))
     low = band_mass(profile, k, "<=")
     high = band_mass(profile, k, ">")
     lhs = band_mass(profile_sub, kprime, ">")
@@ -161,33 +154,30 @@ def monotonicity_inequality_check(
     return lhs, float(rhs)
 
 
-def spectra_domination_gap(
-    g_sub: Graph,
-    g: Graph,
-    bases_sub: list[SpectralBasis] | None = None,
-    bases: list[SpectralBasis] | None = None,
-) -> float:
-    """Largest amount by which a subgraph eigenvalue exceeds the supergraph's.
+def spectra_domination_gap(g_sub: Graph, g: Graph, bases_sub, bases) -> list[float]:
+    """Per level, the largest amount by which a subgraph eigenvalue exceeds the supergraph's.
 
     Sorted level spectra should be pointwise nondecreasing under edge
-    addition; the return value is positive only on a violation. Without
-    bases, each graph's levels are solved one at a time and only their
-    sorted eigenvalues are kept.
+    addition; a gap is positive only on a violation. bases_sub and bases are
+    the two graphs' levels 0..n in order, and may be level_bases streams:
+    map keeps no basis once its eigenvalues are sorted, so each stream frees
+    a level before it solves the next.
     """
     if not is_edge_subgraph(g_sub, g):
         raise ValueError("first graph must be an equal-rate edge subgraph of the second")
-    spectra = zip(_sorted_spectra(g_sub, bases_sub), _sorted_spectra(g, bases))
-    return max(float((small - big).max()) for small, big in spectra)
+    small, big = (map(lambda basis: np.sort(basis.eigenvalues), levels)
+                  for levels in (bases_sub, bases))
+    return [float((s - b).max()) for s, b in zip(small, big, strict=True)]
 
 
-def _sorted_spectra(g: Graph, bases: list[SpectralBasis] | None):
-    """Each level's sorted eigenvalues, from bases or else from level_bases(g).
-
-    map holds no basis once its eigenvalues are sorted, so level_bases frees
-    each level before solving the next.
-    """
-    return map(lambda basis: np.sort(basis.eigenvalues),
-               level_bases(g) if bases is None else bases)
+def check_record(name: str, residuals: list[float], tol: float) -> dict:
+    """A comparison check's report: one violation per residual above tol."""
+    return {
+        "name": name,
+        "instances": len(residuals),
+        "violations": sum(res > tol for res in residuals),
+        "max_residual": max(residuals, default=0.0),
+    }
 
 
 @dataclass(eq=False)
@@ -262,12 +252,8 @@ def sensitivity_profile(
         zero = profile.zero_mass()
         residuals += [abs(low + beyond + zero - profile.total_mass)
                       for _, low, _, beyond in masses]
-    report.checks.append({
-        "name": "mass_decomposition_identity",
-        "instances": len(residuals),
-        "violations": sum(res > DECOMPOSITION_TOL for res in residuals),
-        "max_residual": max(residuals, default=0.0),
-    })
+    report.checks.append(check_record("mass_decomposition_identity", residuals,
+                                      DECOMPOSITION_TOL))
     full = [r for r in report.records if not r.get("truncated")]
     for k in k_grid:
         key = repr(float(k))

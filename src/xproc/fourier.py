@@ -110,15 +110,14 @@ def make_function(n: int, family: str) -> BooleanFunction:
 class SpectralProfile:
     """Coefficients of a function against a full-space eigenbasis.
 
-    Entries are parallel arrays (level, index-within-level, eigenvalue,
-    coefficient); zero marks the zero eigenvalue block, over which the
-    squared coefficients aggregate to the variance of the level-conditional
-    mean plus the squared mean.
+    Entries are parallel arrays (level, eigenvalue, coefficient) in level
+    order, each level in its basis order; zero marks the zero eigenvalue
+    block, over which the squared coefficients aggregate to the variance of
+    the level-conditional mean plus the squared mean.
     """
 
     n: int
     levels: np.ndarray
-    indices: np.ndarray
     eigenvalues: np.ndarray
     coefficients: np.ndarray
     mean: float
@@ -140,9 +139,8 @@ class SpectralProfile:
         return float((self.coefficients[self.zero] ** 2).sum())
 
     def entries(self):
-        for l, i, lam, c in zip(self.levels, self.indices, self.eigenvalues,
-                                self.coefficients):
-            yield int(l), int(i), float(lam), float(c)
+        for l, lam, c in zip(self.levels, self.eigenvalues, self.coefficients):
+            yield int(l), float(lam), float(c)
 
 
 def spectral_profile(f: BooleanFunction, bases) -> SpectralProfile:
@@ -154,7 +152,7 @@ def spectral_profile(f: BooleanFunction, bases) -> SpectralProfile:
     as the loop goes (see level_bases for the loop that allows this).
     """
     n = f.n
-    levels, indices, eigenvalues, coeffs = [], [], [], []
+    levels, eigenvalues, coeffs = [], [], []
     level = 0
     for basis in bases:
         space = basis.space
@@ -166,7 +164,6 @@ def spectral_profile(f: BooleanFunction, bases) -> SpectralProfile:
         scale = math.sqrt(space.size / 2.0**n)
         coeffs_level = scale * basis.coefficients(f_level)
         levels.append(np.full(space.size, level, dtype=np.int64))
-        indices.append(np.arange(space.size, dtype=np.int64))
         eigenvalues.append(basis.eigenvalues)
         coeffs.append(coeffs_level)
         del basis  # before the next level is solved
@@ -176,7 +173,6 @@ def spectral_profile(f: BooleanFunction, bases) -> SpectralProfile:
     return SpectralProfile(
         n=n,
         levels=np.concatenate(levels),
-        indices=np.concatenate(indices),
         eigenvalues=np.concatenate(eigenvalues),
         coefficients=np.concatenate(coeffs),
         mean=f.mean(),
@@ -261,7 +257,7 @@ def mass_by_eigenvalue(profile: SpectralProfile) -> list[tuple[float, float]]:
 
 def profile_csv_rows(profile: SpectralProfile) -> list[tuple[int, float, float]]:
     """(level, eigenvalue, coeff_sq) rows in enumeration order."""
-    return [(l, lam, c * c) for l, _, lam, c in profile.entries()]
+    return [(l, lam, c * c) for l, lam, c in profile.entries()]
 
 
 def profile_summary(profile: SpectralProfile) -> dict:

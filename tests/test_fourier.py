@@ -192,7 +192,7 @@ def test_eigenvalue_bound_in_profiles():
     f = parity_on_set(6, [0, 3])
     profile = spectral_profile(f, all_level_bases(g))
     d = max_degree(g)
-    for level, _, lam, _ in profile.entries():
+    for level, lam, _ in profile.entries():
         assert lam <= 2 * 0.5 * level * d + 1e-9
 
 
@@ -209,7 +209,7 @@ def test_correlation_at_zero_and_infinity():
     f = parity_on_set(5, [0, 2])
     profile = profile_for(g, f)
     assert exact_correlation(profile, 0.0) == pytest.approx(profile.total_mass, abs=1e-12)
-    lam_min = min(lam for _, _, lam, _ in profile.entries() if lam > 1e-8)
+    lam_min = min(lam for _, lam, _ in profile.entries() if lam > 1e-8)
     assert exact_correlation(profile, 1e6 / lam_min) == pytest.approx(
         profile.zero_mass(), abs=1e-10
     )
@@ -286,7 +286,6 @@ def synthetic_profile(eigenvalues, coefficients):
     return SpectralProfile(
         n=3,
         levels=np.zeros(k, dtype=np.int64),
-        indices=np.arange(k, dtype=np.int64),
         eigenvalues=np.array(eigenvalues, dtype=float),
         coefficients=np.array(coefficients, dtype=float),
         mean=float(coefficients[0]),
@@ -338,8 +337,8 @@ def test_mass_extremes_on_real_profile():
     g = make_complete(4, 0.25)
     f = parity_on_set(4, [0, 2])
     profile = profile_for(g, f)
-    lam_max = max(lam for _, _, lam, _ in profile.entries())
-    lam_min = min(lam for _, _, lam, _ in profile.entries() if lam > 1e-8)
+    lam_max = max(lam for _, lam, _ in profile.entries())
+    lam_min = min(lam for _, lam, _ in profile.entries() if lam > 1e-8)
     nonzero = profile.total_mass - profile.zero_mass()
     assert low_frequency_mass(profile, lam_max + 1.0) == pytest.approx(nonzero, abs=1e-12)
     assert low_frequency_mass(profile, lam_min / 2) == 0.0
