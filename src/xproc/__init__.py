@@ -35,13 +35,13 @@ from .generator import (
 )
 from .spectral import (
     SpectralBasis,
-    all_level_bases,
     complete_graph_basis,
     eigendecompose,
     level_bases,
     lift_down,
     lift_up,
     mirror_basis,
+    solve_level,
     sum_lift,
 )
 from .fourier import (
@@ -64,7 +64,6 @@ from .dynamics import (
 )
 from .oracle import TransitionMatrix, brute_force_correlation, matrix_exponential
 from .diagnostics import (
-    SensitivityReport,
     containment_residual,
     monotonicity_inequality_check,
     projection_mass_inequality,

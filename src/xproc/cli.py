@@ -229,18 +229,19 @@ def cmd_spectrum(args) -> int:
     config = config_echo(args, ["graph", "rate", "rate_policy", "level", "format"])
     rows = []
     for level in levels:
-        gen = build_level_generator(g, level)
         if args.dump_matrix:
             path = args.dump_matrix
             if len(levels) > 1:
                 root, ext = os.path.splitext(path)
                 path = f"{root}.level{level}{ext or '.csv'}"
-            emit(format_csv([f"c{j}" for j in range(gen.space.size)],
-                            [tuple(row) for row in gen.matrix], config), path)
-        basis = spectral.eigendecompose(gen)
+            matrix = build_level_generator(g, level).matrix
+            emit(format_csv([f"c{j}" for j in range(matrix.shape[0])],
+                            [tuple(row) for row in matrix], config), path)
+            del matrix
+        basis = spectral.solve_level(g, level)
         rows += [(level, i, float(basis.eigenvalues[i]), gid)
                  for gid, group in enumerate(basis.groups) for i in group]
-        del gen, basis  # free this level before the next one is built
+        del basis  # free this level before the next one is solved
     if args.format == "csv":
         emit(format_csv(["level", "index", "eigenvalue", "multiplicity_group_id"],
                         rows, config), args.out)
@@ -259,6 +260,8 @@ def cmd_spectrum(args) -> int:
 def cmd_profile(args) -> int:
     if args.n_grid:
         return _profile_sweep(args)
+    if args.k is not None:
+        raise ConfigError("--k is read only with --n-grid")
     g = resolve_graph(args.graph, args.rate, args.rate_policy)
     check_levels(g.n)
     f = resolve_function(args.function, g.n)
@@ -283,6 +286,8 @@ def _profile_sweep(args) -> int:
     family = args.graph
     if family not in FAMILIES:
         raise ConfigError(f"--graph: unknown family {family!r}")
+    if args.format != "json":
+        raise ConfigError("--format: an --n-grid sweep is written as json only")
     n_grid = parse_n_grid(args.n_grid)
     if family == "half_complete_cycle" and any(n % 2 for n in n_grid):
         raise ConfigError("--n-grid: half_complete_cycle needs even vertex counts")
@@ -297,19 +302,18 @@ def _profile_sweep(args) -> int:
     if not function_spec or function_spec.startswith("@"):
         raise ConfigError("--function: a named family is required with --n-grid")
 
-    def make_instance(n: int):
+    def make_profile(n: int) -> fourier.SpectralProfile:
         size = n // 2 if family == "half_complete_cycle" else n
         g = family_graph(family, size, args.rate, args.rate_policy)
         check_levels(g.n)
-        return g, resolve_function(function_spec, g.n)
+        f = resolve_function(function_spec, g.n)
+        return fourier.spectral_profile(f, spectral.level_bases(g))
 
     config = config_echo(args, ["graph", "rate", "rate_policy", "function",
                                 "n-grid", "k", "format"])
-    sweep = diagnostics.sensitivity_profile(
-        make_instance, n_grid, k_grid,
-        family=f"{family}/{function_spec}",
-    )
-    emit(dumps_json(report(config, sweep.to_dict())) + "\n", args.out)
+    sweep = diagnostics.sensitivity_profile(make_profile, n_grid, k_grid,
+                                            family=f"{family}/{function_spec}")
+    emit(dumps_json(report(config, sweep)) + "\n", args.out)
     return 0
 
 
@@ -386,20 +390,24 @@ def cmd_compare(args) -> int:
     config = config_echo(args, ["graph", "rate", "rate_policy", "graph-b", "rate-b",
                                 "rate-policy-b", "function", "k", "kprime"])
     checks = []
-    f = resolve_function(args.function, g_a.n) if args.function else None
     subgraph = is_edge_subgraph(g_b, g_a)
+    if args.function and not (subgraph and args.k is not None and args.kprime is not None):
+        raise ConfigError("--function: no check reads it; the monotonicity check needs "
+                          "--graph-b to be an edge subgraph of --graph, and --k and --kprime")
+    f = resolve_function(args.function, g_a.n) if args.function else None
     holds = None  # the containment hypothesis; None when g_a is not complete or k is unset
     if is_complete(g_a) and args.k is not None:
         kprime = args.kprime if args.kprime is not None else 2.0 * args.k
         holds = diagnostics.containment_hypothesis(g_a, args.k, kprime)
     if subgraph or holds:
-        bases_a, bases_b = spectral.all_level_bases(g_a), spectral.all_level_bases(g_b)
+        bases_a = list(spectral.level_bases(g_a))
+        bases_b = list(spectral.level_bases(g_b))
     if subgraph:
         checks.append(diagnostics.check_record(
             "spectra_dominated_by_supergraph",
             diagnostics.spectra_domination_gap(g_b, g_a, bases_b, bases_a),
             diagnostics.DOMINATION_TOL))
-        if f is not None and args.k is not None and args.kprime is not None:
+        if f is not None:
             lhs, rhs = diagnostics.monotonicity_inequality_check(
                 g_a, g_b, args.k, args.kprime, fourier.spectral_profile(f, bases_a),
                 fourier.spectral_profile(f, bases_b))
@@ -521,8 +529,13 @@ def apply_config_file(argv: list[str]) -> list[str]:
         if idx == len(rest):
             raise ConfigError("--config requires a path")
         path = rest.pop(idx)
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"--config: cannot read {path}: {exc.strerror or exc}")
+    except ValueError as exc:  # json.JSONDecodeError, or bytes that are not text
+        raise ConfigError(f"--config: {path} is not a JSON file: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("--config: file must hold a JSON object of flag values")
     head = []

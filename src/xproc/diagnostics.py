@@ -11,23 +11,20 @@ Three quantitative statements are made executable here, all at finite n:
   under edge addition at equal rates.
 
 Asymptotic sensitivity/stability themselves are not decidable at finite n;
-the sensitivity report tabulates the relevant masses over an n-grid and
-annotates monotone trends instead of claiming limits.
+the sensitivity report tabulates the relevant masses of profiles its caller
+solved over an n-grid and annotates monotone trends instead of claiming
+limits.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .fourier import (
-    THRESH_SLACK, BooleanFunction, SpectralProfile, band_mask, band_mass, spectral_profile,
-    threshold_mask,
-)
+from .fourier import THRESH_SLACK, SpectralProfile, band_mask, band_mass, threshold_mask
 from .graph import Graph, is_complete, is_connected, is_edge_subgraph, max_degree, uniform_rate
-from .spectral import SpectralBasis, level_bases
+from .spectral import SpectralBasis
 from .statespace import StateCapExceeded
 
 # A comparison check counts a violation where its residual exceeds its theorem's tolerance.
@@ -180,26 +177,6 @@ def check_record(name: str, residuals: list[float], tol: float) -> dict:
     }
 
 
-@dataclass(eq=False)
-class SensitivityReport:
-    """Finite-n tabulation of the sensitivity/stability quantities.
-
-    records hold one dict per n (or a truncation marker when the state cap
-    was hit); trends annotate per-threshold monotonicity across n, which is
-    a hint and never a limit claim.
-    """
-
-    family: str
-    n_grid: list[int]
-    k_grid: list[float]
-    records: list[dict] = field(default_factory=list)
-    trends: dict = field(default_factory=dict)
-    checks: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def _trend(values: list[float]) -> str:
     up = all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     down = all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
@@ -213,26 +190,27 @@ def _trend(values: list[float]) -> str:
 
 
 def sensitivity_profile(
-    make_instance: Callable[[int], tuple[Graph, BooleanFunction]],
+    make_profile: Callable[[int], SpectralProfile],
     n_grid: list[int],
     k_grid: list[float],
     family: str = "custom",
-) -> SensitivityReport:
+) -> dict:
     """Tabulate conditional-mean variance and frequency masses over an n-grid.
 
-    make_instance(n) returns the graph (with rates) and function for one
-    grid point. Grid points whose level slices exceed the state cap produce
-    an explicit truncation record instead of failing the whole report.
+    make_profile(n) returns the spectral profile of one grid point, solved by
+    the caller. A grid point whose make_profile raises StateCapExceeded
+    produces an explicit truncation record instead of failing the whole
+    report. The report holds family, n_grid, k_grid, records (one dict per n),
+    trends (per-threshold monotonicity across n, a hint and never a limit
+    claim) and checks, in that order.
     """
-    report = SensitivityReport(family=family, n_grid=list(n_grid),
-                               k_grid=[float(k) for k in k_grid])
+    records = []
     residuals = []  # of the mass decomposition identity, one per (n, k)
     for n in n_grid:
         try:
-            g, f = make_instance(n)
-            profile = spectral_profile(f, level_bases(g))
+            profile = make_profile(n)
         except StateCapExceeded as exc:
-            report.records.append({
+            records.append({
                 "n": n,
                 "truncated": True,
                 "reason": str(exc),
@@ -241,7 +219,7 @@ def sensitivity_profile(
         # (key, mass in (0, k], mass in [k, inf), mass in (k, inf)) per k
         masses = [(repr(float(k)), *(band_mass(profile, float(k), side)
                                      for side in ("<=", ">=", ">"))) for k in k_grid]
-        report.records.append({
+        records.append({
             "n": n,
             "variance": profile.variance(),
             "conditional_mean_variance": profile.conditional_mean_variance,
@@ -252,16 +230,18 @@ def sensitivity_profile(
         zero = profile.zero_mass()
         residuals += [abs(low + beyond + zero - profile.total_mass)
                       for _, low, _, beyond in masses]
-    report.checks.append(check_record("mass_decomposition_identity", residuals,
-                                      DECOMPOSITION_TOL))
-    full = [r for r in report.records if not r.get("truncated")]
+    full = [r for r in records if not r.get("truncated")]
+    trends = {}
     for k in k_grid:
         key = repr(float(k))
-        report.trends[f"low_frequency_mass@{key}"] = _trend(
-            [r["low_frequency_mass"][key] for r in full]
-        )
-        report.trends[f"tail_mass@{key}"] = _trend([r["tail_mass"][key] for r in full])
-    report.trends["conditional_mean_variance"] = _trend(
-        [r["conditional_mean_variance"] for r in full]
-    )
-    return report
+        trends[f"low_frequency_mass@{key}"] = _trend([r["low_frequency_mass"][key] for r in full])
+        trends[f"tail_mass@{key}"] = _trend([r["tail_mass"][key] for r in full])
+    trends["conditional_mean_variance"] = _trend([r["conditional_mean_variance"] for r in full])
+    return {
+        "family": family,
+        "n_grid": list(n_grid),
+        "k_grid": [float(k) for k in k_grid],
+        "records": records,
+        "trends": trends,
+        "checks": [check_record("mass_decomposition_identity", residuals, DECOMPOSITION_TOL)],
+    }

@@ -138,8 +138,17 @@ def eigendecompose(gen: LevelGenerator) -> SpectralBasis:
     return SpectralBasis(gen.space, w, vectors)
 
 
+def solve_level(g: Graph, level: int) -> SpectralBasis:
+    """The eigendecomposition of -Q on one level of the process on g.
+
+    The one place a level is solved: every eigenbasis in the package comes
+    from here, so a backend choice made by graph and size lands here alone.
+    """
+    return eigendecompose(build_level_generator(g, level))
+
+
 def level_bases(g: Graph):
-    """Yield the eigendecompositions of levels 0..n of the process on g, in order.
+    """Yield solve_level(g, level) for levels 0..n of the process on g, in order.
 
     Level l is built and solved only when the consumer asks for it, and the
     generator keeps no basis it has yielded. A consumer that drops each
@@ -148,20 +157,12 @@ def level_bases(g: Graph):
     plain `for basis in level_bases(g)` and `del basis` at the end of the
     body (or with map): the loop variable, and the result tuple that
     enumerate() and zip() reuse, keep the previous basis alive while the
-    next level is solved.
+    next level is solved. A caller that indexes across levels or reads a
+    level twice holds them all with list(level_bases(g)), sum over l of
+    C(n, l)^2 doubles.
     """
     for level in range(g.n + 1):
-        yield eigendecompose(build_level_generator(g, level))
-
-
-def all_level_bases(g: Graph) -> list[SpectralBasis]:
-    """Every level's eigendecomposition 0..n at once, as list(level_bases(g)).
-
-    Holds all n + 1 bases together, sum over l of C(n, l)^2 doubles, so it
-    is only for callers that index across levels or read a level twice;
-    a caller that reads each level once iterates level_bases instead.
-    """
-    return list(level_bases(g))
+        yield solve_level(g, level)
 
 
 # ---------------------------------------------------------------------------

@@ -62,21 +62,18 @@ class BasisTable:
     complete graphs are held; any other graph is solved on every call, since
     holding every basis of a run would cost three times the memory for
     little more speed. Held arrays are read-only, so no check can change a
-    basis another check reads. eigendecompose is deterministic for identical
+    basis another check reads. solve_level is deterministic for identical
     input, so reusing a basis changes no report.
     """
 
     def __init__(self):
         self._bases: dict[tuple[Graph, int], spectral.SpectralBasis] = {}
 
-    def basis(self, g: Graph, level: int, gen=None) -> spectral.SpectralBasis:
-        """The level's eigenbasis; gen, if given, is g's generator on that level."""
+    def basis(self, g: Graph, level: int) -> spectral.SpectralBasis:
         key = (g, level)
         basis = self._bases.get(key)
         if basis is None:
-            if gen is None:
-                gen = build_level_generator(g, level)
-            basis = spectral.eigendecompose(gen)
+            basis = spectral.solve_level(g, level)
             if is_complete(g):
                 basis.eigenvalues.flags.writeable = False
                 basis.vectors.flags.writeable = False
@@ -213,9 +210,9 @@ def check_eigensolver(nmax: int, rng: np.random.Generator,
                         (f"C_{n}", make_cycle(n, 0.5)),
                         (f"random_{n}", random_connected_graph(rng, n, 1.0))):
             for level in range(n + 1):
-                gen = build_level_generator(g, level)
-                basis = table.basis(g, level, gen)
-                tally.add(basis_defect(gen, basis), 1e-10, f"{name} level {level}")
+                basis = table.basis(g, level)
+                tally.add(basis_defect(build_level_generator(g, level), basis), 1e-10,
+                          f"{name} level {level}")
     return tally
 
 
@@ -297,7 +294,7 @@ def check_eigenvalue_bound(nmax: int, rng: np.random.Generator,
         g = random_connected_graph(rng, n, rate)
         d = max_degree(g)
         for level in range(n + 1):
-            basis = spectral.eigendecompose(build_level_generator(g, level))
+            basis = spectral.solve_level(g, level)
             bound = 2.0 * rate * level * d
             gap = float(basis.eigenvalues[-1]) - bound
             tally.add(gap, 1e-9 * max(1.0, bound), f"draw {i} (n={n}) level {level}")
@@ -351,7 +348,7 @@ def check_containment(nmax: int, rng: np.random.Generator,
         bases_c = table.all_levels(complete)
         for name, raw in others:
             other = with_rate(raw, 1.0 / max_degree(raw))
-            bases_o = spectral.all_level_bases(other)
+            bases_o = list(spectral.level_bases(other))
             for k in (0.5, 1.0, 2.0, n / 4.0):
                 residuals = diagnostics.containment_residual(complete, other, k, 2.0 * k,
                                                              bases_c, bases_o)
@@ -402,7 +399,7 @@ def check_monotonicity(rng: np.random.Generator, count: int = 25) -> _Tally:
             ("half_complete_cycle", make_half_complete_cycle(half, 0.5)),
             ("complete", make_complete(2 * half, 0.5)),
         )
-        bases = {g: spectral.all_level_bases(g) for g in {g for _, g in chain}}
+        bases = {g: list(spectral.level_bases(g)) for g in {g for _, g in chain}}
         for (sname, small), (bname, big) in zip(chain, chain[1:]):
             gap = max(diagnostics.spectra_domination_gap(small, big, bases[small], bases[big]))
             tally.add(gap, diagnostics.DOMINATION_TOL,

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xproc import diagnostics
+from xproc import diagnostics, spectral
 from xproc.cli import apply_config_file, build_parser, dumps_json, main
 from xproc.graph import make_complete, make_cycle, make_half_complete_cycle, save_graph
-from xproc.spectral import all_level_bases
+from xproc.spectral import level_bases
 
 
 def run(args, capsys):
@@ -253,7 +253,7 @@ def test_compare_containment_uses_the_diagnostics_hypothesis(capsys):
     complete, cycle = make_complete(6, 1 / 6), make_cycle(6, 0.5)
     assert diagnostics.containment_hypothesis(complete, k, 2.0)
     assert check["max_residual"] == max(diagnostics.containment_residual(
-        complete, cycle, k, 2.0, all_level_bases(complete), all_level_bases(cycle)))
+        complete, cycle, k, 2.0, list(level_bases(complete)), list(level_bases(cycle))))
 
 
 def test_compare_counts_a_violation_per_violating_instance(capsys, monkeypatch):
@@ -597,3 +597,92 @@ def test_too_many_samples_names_samples(capsys, address_space_limit):
     assert code == 2 and out == ""
     assert err.startswith("config error: --samples: 1000000000000 samples are too many "
                           "to allocate")
+
+
+def test_config_file_missing_names_flag_and_path(tmp_path, capsys):
+    path = tmp_path / "nothere.json"
+    code, out, err = run(["--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: --config: cannot read {path}: No such file or directory\n"
+
+
+def test_config_file_not_json_names_flag_and_path(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("not json")
+    code, out, err = run([f"--config={path}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: --config: {path} is not a JSON file: Expecting value")
+
+
+UNREAD_FUNCTION = {  # compare flags under which no check reads --function
+    "rates differ, --k only": ["--graph", "complete:6", "--rate-policy", "one-over-max-degree",
+                               "--graph-b", "cycle:6", "--rate-policy-b",
+                               "one-over-max-degree", "--k", "1"],
+    "subgraph, --k only": ["--graph", "complete:6", "--rate", "1", "--graph-b", "cycle:6",
+                           "--rate-b", "1", "--k", "4"],
+    "subgraph, no threshold": ["--graph", "complete:6", "--rate", "1", "--graph-b",
+                               "cycle:6", "--rate-b", "1"],
+    "not a subgraph": ["--graph", "cycle:6", "--rate", "1", "--graph-b", "complete:6",
+                       "--rate-b", "1", "--k", "4", "--kprime", "8"],
+}
+
+
+@pytest.mark.parametrize("case", UNREAD_FUNCTION)
+def test_compare_function_no_check_reads_exit_2(capsys, case):
+    code, out, err = run(["compare", *UNREAD_FUNCTION[case], "--function", "dictator:0"],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: --function: no check reads it")
+    code, _, _ = run(["compare", *UNREAD_FUNCTION[case]], capsys)
+    assert code == 0
+
+
+def test_profile_k_without_n_grid_exit_2(capsys):
+    code, out, err = run(["profile", "--graph", "cycle:5", "--rate", "1", "--function",
+                          "majority", "--k", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "config error: --k is read only with --n-grid\n"
+
+
+def test_profile_sweep_refuses_csv(capsys):
+    argv = ["profile", "--graph", "cycle", "--rate", "1", "--function", "majority",
+            "--n-grid", "3:4"]
+    code, out, err = run([*argv, "--format", "csv"], capsys)
+    assert code == 2 and out == ""
+    assert err == "config error: --format: an --n-grid sweep is written as json only\n"
+    code, default, _ = run(argv, capsys)
+    assert code == 0
+    code, out, _ = run([*argv, "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["config"]["format"] == "json"
+    assert json.loads(out)["records"] == json.loads(default)["records"]
+
+
+SOLVING_COMMANDS = {
+    "spectrum": ["spectrum", "--graph", "cycle:5", "--rate", "1"],
+    "spectrum --level --dump-matrix": ["spectrum", "--graph", "cycle:5", "--rate", "1",
+                                       "--level", "2", "--dump-matrix", "m.csv"],
+    "profile": ["profile", "--graph", "complete:5", "--rate", "1", "--function", "majority"],
+    "exact": ["exact", "--graph", "cycle:5", "--rate", "1", "--function", "majority",
+              "--t", "0.5"],
+    "compare": ["compare", "--graph", "complete:6", "--rate", "1", "--graph-b", "cycle:6",
+                "--rate-b", "1", "--function", "dictator:0", "--k", "4", "--kprime", "8"],
+    "profile --n-grid": ["profile", "--graph", "cycle", "--rate", "1", "--function",
+                         "majority", "--n-grid", "3:5"],
+    "verify": ["verify", "--nmax", "6"],
+}
+
+
+@pytest.mark.parametrize("command", SOLVING_COMMANDS)
+def test_every_solve_goes_through_solve_level(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    calls = {"solve_level": 0, "eigendecompose": 0}
+    for name in calls:
+        inner = getattr(spectral, name)
+
+        def counting(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(spectral, name, counting)
+    assert run(SOLVING_COMMANDS[command], capsys)[0] == 0
+    assert calls["solve_level"] == calls["eigendecompose"] > 0

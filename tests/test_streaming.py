@@ -59,11 +59,11 @@ def test_commands_free_each_level_before_the_next(live_bases, capsys, command):
 
 
 def test_sensitivity_profile_frees_each_level(live_bases):
-    def make_instance(n):
-        return make_cycle(n, 1.0), dictator(n, 0)
+    def make_profile(n):
+        return spectral_profile(dictator(n, 0), spectral.level_bases(make_cycle(n, 1.0)))
 
-    report = diagnostics.sensitivity_profile(make_instance, [4, 5, 6], [0.5, 2.0])
-    assert len(report.records) == 3
+    report = diagnostics.sensitivity_profile(make_profile, [4, 5, 6], [0.5, 2.0])
+    assert len(report["records"]) == 3
     assert live_bases["solves"] == 5 + 6 + 7
     assert live_bases["stale"] == []
 
@@ -96,8 +96,8 @@ BAD_STREAMS = {  # levels of cycle:4 bases (5 is cycle:5's top level), and the e
 
 @pytest.mark.parametrize("case", BAD_STREAMS)
 def test_profile_rejects_bad_level_streams(case):
-    bases = spectral.all_level_bases(make_cycle(4, 1.0)) + [
-        spectral.all_level_bases(make_cycle(5, 1.0))[5]]
+    bases = list(spectral.level_bases(make_cycle(4, 1.0))) + [
+        list(spectral.level_bases(make_cycle(5, 1.0)))[5]]
     levels, message = BAD_STREAMS[case]
     with pytest.raises(ValueError, match=message):
         spectral_profile(dictator(4, 0), (bases[level] for level in levels))

@@ -54,7 +54,7 @@ def test_other_graphs_are_not_held():
 def test_held_basis_equals_a_fresh_solve():
     g = make_complete(6, 1.0)
     table = verify.BasisTable()
-    for level, fresh in enumerate(spectral.all_level_bases(g)):
+    for level, fresh in enumerate(list(spectral.level_bases(g))):
         held = table.basis(g, level)
         assert np.array_equal(held.vectors, fresh.vectors)
         assert np.array_equal(held.eigenvalues, fresh.eigenvalues)
