@@ -3,8 +3,9 @@
 Output is deterministic byte-for-byte for a fixed config (including the
 seed): floats print with 17 significant digits in JSON and 12 in CSV, key
 order is fixed, and no timestamps are embedded. Exit codes: 0 success,
-1 verification failures, 2 config errors, 3 numerical failures (a solver
-or the oracle failed on valid input).
+1 when a check record of the report counts a violation (verify, compare,
+profile --n-grid), 2 config errors, 3 numerical failures (a solver or the
+oracle failed on valid input).
 """
 
 from __future__ import annotations
@@ -90,16 +91,27 @@ def format_csv(header: list[str], rows: list[tuple], config: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(text: str, out: str | None) -> None:
-    if out:
+def check_writable(flag: str, path: str | None) -> None:
+    """Refuse an output path that cannot be written, before any work is done."""
+    if not path:
+        return
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ConfigError(f"{flag}: {path} is a directory")
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError(f"{flag}: cannot write {path}: {folder} is not a writable directory")
+
+
+def emit(text: str, out: str | None, flag: str = "--out") -> None:
+    """Write text to out, or to stdout when out is unset; a failed write names flag."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def report(config: dict, body: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "config": config, **body}
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot write {out}: {exc.strerror or exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +232,11 @@ def config_echo(args: argparse.Namespace, keys: list[str]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (config, body), which main writes. A dict body is
+# a JSON report, and (header, rows) a CSV table.
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple:
     g = resolve_graph(args.graph, args.rate, args.rate_policy)
     levels = parse_levels(args.level, g.n)
     config = config_echo(args, ["graph", "rate", "rate_policy", "level", "format"])
@@ -236,28 +249,24 @@ def cmd_spectrum(args) -> int:
                 path = f"{root}.level{level}{ext or '.csv'}"
             matrix = build_level_generator(g, level).matrix
             emit(format_csv([f"c{j}" for j in range(matrix.shape[0])],
-                            [tuple(row) for row in matrix], config), path)
+                            [tuple(row) for row in matrix], config), path, "--dump-matrix")
             del matrix
         basis = spectral.solve_level(g, level)
         rows += [(level, i, float(basis.eigenvalues[i]), gid)
                  for gid, group in enumerate(basis.groups) for i in group]
         del basis  # free this level before the next one is solved
     if args.format == "csv":
-        emit(format_csv(["level", "index", "eigenvalue", "multiplicity_group_id"],
-                        rows, config), args.out)
-    else:
-        body = {
-            "graph": to_json_dict(g),
-            "spectrum": [
-                {"level": l, "index": i, "eigenvalue": lam, "multiplicity_group_id": gid}
-                for l, i, lam, gid in rows
-            ],
-        }
-        emit(dumps_json(report(config, body)) + "\n", args.out)
-    return 0
+        return config, (["level", "index", "eigenvalue", "multiplicity_group_id"], rows)
+    return config, {
+        "graph": to_json_dict(g),
+        "spectrum": [
+            {"level": l, "index": i, "eigenvalue": lam, "multiplicity_group_id": gid}
+            for l, i, lam, gid in rows
+        ],
+    }
 
 
-def cmd_profile(args) -> int:
+def cmd_profile(args) -> tuple:
     if args.n_grid:
         return _profile_sweep(args)
     if args.k is not None:
@@ -268,15 +277,11 @@ def cmd_profile(args) -> int:
     config = config_echo(args, ["graph", "rate", "rate_policy", "function", "format"])
     profile = fourier.spectral_profile(f, spectral.level_bases(g))
     if args.format == "csv":
-        emit(format_csv(["level", "eigenvalue", "coeff_sq"],
-                        fourier.profile_csv_rows(profile), config), args.out)
-    else:
-        emit(dumps_json(report(config, fourier.profile_summary(profile))) + "\n",
-             args.out)
-    return 0
+        return config, (["level", "eigenvalue", "coeff_sq"], fourier.profile_csv_rows(profile))
+    return config, fourier.profile_summary(profile)
 
 
-def _profile_sweep(args) -> int:
+def _profile_sweep(args) -> tuple:
     """Sensitivity tabulation of one (graph family, function) over an n-grid."""
     if not args.graph or ":" in args.graph or args.graph.startswith("@"):
         raise ConfigError(
@@ -311,13 +316,11 @@ def _profile_sweep(args) -> int:
 
     config = config_echo(args, ["graph", "rate", "rate_policy", "function",
                                 "n-grid", "k", "format"])
-    sweep = diagnostics.sensitivity_profile(make_profile, n_grid, k_grid,
-                                            family=f"{family}/{function_spec}")
-    emit(dumps_json(report(config, sweep)) + "\n", args.out)
-    return 0
+    return config, diagnostics.sensitivity_profile(make_profile, n_grid, k_grid,
+                                                   family=f"{family}/{function_spec}")
 
 
-def cmd_exact(args) -> int:
+def cmd_exact(args) -> tuple:
     g = resolve_graph(args.graph, args.rate, args.rate_policy)
     check_levels(g.n)
     f = resolve_function(args.function, g.n)
@@ -332,11 +335,10 @@ def cmd_exact(args) -> int:
     if args.eps is not None:
         body["eps"] = args.eps
         body["flip_probability"] = fourier.exact_flip_probability(profile, args.eps)
-    emit(dumps_json(report(config, body)) + "\n", args.out)
-    return 0
+    return config, body
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     g = resolve_graph(args.graph, args.rate, args.rate_policy)
     f = resolve_function(args.function, g.n)
     check_numbers(*horizon_rules(args), ("--samples", args.samples, ">=", 1))
@@ -362,24 +364,21 @@ def cmd_simulate(args) -> int:
             }
     except MemoryError as exc:
         raise ConfigError(f"--samples: {args.samples} samples are too many to allocate ({exc})")
-    emit(dumps_json(report(config, body)) + "\n", args.out)
-    return 0
+    return config, body
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     if args.suite != "all":
         raise ConfigError(f"--suite: only 'all' is supported, got {args.suite!r}")
     check_numbers(("--nmax", args.nmax, ">=", 4),
                   ("--mc-samples", args.mc_samples, ">=", verify.MIN_MC_SAMPLES),
                   ("--seed", args.seed, ">=", 0))
     config = config_echo(args, ["suite", "nmax", "seed", "mc_samples"])
-    result = verify.run_suite(nmax=args.nmax, seed=args.seed,
-                              mc_samples=args.mc_samples)
-    emit(dumps_json(report(config, result)) + "\n", args.out)
-    return 0 if result["violations"] == 0 else 1
+    return config, verify.run_suite(nmax=args.nmax, seed=args.seed,
+                                    mc_samples=args.mc_samples)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple:
     check_numbers(("--k", args.k, ">", 0), ("--kprime", args.kprime, ">", 0))
     if args.kprime is not None and args.k is None:
         raise ConfigError("--k is required with --kprime; no check reads --kprime alone")
@@ -421,13 +420,11 @@ def cmd_compare(args) -> int:
                                                diagnostics.CONTAINMENT_TOL))
         if not holds:
             checks[-1]["skipped"] = "threshold hypothesis does not hold for these k, k'"
-    body = {
+    return config, {
         "edge_subgraph": subgraph,
         "checks": checks,
-        "violations": int(sum(c["violations"] for c in checks)),
+        "violations": sum(c["violations"] for c in checks),
     }
-    emit(dumps_json(report(config, body)) + "\n", args.out)
-    return 0 if body["violations"] == 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +550,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = apply_config_file(argv)
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        check_writable("--out", args.out)
+        check_writable("--dump-matrix", getattr(args, "dump_matrix", None))
+        config, body = args.func(args)
+        if not isinstance(body, dict):
+            emit(format_csv(*body, config), args.out)
+            return 0
+        emit(dumps_json({"schema_version": SCHEMA_VERSION, "config": config, **body}) + "\n",
+             args.out)
+        return 1 if any(c["violations"] for c in body.get("checks", ())) else 0
     except (ConfigError, OSError, ValueError, StateCapExceeded) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,8 @@ limits.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from typing import Callable
 
 import numpy as np
@@ -27,7 +29,8 @@ from .graph import Graph, is_complete, is_connected, is_edge_subgraph, max_degre
 from .spectral import SpectralBasis
 from .statespace import StateCapExceeded
 
-# A comparison check counts a violation where its residual exceeds its theorem's tolerance.
+# A comparison check counts a violation where its residual is not within its
+# theorem's tolerance (check_record).
 CONTAINMENT_TOL = 1e-8       # containment_residual
 DOMINATION_TOL = 1e-10       # spectra_domination_gap
 PROJECTION_MASS_TOL = 1e-10  # rhs - lhs of projection_mass_inequality
@@ -167,14 +170,27 @@ def spectra_domination_gap(g_sub: Graph, g: Graph, bases_sub, bases) -> list[flo
     return [float((s - b).max()) for s, b in zip(small, big, strict=True)]
 
 
-def check_record(name: str, residuals: list[float], tol: float) -> dict:
-    """A comparison check's report: one violation per residual above tol."""
-    return {
+def check_record(name: str, residuals: Sequence[float], tol: float | Sequence[float],
+                 labels: Sequence[str] | None = None) -> dict:
+    """A check's report: one violation per residual not within its tolerance.
+
+    tol is one tolerance for every instance or a sequence of one per instance.
+    A NaN residual is a violation, so a check fails closed; it ranks below
+    every number for max_residual and, given one label per instance,
+    worst_instance, the label of the first instance with the largest residual.
+    """
+    tols = np.broadcast_to(tol, len(residuals))
+    numbers = [i for i, res in enumerate(residuals) if not math.isnan(res)]
+    worst = max(numbers, key=lambda i: residuals[i], default=None)
+    record = {
         "name": name,
         "instances": len(residuals),
-        "violations": sum(res > tol for res in residuals),
-        "max_residual": max(residuals, default=0.0),
+        "violations": sum(not res <= t for res, t in zip(residuals, tols)),
+        "max_residual": 0.0 if worst is None else float(residuals[worst]),
     }
+    if labels is not None:
+        record["worst_instance"] = "" if worst is None else labels[worst]
+    return record
 
 
 def _trend(values: list[float]) -> str:

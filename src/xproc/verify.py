@@ -26,34 +26,6 @@ EXTRA_EDGE_PROB = 0.35  # random_connected_graph: chance of each non-tree edge
 KEEP_PROB = 0.5         # random_connected_subgraph: chance of keeping each non-tree edge
 
 
-class _Tally:
-    """One check's result: instances, violations and the worst residual seen."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.instances = 0
-        self.violations = 0
-        self.worst = -np.inf
-        self.label = ""
-
-    def add(self, residual: float, threshold: float, label: str):
-        self.instances += 1
-        if residual > self.worst:
-            self.worst = residual
-            self.label = label
-        if residual > threshold:
-            self.violations += 1
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "instances": self.instances,
-            "violations": self.violations,
-            "max_residual": 0.0 if self.instances == 0 else float(self.worst),
-            "worst_instance": self.label,
-        }
-
-
 class BasisTable:
     """Complete-graph eigenbases of one suite run, each solved once.
 
@@ -137,10 +109,16 @@ def random_boolean_function(rng: np.random.Generator, n: int) -> fourier.Boolean
 # checks
 # ---------------------------------------------------------------------------
 
-def check_generator_invariants(nmax: int, rng: np.random.Generator) -> _Tally:
+def _record(name: str, rows: list[tuple[float, float, str]]) -> dict:
+    """check_record of one check's (residual, tolerance, instance label) rows."""
+    residuals, tols, labels = zip(*rows) if rows else ((), (), ())
+    return diagnostics.check_record(name, residuals, tols, labels)
+
+
+def check_generator_invariants(nmax: int, rng: np.random.Generator) -> dict:
     """Row sums, symmetry, sign pattern, kernel, complete-graph diagonal,
     and edge-monotonicity of the quadratic form."""
-    tally = _Tally("generator_invariants")
+    rows = []
 
     def graphs():
         for n in range(3, min(nmax, 8) + 1):
@@ -156,14 +134,14 @@ def check_generator_invariants(nmax: int, rng: np.random.Generator) -> _Tally:
             m = gen.matrix
             scale = max(1.0, float(np.max(np.abs(m))))
             off = m - np.diag(np.diag(m))
-            res = max(
-                float(np.max(np.abs(m - m.T))),
-                float(np.max(np.abs(m.sum(axis=1)))),
-                float(off.max(initial=0.0)),          # off-diagonal must be <= 0
-                float(max(0.0, -np.diag(m).min(initial=0.0))),
-                float(np.max(np.abs(m @ np.ones(gen.space.size)))),
-            )
-            tally.add(res / scale, 1e-12, f"{name} level {level}")
+            res = float(np.max([
+                np.max(np.abs(m - m.T)),
+                np.max(np.abs(m.sum(axis=1))),
+                off.max(initial=0.0),          # off-diagonal must be <= 0
+                -np.diag(m).min(initial=0.0),  # diagonal must be >= 0
+                np.max(np.abs(m @ np.ones(gen.space.size))),
+            ]))
+            rows.append((res / scale, 1e-12, f"{name} level {level}"))
     # complete-graph diagonal is level * (n - level) * rate everywhere
     for n in range(2, min(nmax, 8) + 1):
         rate = 0.75
@@ -172,7 +150,7 @@ def check_generator_invariants(nmax: int, rng: np.random.Generator) -> _Tally:
             gen = build_level_generator(g, level)
             expected = level * (n - level) * rate
             res = float(np.max(np.abs(np.diag(gen.matrix) - expected)))
-            tally.add(res, 1e-12 * max(1.0, expected), f"K_{n} diagonal level {level}")
+            rows.append((res, 1e-12 * max(1.0, expected), f"K_{n} diagonal level {level}"))
     # removing edges can only decrease the quadratic form
     for i in range(10):
         n = int(rng.integers(4, min(nmax, 6) + 1))
@@ -183,9 +161,9 @@ def check_generator_invariants(nmax: int, rng: np.random.Generator) -> _Tally:
         gen_sub = build_level_generator(sub, level)
         f = rng.standard_normal(gen.space.size)
         gap = dirichlet_form(gen_sub, f) - dirichlet_form(gen, f)
-        tally.add(gap, 1e-10 * max(1.0, abs(dirichlet_form(gen, f))),
-                  f"dirichlet monotonicity draw {i} (n={n})")
-    return tally
+        rows.append((gap, 1e-10 * max(1.0, abs(dirichlet_form(gen, f))),
+                     f"dirichlet monotonicity draw {i} (n={n})"))
+    return _record("generator_invariants", rows)
 
 
 def basis_defect(gen, basis) -> float:
@@ -199,21 +177,21 @@ def basis_defect(gen, basis) -> float:
     ortho_err = float(np.max(np.abs(gram)))
     kernel_err = 0.0 if (basis.eigenvalues[0] == 0.0 and
                          np.all(basis.vectors[:, 0] == 1.0)) else 1.0
-    return max(eig_err if norm2 > 0 else 0.0, ortho_err, kernel_err)
+    return float(np.max([eig_err if norm2 > 0 else 0.0, ortho_err, kernel_err]))
 
 
 def check_eigensolver(nmax: int, rng: np.random.Generator,
-                      table: BasisTable) -> _Tally:
-    tally = _Tally("eigensolver_residuals")
+                      table: BasisTable) -> dict:
+    rows = []
     for n in range(3, min(nmax, 8) + 1):
         for name, g in ((f"K_{n}", make_complete(n, 1.0)),
                         (f"C_{n}", make_cycle(n, 0.5)),
                         (f"random_{n}", random_connected_graph(rng, n, 1.0))):
             for level in range(n + 1):
                 basis = table.basis(g, level)
-                tally.add(basis_defect(build_level_generator(g, level), basis), 1e-10,
-                          f"{name} level {level}")
-    return tally
+                rows.append((basis_defect(build_level_generator(g, level), basis), 1e-10,
+                             f"{name} level {level}"))
+    return _record("eigensolver_residuals", rows)
 
 
 def expected_complete_spectrum(n: int, level: int, alpha: float) -> np.ndarray:
@@ -221,8 +199,8 @@ def expected_complete_spectrum(n: int, level: int, alpha: float) -> np.ndarray:
     return np.sort(np.repeat(lam, mult))
 
 
-def check_complete_multiplicities(nmax: int, table: BasisTable) -> _Tally:
-    tally = _Tally("complete_graph_multiplicities")
+def check_complete_multiplicities(nmax: int, table: BasisTable) -> dict:
+    rows = []
     for n in range(2, nmax + 1):
         for alpha in (1.0, 1.0 / n):
             g = make_complete(n, alpha)
@@ -233,14 +211,13 @@ def check_complete_multiplicities(nmax: int, table: BasisTable) -> _Tally:
                     np.max(np.abs(np.sort(basis.eigenvalues) - expected)
                            / np.maximum(1.0, expected))
                 )
-                tally.add(err, 1e-8, f"K_{n} alpha={alpha:g} level {level}")
-    return tally
+                rows.append((err, 1e-8, f"K_{n} alpha={alpha:g} level {level}"))
+    return _record("complete_graph_multiplicities", rows)
 
 
 def lift_length_error(n: int, level: int, alpha: float, basis) -> float:
     """Worst relative error of the closed-form lift lengths on one basis."""
     lam = basis.eigenvalues
-    worst = 0.0
     lifts = []
     if level >= 1:
         want = (n - level + 1) / (alpha * level) * (alpha * level * (n - level + 1) - lam)
@@ -248,29 +225,29 @@ def lift_length_error(n: int, level: int, alpha: float, basis) -> float:
     if level <= n - 1:
         want = (level + 1) / (alpha * (n - level)) * (alpha * (level + 1) * (n - level) - lam)
         lifts.append((spectral.lift_up(basis.space, basis.vectors), want))
+    errs = []
     for lifted, want in lifts:
         # Dots of contiguous copies: a strided dot rounds differently.
         got = np.array([float(c @ c) for c in map(np.copy, lifted.T)]) / lifted.shape[0]
-        err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
-        worst = max(worst, float(err.max()))
-    return worst
+        errs.append(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+    return float(np.max(errs, initial=0.0))
 
 
-def check_lift_lengths(nmax: int, table: BasisTable) -> _Tally:
-    tally = _Tally("lift_length_formulas")
+def check_lift_lengths(nmax: int, table: BasisTable) -> dict:
+    rows = []
     for n in range(2, nmax + 1):
         for alpha in (1.0, 1.0 / n):
             g = make_complete(n, alpha)
             for level in range(n // 2 + 1):
                 basis = table.basis(g, level)
                 err = lift_length_error(n, level, alpha, basis)
-                tally.add(err, 1e-8, f"K_{n} alpha={alpha:g} level {level}")
-    return tally
+                rows.append((err, 1e-8, f"K_{n} alpha={alpha:g} level {level}"))
+    return _record("lift_length_formulas", rows)
 
 
-def check_orthogonality_preserved(nmax: int, table: BasisTable) -> _Tally:
+def check_orthogonality_preserved(nmax: int, table: BasisTable) -> dict:
     """Lifts of orthogonal complete-graph eigenvectors stay orthogonal."""
-    tally = _Tally("lift_orthogonality")
+    rows = []
     for n in range(3, nmax + 1):
         g = make_complete(n, 1.0)
         for level in range(1, n // 2 + 1):
@@ -280,14 +257,14 @@ def check_orthogonality_preserved(nmax: int, table: BasisTable) -> _Tally:
             for tag, mat in (("down", downs), ("up", ups)):
                 gram = mat.T @ mat / mat.shape[0]
                 off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
-                tally.add(off, 1e-10 * max(1.0, float(np.max(np.abs(gram)))),
-                          f"K_{n} level {level} {tag}")
-    return tally
+                rows.append((off, 1e-10 * max(1.0, float(np.max(np.abs(gram)))),
+                             f"K_{n} level {level} {tag}"))
+    return _record("lift_orthogonality", rows)
 
 
 def check_eigenvalue_bound(nmax: int, rng: np.random.Generator,
-                           count: int = 30) -> _Tally:
-    tally = _Tally("eigenvalue_upper_bound")
+                           count: int = 30) -> dict:
+    rows = []
     for i in range(count):
         n = int(rng.integers(3, min(nmax, 8) + 1))
         rate = float(rng.uniform(0.1, 1.5))
@@ -297,31 +274,31 @@ def check_eigenvalue_bound(nmax: int, rng: np.random.Generator,
             basis = spectral.solve_level(g, level)
             bound = 2.0 * rate * level * d
             gap = float(basis.eigenvalues[-1]) - bound
-            tally.add(gap, 1e-9 * max(1.0, bound), f"draw {i} (n={n}) level {level}")
-    return tally
+            rows.append((gap, 1e-9 * max(1.0, bound), f"draw {i} (n={n}) level {level}"))
+    return _record("eigenvalue_upper_bound", rows)
 
 
-def check_parseval(nmax: int, rng: np.random.Generator, count: int = 12) -> _Tally:
-    tally = _Tally("parseval")
+def check_parseval(nmax: int, rng: np.random.Generator, count: int = 12) -> dict:
+    rows = []
     for i in range(count):
         n = int(rng.integers(3, min(nmax, 7) + 1))
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
         f = random_boolean_function(rng, n)
         profile = fourier.spectral_profile(f, spectral.level_bases(g))
         direct = float(np.mean(f.values**2))
-        err = abs(profile.total_mass - direct)
         cond = 0.0
         for level in range(n + 1):
             space = enumerate_level(n, level)
             cond += space.size / 2.0**n * float(f.values[space.words].mean()) ** 2
-        err = max(err, abs(profile.zero_mass() - cond))
-        err = max(err, abs(fourier.exact_correlation(profile, 0.0) - direct))
-        tally.add(err, 1e-10, f"draw {i} (n={n})")
-    return tally
+        err = float(np.max(np.abs([profile.total_mass - direct,
+                                   profile.zero_mass() - cond,
+                                   fourier.exact_correlation(profile, 0.0) - direct])))
+        rows.append((err, 1e-10, f"draw {i} (n={n})"))
+    return _record("parseval", rows)
 
 
-def check_oracle_equivalence(rng: np.random.Generator, count: int = 15) -> _Tally:
-    tally = _Tally("oracle_equivalence")
+def check_oracle_equivalence(rng: np.random.Generator, count: int = 15) -> dict:
+    rows = []
     for i in range(count):
         n = int(rng.integers(3, 7))
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
@@ -330,13 +307,13 @@ def check_oracle_equivalence(rng: np.random.Generator, count: int = 15) -> _Tall
         profile = fourier.spectral_profile(f, spectral.level_bases(g))
         err = abs(fourier.exact_correlation(profile, t)
                   - oracle.brute_force_correlation(g, f, t))
-        tally.add(err, 1e-8, f"draw {i} (n={n}, t={t:.3f})")
-    return tally
+        rows.append((err, 1e-8, f"draw {i} (n={n}, t={t:.3f})"))
+    return _record("oracle_equivalence", rows)
 
 
 def check_containment(nmax: int, rng: np.random.Generator,
-                      table: BasisTable) -> _Tally:
-    tally = _Tally("containment_residual")
+                      table: BasisTable) -> dict:
+    rows = []
     for n in (6, 8, 10, 12):
         if n > nmax:
             continue
@@ -353,14 +330,14 @@ def check_containment(nmax: int, rng: np.random.Generator,
                 residuals = diagnostics.containment_residual(complete, other, k, 2.0 * k,
                                                              bases_c, bases_o)
                 for level, res in enumerate(residuals):
-                    tally.add(res, diagnostics.CONTAINMENT_TOL,
-                              f"{name} n={n} k={k:g} level {level}")
-    return tally
+                    rows.append((res, diagnostics.CONTAINMENT_TOL,
+                                 f"{name} n={n} k={k:g} level {level}"))
+    return _record("containment_residual", rows)
 
 
 def check_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable,
-                          count: int = 25) -> _Tally:
-    tally = _Tally("projection_mass_inequality")
+                          count: int = 25) -> dict:
+    rows = []
     for i in range(count):
         n = int(rng.integers(4, min(nmax, 8) + 1))
         complete = make_complete(n, 1.0 / n)
@@ -372,12 +349,13 @@ def check_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable
             complete, other, k, fourier.spectral_profile(f, table.all_levels(complete)),
             fourier.spectral_profile(f, spectral.level_bases(other)),
         )
-        tally.add(rhs - lhs, diagnostics.PROJECTION_MASS_TOL, f"draw {i} (n={n}, k={k:.3f})")
-    return tally
+        rows.append((rhs - lhs, diagnostics.PROJECTION_MASS_TOL,
+                     f"draw {i} (n={n}, k={k:.3f})"))
+    return _record("projection_mass_inequality", rows)
 
 
-def check_monotonicity(rng: np.random.Generator, count: int = 25) -> _Tally:
-    tally = _Tally("monotonicity_inequality")
+def check_monotonicity(rng: np.random.Generator, count: int = 25) -> dict:
+    rows = []
     for i in range(count):
         n = int(rng.integers(5, 7))
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
@@ -390,8 +368,8 @@ def check_monotonicity(rng: np.random.Generator, count: int = 25) -> _Tally:
             g, sub, k, kprime, fourier.spectral_profile(f, spectral.level_bases(g)),
             fourier.spectral_profile(f, spectral.level_bases(sub)),
         )
-        tally.add(lhs - rhs, diagnostics.MONOTONICITY_TOL,
-                  f"draw {i} (n={n}, k={k:.3f}, k'={kprime:.3f})")
+        rows.append((lhs - rhs, diagnostics.MONOTONICITY_TOL,
+                     f"draw {i} (n={n}, k={k:.3f}, k'={kprime:.3f})"))
     # the example chain: spectra grow pointwise under edge addition
     for half in (2, 3):
         chain = (
@@ -401,15 +379,16 @@ def check_monotonicity(rng: np.random.Generator, count: int = 25) -> _Tally:
         )
         bases = {g: list(spectral.level_bases(g)) for g in {g for _, g in chain}}
         for (sname, small), (bname, big) in zip(chain, chain[1:]):
-            gap = max(diagnostics.spectra_domination_gap(small, big, bases[small], bases[big]))
-            tally.add(gap, diagnostics.DOMINATION_TOL,
-                      f"{sname} vs {bname} on {2 * half} vertices")
-    return tally
+            gap = float(np.max(
+                diagnostics.spectra_domination_gap(small, big, bases[small], bases[big])))
+            rows.append((gap, diagnostics.DOMINATION_TOL,
+                         f"{sname} vs {bname} on {2 * half} vertices"))
+    return _record("monotonicity_inequality", rows)
 
 
-def check_monte_carlo(seed: int, table: BasisTable, samples: int = 4000) -> _Tally:
+def check_monte_carlo(seed: int, table: BasisTable, samples: int = 4000) -> dict:
     """Estimates agree with the exact formulas within 3 standard errors."""
-    tally = _Tally("monte_carlo_agreement")
+    rows = []
     cases = [
         ("K_4 dictator cov t=1", make_complete(4, 0.25), fourier.dictator(4, 0), "cov", 1.0),
         ("C_6 parity flip eps=0.3", make_cycle(6, 0.5),
@@ -427,8 +406,8 @@ def check_monte_carlo(seed: int, table: BasisTable, samples: int = 4000) -> _Tal
             est = dynamics.estimate_flip_probability(g, f, t, spec)
             exact = fourier.exact_flip_probability(profile, t)
         dev = abs(est.point - exact) / max(est.std_error, 1e-12)
-        tally.add(dev, 3.0, label)
-    return tally
+        rows.append((dev, 3.0, label))
+    return _record("monte_carlo_agreement", rows)
 
 
 def run_suite(nmax: int = 8, seed: int = 7, mc_samples: int = 4000) -> dict:
@@ -453,6 +432,6 @@ def run_suite(nmax: int = 8, seed: int = 7, mc_samples: int = 4000) -> dict:
         "suite": "all",
         "nmax": nmax,
         "seed": seed,
-        "checks": [c.to_dict() for c in checks],
-        "violations": int(sum(c.violations for c in checks)),
+        "checks": checks,
+        "violations": sum(c["violations"] for c in checks),
     }

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xproc import diagnostics, spectral
+from xproc import cli, diagnostics, spectral
 from xproc.cli import apply_config_file, build_parser, dumps_json, main
 from xproc.graph import make_complete, make_cycle, make_half_complete_cycle, save_graph
 from xproc.spectral import level_bases
@@ -686,3 +686,30 @@ def test_every_solve_goes_through_solve_level(tmp_path, capsys, monkeypatch, com
         monkeypatch.setattr(spectral, name, counting)
     assert run(SOLVING_COMMANDS[command], capsys)[0] == 0
     assert calls["solve_level"] == calls["eigendecompose"] > 0
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])
+@pytest.mark.parametrize("where", ["missing directory", "existing directory"])
+def test_unwritable_output_path_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       flag, where):
+    path = tmp_path / "nodir" / "r.csv" if where == "missing directory" else tmp_path
+
+    def no_work(*args):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(cli, "build_level_generator", no_work)
+    monkeypatch.setattr(spectral, "solve_level", no_work)
+    code, out, err = run(["spectrum", "--graph", "cycle:5", "--rate", "1", flag, str(path)],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: {flag}: ") and str(path) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_names_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_writable", lambda flag, path: None)
+    path = tmp_path / "nodir" / "r.json"
+    code, out, err = run(["exact", "--graph", "cycle:5", "--rate", "1", "--function",
+                          "majority", "--t", "1", "--out", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: --out: cannot write {path}: No such file or directory\n"

@@ -220,6 +220,23 @@ def test_check_record_counts_each_instance_over_tol():
         "name": "c", "instances": 4, "violations": 2, "max_residual": 2.0}
     assert check_record("c", [], 0.2) == {
         "name": "c", "instances": 0, "violations": 0, "max_residual": 0.0}
+    # one tolerance per instance; a residual equal to its tolerance passes
+    assert check_record("c", [0.5, 0.5, 0.3], [1.0, 0.4, 0.3])["violations"] == 1
+    # labels name the first instance with the largest residual
+    assert check_record("c", [0.1, 2.0, 2.0], 1.0, ["a", "b", "c"]) == {
+        "name": "c", "instances": 3, "violations": 2, "max_residual": 2.0,
+        "worst_instance": "b"}
+    assert check_record("c", [], [], []) == {
+        "name": "c", "instances": 0, "violations": 0, "max_residual": 0.0,
+        "worst_instance": ""}
+    # a NaN residual fails closed and ranks below every number
+    nan = float("nan")
+    assert check_record("c", [nan, 0.1, nan], 0.2, ["a", "b", "c"]) == {
+        "name": "c", "instances": 3, "violations": 2, "max_residual": 0.1,
+        "worst_instance": "b"}
+    assert check_record("c", [nan], 0.2, ["a"]) == {
+        "name": "c", "instances": 1, "violations": 1, "max_residual": 0.0,
+        "worst_instance": ""}
 
 
 def solved(make):
