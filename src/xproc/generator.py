@@ -7,6 +7,11 @@ y, and the diagonal holds the total active-swap rate out of each state.
 
 Inner products are uniform-measure weighted throughout:
 <f, g> = (1/|S|) sum_x f(x) g(x).
+
+A generator's edge permutations are rows of statespace.swap_table, which
+depends on (n, level) alone: it is built once per level slice and held for
+the life of the process, so each later graph on that slice only gathers its
+edges' rows (see statespace for the table's memory bound).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, is_connected
-from .statespace import LevelStateSpace, bit_position, enumerate_level, swap_words
+from .statespace import LevelStateSpace, bit_position, enumerate_level, pair_row, swap_table
 
 
 @dataclass(eq=False)
@@ -52,17 +57,12 @@ def edge_masks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return bits[:, 0], bits[:, 1]
 
 
-def _edge_permutations(g: Graph, space: LevelStateSpace) -> np.ndarray:
-    bu, bv = edge_masks(g)
-    return space.rank(swap_words(space.words, bu[:, None], bv[:, None]))
-
-
 def build_level_generator(g: Graph, level: int) -> LevelGenerator:
     """Assemble -Q for the given level of the exclusion process on g."""
     if not is_connected(g):
         raise ValueError("generator requires a connected graph")
     space = enumerate_level(g.n, level)
-    perms = _edge_permutations(g, space)
+    perms = swap_table(g.n, level)[[pair_row(g.n, u, v) for u, v, _ in g.edges]]
     m = np.zeros((space.size, space.size))
     # Distinct edges never join the same pair of states, so each
     # off-diagonal entry is written once; fixed states land on the diagonal.

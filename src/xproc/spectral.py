@@ -87,15 +87,17 @@ def fix_sign(vec: np.ndarray) -> np.ndarray:
 
     Takes one vector or a (size, k) matrix of column vectors; a coordinate
     counts as nonzero above SIGN_TOL times the column's largest magnitude.
-    Beyond the copy it returns it allocates only boolean temporaries, so a
-    full basis costs one extra matrix, not four.
+    Beyond the copy it returns, its only full-size temporaries are boolean,
+    so a full basis costs one extra matrix, not four.
     """
     scale = np.maximum(vec.max(axis=0, initial=0.0), -vec.min(axis=0, initial=0.0))
     tol = SIGN_TOL * scale
     first = ((vec > tol) | (vec < -tol)).argmax(axis=0)
-    lead = np.take_along_axis(vec, first[np.newaxis], axis=0)[0]
-    # The first nonzero coordinate is negative iff it lies below -tol.
-    return np.negative(vec, out=vec.copy(), where=lead < -tol)
+    lead = vec[first, np.arange(vec.shape[1])] if vec.ndim == 2 else vec[first]
+    # The first nonzero coordinate is negative iff it lies below -tol. A
+    # product with -1.0 is an exact negation, and a column holding NaN has a
+    # NaN tol, so it is never flipped.
+    return vec * np.where(lead < -tol, -1.0, 1.0)
 
 
 def eigendecompose(gen: LevelGenerator) -> SpectralBasis:
@@ -108,15 +110,15 @@ def eigendecompose(gen: LevelGenerator) -> SpectralBasis:
     NumericalError when the matrix is not symmetric, the solver does not
     converge or the smallest eigenvalue is not numerically zero.
     """
-    m = gen.matrix
-    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if asym > 1e-12 * max(1.0, scale):
-        raise NumericalError("eigendecompose", gen,
-                             f"matrix is not symmetric: max |A - A^T| = {asym:g}")
     size = gen.space.size
     if size == 1:
         return SpectralBasis(gen.space, np.zeros(1), np.ones((1, 1)))
+    m = gen.matrix
+    asym = float(np.max(np.abs(m - m.T)))
+    scale = float(np.max(np.abs(m)))
+    if asym > 1e-12 * max(1.0, scale):
+        raise NumericalError("eigendecompose", gen,
+                             f"matrix is not symmetric: max |A - A^T| = {asym:g}")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:

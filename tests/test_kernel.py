@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from xproc.fourier import dictator, majority, mass_by_eigenvalue, parity_on_set, spectral_profile
-from xproc.generator import build_level_generator
+from xproc.generator import build_level_generator, edge_masks
 from xproc.graph import Graph, make_complete, make_cycle, make_half_complete_cycle
 from xproc.spectral import (
     GROUP_RTOL,
@@ -29,10 +29,14 @@ from xproc.spectral import (
 )
 from xproc.statespace import (
     StateCapExceeded,
+    _swap_table,
     bit_position,
     enumerate_level,
     lift_table,
+    pair_row,
     state_cap,
+    swap_table,
+    swap_words,
 )
 from xproc.verify import random_connected_graph
 
@@ -282,6 +286,39 @@ def test_generator_matches_reference():
                 assert gen.edge_permutations[k].tolist() == want
 
 
+def ref_generator_by_masks(g, level):
+    """Matrix and edge permutations as built before the swap table: one
+    swap_words + rank pass over the graph's own edge masks."""
+    space = enumerate_level(g.n, level)
+    bu, bv = edge_masks(g)
+    perms = space.rank(swap_words(space.words, bu[:, None], bv[:, None]))
+    m = np.zeros((space.size, space.size))
+    rates = np.array([rate for _, _, rate in g.edges])
+    m[np.arange(space.size), perms] = -rates[:, None]
+    np.fill_diagonal(m, 0.0)
+    np.fill_diagonal(m, -m.sum(axis=1))
+    return m, perms
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_generator_from_swap_table_is_bit_identical(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(3):
+        g = unequal_rate_graph(rng, n)
+        for level in range(n + 1):
+            gen = build_level_generator(g, level)
+            matrix, perms = ref_generator_by_masks(g, level)
+            assert gen.matrix.tobytes() == matrix.tobytes()
+            assert np.array_equal(gen.edge_permutations, perms)
+
+
+def test_disconnected_graph_is_rejected_at_the_trivial_levels():
+    g = Graph(5, ((0, 1, 1.0), (2, 3, 0.5), (3, 4, 2.0)))
+    for level in (0, g.n):
+        with pytest.raises(ValueError, match="connected"):
+            build_level_generator(g, level)
+
+
 def test_fix_sign_columns_match_per_column():
     edge = SIGN_TOL * 4.0
     columns = [
@@ -301,6 +338,30 @@ def test_fix_sign_columns_match_per_column():
         assert np.array_equal(got[:, c], ref_fix_sign(mat[:, c]))
         assert np.array_equal(fix_sign(mat[:, c]), ref_fix_sign(mat[:, c]))
     assert np.array_equal(got[:, 1], mat[:, 1]) and np.array_equal(got[:, 2], -mat[:, 2])
+
+
+def test_fix_sign_matches_per_column_on_random_matrices():
+    rng = np.random.default_rng(17)
+    for rows, cols in ((2, 3), (9, 40), (60, 25)):
+        mat = rough(rng, rows, cols)
+        # Lead some columns with entries at or below SIGN_TOL * scale, of
+        # either sign, so the first counted coordinate lies further down;
+        # the column's largest entry moves to the last row and keeps its scale.
+        for c in range(0, cols, 3):
+            big = int(np.argmax(np.abs(mat[:, c])))
+            mat[[big, -1], c] = mat[[-1, big], c]
+            scale = abs(mat[-1, c])
+            k = int(rng.integers(1, rows))
+            planted = SIGN_TOL * scale * rng.uniform(-1.0, 1.0, k)
+            planted[0] = SIGN_TOL * scale * rng.choice([-1.0, 1.0])
+            mat[:k, c] = planted
+        mat[:, 1::7] = 0.0
+        mat[rows // 2, cols - 1] = np.nan
+        got = fix_sign(mat)
+        for c in range(cols):
+            want = ref_fix_sign(mat[:, c])
+            assert got[:, c].tobytes() == want.tobytes()
+            assert fix_sign(mat[:, c]).tobytes() == want.tobytes()
 
 
 def test_eigendecompose_signs_match_per_column():
@@ -397,9 +458,29 @@ def test_cached_arrays_are_read_only():
     assert enumerate_level(7, 3) is space
     with pytest.raises(ValueError):
         space.words[0] = 99
-    for table in (lift_table(7, 3, 2), lift_table(7, 3, 4), lift_table(7, 2, 5)):
+    assert swap_table(7, 3) is swap_table(7, 3)
+    for table in (lift_table(7, 3, 2), lift_table(7, 3, 4), lift_table(7, 2, 5),
+                  swap_table(7, 3)):
         with pytest.raises(ValueError):
             table[0, 0] = 0
+
+
+@pytest.mark.parametrize("n,level", [(n, level) for n in range(2, 9) for level in range(n + 1)])
+def test_swap_table_rows_are_the_swap_involutions(n, level):
+    space = enumerate_level(n, level)
+    table = swap_table(n, level)
+    assert table.dtype == np.int32 and table.shape == (math.comb(n, 2), space.size)
+    # A swap fixes a state iff u and v carry the same colour: both white
+    # (choose the l black marbles among the other n - 2) or both black.
+    fixed = math.comb(n - 2, level) + (math.comb(n - 2, level - 2) if level >= 2 else 0)
+    ident = np.arange(space.size)
+    for row, (u, v) in enumerate(zip(*np.triu_indices(n, 1))):
+        assert pair_row(n, u, v) == row
+        bu, bv = 1 << bit_position(n, u), 1 << bit_position(n, v)
+        perm = table[row]
+        assert np.array_equal(perm, space.rank(swap_words(space.words, bu, bv)))
+        assert np.array_equal(perm[perm], ident)
+        assert np.count_nonzero(perm == ident) == fixed
 
 
 def test_lift_table_rejects_non_lifts():
@@ -413,13 +494,22 @@ def test_cached_slice_still_respects_the_cap(monkeypatch):
     space = enumerate_level(12, 6)
     source = enumerate_level(12, 5)
     lift_up(source, np.ones(source.size))           # caches the gather table
+    swaps = swap_table(12, 6)
+    built = _swap_table.cache_info().currsize
     monkeypatch.setenv("XPROC_STATE_CAP", "100")
-    with pytest.raises(StateCapExceeded):
-        enumerate_level(12, 6)
-    with pytest.raises(StateCapExceeded):
-        lift_up(source, np.ones(source.size))
+    for _ in range(2):
+        with pytest.raises(StateCapExceeded):
+            enumerate_level(12, 6)
+        with pytest.raises(StateCapExceeded):
+            lift_up(source, np.ones(source.size))
+        with pytest.raises(StateCapExceeded):
+            swap_table(12, 6)
+        with pytest.raises(StateCapExceeded):
+            swap_table(17, 3)                       # 680 states, never built
+    assert _swap_table.cache_info().currsize == built
     monkeypatch.setenv("XPROC_STATE_CAP", "1000")
     assert enumerate_level(12, 6) is space
+    assert swap_table(12, 6) is swaps
 
 
 @pytest.mark.parametrize("raw", ["-5", "0", "abc", "1.5", " "])

@@ -18,6 +18,7 @@ from xproc.spectral import (
     lift_up,
     mirror_basis,
     pi_norm,
+    solve_level,
     sum_lift,
 )
 from xproc.statespace import enumerate_level
@@ -103,6 +104,15 @@ def test_deterministic_decomposition():
 def test_grouping_tolerance():
     groups = group_eigenvalues(np.array([0.0, 1.0, 1.0 + 5e-9, 2.0]))
     assert groups == [[0], [1, 2], [3]]
+
+
+@pytest.mark.parametrize("g", [make_cycle(5, 0.5), make_complete(7, 1.5)])
+def test_trivial_levels_solve_to_the_constant(g):
+    for level in (0, g.n):
+        basis = solve_level(g, level)
+        assert basis.space is enumerate_level(g.n, level)
+        assert basis.eigenvalues.tobytes() == np.array([0.0]).tobytes()
+        assert basis.vectors.tobytes() == np.array([[1.0]]).tobytes()
 
 
 def test_fix_sign():
