@@ -30,6 +30,7 @@ from .generator import (
     LevelGenerator,
     NumericalError,
     build_level_generator,
+    build_level_generators,
     dirichlet_form,
     rayleigh_quotient,
 )
@@ -37,11 +38,13 @@ from .spectral import (
     SpectralBasis,
     complete_graph_basis,
     eigendecompose,
+    eigendecompose_stack,
     level_bases,
     lift_down,
     lift_up,
     mirror_basis,
     solve_level,
+    solve_levels,
     sum_lift,
 )
 from .fourier import (

@@ -239,6 +239,7 @@ def config_echo(args: argparse.Namespace, keys: list[str]) -> dict:
 def cmd_spectrum(args) -> tuple:
     g = resolve_graph(args.graph, args.rate, args.rate_policy)
     levels = parse_levels(args.level, g.n)
+    check_levels(g.n, levels)
     config = config_echo(args, ["graph", "rate", "rate_policy", "level", "format"])
     rows = []
     for level in levels:

@@ -16,6 +16,7 @@ edges' rows (see statespace for the table's memory bound).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,19 +60,36 @@ def edge_masks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 def build_level_generator(g: Graph, level: int) -> LevelGenerator:
     """Assemble -Q for the given level of the exclusion process on g."""
-    if not is_connected(g):
+    return build_level_generators([g], level)[0]
+
+
+def build_level_generators(graphs: Sequence[Graph], level: int) -> list[LevelGenerator]:
+    """Assemble -Q on one level for each of several graphs on the same n, as one stack.
+
+    Generator i's matrix is member i of one (len(graphs), size, size)
+    array, and each entry equals the one the graph built alone gets.
+    """
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError(f"a stack needs graphs on one n, got {sorted({g.n for g in graphs})}")
+    if not all(is_connected(g) for g in graphs):
         raise ValueError("generator requires a connected graph")
-    space = enumerate_level(g.n, level)
-    perms = swap_table(g.n, level)[[pair_row(g.n, u, v) for u, v, _ in g.edges]]
-    m = np.zeros((space.size, space.size))
+    space = enumerate_level(n, level)
+    size = space.size
+    stack = np.zeros((len(graphs), size, size))
+    table = swap_table(n, level)
+    states = np.arange(size)
+    perms = [table[[pair_row(n, u, v) for u, v, _ in g.edges]] for g in graphs]
     # Distinct edges never join the same pair of states, so each
     # off-diagonal entry is written once; fixed states land on the diagonal.
-    rates = np.array([rate for _, _, rate in g.edges])
-    m[np.arange(space.size), perms] = -rates[:, None]
+    edge_member = np.repeat(np.arange(len(graphs)), [len(g.edges) for g in graphs])
+    rates = np.array([rate for g in graphs for _, _, rate in g.edges])
+    stack[edge_member[:, None], states, np.concatenate(perms)] = -rates[:, None]
     # Exact zero row sums: the diagonal balances the off-diagonal mass.
-    np.fill_diagonal(m, 0.0)
-    np.fill_diagonal(m, -m.sum(axis=1))
-    return LevelGenerator(graph=g, space=space, matrix=m, edge_permutations=perms)
+    stack[:, states, states] = 0.0
+    stack[:, states, states] = -stack.sum(axis=2)
+    return [LevelGenerator(graph=g, space=space, matrix=m, edge_permutations=p)
+            for g, m, p in zip(graphs, stack, perms)]
 
 
 def dirichlet_form(gen: LevelGenerator, f: np.ndarray) -> float:

@@ -197,8 +197,9 @@ def load_graph(path: str) -> Graph:
         raise GraphFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict) or "n" not in raw or "edges" not in raw:
         raise GraphFormatError(f"{path}: expected an object with keys 'n' and 'edges'")
-    if not isinstance(raw["n"], int):
-        raise GraphFormatError(f"{path}: 'n' must be an integer, got {raw['n']!r}")
+    # JSON true and false load as bools, an int subclass, so they fail as 1 and 0.
+    if not isinstance(raw["n"], int) or raw["n"] < 2:
+        raise GraphFormatError(f"{path}: 'n' must be an integer >= 2, got {raw['n']!r}")
     if not isinstance(raw["edges"], list):
         raise GraphFormatError(f"{path}: 'edges' must be a list")
     for k, entry in enumerate(raw["edges"]):
@@ -214,26 +215,35 @@ def load_graph(path: str) -> Graph:
 
 
 def _locate_edge(text: str, k: int) -> str:
-    """Best-effort (line-precise for one-edge-per-line files) locator."""
-    count = -1
-    depth = 0
-    in_edges = False
-    idx = text.find('"edges"')
-    if idx < 0:
+    """Locate edge entry k of a parsed file; line-precise for one-edge-per-line files.
+
+    Counts the entries of the edge list, of any JSON type, by their commas
+    outside nested brackets. Entry k is the first malformed one, so no
+    entry before it holds a string that could hide a bracket.
+    """
+    key = text.find('"edges"')
+    opening = text.find("[", key) if key >= 0 else -1
+    if opening < 0:
         return f"edges[{k}]"
-    for pos in range(idx, len(text)):
+    depth, count, starts_entry = 0, -1, True
+    for pos in range(opening + 1, len(text)):
         ch = text[pos]
-        if ch == "[":
-            depth += 1
-            if depth == 1:
-                in_edges = True
-            elif depth == 2 and in_edges:
+        if ch.isspace():
+            continue
+        if depth == 0:
+            if ch == "]":
+                break
+            if ch == ",":
+                starts_entry = True
+                continue
+            if starts_entry:
                 count += 1
+                starts_entry = False
                 if count == k:
                     line = text.count("\n", 0, pos) + 1
                     return f"edges[{k}] (line {line})"
-        elif ch == "]":
+        if ch in "[{":
+            depth += 1
+        elif ch in "]}":
             depth -= 1
-            if depth == 0 and in_edges:
-                break
     return f"edges[{k}]"

@@ -16,17 +16,22 @@ by level without a numerical eigensolver.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .graph import Graph
-from .generator import LevelGenerator, NumericalError, build_level_generator
+from .generator import (
+    LevelGenerator, NumericalError, build_level_generator, build_level_generators,
+)
 from .statespace import LevelStateSpace, enumerate_level, lift_table
 
 GROUP_RTOL = 1e-8       # eigenvalues within 1e-8 * max(1, lam) form one cluster
 ZERO_TOL = 1e-8         # below this an eigenvalue counts as zero in masks
 SIGN_TOL = 1e-12        # entries below this (relative) are "zero" for sign fixing
+STACK_BYTES = 1 << 18   # largest matrix stack solve_stacks builds, beyond a stack of one
 
 
 def zero_mask(eigenvalues: np.ndarray) -> np.ndarray:
@@ -85,68 +90,146 @@ def group_eigenvalues(eigenvalues: np.ndarray, rtol: float = GROUP_RTOL) -> list
 def fix_sign(vec: np.ndarray) -> np.ndarray:
     """Flip each column whose first nonzero coordinate is negative.
 
-    Takes one vector or a (size, k) matrix of column vectors; a coordinate
-    counts as nonzero above SIGN_TOL times the column's largest magnitude.
-    Beyond the copy it returns, its only full-size temporaries are boolean,
-    so a full basis costs one extra matrix, not four.
+    Takes one vector, a (size, k) matrix of column vectors or a stack of
+    such matrices (..., size, k); a coordinate counts as nonzero above
+    SIGN_TOL times the column's largest magnitude. Beyond the copy it
+    returns, its only full-size temporaries are boolean, so a full basis
+    costs one extra matrix, not four.
     """
-    scale = np.maximum(vec.max(axis=0, initial=0.0), -vec.min(axis=0, initial=0.0))
-    tol = SIGN_TOL * scale
-    first = ((vec > tol) | (vec < -tol)).argmax(axis=0)
-    lead = vec[first, np.arange(vec.shape[1])] if vec.ndim == 2 else vec[first]
+    cols = vec[:, None] if vec.ndim == 1 else vec
+    scale = np.maximum(cols.max(axis=-2, initial=0.0), -cols.min(axis=-2, initial=0.0))
+    tol = SIGN_TOL * scale[..., None, :]
+    first = ((cols > tol) | (cols < -tol)).argmax(axis=-2)
+    lead = np.take_along_axis(cols, first[..., None, :], axis=-2)
     # The first nonzero coordinate is negative iff it lies below -tol. A
     # product with -1.0 is an exact negation, and a column holding NaN has a
     # NaN tol, so it is never flipped.
-    return vec * np.where(lead < -tol, -1.0, 1.0)
+    return (cols * np.where(lead < -tol, -1.0, 1.0)).reshape(vec.shape)
 
 
 def eigendecompose(gen: LevelGenerator) -> SpectralBasis:
-    """Full eigendecomposition of -Q on one level.
+    """Full eigendecomposition of -Q on one level: eigendecompose_stack of one."""
+    return eigendecompose_stack([gen])[0]
+
+
+def eigendecompose_stack(gens: Sequence[LevelGenerator]) -> list[SpectralBasis]:
+    """Full eigendecompositions of -Q on several levels of one size, in one LAPACK call.
+
+    One generator's matrix is passed as a stack of one, a view and never a
+    copy, so a level too large to stack costs no extra memory; several are
+    copied into one (k, size, size) stack.
 
     Uses the dense symmetric LAPACK driver (deterministic for identical
-    input on one build), then rescales to the uniform-measure convention,
-    installs the exact (0, constant) eigenpair, and fixes signs so the
-    first nonzero coordinate of each vector is positive. Raises
-    NumericalError when the matrix is not symmetric, the solver does not
-    converge or the smallest eigenvalue is not numerically zero.
+    input on one build, stacked or not), then rescales each member to the
+    uniform-measure convention, installs the exact (0, constant) eigenpair,
+    and fixes signs so the first nonzero coordinate of each vector is
+    positive. Raises NumericalError, naming the first member at fault, when
+    a matrix is not symmetric, the solver does not converge or the smallest
+    eigenvalue is not numerically zero.
     """
-    size = gen.space.size
+    size = gens[0].space.size
+    if any(gen.space.size != size for gen in gens):
+        raise ValueError(f"a stack needs levels of one size, got "
+                         f"{sorted({gen.space.size for gen in gens})}")
     if size == 1:
-        return SpectralBasis(gen.space, np.zeros(1), np.ones((1, 1)))
-    m = gen.matrix
-    asym = float(np.max(np.abs(m - m.T)))
-    scale = float(np.max(np.abs(m)))
-    if asym > 1e-12 * max(1.0, scale):
-        raise NumericalError("eigendecompose", gen,
-                             f"matrix is not symmetric: max |A - A^T| = {asym:g}")
+        return [SpectralBasis(gen.space, np.zeros(1), np.ones((1, 1))) for gen in gens]
+    matrices = (gens[0].matrix[None] if len(gens) == 1
+                else np.stack([gen.matrix for gen in gens]))
+    asym = np.max(np.abs(matrices - matrices.transpose(0, 2, 1)), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(matrices), axis=(1, 2)))
+    for gen, a, s in zip(gens, asym, scale):
+        if a > 1e-12 * s:
+            raise NumericalError("eigendecompose", gen,
+                                 f"matrix is not symmetric: max |A - A^T| = {a:g}")
     try:
-        w, v = np.linalg.eigh(m)
+        w, v = np.linalg.eigh(matrices)
     except np.linalg.LinAlgError as exc:
-        off = m - np.diag(np.diag(m))
+        # A stacked call does not say which member failed: name the first
+        # that fails alone.
+        failed = next((gen for gen in gens if not _converges(gen.matrix)), gens[0])
+        off = failed.matrix - np.diag(np.diag(failed.matrix))
         raise NumericalError(
-            "eigendecompose", gen,
+            "eigendecompose", failed,
             f"eigensolver failed to converge ({exc}); "
             f"max off-diagonal entry {np.max(np.abs(off)):g}",
         ) from exc
-    kernel_bound = 1e-10 * max(1.0, scale)
-    if abs(w[0]) > kernel_bound:
-        raise NumericalError("eigendecompose", gen,
-                             f"smallest eigenvalue {w[0]:g} is not numerically zero")
-    vectors = v * math.sqrt(size)
-    w = w.copy()
-    w[0] = 0.0
-    vectors[:, 0] = 1.0
-    vectors[:, 1:] = fix_sign(vectors[:, 1:])
-    return SpectralBasis(gen.space, w, vectors)
+    for gen, lam, s in zip(gens, w[:, 0], scale):
+        if abs(lam) > 1e-10 * s:
+            raise NumericalError("eigendecompose", gen,
+                                 f"smallest eigenvalue {lam:g} is not numerically zero")
+    v *= math.sqrt(size)
+    w[:, 0] = 0.0
+    v[:, :, 0] = 1.0
+    v[:, :, 1:] = fix_sign(v[:, :, 1:])
+    if len(gens) == 1:
+        return [SpectralBasis(gens[0].space, w[0], v[0])]
+    # A copy per member lets a held basis keep only its own arrays alive.
+    return [SpectralBasis(gen.space, lam.copy(), vectors.copy())
+            for gen, lam, vectors in zip(gens, w, v)]
+
+
+def _converges(matrix: np.ndarray) -> bool:
+    try:
+        np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def solve_level(g: Graph, level: int) -> SpectralBasis:
     """The eigendecomposition of -Q on one level of the process on g.
 
-    The one place a level is solved: every eigenbasis in the package comes
-    from here, so a backend choice made by graph and size lands here alone.
+    The one place a single level is solved: the CLI's eigenbases all come
+    from here, and solve_levels solves batches with the same kernel.
     """
     return eigendecompose(build_level_generator(g, level))
+
+
+def solve_stacks(pairs: Sequence[tuple[Graph, int]]):
+    """Solve (graph, level) pairs in stacks; yield (index, generator, basis) per pair.
+
+    index is the pair's position in pairs; pairs come out stack by stack.
+    Pairs of one level size share a stack, of at most STACK_BYTES of
+    matrices, across graphs and across levels l and n - l. Each stack is
+    built by build_level_generators, one call per level slice, and solved
+    by one eigendecompose_stack call, and every basis equals the one
+    solve_level gives for its pair, bit for bit. The generator keeps no
+    stack it has yielded.
+    """
+    def slice_of(i):
+        return pairs[i][0].n, pairs[i][1]
+
+    by_size: dict[int, list[int]] = {}
+    for i, (g, level) in enumerate(pairs):
+        by_size.setdefault(math.comb(g.n, level), []).append(i)
+    # Largest first: the biggest solve's workspace is gone before the
+    # smaller bases pile up.
+    for size, members in sorted(by_size.items(), reverse=True):
+        # Members on one (n, level) sit side by side and are built in one call.
+        members.sort(key=slice_of)
+        per_stack = max(1, STACK_BYTES // (8 * size * size))
+        for start in range(0, len(members), per_stack):
+            indices = members[start:start + per_stack]
+            gens = [gen for (_, level), run in groupby(indices, key=slice_of)
+                    for gen in build_level_generators([pairs[i][0] for i in run], level)]
+            bases = eigendecompose_stack(gens)
+            yield from zip(indices, gens, bases)
+            del gens, bases  # before the next stack is built
+
+
+def solve_levels(graphs: Sequence[Graph]) -> list[list[SpectralBasis]]:
+    """Per graph, the eigenbases of its levels 0..n, solved in stacks (solve_stacks).
+
+    Every basis is the one solve_level gives, bit for bit. All are held at
+    once, sum over l of C(n, l)^2 doubles per graph; level_bases solves one
+    level at a time instead.
+    """
+    pairs = [(g, level) for g in graphs for level in range(g.n + 1)]
+    bases = [None] * len(pairs)
+    for i, _, basis in solve_stacks(pairs):
+        bases[i] = basis
+    solved = iter(bases)
+    return [[next(solved) for _ in range(g.n + 1)] for g in graphs]
 
 
 def level_bases(g: Graph):

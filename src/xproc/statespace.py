@@ -214,10 +214,13 @@ def _check_slice(n: int, level: int) -> None:
         raise StateCapExceeded(n, level, size, cap)
 
 
-def check_levels(n: int) -> None:
-    """Raise StateCapExceeded, enumerating nothing, where solving levels 0..n in order would."""
+def check_levels(n: int, levels=None) -> None:
+    """Raise StateCapExceeded, enumerating nothing, where solving the levels in order would.
+
+    levels defaults to 0..n.
+    """
     cap = state_cap()
-    for level in range(n // 2 + 1):
+    for level in range(n + 1) if levels is None else levels:
         size = math.comb(n, level)
         if size > cap:
             raise StateCapExceeded(n, level, size, cap)

@@ -10,7 +10,7 @@ violation.
 import numpy as np
 
 from . import diagnostics, dynamics, fourier, oracle, spectral
-from .generator import build_level_generator, dirichlet_form
+from .generator import build_level_generators, dirichlet_form
 from .graph import (
     Graph, is_complete, make_complete, make_cycle, make_half_complete_cycle, max_degree,
     with_rate,
@@ -34,26 +34,44 @@ class BasisTable:
     complete graphs are held; any other graph is solved on every call, since
     holding every basis of a run would cost three times the memory for
     little more speed. Held arrays are read-only, so no check can change a
-    basis another check reads. solve_level is deterministic for identical
-    input, so reusing a basis changes no report.
+    basis another check reads. A solve is deterministic for identical input,
+    stacked or not, so reusing a basis changes no report.
     """
 
     def __init__(self):
         self._bases: dict[tuple[Graph, int], spectral.SpectralBasis] = {}
 
+    def hold(self, g: Graph, level: int, basis: spectral.SpectralBasis) -> None:
+        """Keep a complete graph's basis, read-only; any other graph's is not kept."""
+        if is_complete(g) and (g, level) not in self._bases:
+            basis.eigenvalues.flags.writeable = False
+            basis.vectors.flags.writeable = False
+            self._bases[(g, level)] = basis
+
+    def bases(self, pairs) -> list[spectral.SpectralBasis]:
+        """The bases of the (graph, level) pairs, in order.
+
+        Each distinct pair not held is solved once, all of them in one batch
+        of stacks (spectral.solve_stacks).
+        """
+        pairs = list(pairs)
+        found = {pair: self._bases[pair] for pair in pairs if pair in self._bases}
+        missing = [pair for pair in dict.fromkeys(pairs) if pair not in found]
+        for i, _, basis in spectral.solve_stacks(missing):
+            self.hold(*missing[i], basis)
+            found[missing[i]] = basis
+        return [found[pair] for pair in pairs]
+
     def basis(self, g: Graph, level: int) -> spectral.SpectralBasis:
-        key = (g, level)
-        basis = self._bases.get(key)
-        if basis is None:
-            basis = spectral.solve_level(g, level)
-            if is_complete(g):
-                basis.eigenvalues.flags.writeable = False
-                basis.vectors.flags.writeable = False
-                self._bases[key] = basis
-        return basis
+        return self.bases([(g, level)])[0]
+
+    def levels(self, graphs) -> list[list[spectral.SpectralBasis]]:
+        """Per graph, its bases of levels 0..n, as one call to bases."""
+        bases = iter(self.bases([(g, level) for g in graphs for level in range(g.n + 1)]))
+        return [[next(bases) for _ in range(g.n + 1)] for g in graphs]
 
     def all_levels(self, g: Graph) -> list[spectral.SpectralBasis]:
-        return [self.basis(g, level) for level in range(g.n + 1)]
+        return self.levels([g])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +148,7 @@ def check_generator_invariants(nmax: int, rng: np.random.Generator) -> dict:
 
     for name, g in graphs():
         for level in range(g.n + 1):
-            gen = build_level_generator(g, level)
+            [gen] = build_level_generators([g], level)
             m = gen.matrix
             scale = max(1.0, float(np.max(np.abs(m))))
             off = m - np.diag(np.diag(m))
@@ -147,7 +165,7 @@ def check_generator_invariants(nmax: int, rng: np.random.Generator) -> dict:
         rate = 0.75
         g = make_complete(n, rate)
         for level in range(n + 1):
-            gen = build_level_generator(g, level)
+            [gen] = build_level_generators([g], level)
             expected = level * (n - level) * rate
             res = float(np.max(np.abs(np.diag(gen.matrix) - expected)))
             rows.append((res, 1e-12 * max(1.0, expected), f"K_{n} diagonal level {level}"))
@@ -157,8 +175,7 @@ def check_generator_invariants(nmax: int, rng: np.random.Generator) -> dict:
         g = random_connected_graph(rng, n, 1.0)
         sub = random_connected_subgraph(rng, g)
         level = int(rng.integers(1, n))
-        gen = build_level_generator(g, level)
-        gen_sub = build_level_generator(sub, level)
+        gen, gen_sub = build_level_generators([g, sub], level)
         f = rng.standard_normal(gen.space.size)
         gap = dirichlet_form(gen_sub, f) - dirichlet_form(gen, f)
         rows.append((gap, 1e-10 * max(1.0, abs(dirichlet_form(gen, f))),
@@ -182,15 +199,21 @@ def basis_defect(gen, basis) -> float:
 
 def check_eigensolver(nmax: int, rng: np.random.Generator,
                       table: BasisTable) -> dict:
-    rows = []
-    for n in range(3, min(nmax, 8) + 1):
-        for name, g in ((f"K_{n}", make_complete(n, 1.0)),
-                        (f"C_{n}", make_cycle(n, 0.5)),
-                        (f"random_{n}", random_connected_graph(rng, n, 1.0))):
-            for level in range(n + 1):
-                basis = table.basis(g, level)
-                rows.append((basis_defect(build_level_generator(g, level), basis), 1e-10,
-                             f"{name} level {level}"))
+    """Each basis against the generator it was solved from.
+
+    Each distinct (graph, level) is solved here, with its generator at hand;
+    the complete graphs' bases are then held in the table.
+    """
+    graphs = [(f"{name}_{n}", g) for n in range(3, min(nmax, 8) + 1)
+              for name, g in (("K", make_complete(n, 1.0)), ("C", make_cycle(n, 0.5)),
+                              ("random", random_connected_graph(rng, n, 1.0)))]
+    pairs = list(dict.fromkeys((g, level) for _, g in graphs for level in range(g.n + 1)))
+    defects = {}
+    for i, gen, basis in spectral.solve_stacks(pairs):
+        table.hold(*pairs[i], basis)
+        defects[pairs[i]] = basis_defect(gen, basis)
+    rows = [(defects[g, level], 1e-10, f"{name} level {level}")
+            for name, g in graphs for level in range(g.n + 1)]
     return _record("eigensolver_residuals", rows)
 
 
@@ -200,18 +223,19 @@ def expected_complete_spectrum(n: int, level: int, alpha: float) -> np.ndarray:
 
 
 def check_complete_multiplicities(nmax: int, table: BasisTable) -> dict:
+    graphs = [(n, alpha, make_complete(n, alpha))
+              for n in range(2, nmax + 1) for alpha in (1.0, 1.0 / n)]
+    bases = iter(table.bases([(g, level) for n, _, g in graphs for level in range(n // 2 + 1)]))
     rows = []
-    for n in range(2, nmax + 1):
-        for alpha in (1.0, 1.0 / n):
-            g = make_complete(n, alpha)
-            for level in range(n // 2 + 1):
-                basis = table.basis(g, level)
-                expected = expected_complete_spectrum(n, level, alpha)
-                err = float(
-                    np.max(np.abs(np.sort(basis.eigenvalues) - expected)
-                           / np.maximum(1.0, expected))
-                )
-                rows.append((err, 1e-8, f"K_{n} alpha={alpha:g} level {level}"))
+    for n, alpha, g in graphs:
+        for level in range(n // 2 + 1):
+            basis = next(bases)
+            expected = expected_complete_spectrum(n, level, alpha)
+            err = float(
+                np.max(np.abs(np.sort(basis.eigenvalues) - expected)
+                       / np.maximum(1.0, expected))
+            )
+            rows.append((err, 1e-8, f"K_{n} alpha={alpha:g} level {level}"))
     return _record("complete_graph_multiplicities", rows)
 
 
@@ -264,14 +288,16 @@ def check_orthogonality_preserved(nmax: int, table: BasisTable) -> dict:
 
 def check_eigenvalue_bound(nmax: int, rng: np.random.Generator,
                            count: int = 30) -> dict:
-    rows = []
-    for i in range(count):
+    draws = []
+    for _ in range(count):
         n = int(rng.integers(3, min(nmax, 8) + 1))
         rate = float(rng.uniform(0.1, 1.5))
-        g = random_connected_graph(rng, n, rate)
+        draws.append((n, rate, random_connected_graph(rng, n, rate)))
+    rows = []
+    levels = spectral.solve_levels([g for _, _, g in draws])
+    for i, ((n, rate, g), bases) in enumerate(zip(draws, levels)):
         d = max_degree(g)
-        for level in range(n + 1):
-            basis = spectral.solve_level(g, level)
+        for level, basis in enumerate(bases):
             bound = 2.0 * rate * level * d
             gap = float(basis.eigenvalues[-1]) - bound
             rows.append((gap, 1e-9 * max(1.0, bound), f"draw {i} (n={n}) level {level}"))
@@ -279,12 +305,15 @@ def check_eigenvalue_bound(nmax: int, rng: np.random.Generator,
 
 
 def check_parseval(nmax: int, rng: np.random.Generator, count: int = 12) -> dict:
-    rows = []
-    for i in range(count):
+    draws = []
+    for _ in range(count):
         n = int(rng.integers(3, min(nmax, 7) + 1))
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
-        f = random_boolean_function(rng, n)
-        profile = fourier.spectral_profile(f, spectral.level_bases(g))
+        draws.append((n, g, random_boolean_function(rng, n)))
+    rows = []
+    levels = spectral.solve_levels([g for _, g, _ in draws])
+    for i, ((n, g, f), bases) in enumerate(zip(draws, levels)):
+        profile = fourier.spectral_profile(f, bases)
         direct = float(np.mean(f.values**2))
         cond = 0.0
         for level in range(n + 1):
@@ -298,13 +327,16 @@ def check_parseval(nmax: int, rng: np.random.Generator, count: int = 12) -> dict
 
 
 def check_oracle_equivalence(rng: np.random.Generator, count: int = 15) -> dict:
-    rows = []
-    for i in range(count):
+    draws = []
+    for _ in range(count):
         n = int(rng.integers(3, 7))
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
         f = random_boolean_function(rng, n)
-        t = float(rng.uniform(0.0, 2.0))
-        profile = fourier.spectral_profile(f, spectral.level_bases(g))
+        draws.append((n, g, f, float(rng.uniform(0.0, 2.0))))
+    rows = []
+    levels = spectral.solve_levels([g for _, g, _, _ in draws])
+    for i, ((n, g, f, t), bases) in enumerate(zip(draws, levels)):
+        profile = fourier.spectral_profile(f, bases)
         err = abs(fourier.exact_correlation(profile, t)
                   - oracle.brute_force_correlation(g, f, t))
         rows.append((err, 1e-8, f"draw {i} (n={n}, t={t:.3f})"))
@@ -325,7 +357,9 @@ def check_containment(nmax: int, rng: np.random.Generator,
         bases_c = table.all_levels(complete)
         for name, raw in others:
             other = with_rate(raw, 1.0 / max_degree(raw))
-            bases_o = list(spectral.level_bases(other))
+            # One other graph at a time: all nine at once would hold their
+            # bases together, 1.5 MB per graph at n = 10.
+            bases_o = table.all_levels(other)
             for k in (0.5, 1.0, 2.0, n / 4.0):
                 residuals = diagnostics.containment_residual(complete, other, k, 2.0 * k,
                                                              bases_c, bases_o)
@@ -337,17 +371,20 @@ def check_containment(nmax: int, rng: np.random.Generator,
 
 def check_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable,
                           count: int = 25) -> dict:
-    rows = []
-    for i in range(count):
+    draws = []
+    for _ in range(count):
         n = int(rng.integers(4, min(nmax, 8) + 1))
-        complete = make_complete(n, 1.0 / n)
         raw = random_connected_graph(rng, n, 1.0)
         other = with_rate(raw, 1.0 / max_degree(raw))
         f = random_boolean_function(rng, n)
-        k = float(rng.uniform(0.05, n / 4.0))
+        draws.append((n, make_complete(n, 1.0 / n), other, f, float(rng.uniform(0.05, n / 4.0))))
+    rows = []
+    levels = table.levels([g for _, complete, other, _, _ in draws for g in (complete, other)])
+    for i, ((n, complete, other, f, k), bases_c, bases_o) in enumerate(
+            zip(draws, levels[::2], levels[1::2])):
         lhs, rhs = diagnostics.projection_mass_inequality(
-            complete, other, k, fourier.spectral_profile(f, table.all_levels(complete)),
-            fourier.spectral_profile(f, spectral.level_bases(other)),
+            complete, other, k, fourier.spectral_profile(f, bases_c),
+            fourier.spectral_profile(f, bases_o),
         )
         rows.append((rhs - lhs, diagnostics.PROJECTION_MASS_TOL,
                      f"draw {i} (n={n}, k={k:.3f})"))
@@ -355,18 +392,22 @@ def check_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable
 
 
 def check_monotonicity(rng: np.random.Generator, count: int = 25) -> dict:
-    rows = []
-    for i in range(count):
+    draws = []
+    for _ in range(count):
         n = int(rng.integers(5, 7))
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
         sub = random_connected_subgraph(rng, g)
         f = random_boolean_function(rng, n)
         lam_max = 2.0 * max(r for _, _, r in g.edges) * n * max_degree(g)
         k = float(rng.uniform(1e-3, 2.0 * lam_max))
-        kprime = float(rng.uniform(1e-3, 2.0 * lam_max))
+        draws.append((n, g, sub, f, k, float(rng.uniform(1e-3, 2.0 * lam_max))))
+    rows = []
+    levels = spectral.solve_levels([h for _, g, sub, *_ in draws for h in (g, sub)])
+    for i, ((n, g, sub, f, k, kprime), bases, bases_sub) in enumerate(
+            zip(draws, levels[::2], levels[1::2])):
         lhs, rhs = diagnostics.monotonicity_inequality_check(
-            g, sub, k, kprime, fourier.spectral_profile(f, spectral.level_bases(g)),
-            fourier.spectral_profile(f, spectral.level_bases(sub)),
+            g, sub, k, kprime, fourier.spectral_profile(f, bases),
+            fourier.spectral_profile(f, bases_sub),
         )
         rows.append((lhs - rhs, diagnostics.MONOTONICITY_TOL,
                      f"draw {i} (n={n}, k={k:.3f}, k'={kprime:.3f})"))

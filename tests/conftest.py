@@ -9,13 +9,17 @@ from xproc import spectral
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Count eigendecompose calls per (graph, level)."""
+    """Count solves per (graph, level): one per member of each eigendecompose_stack call.
+
+    Every solve ends there: eigendecompose passes a stack of one, and
+    solve_stacks passes its stacks whole.
+    """
     counts = Counter()
-    inner = spectral.eigendecompose
+    inner = spectral.eigendecompose_stack
 
-    def counting(gen):
-        counts[(gen.graph, gen.space.level)] += 1
-        return inner(gen)
+    def counting(gens):
+        counts.update((gen.graph, gen.space.level) for gen in gens)
+        return inner(gens)
 
-    monkeypatch.setattr(spectral, "eigendecompose", counting)
+    monkeypatch.setattr(spectral, "eigendecompose_stack", counting)
     return counts

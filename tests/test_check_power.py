@@ -1,18 +1,20 @@
 """Planted defects: each verify record, comparison report and sweep can fail.
 
 Each test plants one defect by monkeypatch, at the name its caller looks up
-(verify imports build_level_generator by name; solve_level reads
-spectral.eigendecompose as a global; diagnostics imports band_mass and
-threshold_mask by name), and asserts that the record meant to catch it
-counts a violation. A plant that no record catches is an xfail: the check
-lacks the power to see it.
+(generator, spectral and verify each look up build_level_generators in their
+own namespace; every solve reaches spectral.eigendecompose_stack as a global;
+diagnostics imports band_mass and threshold_mask by name), and asserts that
+the record meant to catch it counts a violation. Plants on the stacked kernels
+see every member of a stack. A plant that no record catches is an xfail: the
+check lacks the power to see it.
 """
 
 import numpy as np
 import pytest
 
-from xproc import diagnostics, dynamics, fourier, spectral, verify
+from xproc import diagnostics, dynamics, fourier, generator, spectral, verify
 from xproc.cli import main
+from xproc.graph import Graph
 
 
 def violations() -> dict[str, int]:
@@ -26,24 +28,53 @@ def wrap(monkeypatch, module, name, make):
 
 
 def plant_asymmetric_entry(monkeypatch):
+    # Only in verify, where the generator invariants build: planted in every
+    # build, every solve would refuse the matrix.
     def make(real):
-        def planted(g, level):
-            gen = real(g, level)
-            if gen.space.size > 1:
-                gen.matrix[0, 1] += 1e-6
-            return gen
+        def planted(graphs, level):
+            gens = real(graphs, level)
+            for gen in gens:
+                if gen.space.size > 1:
+                    gen.matrix[0, 1] += 1e-6
+            return gens
         return planted
-    wrap(monkeypatch, verify, "build_level_generator", make)
+    wrap(monkeypatch, verify, "build_level_generators", make)
+
+
+def faster_first_edge(g: Graph) -> Graph:
+    (u, v, rate), *rest = g.edges
+    return Graph(g.n, ((u, v, rate * 1.01), *rest))
+
+
+def plant_wrong_edge_rate(monkeypatch):
+    """Every generator is built with its graph's first edge at 1.01 times its rate."""
+    def make(real):
+        def planted(graphs, level):
+            gens = real([faster_first_edge(g) for g in graphs], level)
+            for gen, g in zip(gens, graphs):
+                gen.graph = g
+            return gens
+        return planted
+    for module in (generator, spectral, verify):
+        wrap(monkeypatch, module, "build_level_generators", make)
+
+
+def plant_bases(monkeypatch, change):
+    """Each basis an eigensolve returns becomes change(basis)."""
+    def make(real):
+        def planted(gens):
+            bases = real(gens)
+            for basis in bases:
+                change(basis)
+            return bases
+        return planted
+    wrap(monkeypatch, spectral, "eigendecompose_stack", make)
 
 
 def plant_eigenvalues(monkeypatch, change):
-    def make(real):
-        def planted(gen):
-            basis = real(gen)
-            basis.eigenvalues = change(basis.eigenvalues.copy())
-            return basis
-        return planted
-    wrap(monkeypatch, spectral, "eigendecompose", make)
+    def change_basis(basis):
+        basis.eigenvalues = change(basis.eigenvalues.copy())
+    plant_bases(monkeypatch, change_basis)
 
 
 def plant_top_eigenvalue(monkeypatch):
@@ -60,17 +91,13 @@ def plant_lifts(monkeypatch):
 
 
 def plant_rotated_pair(monkeypatch):
-    def make(real):
-        def planted(gen):
-            basis = real(gen)
-            if basis.size > 2:
-                c, s = np.cos(0.1), np.sin(0.1)
-                v = basis.vectors.copy()
-                v[:, 1], v[:, -1] = c * v[:, 1] - s * v[:, -1], s * v[:, 1] + c * v[:, -1]
-                basis.vectors = v
-            return basis
-        return planted
-    wrap(monkeypatch, spectral, "eigendecompose", make)
+    def rotate(basis):
+        if basis.size > 2:
+            c, s = np.cos(0.1), np.sin(0.1)
+            v = basis.vectors.copy()
+            v[:, 1], v[:, -1] = c * v[:, 1] - s * v[:, -1], s * v[:, 1] + c * v[:, -1]
+            basis.vectors = v
+    plant_bases(monkeypatch, rotate)
 
 
 def plant_other_span_at_a_quarter(monkeypatch):
@@ -85,6 +112,18 @@ def plant_dropped_coefficient(monkeypatch):
             p = real(f, bases)
             coefficients = p.coefficients.copy()
             coefficients[-1] = 0.0
+            return fourier.SpectralProfile(p.n, p.levels, p.eigenvalues, coefficients,
+                                           p.mean, p.boolean)
+        return planted
+    wrap(monkeypatch, fourier, "spectral_profile", make)
+
+
+def plant_dropped_level(monkeypatch):
+    """Each profile loses its middle level: the level's coefficients read as zero."""
+    def make(real):
+        def planted(f, bases):
+            p = real(f, bases)
+            coefficients = np.where(p.levels == p.n // 2, 0.0, p.coefficients)
             return fourier.SpectralProfile(p.n, p.levels, p.eigenvalues, coefficients,
                                            p.mean, p.boolean)
         return planted
@@ -118,6 +157,11 @@ PLANTS = {
     "eigenvalues x 1.5": (lambda mp: plant_eigenvalues(mp, lambda lam: lam * 1.5),
                           ["eigenvalue_upper_bound"]),
     "last profile coefficient dropped": (plant_dropped_coefficient, ["parseval"]),
+    "middle level dropped from profiles": (plant_dropped_level,
+                                           ["parseval", "oracle_equivalence"]),
+    "first edge at 1.01 x its rate": (plant_wrong_edge_rate,
+                                      ["generator_invariants", "complete_graph_multiplicities",
+                                       "lift_length_formulas"]),
     "exact correlation at t x 1.001": (plant_late_correlation, ["oracle_equivalence"]),
     "(0, k] read as [k, inf)": (
         lambda mp: plant_band_mass(

@@ -713,3 +713,26 @@ def test_failed_write_names_out(tmp_path, capsys, monkeypatch):
                           "majority", "--t", "1", "--out", str(path)], capsys)
     assert code == 2 and out == ""
     assert err == f"config error: --out: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("level", ["all", "3"])
+def test_spectrum_over_the_cap_exits_2_before_any_solve(capsys, monkeypatch, level):
+    monkeypatch.setenv("XPROC_STATE_CAP", "30")
+
+    def no_solve(*args):
+        raise AssertionError("a level was solved before the cap was checked")
+
+    monkeypatch.setattr(spectral, "solve_level", no_solve)
+    code, out, err = run(["spectrum", "--graph", "cycle:8", "--rate", "1", "--level", level],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err == ("config error: level slice C(8,3) has 56 states, exceeding the cap 30 "
+                   "(set XPROC_STATE_CAP to raise it)\n")
+
+
+def test_spectrum_of_one_level_under_the_cap_runs_above_it(capsys, monkeypatch):
+    monkeypatch.setenv("XPROC_STATE_CAP", "30")
+    code, out, _ = run(["spectrum", "--graph", "cycle:8", "--rate", "1", "--level", "1"],
+                       capsys)
+    # a comment line, the header and the 8 eigenvalues of level 1
+    assert code == 0 and len(out.splitlines()) == 2 + 8

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xproc.graph import (
     Graph,
@@ -265,3 +266,52 @@ def test_format_error_without_an_edge_has_no_index(tmp_path):
 def test_with_rate_matches_the_family_at_that_rate():
     assert with_rate(make_cycle(5, 1.0), 0.5) == make_cycle(5, 0.5)
     assert with_rate(make_half_complete_cycle(3, 2.0), 0.25) == make_half_complete_cycle(3, 0.25)
+
+
+@pytest.mark.parametrize("literal,shown", [("true", "True"), ("false", "False"), ("1", "1"),
+                                           ("-3", "-3"), ("4.0", "4.0")])
+def test_loader_rejects_a_bad_n_naming_it(tmp_path, literal, shown):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": ' + literal + ', "edges": [[0, 1, 1.0]]}')
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(str(path))
+    assert str(exc.value) == f"{path}: 'n' must be an integer >= 2, got {shown}"
+
+
+@st.composite
+def graphs(draw):
+    """Any graph: n in 2..9, a random edge set and finite positive rates."""
+    n = draw(st.integers(2, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] < p[1]), unique=True, max_size=n * (n - 1) // 2))
+    rates = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False)
+    return Graph(n, tuple((u, v, draw(rates)) for u, v in pairs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_saved_graph_loads_back_equal(tmp_path_factory, g):
+    path = tmp_path_factory.mktemp("graph") / "g.json"
+    save_graph(g, str(path))
+    assert load_graph(str(path)) == g
+
+
+CORRUPT_ENTRIES = ["[0, 0, 1.0]", "[1, 0, 1.0]", "[0, 99, 1.0]", "[-1, 1, 1.0]",
+                   "[0, 1.5, 1.0]", "[true, 1, 1.0]", "[0, 1, 0.0]", "[0, 1, -2.0]",
+                   "[0, 1, true]", '[0, 1, "1.0"]', "[0, 1, 1e999]", "[0, 1]", "[0, 1, 1.0, 1.0]",
+                   "{}", "null"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs().filter(lambda g: g.edges), st.data())
+def test_corrupted_edge_is_refused_with_its_index(tmp_path_factory, g, data):
+    k = data.draw(st.integers(0, len(g.edges) - 1))
+    entry = data.draw(st.sampled_from(CORRUPT_ENTRIES))
+    lines = [json.dumps([u, v, rate]) for u, v, rate in g.edges]
+    lines[k] = entry
+    path = tmp_path_factory.mktemp("graph") / "bad.json"
+    path.write_text('{"n": %d, "edges": [\n%s\n]}\n' % (g.n, ",\n".join(lines)))
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(str(path))
+    # Line 1 opens the edge list, so edge k sits on line k + 2.
+    assert f"edges[{k}] (line {k + 2})" in str(exc.value)
