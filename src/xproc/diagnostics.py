@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .fourier import THRESH_SLACK, SpectralProfile, band_mask, band_mass, threshold_mask
-from .graph import Graph, is_complete, is_connected, is_edge_subgraph, max_degree, uniform_rate
+from .graph import Graph, is_complete, is_edge_subgraph, max_degree, uniform_rate
 from .spectral import SpectralBasis
 from .statespace import StateCapExceeded
 
@@ -145,7 +145,7 @@ def monotonicity_inequality_check(
         raise ValueError("thresholds must be > 0")
     if not is_edge_subgraph(g_sub, g):
         raise ValueError("second graph must be an equal-rate edge subgraph of the first")
-    if not (is_connected(g) and is_connected(g_sub)):
+    if not (g.connected and g_sub.connected):
         raise ValueError("both graphs must be connected")
     low = band_mass(profile, k, "<=")
     high = band_mass(profile, k, ">")

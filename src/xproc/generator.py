@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, is_connected
+from .graph import Graph
 from .statespace import LevelStateSpace, bit_position, enumerate_level, pair_row, swap_table
 
 
@@ -72,7 +72,7 @@ def build_level_generators(graphs: Sequence[Graph], level: int) -> list[LevelGen
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError(f"a stack needs graphs on one n, got {sorted({g.n for g in graphs})}")
-    if not all(is_connected(g) for g in graphs):
+    if not all(g.connected for g in graphs):
         raise ValueError("generator requires a connected graph")
     space = enumerate_level(n, level)
     size = space.size

@@ -11,6 +11,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class GraphFormatError(ValueError):
@@ -73,6 +74,10 @@ class Graph:
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, v, _ in self.edges)
+
+    @cached_property  # kept in the instance __dict__, outside the compared fields
+    def connected(self) -> bool:
+        return is_connected(self)
 
 
 def make_complete(n: int, rate: float) -> Graph:

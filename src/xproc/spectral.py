@@ -87,14 +87,13 @@ def group_eigenvalues(eigenvalues: np.ndarray, rtol: float = GROUP_RTOL) -> list
     return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
-def fix_sign(vec: np.ndarray) -> np.ndarray:
-    """Flip each column whose first nonzero coordinate is negative.
+def fix_sign(vec: np.ndarray) -> None:
+    """Flip, in place, each column whose first nonzero coordinate is negative.
 
-    Takes one vector, a (size, k) matrix of column vectors or a stack of
-    such matrices (..., size, k); a coordinate counts as nonzero above
-    SIGN_TOL times the column's largest magnitude. Beyond the copy it
-    returns, its only full-size temporaries are boolean, so a full basis
-    costs one extra matrix, not four.
+    Takes one float vector, a (size, k) matrix of column vectors or a stack
+    of such matrices (..., size, k); a coordinate counts as nonzero above
+    SIGN_TOL times the column's largest magnitude. Its only full-size
+    temporaries are boolean, so a full basis costs no extra matrix.
     """
     cols = vec[:, None] if vec.ndim == 1 else vec
     scale = np.maximum(cols.max(axis=-2, initial=0.0), -cols.min(axis=-2, initial=0.0))
@@ -104,7 +103,14 @@ def fix_sign(vec: np.ndarray) -> np.ndarray:
     # The first nonzero coordinate is negative iff it lies below -tol. A
     # product with -1.0 is an exact negation, and a column holding NaN has a
     # NaN tol, so it is never flipped.
-    return (cols * np.where(lead < -tol, -1.0, 1.0)).reshape(vec.shape)
+    cols *= np.where(lead < -tol, -1.0, 1.0)
+
+
+def column_dots(x: np.ndarray) -> np.ndarray:
+    """c @ c per column c of x, in one matmul with the bits of c.copy() @ c.copy(): the
+    transpose is copied because a strided dot rounds differently from a contiguous one."""
+    rows = np.ascontiguousarray(x.T)
+    return np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1)
 
 
 def eigendecompose(gen: LevelGenerator) -> SpectralBasis:
@@ -135,12 +141,13 @@ def eigendecompose_stack(gens: Sequence[LevelGenerator]) -> list[SpectralBasis]:
         return [SpectralBasis(gen.space, np.zeros(1), np.ones((1, 1))) for gen in gens]
     matrices = (gens[0].matrix[None] if len(gens) == 1
                 else np.stack([gen.matrix for gen in gens]))
-    asym = np.max(np.abs(matrices - matrices.transpose(0, 2, 1)), axis=(1, 2))
-    scale = np.maximum(1.0, np.max(np.abs(matrices), axis=(1, 2)))
-    for gen, a, s in zip(gens, asym, scale):
-        if a > 1e-12 * s:
-            raise NumericalError("eigendecompose", gen,
-                                 f"matrix is not symmetric: max |A - A^T| = {a:g}")
+    scale = np.maximum(1.0, np.maximum(matrices.max(axis=(1, 2)), -matrices.min(axis=(1, 2))))
+    if (matrices != matrices.transpose(0, 2, 1)).any():  # only then find max |A - A^T|
+        asym = np.max(np.abs(matrices - matrices.transpose(0, 2, 1)), axis=(1, 2))
+        for gen, a, s in zip(gens, asym, scale):
+            if a > 1e-12 * s:
+                raise NumericalError("eigendecompose", gen,
+                                     f"matrix is not symmetric: max |A - A^T| = {a:g}")
     try:
         w, v = np.linalg.eigh(matrices)
     except np.linalg.LinAlgError as exc:
@@ -160,7 +167,7 @@ def eigendecompose_stack(gens: Sequence[LevelGenerator]) -> list[SpectralBasis]:
     v *= math.sqrt(size)
     w[:, 0] = 0.0
     v[:, :, 0] = 1.0
-    v[:, :, 1:] = fix_sign(v[:, :, 1:])
+    fix_sign(v[:, :, 1:])
     if len(gens) == 1:
         return [SpectralBasis(gens[0].space, w[0], v[0])]
     # A copy per member lets a held basis keep only its own arrays alive.
@@ -304,10 +311,6 @@ def sum_lift(space: LevelStateSpace, psi: np.ndarray, level: int) -> np.ndarray:
     return _gather_sum(space, psi, lift_table(space.n, m, level))
 
 
-def pi_norm(space: LevelStateSpace, f: np.ndarray) -> float:
-    return math.sqrt(float(np.dot(f, f)) / space.size)
-
-
 # ---------------------------------------------------------------------------
 # complete-graph eigenbasis, built level by level
 # ---------------------------------------------------------------------------
@@ -349,8 +352,7 @@ def complete_graph_basis(n: int, level: int, alpha: float) -> SpectralBasis:
     for m in range(1, level + 1):
         target = enumerate_level(n, m)
         up = lift_up(space, vectors)
-        # Norms of contiguous copies: a strided dot rounds differently.
-        lifted = up / [pi_norm(target, up[:, i].copy()) for i in range(up.shape[1])]
+        lifted = up / np.sqrt(column_dots(up) / target.size)
         new_count = target.size - lifted.shape[1]
         if new_count:
             # Orthonormal complement of the lifted span; SVD keeps it
@@ -363,9 +365,8 @@ def complete_graph_basis(n: int, level: int, alpha: float) -> SpectralBasis:
         else:
             vectors = lifted
         space = target
-    vectors = vectors.copy()
     vectors[:, 0] = 1.0
-    vectors[:, 1:] = fix_sign(vectors[:, 1:])
+    fix_sign(vectors[:, 1:])
     return SpectralBasis(space, np.array(eigenvalues), vectors)
 
 

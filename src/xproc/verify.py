@@ -249,11 +249,8 @@ def lift_length_error(n: int, level: int, alpha: float, basis) -> float:
     if level <= n - 1:
         want = (level + 1) / (alpha * (n - level)) * (alpha * (level + 1) * (n - level) - lam)
         lifts.append((spectral.lift_up(basis.space, basis.vectors), want))
-    errs = []
-    for lifted, want in lifts:
-        # Dots of contiguous copies: a strided dot rounds differently.
-        got = np.array([float(c @ c) for c in map(np.copy, lifted.T)]) / lifted.shape[0]
-        errs.append(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+    errs = [np.max(np.abs(spectral.column_dots(lifted) / lifted.shape[0] - want)
+                   / np.maximum(1.0, np.abs(want))) for lifted, want in lifts]
     return float(np.max(errs, initial=0.0))
 
 

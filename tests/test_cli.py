@@ -1,11 +1,12 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
 import json
+import math
 import resource
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from xproc import cli, diagnostics, spectral
 from xproc.cli import apply_config_file, build_parser, dumps_json, main
@@ -736,3 +737,58 @@ def test_spectrum_of_one_level_under_the_cap_runs_above_it(capsys, monkeypatch):
                        capsys)
     # a comment line, the header and the 8 eigenvalues of level 1
     assert code == 0 and len(out.splitlines()) == 2 + 8
+
+
+# Every numeric flag with its check_numbers rule (op, bound, int or float) and
+# an argv that reads it: a value outside the rule goes where {} stands.
+NUMERIC_FLAGS = [
+    ("--t", ">=", 0, float, ["exact", "--graph", "cycle:5", "--rate", "1",
+                             "--function", "dictator:0", "--t={}"]),
+    ("--eps", ">=", 0, float, ["exact", "--graph", "cycle:5", "--rate", "1",
+                               "--function", "dictator:0", "--eps={}"]),
+    ("--t", ">=", 0, float, ["simulate", "--graph", "cycle:5", "--rate", "1",
+                             "--function", "dictator:0", "--samples", "10", "--t={}"]),
+    ("--eps", ">=", 0, float, ["simulate", "--graph", "cycle:5", "--rate", "1",
+                               "--function", "dictator:0", "--samples", "10", "--eps={}"]),
+    ("--samples", ">=", 1, int, ["simulate", "--graph", "cycle:5", "--rate", "1",
+                                 "--function", "dictator:0", "--t", "1", "--samples={}"]),
+    ("--rate", ">", 0, float, ["spectrum", "--graph", "cycle:5", "--rate={}"]),
+    ("--rate-b", ">", 0, float, ["compare", "--graph", "complete:5", "--rate", "1",
+                                 "--graph-b", "cycle:5", "--rate-b={}"]),
+    ("--k", ">", 0, float, ["compare", "--graph", "complete:5", "--rate", "1",
+                            "--graph-b", "cycle:5", "--rate-b", "1", "--k={}"]),
+    ("--kprime", ">", 0, float, ["compare", "--graph", "complete:5", "--rate", "1",
+                                 "--graph-b", "cycle:5", "--rate-b", "1", "--k", "1",
+                                 "--kprime={}"]),
+    ("--k", ">", 0, float, ["profile", "--graph", "cycle", "--rate", "1", "--function",
+                            "dictator:0", "--n-grid", "3:4", "--k=1,{}"]),
+    ("--rate", ">", 0, float, ["profile", "--graph", "cycle", "--function", "dictator:0",
+                               "--n-grid", "3:4", "--rate={}"]),
+    ("--nmax", ">=", 4, int, ["verify", "--nmax={}"]),
+    ("--mc-samples", ">=", 100, int, ["verify", "--mc-samples={}"]),
+    ("--seed", ">=", 0, int, ["verify", "--seed={}"]),
+]
+
+
+@st.composite
+def numeric_flag_outside_its_rule(draw):
+    flag, op, bound, kind, argv = draw(st.sampled_from(NUMERIC_FLAGS))
+    if kind is int:
+        value = draw(st.integers(max_value=bound - (op == ">=")))
+    else:
+        # NaN, +-inf, or a finite value at or below the bound
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf])
+                     | st.floats(max_value=bound, allow_nan=False, allow_infinity=False)
+                     .filter(lambda x: not (x > bound if op == ">" else x >= bound)))
+    return flag, [word.replace("{}", repr(value)) for word in argv]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(numeric_flag_outside_its_rule())
+def test_a_numeric_flag_outside_its_rule_exits_2_naming_it(capsys, case):
+    flag, argv = case
+    capsys.readouterr()
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"config error: {flag} must be " in err

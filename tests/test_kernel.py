@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from xproc.fourier import dictator, majority, mass_by_eigenvalue, parity_on_set, spectral_profile
-from xproc.generator import build_level_generator, edge_masks
+from xproc import spectral
+from xproc.generator import build_level_generator, build_level_generators, edge_masks
 from xproc.graph import Graph, make_complete, make_cycle, make_half_complete_cycle
 from xproc.spectral import (
     GROUP_RTOL,
@@ -97,6 +98,13 @@ def ref_sum_lift(space, psi, level):
                 sub_word |= 1 << bit_position(n, v)
             acc += psi[index[sub_word]]
         out[i] = acc
+    return out
+
+
+def fixed(vec):
+    """A copy of vec with fix_sign applied to it in place."""
+    out = vec.copy()
+    fix_sign(out)
     return out
 
 
@@ -333,10 +341,10 @@ def test_fix_sign_columns_match_per_column():
     mat = np.array(columns).T
     rng = np.random.default_rng(9)
     mat = np.hstack([mat, rough(rng, 3, 20)])
-    got = fix_sign(mat)
+    got = fixed(mat)
     for c in range(mat.shape[1]):
         assert np.array_equal(got[:, c], ref_fix_sign(mat[:, c]))
-        assert np.array_equal(fix_sign(mat[:, c]), ref_fix_sign(mat[:, c]))
+        assert np.array_equal(fixed(mat[:, c]), ref_fix_sign(mat[:, c]))
     assert np.array_equal(got[:, 1], mat[:, 1]) and np.array_equal(got[:, 2], -mat[:, 2])
 
 
@@ -357,11 +365,11 @@ def test_fix_sign_matches_per_column_on_random_matrices():
             mat[:k, c] = planted
         mat[:, 1::7] = 0.0
         mat[rows // 2, cols - 1] = np.nan
-        got = fix_sign(mat)
+        got = fixed(mat)
         for c in range(cols):
             want = ref_fix_sign(mat[:, c])
             assert got[:, c].tobytes() == want.tobytes()
-            assert fix_sign(mat[:, c]).tobytes() == want.tobytes()
+            assert fixed(mat[:, c]).tobytes() == want.tobytes()
 
 
 def test_eigendecompose_signs_match_per_column():
@@ -374,6 +382,73 @@ def test_eigendecompose_signs_match_per_column():
     for i in range(1, gen.space.size):
         vectors[:, i] = ref_fix_sign(vectors[:, i])
     assert np.array_equal(basis.vectors, vectors)
+
+
+def ref_fix_sign_stack(vec):
+    """fix_sign as an out-of-place product, the form its in-place flip replaced."""
+    cols = vec[:, None] if vec.ndim == 1 else vec
+    scale = np.maximum(cols.max(axis=-2, initial=0.0), -cols.min(axis=-2, initial=0.0))
+    tol = SIGN_TOL * scale[..., None, :]
+    first = ((cols > tol) | (cols < -tol)).argmax(axis=-2)
+    lead = np.take_along_axis(cols, first[..., None, :], axis=-2)
+    return (cols * np.where(lead < -tol, -1.0, 1.0)).reshape(vec.shape)
+
+
+def planted_stack(rng, members, rows, cols):
+    """Random columns, with zero columns, NaN columns and columns led by
+    entries exactly at the SIGN_TOL edge or one ulp past it."""
+    stack = rough(rng, members, rows, cols)
+    stack[:, :, 1::7] = 0.0
+    stack[:, rows // 2, 2::9] = np.nan
+    for m in range(members):
+        for c in range(3, cols, 5):
+            big = int(np.argmax(np.abs(stack[m, :, c])))
+            stack[m, [big, -1], c] = stack[m, [-1, big], c]
+            edge = SIGN_TOL * abs(stack[m, -1, c])
+            lead = edge if rng.random() < 0.5 else np.nextafter(edge, np.inf)
+            stack[m, 0, c] = lead * rng.choice([-1.0, 1.0])
+    return stack
+
+
+@pytest.mark.parametrize("members,rows,cols", [(1, 2, 1), (3, 9, 8), (4, 45, 44),
+                                               (1, 252, 251), (2, 3, 40)])
+def test_in_place_sign_fix_matches_fix_sign_on_stacks(members, rows, cols):
+    rng = np.random.default_rng(members * 1000 + rows)
+    stack = planted_stack(rng, members, rows, cols)
+    want = ref_fix_sign_stack(stack)
+    got = fixed(stack)
+    assert got.tobytes() == want.tobytes()
+    for m in range(members):
+        for c in range(cols):
+            assert got[m, :, c].tobytes() == ref_fix_sign(stack[m, :, c]).tobytes()
+
+
+def test_eigendecompose_stack_signs_match_fix_sign():
+    rng = np.random.default_rng(12)
+    graphs = [make_complete(6, 1.0), make_cycle(6, 0.5),
+              *(random_connected_graph(rng, 6, 0.7) for _ in range(2))]
+    gens = build_level_generators(graphs, 3)
+    _, v = np.linalg.eigh(np.stack([gen.matrix for gen in gens]))
+    v *= math.sqrt(gens[0].space.size)
+    v[:, :, 0] = 1.0
+    want = v.copy()
+    fix_sign(want[:, :, 1:])
+    for basis, vectors in zip(spectral.eigendecompose_stack(gens), want):
+        assert basis.vectors.tobytes() == vectors.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (252, 252), (3, 40), (495, 200),
+                                   (70, 13)])
+def test_column_dots_match_a_dot_per_column_copy(shape):
+    rng = np.random.default_rng(shape[0] * 7 + shape[1])
+    x = rough(rng, *shape)
+    want = np.array([float(c @ c) for c in map(np.copy, x.T)])
+    assert spectral.column_dots(x).tobytes() == want.tobytes()
+    # A strided view and a Fortran-ordered copy give the same bits.
+    wide = rough(rng, shape[0], 2 * shape[1])
+    wide[:, ::2] = x
+    assert spectral.column_dots(wide[:, ::2]).tobytes() == want.tobytes()
+    assert spectral.column_dots(np.asfortranarray(x)).tobytes() == want.tobytes()
 
 
 def test_group_eigenvalues_matches_reference_on_random_spectra():

@@ -17,7 +17,6 @@ from xproc.spectral import (
     lift_down,
     lift_up,
     mirror_basis,
-    pi_norm,
     solve_level,
     sum_lift,
 )
@@ -116,9 +115,11 @@ def test_trivial_levels_solve_to_the_constant(g):
 
 
 def test_fix_sign():
-    assert np.array_equal(fix_sign(np.array([-1.0, 2.0])), [1.0, -2.0])
-    assert np.array_equal(fix_sign(np.array([0.0, -3.0])), [0.0, 3.0])
-    assert np.array_equal(fix_sign(np.array([2.0, -3.0])), [2.0, -3.0])
+    for vec, want in (([-1.0, 2.0], [1.0, -2.0]), ([0.0, -3.0], [0.0, 3.0]),
+                      ([2.0, -3.0], [2.0, -3.0])):
+        vec = np.array(vec)
+        fix_sign(vec)
+        assert np.array_equal(vec, want)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,7 @@ def test_sum_lift_preserves_eigenvalue_on_k6():
     assert lam == pytest.approx(6.0)
     lifted = sum_lift(basis1.space, basis1.vectors[:, idx], 3)
     assert eigen_or_zero(gen3, lifted, lam, tol=1e-10)
-    assert pi_norm(gen3.space, lifted) > 1e-6
+    assert math.sqrt(float(lifted @ lifted) / gen3.space.size) > 1e-6
 
 
 def test_sum_lift_dichotomy_on_cycle6():

@@ -4,7 +4,7 @@ as one at a time."""
 import numpy as np
 import pytest
 
-from xproc import spectral
+from xproc import graph as graph_module, spectral
 from xproc.generator import NumericalError, build_level_generator, build_level_generators
 from xproc.graph import Graph, make_complete, make_cycle, make_half_complete_cycle
 from xproc.spectral import eigendecompose, eigendecompose_stack, level_bases, solve_levels
@@ -124,6 +124,44 @@ def test_an_asymmetric_member_is_named():
         eigendecompose_stack(gens)
 
 
+def three_sizes_of_ten():
+    """A 3-member stack of 10-state levels on three (n, level) slices:
+    C(5, 2) = C(10, 1) = C(5, 3) = 10."""
+    return [build_level_generator(make_cycle(5, 1.0), 2),
+            build_level_generator(rated_graphs(4, 10, 1)[0], 1),
+            build_level_generator(make_complete(5, 0.5), 3)]
+
+
+def asymmetry_of(gen, delta):
+    """Add delta to the upper entry (0, 1) of gen's matrix; return its max |A - A^T|
+    and the tolerance 1e-12 * max(1, max |A|) it is checked against."""
+    gen.matrix[0, 1] += delta
+    m = gen.matrix
+    return np.max(np.abs(m - m.T)), 1e-12 * max(1.0, np.max(np.abs(m)))
+
+
+def test_an_asymmetry_just_over_the_tolerance_names_its_member():
+    gens = three_sizes_of_ten()
+    scale = max(1.0, np.max(np.abs(gens[1].matrix)))
+    asym, tol = asymmetry_of(gens[1], 1.01e-12 * scale)
+    assert tol < asym < 1.05 * tol
+    with pytest.raises(NumericalError, match=r"^eigendecompose on n=10, level=1 \(10 states\): "
+                                            "matrix is not symmetric"):
+        eigendecompose_stack(gens)
+
+
+def test_an_asymmetry_under_the_tolerance_passes():
+    gens = three_sizes_of_ten()
+    alone = [eigendecompose(gen) for gen in gens]
+    scale = max(1.0, np.max(np.abs(gens[1].matrix)))
+    asym, tol = asymmetry_of(gens[1], 0.5e-12 * scale)
+    assert 0.0 < asym < tol
+    assert (gens[1].matrix != gens[1].matrix.T).any()
+    # eigh reads the lower triangle only, so the bases do not move.
+    for basis, ref in zip(eigendecompose_stack(gens), alone):
+        assert_same_basis(basis, ref)
+
+
 def test_a_member_with_a_nonzero_kernel_is_named():
     gens = mixed_stack()
     gens[2].matrix[...] += np.eye(10)
@@ -154,6 +192,31 @@ def test_a_disconnected_graph_is_refused():
         build_level_generators([make_cycle(4, 1.0), two_pairs], 2)
     with pytest.raises(ValueError, match="generator requires a connected graph"):
         solve_levels([make_cycle(4, 1.0), two_pairs])
+    # One disconnected member among three, refused at every level and on
+    # every call once its verdict is cached.
+    for level in (2, 0, 2, 4):
+        with pytest.raises(ValueError, match="generator requires a connected graph"):
+            build_level_generators([make_cycle(4, 1.0), two_pairs, make_complete(4, 0.5)],
+                                   level)
+
+
+def test_connectivity_is_checked_once_per_graph(monkeypatch):
+    calls = []
+    real = graph_module.is_connected
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graph_module, "is_connected", counting)
+    graphs = rated_graphs(5, 6, 3)
+    solve_levels(graphs)
+    for level in range(7):
+        build_level_generators(graphs, level)
+    assert calls == graphs
+    # The verdict lives outside the fields: equality and hashing are unchanged.
+    twin = Graph(graphs[0].n, graphs[0].edges)
+    assert twin == graphs[0] and hash(twin) == hash(graphs[0]) and "connected" not in repr(twin)
 
 
 def test_a_stack_takes_one_n_and_one_size():
