@@ -44,7 +44,6 @@ from .spectral import (
     lift_up,
     mirror_basis,
     solve_level,
-    solve_levels,
     sum_lift,
 )
 from .fourier import (

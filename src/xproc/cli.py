@@ -374,6 +374,10 @@ def cmd_verify(args) -> tuple:
     check_numbers(("--nmax", args.nmax, ">=", 4),
                   ("--mc-samples", args.mc_samples, ">=", verify.MIN_MC_SAMPLES),
                   ("--seed", args.seed, ">=", 0))
+    try:  # the largest slice any check enumerates
+        check_levels(args.nmax, [args.nmax // 2])
+    except StateCapExceeded as exc:
+        raise ConfigError(f"--nmax: {exc}") from exc
     config = config_echo(args, ["suite", "nmax", "seed", "mc_samples"])
     return config, verify.run_suite(nmax=args.nmax, seed=args.seed,
                                     mc_samples=args.mc_samples)

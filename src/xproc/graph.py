@@ -79,6 +79,15 @@ class Graph:
     def connected(self) -> bool:
         return is_connected(self)
 
+    # The dataclass hash of (n, edges), kept once per instance: graphs key the
+    # basis table's dicts, and hashing the edge tuple visits every edge.
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.edges))
+
 
 def make_complete(n: int, rate: float) -> Graph:
     """Complete graph on n vertices, every edge at the given rate."""

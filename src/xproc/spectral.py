@@ -187,7 +187,7 @@ def solve_level(g: Graph, level: int) -> SpectralBasis:
     """The eigendecomposition of -Q on one level of the process on g.
 
     The one place a single level is solved: the CLI's eigenbases all come
-    from here, and solve_levels solves batches with the same kernel.
+    from here, and solve_stacks solves batches with the same kernel.
     """
     return eigendecompose(build_level_generator(g, level))
 
@@ -222,21 +222,6 @@ def solve_stacks(pairs: Sequence[tuple[Graph, int]]):
             bases = eigendecompose_stack(gens)
             yield from zip(indices, gens, bases)
             del gens, bases  # before the next stack is built
-
-
-def solve_levels(graphs: Sequence[Graph]) -> list[list[SpectralBasis]]:
-    """Per graph, the eigenbases of its levels 0..n, solved in stacks (solve_stacks).
-
-    Every basis is the one solve_level gives, bit for bit. All are held at
-    once, sum over l of C(n, l)^2 doubles per graph; level_bases solves one
-    level at a time instead.
-    """
-    pairs = [(g, level) for g in graphs for level in range(g.n + 1)]
-    bases = [None] * len(pairs)
-    for i, _, basis in solve_stacks(pairs):
-        bases[i] = basis
-    solved = iter(bases)
-    return [[next(solved) for _ in range(g.n + 1)] for g in graphs]
 
 
 def level_bases(g: Graph):

@@ -35,7 +35,9 @@ class BasisTable:
     holding every basis of a run would cost three times the memory for
     little more speed. Held arrays are read-only, so no check can change a
     basis another check reads. A solve is deterministic for identical input,
-    stacked or not, so reusing a basis changes no report.
+    stacked or not, so reusing a basis changes no report. Every check reads
+    its bases here but check_eigensolver, which solves its own to keep each
+    basis's generator and then holds them.
     """
 
     def __init__(self):
@@ -62,16 +64,10 @@ class BasisTable:
             found[missing[i]] = basis
         return [found[pair] for pair in pairs]
 
-    def basis(self, g: Graph, level: int) -> spectral.SpectralBasis:
-        return self.bases([(g, level)])[0]
-
     def levels(self, graphs) -> list[list[spectral.SpectralBasis]]:
         """Per graph, its bases of levels 0..n, as one call to bases."""
         bases = iter(self.bases([(g, level) for g in graphs for level in range(g.n + 1)]))
         return [[next(bases) for _ in range(g.n + 1)] for g in graphs]
-
-    def all_levels(self, g: Graph) -> list[spectral.SpectralBasis]:
-        return self.levels([g])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +218,26 @@ def expected_complete_spectrum(n: int, level: int, alpha: float) -> np.ndarray:
     return np.sort(np.repeat(lam, mult))
 
 
-def check_complete_multiplicities(nmax: int, table: BasisTable) -> dict:
+def complete_cases(nmax: int) -> list[tuple[str, int, float, Graph, int]]:
+    """(label, n, alpha, K_n at rate alpha, level) for n = 2..nmax, alpha 1 and 1/n,
+    and levels 0..n/2: the instances of both closed-form complete-graph checks."""
     graphs = [(n, alpha, make_complete(n, alpha))
               for n in range(2, nmax + 1) for alpha in (1.0, 1.0 / n)]
-    bases = iter(table.bases([(g, level) for n, _, g in graphs for level in range(n // 2 + 1)]))
+    return [(f"K_{n} alpha={alpha:g} level {level}", n, alpha, g, level)
+            for n, alpha, g in graphs for level in range(n // 2 + 1)]
+
+
+def check_complete_multiplicities(nmax: int, table: BasisTable) -> dict:
+    cases = complete_cases(nmax)
+    bases = table.bases((g, level) for *_, g, level in cases)
     rows = []
-    for n, alpha, g in graphs:
-        for level in range(n // 2 + 1):
-            basis = next(bases)
-            expected = expected_complete_spectrum(n, level, alpha)
-            err = float(
-                np.max(np.abs(np.sort(basis.eigenvalues) - expected)
-                       / np.maximum(1.0, expected))
-            )
-            rows.append((err, 1e-8, f"K_{n} alpha={alpha:g} level {level}"))
+    for (label, n, alpha, _, level), basis in zip(cases, bases):
+        expected = expected_complete_spectrum(n, level, alpha)
+        err = float(
+            np.max(np.abs(np.sort(basis.eigenvalues) - expected)
+                   / np.maximum(1.0, expected))
+        )
+        rows.append((err, 1e-8, label))
     return _record("complete_graph_multiplicities", rows)
 
 
@@ -255,35 +257,30 @@ def lift_length_error(n: int, level: int, alpha: float, basis) -> float:
 
 
 def check_lift_lengths(nmax: int, table: BasisTable) -> dict:
-    rows = []
-    for n in range(2, nmax + 1):
-        for alpha in (1.0, 1.0 / n):
-            g = make_complete(n, alpha)
-            for level in range(n // 2 + 1):
-                basis = table.basis(g, level)
-                err = lift_length_error(n, level, alpha, basis)
-                rows.append((err, 1e-8, f"K_{n} alpha={alpha:g} level {level}"))
-    return _record("lift_length_formulas", rows)
+    cases = complete_cases(nmax)
+    bases = table.bases((g, level) for *_, g, level in cases)
+    return _record("lift_length_formulas", [
+        (lift_length_error(n, level, alpha, basis), 1e-8, label)
+        for (label, n, alpha, _, level), basis in zip(cases, bases)])
 
 
 def check_orthogonality_preserved(nmax: int, table: BasisTable) -> dict:
     """Lifts of orthogonal complete-graph eigenvectors stay orthogonal."""
+    graphs = {n: make_complete(n, 1.0) for n in range(3, nmax + 1)}
+    cases = [(n, level) for n in graphs for level in range(1, n // 2 + 1)]
     rows = []
-    for n in range(3, nmax + 1):
-        g = make_complete(n, 1.0)
-        for level in range(1, n // 2 + 1):
-            basis = table.basis(g, level)
-            downs = spectral.lift_down(basis.space, basis.vectors)
-            ups = spectral.lift_up(basis.space, basis.vectors)
-            for tag, mat in (("down", downs), ("up", ups)):
-                gram = mat.T @ mat / mat.shape[0]
-                off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
-                rows.append((off, 1e-10 * max(1.0, float(np.max(np.abs(gram)))),
-                             f"K_{n} level {level} {tag}"))
+    for (n, level), basis in zip(cases, table.bases((graphs[n], level) for n, level in cases)):
+        downs = spectral.lift_down(basis.space, basis.vectors)
+        ups = spectral.lift_up(basis.space, basis.vectors)
+        for tag, mat in (("down", downs), ("up", ups)):
+            gram = mat.T @ mat / mat.shape[0]
+            off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
+            rows.append((off, 1e-10 * max(1.0, float(np.max(np.abs(gram)))),
+                         f"K_{n} level {level} {tag}"))
     return _record("lift_orthogonality", rows)
 
 
-def check_eigenvalue_bound(nmax: int, rng: np.random.Generator,
+def check_eigenvalue_bound(nmax: int, rng: np.random.Generator, table: BasisTable,
                            count: int = 30) -> dict:
     draws = []
     for _ in range(count):
@@ -291,7 +288,7 @@ def check_eigenvalue_bound(nmax: int, rng: np.random.Generator,
         rate = float(rng.uniform(0.1, 1.5))
         draws.append((n, rate, random_connected_graph(rng, n, rate)))
     rows = []
-    levels = spectral.solve_levels([g for _, _, g in draws])
+    levels = table.levels([g for _, _, g in draws])
     for i, ((n, rate, g), bases) in enumerate(zip(draws, levels)):
         d = max_degree(g)
         for level, basis in enumerate(bases):
@@ -301,14 +298,15 @@ def check_eigenvalue_bound(nmax: int, rng: np.random.Generator,
     return _record("eigenvalue_upper_bound", rows)
 
 
-def check_parseval(nmax: int, rng: np.random.Generator, count: int = 12) -> dict:
+def check_parseval(nmax: int, rng: np.random.Generator, table: BasisTable,
+                   count: int = 12) -> dict:
     draws = []
     for _ in range(count):
         n = int(rng.integers(3, min(nmax, 7) + 1))
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
         draws.append((n, g, random_boolean_function(rng, n)))
     rows = []
-    levels = spectral.solve_levels([g for _, g, _ in draws])
+    levels = table.levels([g for _, g, _ in draws])
     for i, ((n, g, f), bases) in enumerate(zip(draws, levels)):
         profile = fourier.spectral_profile(f, bases)
         direct = float(np.mean(f.values**2))
@@ -323,7 +321,8 @@ def check_parseval(nmax: int, rng: np.random.Generator, count: int = 12) -> dict
     return _record("parseval", rows)
 
 
-def check_oracle_equivalence(rng: np.random.Generator, count: int = 15) -> dict:
+def check_oracle_equivalence(rng: np.random.Generator, table: BasisTable,
+                             count: int = 15) -> dict:
     draws = []
     for _ in range(count):
         n = int(rng.integers(3, 7))
@@ -331,7 +330,7 @@ def check_oracle_equivalence(rng: np.random.Generator, count: int = 15) -> dict:
         f = random_boolean_function(rng, n)
         draws.append((n, g, f, float(rng.uniform(0.0, 2.0))))
     rows = []
-    levels = spectral.solve_levels([g for _, g, _, _ in draws])
+    levels = table.levels([g for _, g, _, _ in draws])
     for i, ((n, g, f, t), bases) in enumerate(zip(draws, levels)):
         profile = fourier.spectral_profile(f, bases)
         err = abs(fourier.exact_correlation(profile, t)
@@ -351,12 +350,12 @@ def check_containment(nmax: int, rng: np.random.Generator,
         if n % 2 == 0:
             others.append(("half_complete_cycle", make_half_complete_cycle(n // 2, 1.0)))
         others.append(("random", random_connected_graph(rng, n, 1.0)))
-        bases_c = table.all_levels(complete)
+        [bases_c] = table.levels([complete])
         for name, raw in others:
             other = with_rate(raw, 1.0 / max_degree(raw))
             # One other graph at a time: all nine at once would hold their
             # bases together, 1.5 MB per graph at n = 10.
-            bases_o = table.all_levels(other)
+            [bases_o] = table.levels([other])
             for k in (0.5, 1.0, 2.0, n / 4.0):
                 residuals = diagnostics.containment_residual(complete, other, k, 2.0 * k,
                                                              bases_c, bases_o)
@@ -388,7 +387,7 @@ def check_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable
     return _record("projection_mass_inequality", rows)
 
 
-def check_monotonicity(rng: np.random.Generator, count: int = 25) -> dict:
+def check_monotonicity(rng: np.random.Generator, table: BasisTable, count: int = 25) -> dict:
     draws = []
     for _ in range(count):
         n = int(rng.integers(5, 7))
@@ -399,7 +398,7 @@ def check_monotonicity(rng: np.random.Generator, count: int = 25) -> dict:
         k = float(rng.uniform(1e-3, 2.0 * lam_max))
         draws.append((n, g, sub, f, k, float(rng.uniform(1e-3, 2.0 * lam_max))))
     rows = []
-    levels = spectral.solve_levels([h for _, g, sub, *_ in draws for h in (g, sub)])
+    levels = table.levels([h for _, g, sub, *_ in draws for h in (g, sub)])
     for i, ((n, g, sub, f, k, kprime), bases, bases_sub) in enumerate(
             zip(draws, levels[::2], levels[1::2])):
         lhs, rhs = diagnostics.monotonicity_inequality_check(
@@ -409,18 +408,17 @@ def check_monotonicity(rng: np.random.Generator, count: int = 25) -> dict:
         rows.append((lhs - rhs, diagnostics.MONOTONICITY_TOL,
                      f"draw {i} (n={n}, k={k:.3f}, k'={kprime:.3f})"))
     # the example chain: spectra grow pointwise under edge addition
-    for half in (2, 3):
-        chain = (
-            ("cycle", make_cycle(2 * half, 0.5)),
-            ("half_complete_cycle", make_half_complete_cycle(half, 0.5)),
-            ("complete", make_complete(2 * half, 0.5)),
-        )
-        bases = {g: list(spectral.level_bases(g)) for g in {g for _, g in chain}}
+    chains = [(("cycle", make_cycle(2 * half, 0.5)),
+               ("half_complete_cycle", make_half_complete_cycle(half, 0.5)),
+               ("complete", make_complete(2 * half, 0.5))) for half in (2, 3)]
+    graphs = [g for chain in chains for _, g in chain]
+    bases = dict(zip(graphs, table.levels(graphs)))
+    for chain in chains:
         for (sname, small), (bname, big) in zip(chain, chain[1:]):
             gap = float(np.max(
                 diagnostics.spectra_domination_gap(small, big, bases[small], bases[big])))
             rows.append((gap, diagnostics.DOMINATION_TOL,
-                         f"{sname} vs {bname} on {2 * half} vertices"))
+                         f"{sname} vs {bname} on {small.n} vertices"))
     return _record("monotonicity_inequality", rows)
 
 
@@ -435,7 +433,8 @@ def check_monte_carlo(seed: int, table: BasisTable, samples: int = 4000) -> dict
          fourier.dictator(6, 1), "cov", 0.5),
     ]
     for idx, (label, g, f, kind, t) in enumerate(cases):
-        profile = fourier.spectral_profile(f, table.all_levels(g))
+        [bases] = table.levels([g])
+        profile = fourier.spectral_profile(f, bases)
         spec = dynamics.SimulationSpec(seed=seed + idx, samples=samples)
         if kind == "cov":
             est = dynamics.estimate_covariance(g, f, t, spec)
@@ -458,12 +457,12 @@ def run_suite(nmax: int = 8, seed: int = 7, mc_samples: int = 4000) -> dict:
         check_complete_multiplicities(nmax, table),
         check_lift_lengths(nmax, table),
         check_orthogonality_preserved(nmax, table),
-        check_eigenvalue_bound(nmax, rng),
-        check_parseval(nmax, rng),
-        check_oracle_equivalence(rng),
+        check_eigenvalue_bound(nmax, rng, table),
+        check_parseval(nmax, rng, table),
+        check_oracle_equivalence(rng, table),
         check_containment(nmax, rng, table),
         check_projection_mass(nmax, rng, table),
-        check_monotonicity(rng),
+        check_monotonicity(rng, table),
         check_monte_carlo(seed, table, mc_samples),
     ]
     return {

@@ -9,6 +9,8 @@ see every member of a stack. A plant that no record catches is an xfail: the
 check lacks the power to see it.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,17 @@ def plant_band_mass(monkeypatch, planted):
          lambda real: lambda profile, k, side: planted(real, profile, k, side))
 
 
+def plant_projection_constant(monkeypatch, constant):
+    """projection_mass_inequality reads the other graph's mass in (0, constant * k], not
+    (0, 4k]."""
+    def make(real):
+        def planted(g_complete, g_other, k, profile_complete, profile_other):
+            _, rhs = real(g_complete, g_other, k, profile_complete, profile_other)
+            return diagnostics.band_mass(profile_other, constant * k, "<="), rhs
+        return planted
+    wrap(monkeypatch, diagnostics, "projection_mass_inequality", make)
+
+
 def plant_horizon(monkeypatch, factor):
     wrap(monkeypatch, dynamics, "_evolve",
          lambda real: lambda words, table, t, rng: real(words, table, t * factor, rng))
@@ -198,6 +211,13 @@ def test_band_mass_at_a_quarter_of_k_is_counted(monkeypatch):
     assert violations()["projection_mass_inequality"] >= 1
 
 
+@pytest.mark.xfail(strict=True, reason="verify's random-graph draws hold the projection "
+                   "inequality with (0, 2k] for (0, 4k]; (0, k] is caught")
+def test_halved_projection_constant_is_counted(monkeypatch):
+    plant_projection_constant(monkeypatch, 2.0)
+    assert violations()["projection_mass_inequality"] >= 1
+
+
 def test_nan_residuals_fail_closed(monkeypatch, tmp_path):
     wrap(monkeypatch, spectral, "lift_down",
          lambda real: lambda space, psi: np.full_like(real(space, psi), np.nan))
@@ -216,6 +236,26 @@ def test_compare_exits_1_on_a_violation(monkeypatch, tmp_path):
          lambda real: lambda *args: [gap + 0.1 for gap in real(*args)])
     assert main(["compare", "--graph", "complete:5", "--rate", "1", "--graph-b", "cycle:5",
                  "--rate-b", "1", "--out", str(tmp_path / "c.json")]) == 1
+
+
+# K_6 against its subgraph C_6 at equal rates. The dictator's nonconstant mass
+# sits at K_6's eigenvalue 6 < k, and the containment hypothesis 2 * (6 - 2 + 1)
+# >= 8 holds, so all three checks run.
+COMPARE = ["compare", "--graph", "complete:6", "--rate", "1", "--graph-b", "cycle:6",
+           "--rate-b", "1", "--function", "dictator:0", "--k", "8", "--kprime", "2"]
+
+
+@pytest.mark.parametrize("plant, record", [
+    ("other span at a quarter of its bound", "containment_residual"),
+    ("(0, k] read as [k, inf)", "monotonicity_inequality"),
+])
+def test_compare_counts_a_planted_defect(monkeypatch, tmp_path, plant, record):
+    out = tmp_path / "c.json"
+    assert main([*COMPARE, "--out", str(out)]) == 0
+    PLANTS[plant][0](monkeypatch)
+    assert main([*COMPARE, "--out", str(out)]) == 1
+    counts = {c["name"]: c["violations"] for c in json.loads(out.read_text())["checks"]}
+    assert counts[record] >= 1 and sum(counts.values()) == counts[record], counts
 
 
 def test_sweep_exits_1_on_a_violation(monkeypatch, tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from xproc import cli, diagnostics, spectral
+from xproc import cli, diagnostics, spectral, verify
 from xproc.cli import apply_config_file, build_parser, dumps_json, main
 from xproc.graph import make_complete, make_cycle, make_half_complete_cycle, save_graph
 from xproc.spectral import level_bases
@@ -674,19 +674,25 @@ SOLVING_COMMANDS = {
 
 
 @pytest.mark.parametrize("command", SOLVING_COMMANDS)
-def test_every_solve_goes_through_solve_level(tmp_path, capsys, monkeypatch, command):
+def test_every_solve_lands_in_eigendecompose_stack(tmp_path, capsys, monkeypatch, command):
+    """Each solved level comes from solve_level or from a pair handed to solve_stacks,
+    and is one member of an eigendecompose_stack call; verify never calls solve_level."""
     monkeypatch.chdir(tmp_path)
-    calls = {"solve_level": 0, "eigendecompose": 0}
+    calls = {"solve_level": 0, "solve_stacks": 0, "eigendecompose_stack": 0}
+    sizes = {"solve_level": lambda g, level: 1, "solve_stacks": len,
+             "eigendecompose_stack": len}
     for name in calls:
         inner = getattr(spectral, name)
 
         def counting(*args, name=name, inner=inner):
-            calls[name] += 1
+            calls[name] += sizes[name](*args)
             return inner(*args)
 
         monkeypatch.setattr(spectral, name, counting)
     assert run(SOLVING_COMMANDS[command], capsys)[0] == 0
-    assert calls["solve_level"] == calls["eigendecompose"] > 0
+    assert calls["eigendecompose_stack"] == calls["solve_level"] + calls["solve_stacks"] > 0
+    if command == "verify":
+        assert calls["solve_level"] == 0
 
 
 @pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])
@@ -714,6 +720,20 @@ def test_failed_write_names_out(tmp_path, capsys, monkeypatch):
                           "majority", "--t", "1", "--out", str(path)], capsys)
     assert code == 2 and out == ""
     assert err == f"config error: --out: cannot write {path}: No such file or directory\n"
+
+
+def test_verify_over_the_cap_exits_2_before_any_solve(capsys, monkeypatch):
+    monkeypatch.setenv("XPROC_STATE_CAP", "100")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the cap was checked")
+
+    monkeypatch.setattr(spectral, "eigendecompose_stack", no_work)
+    monkeypatch.setattr(verify, "run_suite", no_work)
+    code, out, err = run(["verify", "--nmax", "10"], capsys)
+    assert code == 2 and out == ""
+    assert err == ("config error: --nmax: level slice C(10,5) has 252 states, exceeding the "
+                   "cap 100 (set XPROC_STATE_CAP to raise it)\n")
 
 
 @pytest.mark.parametrize("level", ["all", "3"])

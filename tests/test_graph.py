@@ -315,3 +315,13 @@ def test_corrupted_edge_is_refused_with_its_index(tmp_path_factory, g, data):
         load_graph(str(path))
     # Line 1 opens the edge list, so edge k sits on line k + 2.
     assert f"edges[{k}] (line {k + 2})" in str(exc.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_hash_is_the_field_hash_kept_once(g):
+    assert hash(g) == hash((g.n, g.edges))
+    twin = Graph(g.n, g.edges)
+    assert twin == g and hash(twin) == hash(g)
+    # Kept in the instance __dict__, outside the fields that repr and == read.
+    assert g.__dict__["_hash"] == hash(g) and "_hash" not in repr(g)

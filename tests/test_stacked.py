@@ -4,10 +4,10 @@ as one at a time."""
 import numpy as np
 import pytest
 
-from xproc import graph as graph_module, spectral
+from xproc import graph as graph_module, spectral, verify
 from xproc.generator import NumericalError, build_level_generator, build_level_generators
 from xproc.graph import Graph, make_complete, make_cycle, make_half_complete_cycle
-from xproc.spectral import eigendecompose, eigendecompose_stack, level_bases, solve_levels
+from xproc.spectral import eigendecompose, eigendecompose_stack, level_bases
 from xproc.verify import random_connected_graph
 
 
@@ -82,7 +82,7 @@ def test_solve_levels_equals_level_bases(monkeypatch, stack_bytes):
     # Sizes shared across n: C(4, 2) = C(6, 1) = 6 and C(5, 2) = C(10, 1) = 10.
     graphs = [make_cycle(4, 0.5), make_complete(6, 1.0), *rated_graphs(7, 5, 2),
               make_half_complete_cycle(3, 0.25), make_cycle(10, 1.0), make_cycle(4, 0.5)]
-    for g, bases in zip(graphs, solve_levels(graphs), strict=True):
+    for g, bases in zip(graphs, verify.BasisTable().levels(graphs), strict=True):
         assert len(bases) == g.n + 1
         for basis, alone in zip(bases, level_bases(g)):
             assert_same_basis(basis, alone)
@@ -191,7 +191,7 @@ def test_a_disconnected_graph_is_refused():
     with pytest.raises(ValueError, match="generator requires a connected graph"):
         build_level_generators([make_cycle(4, 1.0), two_pairs], 2)
     with pytest.raises(ValueError, match="generator requires a connected graph"):
-        solve_levels([make_cycle(4, 1.0), two_pairs])
+        verify.BasisTable().levels([make_cycle(4, 1.0), two_pairs])
     # One disconnected member among three, refused at every level and on
     # every call once its verdict is cached.
     for level in (2, 0, 2, 4):
@@ -210,7 +210,7 @@ def test_connectivity_is_checked_once_per_graph(monkeypatch):
 
     monkeypatch.setattr(graph_module, "is_connected", counting)
     graphs = rated_graphs(5, 6, 3)
-    solve_levels(graphs)
+    verify.BasisTable().levels(graphs)
     for level in range(7):
         build_level_generators(graphs, level)
     assert calls == graphs

@@ -32,9 +32,10 @@ def test_each_run_starts_with_an_empty_table(solves):
 
 def test_held_bases_are_shared_and_read_only():
     table = verify.BasisTable()
-    basis = table.basis(make_complete(5, 0.2), 2)
-    assert table.basis(make_complete(5, 1.0 / 5), 2) is basis
-    assert table.all_levels(make_complete(5, 0.2))[2] is basis
+    [basis] = table.bases([(make_complete(5, 0.2), 2)])
+    [again] = table.bases([(make_complete(5, 1.0 / 5), 2)])
+    [levels] = table.levels([make_complete(5, 0.2)])
+    assert again is basis and levels[2] is basis
     with pytest.raises(ValueError):
         basis.vectors[0, 0] = 2.0
     with pytest.raises(ValueError):
@@ -44,8 +45,8 @@ def test_held_bases_are_shared_and_read_only():
 def test_other_graphs_are_not_held():
     table = verify.BasisTable()
     cycle = make_cycle(5, 1.0)
-    first = table.basis(cycle, 2)
-    second = table.basis(cycle, 2)
+    [first] = table.bases([(cycle, 2)])
+    [second] = table.bases([(cycle, 2)])
     assert first is not second
     assert np.array_equal(first.vectors, second.vectors)
     assert first.vectors.flags.writeable
@@ -54,8 +55,8 @@ def test_other_graphs_are_not_held():
 def test_held_basis_equals_a_fresh_solve():
     g = make_complete(6, 1.0)
     table = verify.BasisTable()
-    for level, fresh in enumerate(list(spectral.level_bases(g))):
-        held = table.basis(g, level)
+    [held_levels] = table.levels([g])
+    for held, fresh in zip(held_levels, spectral.level_bases(g), strict=True):
         assert np.array_equal(held.vectors, fresh.vectors)
         assert np.array_equal(held.eigenvalues, fresh.eigenvalues)
         assert held.groups == fresh.groups
@@ -66,7 +67,7 @@ def test_two_runs_in_one_process_give_equal_reports():
 
 
 def test_monotonicity_chain_solves_each_graph_once(solves):
-    verify.check_monotonicity(np.random.default_rng(7), count=0)
+    verify.check_monotonicity(np.random.default_rng(7), verify.BasisTable(), count=0)
     chain = [g for half in (2, 3) for g in (make_cycle(2 * half, 0.5),
                                             make_half_complete_cycle(half, 0.5),
                                             make_complete(2 * half, 0.5))]
