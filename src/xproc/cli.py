@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 
@@ -118,13 +119,17 @@ def emit(text: str, out: str | None, flag: str = "--out") -> None:
 # flag parsing helpers
 # ---------------------------------------------------------------------------
 
+COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
 def check_numbers(*rules) -> None:
-    """The one rule for numeric flags: each (flag, value, op, bound), op ">" or ">=",
-    needs a finite value op bound; an unset value (None) passes."""
+    """The one rule for numeric flags: each (flag, value, op, bound), op ">", ">="
+    or "<=", needs a finite value op bound; an unset value (None) passes."""
     for flag, value, op, bound in rules:
-        if value is not None and not ((value > bound if op == ">" else value >= bound)
-                                      and math.isfinite(value)):
-            finite = "finite and " if isinstance(value, float) else ""
+        real = isinstance(value, float)
+        if value is not None and not (COMPARE[op](value, bound)
+                                      and (not real or math.isfinite(value))):
+            finite = "finite and " if real else ""
             raise ConfigError(f"{flag} must be {finite}{op} {bound}, got {value}")
 
 
@@ -342,7 +347,9 @@ def cmd_exact(args) -> tuple:
 def cmd_simulate(args) -> tuple:
     g = resolve_graph(args.graph, args.rate, args.rate_policy)
     f = resolve_function(args.function, g.n)
-    check_numbers(*horizon_rules(args), ("--samples", args.samples, ">=", 1))
+    check_numbers(*horizon_rules(args), ("--samples", args.samples, ">=", 1),
+                  ("--seed", args.seed, ">=", dynamics.SEED_MIN),
+                  ("--seed", args.seed, "<=", dynamics.SEED_MAX))
     level = None
     if args.level != "all":
         level = parse_levels(args.level, g.n)[0]
@@ -373,7 +380,7 @@ def cmd_verify(args) -> tuple:
         raise ConfigError(f"--suite: only 'all' is supported, got {args.suite!r}")
     check_numbers(("--nmax", args.nmax, ">=", 4),
                   ("--mc-samples", args.mc_samples, ">=", verify.MIN_MC_SAMPLES),
-                  ("--seed", args.seed, ">=", 0))
+                  ("--seed", args.seed, ">=", 0), ("--seed", args.seed, "<=", verify.MAX_SEED))
     try:  # the largest slice any check enumerates
         check_levels(args.nmax, [args.nmax // 2])
     except StateCapExceeded as exc:

@@ -13,7 +13,14 @@ Samples are split into chunks of CHUNK. Chunk c of a run with seed s
 draws from its own counter-based Philox stream keyed by (s, c): first the
 start words, then the jump counts, then one edge per moving sample and
 jump index. Results are bit-reproducible, and a full chunk's samples do
-not depend on how many samples the run has.
+not depend on how many samples the run has. Seeds are 64-bit signed
+integers, from SEED_MIN to SEED_MAX; each keys its own streams.
+
+A jump looks its swapped word up in a per-graph table: entry (e << n) + w
+is word w after a jump on edge e, built once per estimate by swap_words
+itself. Graphs whose table would exceed SWAP_TABLE_ENTRIES entries (8 MiB),
+and simulate_path's single path, swap by bit masks instead; both ways give
+the same words, so results do not depend on which one runs.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ from .generator import edge_masks
 from .statespace import Configuration, enumerate_level, swap_words
 
 CHUNK = 4096
+SWAP_TABLE_ENTRIES = 1 << 20   # largest edges * 2^n swap table an estimate builds
+SEED_MIN, SEED_MAX = -(1 << 63), (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -47,6 +56,7 @@ class SimulationSpec:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"need at least 1 sample, got {self.samples}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -61,6 +71,11 @@ def _check_horizon(t: float) -> None:
         raise ValueError(f"time must be finite and >= 0, got {t}")
 
 
+def _check_seed(seed: int) -> None:
+    if not SEED_MIN <= seed <= SEED_MAX:
+        raise ValueError(f"seed must be in {SEED_MIN}..{SEED_MAX}, got {seed}")
+
+
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     """Counter-based stream of one chunk of one run."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)
@@ -68,10 +83,21 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 class _EdgeTable:
-    """Per-edge endpoint bit masks and the table that picks edges by rate."""
+    """Per-edge endpoint bit masks, the swapped-word table and the table
+    that picks edges by rate."""
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, swap_table: bool = True):
+        self.n = g.n
         self.bu, self.bv = edge_masks(g)
+        # Flat: entry (e << n) + w is word w after a jump on edge e; None
+        # above the cap or when not asked for, and jumps then swap by bit masks.
+        self.swapped = None
+        if swap_table and self.bu.size << g.n <= SWAP_TABLE_ENTRIES:
+            words = np.arange(1 << g.n, dtype=np.int64)
+            swapped = np.empty((self.bu.size, words.size), dtype=np.int64)
+            for row, bu, bv in zip(swapped, self.bu, self.bv):
+                row[:] = swap_words(words, bu, bv)   # one row at a time
+            self.swapped = swapped.reshape(-1)
         rates = np.array([rate for _, _, rate in g.edges])
         self.total_rate = float(rates.sum())
         # None when all rates are equal: edges are then drawn by index.
@@ -91,13 +117,21 @@ def _evolve(words: np.ndarray, table: _EdgeTable, t: float,
     """End words at time t of independent paths started at words (int64)."""
     jumps = rng.poisson(table.total_rate * t, size=words.size)
     # Most jumps first, so that jump k moves a prefix of the paths.
-    order = np.argsort(-jumps, kind="stable")
-    ascending = -jumps[order]
+    # Narrow keys sort by radix; a stable sort is unique, so the order is too.
+    top = int(jumps.max(initial=0))
+    key = (-jumps).astype(np.min_scalar_type(min(-top, -1)))
+    order = np.argsort(key, kind="stable")
+    ascending = key[order]
     w = words[order]
-    for k in range(int(jumps.max(initial=0))):
+    for k in range(top):
         m = int(np.searchsorted(ascending, -k))     # paths with more than k jumps
         e = table.pick(rng, m)
-        w[:m] = swap_words(w[:m], table.bu[e], table.bv[e])
+        if table.swapped is None:
+            w[:m] = swap_words(w[:m], table.bu[e], table.bv[e])
+        else:
+            e <<= table.n
+            e += w[:m]
+            w[:m] = table.swapped[e]
     out = np.empty_like(w)
     out[order] = w
     return out
@@ -124,10 +158,12 @@ def simulate_path(g: Graph, x0: Configuration, t: float, seed: int) -> Configura
     The marble count is conserved on every path.
     """
     _check_horizon(t)
+    _check_seed(seed)
     if x0.n != g.n:
         raise ValueError(f"configuration is on {x0.n} vertices, graph has {g.n}")
-    word = _evolve(np.array([x0.word], dtype=np.int64), _EdgeTable(g), t,
-                   _chunk_rng(seed, 0))
+    # One path: building a swap table would cost more than it saves.
+    table = _EdgeTable(g, swap_table=False)
+    word = _evolve(np.array([x0.word], dtype=np.int64), table, t, _chunk_rng(seed, 0))
     return Configuration(g.n, int(word[0]))
 
 

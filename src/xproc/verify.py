@@ -21,6 +21,8 @@ from .statespace import enumerate_level
 # something: below it a sample with no spread, and so a zero standard error,
 # is too likely.
 MIN_MC_SAMPLES = 100
+# check_monte_carlo seeds its three instances with seed, seed + 1 and seed + 2.
+MAX_SEED = dynamics.SEED_MAX - 2
 
 EXTRA_EDGE_PROB = 0.35  # random_connected_graph: chance of each non-tree edge
 KEEP_PROB = 0.5         # random_connected_subgraph: chance of keeping each non-tree edge

@@ -533,6 +533,43 @@ def test_simulate_accepts_negative_seed(capsys):
     assert code == 0 and json.loads(out)["config"]["seed"] == -3
 
 
+SIMULATE = ["simulate", "--graph", "cycle:5", "--rate", "1", "--function", "dictator:0",
+            "--t", "1", "--samples", "50"]
+
+
+@pytest.mark.parametrize("seed,rule", [(-2**63 - 1, ">= -9223372036854775808"),
+                                       (2**63, "<= 9223372036854775807"),
+                                       (2**64 - 1, "<= 9223372036854775807")])
+def test_simulate_seed_outside_64_bits_exit_2(capsys, seed, rule):
+    code, out, err = run(SIMULATE + [f"--seed={seed}"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: --seed must be {rule}, got {seed}\n"
+
+
+def test_simulate_seeds_at_the_bounds_run(capsys):
+    reports = set()
+    for seed in (-2**63, 2**63 - 1):
+        code, out, _ = run(SIMULATE + [f"--seed={seed}"], capsys)
+        assert code == 0 and json.loads(out)["config"]["seed"] == seed
+        reports.add(out.replace(str(seed), "SEED"))
+    assert len(reports) == 2
+
+
+def test_verify_seed_bounds(capsys):
+    # check_monte_carlo seeds its instances seed .. seed + 2, all within 64 bits
+    code, out, err = run(["verify", "--nmax", "4", f"--seed={2**63 - 2}"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: --seed must be <= {2**63 - 3}, got {2**63 - 2}\n"
+    code, out, _ = run(["verify", "--nmax", "4", f"--seed={2**63 - 3}"], capsys)
+    assert code == 0 and json.loads(out)["config"]["seed"] == 2**63 - 3
+
+
+def test_verify_seed_too_large_for_a_float_exit_2(capsys):
+    code, out, err = run(["verify", f"--seed={10**400}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: --seed must be <= ")
+
+
 def test_verify_negative_seed_exit_2(capsys):
     code, out, err = run(["verify", "--seed", "-1"], capsys)
     assert code == 2 and out == ""
@@ -787,13 +824,20 @@ NUMERIC_FLAGS = [
     ("--nmax", ">=", 4, int, ["verify", "--nmax={}"]),
     ("--mc-samples", ">=", 100, int, ["verify", "--mc-samples={}"]),
     ("--seed", ">=", 0, int, ["verify", "--seed={}"]),
+    ("--seed", "<=", 2**63 - 3, int, ["verify", "--seed={}"]),
+    ("--seed", ">=", -2**63, int, ["simulate", "--graph", "cycle:5", "--rate", "1",
+                                   "--function", "dictator:0", "--t", "1", "--seed={}"]),
+    ("--seed", "<=", 2**63 - 1, int, ["simulate", "--graph", "cycle:5", "--rate", "1",
+                                      "--function", "dictator:0", "--t", "1", "--seed={}"]),
 ]
 
 
 @st.composite
 def numeric_flag_outside_its_rule(draw):
     flag, op, bound, kind, argv = draw(st.sampled_from(NUMERIC_FLAGS))
-    if kind is int:
+    if op == "<=":
+        value = draw(st.integers(min_value=bound + 1))
+    elif kind is int:
         value = draw(st.integers(max_value=bound - (op == ">=")))
     else:
         # NaN, +-inf, or a finite value at or below the bound

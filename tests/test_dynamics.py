@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from xproc import dynamics
 from xproc.dynamics import (
     CHUNK,
+    SEED_MAX,
+    SEED_MIN,
+    SWAP_TABLE_ENTRIES,
     SimulationSpec,
     _chunk_rng,
     _EdgeTable,
@@ -28,7 +32,7 @@ from xproc.generator import build_level_generator
 from xproc.graph import Graph, make_complete, make_cycle
 from xproc.oracle import matrix_exponential
 from xproc.spectral import level_bases
-from xproc.statespace import Configuration, enumerate_level
+from xproc.statespace import Configuration, enumerate_level, swap_words
 
 CHI2_P001 = {2: 13.816, 5: 20.515, 9: 27.877, 14: 36.123, 19: 43.820}
 
@@ -36,6 +40,26 @@ CHI2_P001 = {2: 13.816, 5: 20.515, 9: 27.877, 14: 36.123, 19: 43.820}
 def _pairs(g, level, t, seed, samples):
     pairs = list(_start_end(g, level, t, seed, samples))
     return (np.concatenate([a for a, _ in pairs]), np.concatenate([b for _, b in pairs]))
+
+
+MIXED = Graph(6, ((0, 1, 0.5), (1, 2, 1.2), (2, 3, 0.5), (3, 4, 0.8), (4, 5, 0.5),
+                  (0, 5, 0.9), (1, 4, 0.3)))
+
+
+def _reference_evolve(words, table, t, rng):
+    # The sampler as first written: an int64 stable argsort and a bit-mask
+    # swap per jump. Every stream must end on the same words.
+    jumps = rng.poisson(table.total_rate * t, size=words.size)
+    order = np.argsort(-jumps, kind="stable")
+    ascending = -jumps[order]
+    w = words[order]
+    for k in range(int(jumps.max(initial=0))):
+        m = int(np.searchsorted(ascending, -k))
+        e = table.pick(rng, m)
+        w[:m] = swap_words(w[:m], table.bu[e], table.bv[e])
+    out = np.empty_like(w)
+    out[order] = w
+    return out
 
 
 def test_time_zero_returns_start():
@@ -101,8 +125,7 @@ def test_empirical_law_matches_oracle_row():
 def test_empirical_law_with_unequal_rates():
     # unequal rates draw edges through the cumulative rate table; the law of
     # X_t from "110000" must still match the matrix exponential's row
-    g = Graph(6, ((0, 1, 0.5), (1, 2, 1.2), (2, 3, 0.5), (3, 4, 0.8), (4, 5, 0.5),
-                  (0, 5, 0.9), (1, 4, 0.3)))
+    g = MIXED
     t = 1.0
     gen = build_level_generator(g, 2)
     probs = matrix_exponential(gen, t).probs
@@ -117,6 +140,14 @@ def test_empirical_law_with_unequal_rates():
     expected = row * samples
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < CHI2_P001[space.size - 1]
+
+
+def test_empirical_laws_on_the_bit_path(monkeypatch):
+    # the same two laws with every jump swapped by bit masks, as above the cap
+    monkeypatch.setattr(dynamics, "SWAP_TABLE_ENTRIES", 0)
+    assert _EdgeTable(MIXED).swapped is None
+    test_empirical_law_matches_oracle_row()
+    test_empirical_law_with_unequal_rates()
 
 
 def test_stationarity_on_level():
@@ -256,3 +287,67 @@ def test_estimators_bit_reproducible():
 def test_spec_validation():
     with pytest.raises(ValueError):
         SimulationSpec(samples=0)
+
+
+@pytest.mark.parametrize("seed", [SEED_MIN - 1, SEED_MAX + 1, 2**64 - 1, 2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    # the stream key masks the seed to 64 bits: outside the signed range two
+    # seeds would share a stream (-1 and 2^64 - 1, 0 and 2^64)
+    with pytest.raises(ValueError, match="seed must be in"):
+        SimulationSpec(seed=seed, samples=10)
+    with pytest.raises(ValueError, match="seed must be in"):
+        simulate_path(make_cycle(5, 1.0), Configuration(5, 1), 1.0, seed=seed)
+
+
+def test_seeds_at_the_bounds_have_streams_of_their_own():
+    g = make_cycle(6, 0.5)
+    ends = [_pairs(g, None, 0.9, seed, 500)[1] for seed in (SEED_MIN, -1, 0, SEED_MAX)]
+    for i, a in enumerate(ends):
+        for b in ends[i + 1:]:
+            assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("g", [make_cycle(16, 1.0), make_cycle(17, 1.0),
+                               make_complete(13, 1.0), make_complete(14, 1.0)],
+                         ids=["cycle16", "cycle17", "complete13", "complete14"])
+def test_swap_table_is_built_exactly_up_to_the_cap(g):
+    table = _EdgeTable(g)
+    entries = len(g.edges) << g.n
+    if entries > SWAP_TABLE_ENTRIES:
+        assert table.swapped is None
+    else:
+        assert table.swapped.size == entries
+    # the cap admits cycles up to 16 vertices and complete graphs up to 13
+    assert (table.swapped is None) == (g.n in (17, 14))
+
+
+def test_simulate_path_builds_no_swap_table(monkeypatch):
+    tables = []
+    real = dynamics._evolve
+
+    def spy(words, table, t, rng):
+        tables.append(table)
+        return real(words, table, t, rng)
+    monkeypatch.setattr(dynamics, "_evolve", spy)
+    simulate_path(make_cycle(5, 1.0), Configuration(5, 0b101), 1.0, seed=3)
+    assert [table.swapped for table in tables] == [None]
+
+
+@pytest.mark.parametrize("g,level,t", [
+    (make_cycle(7, 0.5), None, 1.3),      # equal rates, uniform start
+    (make_complete(6, 0.4), 3, 2.0),      # equal rates, level start
+    (MIXED, None, 0.7),                   # unequal rates, uniform start
+    (MIXED, 2, 40.0),                     # unequal rates, over 127 jumps: int16 keys
+    (make_cycle(6, 1.0), None, 0.0),      # no path jumps
+])
+def test_table_and_bit_paths_end_on_the_same_words(monkeypatch, g, level, t):
+    samples = 2 * CHUNK + 300
+    runs = [_pairs(g, level, t, 19, samples)]
+    monkeypatch.setattr(dynamics, "SWAP_TABLE_ENTRIES", 0)
+    runs.append(_pairs(g, level, t, 19, samples))
+    # and both end where the int64-sorted bit-mask sampler ends
+    monkeypatch.setattr(dynamics, "_evolve", _reference_evolve)
+    runs.append(_pairs(g, level, t, 19, samples))
+    for w0, wt in runs[1:]:
+        assert np.array_equal(w0, runs[0][0])
+        assert np.array_equal(wt, runs[0][1])
