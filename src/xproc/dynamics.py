@@ -18,9 +18,11 @@ integers, from SEED_MIN to SEED_MAX; each keys its own streams.
 
 A jump looks its swapped word up in a per-graph table: entry (e << n) + w
 is word w after a jump on edge e, built once per estimate by swap_words
-itself. Graphs whose table would exceed SWAP_TABLE_ENTRIES entries (8 MiB),
-and simulate_path's single path, swap by bit masks instead; both ways give
-the same words, so results do not depend on which one runs.
+itself. Building an entry costs about as much as one bit-mask swap, so the
+table is built only when the expected jump count, samples * R * t, is at
+least its edges * 2^n entries, and never above SWAP_TABLE_ENTRIES entries
+(8 MiB); otherwise jumps swap by bit masks. Both ways give the same words,
+so results do not depend on which one runs.
 """
 
 from __future__ import annotations
@@ -86,22 +88,24 @@ class _EdgeTable:
     """Per-edge endpoint bit masks, the swapped-word table and the table
     that picks edges by rate."""
 
-    def __init__(self, g: Graph, swap_table: bool = True):
+    def __init__(self, g: Graph, t: float, samples: int):
         self.n = g.n
         self.bu, self.bv = edge_masks(g)
-        # Flat: entry (e << n) + w is word w after a jump on edge e; None
-        # above the cap or when not asked for, and jumps then swap by bit masks.
+        rates = np.array([rate for _, _, rate in g.edges])
+        self.total_rate = float(rates.sum())
+        # None when all rates are equal: edges are then drawn by index.
+        self.cumulative = np.cumsum(rates) if np.any(rates != rates[:1]) else None
+        # Flat: entry (e << n) + w is word w after a jump on edge e. None when
+        # samples paths up to time t expect fewer jumps than it has entries, or
+        # above the cap; jumps then swap by bit masks.
         self.swapped = None
-        if swap_table and self.bu.size << g.n <= SWAP_TABLE_ENTRIES:
+        entries = self.bu.size << g.n
+        if 0 < entries <= min(SWAP_TABLE_ENTRIES, samples * self.total_rate * t):
             words = np.arange(1 << g.n, dtype=np.int64)
             swapped = np.empty((self.bu.size, words.size), dtype=np.int64)
             for row, bu, bv in zip(swapped, self.bu, self.bv):
                 row[:] = swap_words(words, bu, bv)   # one row at a time
             self.swapped = swapped.reshape(-1)
-        rates = np.array([rate for _, _, rate in g.edges])
-        self.total_rate = float(rates.sum())
-        # None when all rates are equal: edges are then drawn by index.
-        self.cumulative = np.cumsum(rates) if np.any(rates != rates[:1]) else None
 
     def pick(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """size i.i.d. edge indices, edge k with probability rate_k / total_rate."""
@@ -140,7 +144,7 @@ def _evolve(words: np.ndarray, table: _EdgeTable, t: float,
 def _start_end(g: Graph, level: int | None, t: float, seed: int,
                samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(start words, end words) of a run's samples, one chunk at a time."""
-    table = _EdgeTable(g)
+    table = _EdgeTable(g, t, samples)
     starts = None if level is None else enumerate_level(g.n, level).words
     for chunk, lo in enumerate(range(0, samples, CHUNK)):
         rng = _chunk_rng(seed, chunk)
@@ -161,8 +165,7 @@ def simulate_path(g: Graph, x0: Configuration, t: float, seed: int) -> Configura
     _check_seed(seed)
     if x0.n != g.n:
         raise ValueError(f"configuration is on {x0.n} vertices, graph has {g.n}")
-    # One path: building a swap table would cost more than it saves.
-    table = _EdgeTable(g, swap_table=False)
+    table = _EdgeTable(g, t, 1)
     word = _evolve(np.array([x0.word], dtype=np.int64), table, t, _chunk_rng(seed, 0))
     return Configuration(g.n, int(word[0]))
 

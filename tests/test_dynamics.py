@@ -115,7 +115,7 @@ def test_empirical_law_matches_oracle_row():
     x0 = Configuration.from_string("100")
     row = probs[space.position(x0)]
     samples = 20000
-    ends = _evolve(np.full(samples, x0.word), _EdgeTable(g), t, _chunk_rng(123, 0))
+    ends = _evolve(np.full(samples, x0.word), _EdgeTable(g, t, samples), t, _chunk_rng(123, 0))
     counts = np.bincount(space.rank(ends), minlength=space.size)
     expected = row * samples
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -133,7 +133,7 @@ def test_empirical_law_with_unequal_rates():
     x0 = Configuration.from_string("110000")
     row = probs[space.position(x0)]
     samples = 20000
-    table = _EdgeTable(g)
+    table = _EdgeTable(g, t, samples)
     assert table.cumulative is not None
     ends = _evolve(np.full(samples, x0.word), table, t, _chunk_rng(17, 0))
     counts = np.bincount(space.rank(ends), minlength=space.size)
@@ -145,7 +145,7 @@ def test_empirical_law_with_unequal_rates():
 def test_empirical_laws_on_the_bit_path(monkeypatch):
     # the same two laws with every jump swapped by bit masks, as above the cap
     monkeypatch.setattr(dynamics, "SWAP_TABLE_ENTRIES", 0)
-    assert _EdgeTable(MIXED).swapped is None
+    assert _EdgeTable(MIXED, 1.0, 20000).swapped is None
     test_empirical_law_matches_oracle_row()
     test_empirical_law_with_unequal_rates()
 
@@ -311,7 +311,7 @@ def test_seeds_at_the_bounds_have_streams_of_their_own():
                                make_complete(13, 1.0), make_complete(14, 1.0)],
                          ids=["cycle16", "cycle17", "complete13", "complete14"])
 def test_swap_table_is_built_exactly_up_to_the_cap(g):
-    table = _EdgeTable(g)
+    table = _EdgeTable(g, 1.0, 1 << 20)    # expects more jumps than any table has entries
     entries = len(g.edges) << g.n
     if entries > SWAP_TABLE_ENTRIES:
         assert table.swapped is None
@@ -321,16 +321,15 @@ def test_swap_table_is_built_exactly_up_to_the_cap(g):
     assert (table.swapped is None) == (g.n in (17, 14))
 
 
-def test_simulate_path_builds_no_swap_table(monkeypatch):
-    tables = []
-    real = dynamics._evolve
-
-    def spy(words, table, t, rng):
-        tables.append(table)
-        return real(words, table, t, rng)
-    monkeypatch.setattr(dynamics, "_evolve", spy)
-    simulate_path(make_cycle(5, 1.0), Configuration(5, 0b101), 1.0, seed=3)
-    assert [table.swapped for table in tables] == [None]
+def test_swap_table_is_built_only_when_the_jumps_cover_it():
+    # building an entry costs about one bit-mask swap: the table must expect
+    # at least as many jumps (samples * total rate * t) as it has entries
+    g = make_cycle(5, 1.0)                               # 5 * 2^5 = 160 entries
+    assert _EdgeTable(g, 1.0, 32).swapped.size == 160    # 160 expected jumps
+    assert _EdgeTable(g, 1.0, 31).swapped is None        # 155
+    assert _EdgeTable(g, 0.0, 10**9).swapped is None     # no jumps at t = 0
+    assert _EdgeTable(g, 1.0, 1).swapped is None         # simulate_path's one path
+    assert _EdgeTable(Graph(4), 1.0, 10**9).swapped is None   # no edges, no table
 
 
 @pytest.mark.parametrize("g,level,t", [
@@ -342,6 +341,7 @@ def test_simulate_path_builds_no_swap_table(monkeypatch):
 ])
 def test_table_and_bit_paths_end_on_the_same_words(monkeypatch, g, level, t):
     samples = 2 * CHUNK + 300
+    assert (_EdgeTable(g, t, samples).swapped is None) == (t == 0)
     runs = [_pairs(g, level, t, 19, samples)]
     monkeypatch.setattr(dynamics, "SWAP_TABLE_ENTRIES", 0)
     runs.append(_pairs(g, level, t, 19, samples))
