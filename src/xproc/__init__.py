@@ -60,6 +60,7 @@ from .fourier import (
 from .dynamics import (
     EstimateResult,
     SimulationSpec,
+    edge_table,
     estimate_covariance,
     estimate_flip_probability,
     simulate_path,

@@ -358,14 +358,16 @@ def cmd_simulate(args) -> tuple:
     spec = dynamics.SimulationSpec(level=level, seed=args.seed, samples=args.samples)
     body: dict = {}
     try:
+        horizons = [h for h in (args.t, args.eps) if h is not None]
+        table = dynamics.edge_table(g, horizons, args.samples)
         if args.t is not None:
-            est = dynamics.estimate_covariance(g, f, args.t, spec)
+            est = dynamics.estimate_covariance(g, f, args.t, spec, table=table)
             body["covariance"] = {
                 "t": args.t, "point": est.point,
                 "std_error": est.std_error, "samples": est.samples,
             }
         if args.eps is not None:
-            est = dynamics.estimate_flip_probability(g, f, args.eps, spec)
+            est = dynamics.estimate_flip_probability(g, f, args.eps, spec, table=table)
             body["flip_probability"] = {
                 "eps": args.eps, "point": est.point,
                 "std_error": est.std_error, "samples": est.samples,

@@ -12,15 +12,22 @@ jumps.
 Samples are split into chunks of CHUNK. Chunk c of a run with seed s
 draws from its own counter-based Philox stream keyed by (s, c): first the
 start words, then the jump counts, then one edge per moving sample and
-jump index. Results are bit-reproducible, and a full chunk's samples do
-not depend on how many samples the run has. Seeds are 64-bit signed
-integers, from SEED_MIN to SEED_MAX; each keys its own streams.
+jump index, jump by jump. The jump counts fix every jump's moving count
+before the first edge, so a block of consecutive jumps draws its edges in
+one call, at most BLOCK edges or one jump's. This is the same stream as one
+call per jump: numpy draws bounded integers and uniform doubles one after
+another from the bit generator, which keeps its spare half-word across
+calls, so integers(c, size=a) then integers(c, size=b) returns
+integers(c, size=a + b). Results are bit-reproducible, and a full chunk's
+samples do not depend on how many samples the run has. Seeds are 64-bit
+signed integers, from SEED_MIN to SEED_MAX; each keys its own streams.
 
 A jump looks its swapped word up in a per-graph table: entry (e << n) + w
-is word w after a jump on edge e, built once per estimate by swap_words
-itself. Building an entry costs about as much as one bit-mask swap, so the
-table is built only when the expected jump count, samples * R * t, is at
-least its edges * 2^n entries, and never above SWAP_TABLE_ENTRIES entries
+is word w after a jump on edge e, built by swap_words itself, once per run
+(edge_table) for all of its estimates. Building an entry costs about as
+much as one bit-mask swap, so the table is built only when the run's
+expected jump count, samples * R * (the sum of its horizons), is at least
+its edges * 2^n entries, and never above SWAP_TABLE_ENTRIES entries
 (8 MiB); otherwise jumps swap by bit masks. Both ways give the same words,
 so results do not depend on which one runs.
 """
@@ -28,7 +35,8 @@ so results do not depend on which one runs.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +47,8 @@ from .generator import edge_masks
 from .statespace import Configuration, enumerate_level, swap_words
 
 CHUNK = 4096
-SWAP_TABLE_ENTRIES = 1 << 20   # largest edges * 2^n swap table an estimate builds
+BLOCK = 1 << 15                # most edges a block of jumps draws (256 KiB of int64)
+SWAP_TABLE_ENTRIES = 1 << 20   # largest edges * 2^n swap table a run builds
 SEED_MIN, SEED_MAX = -(1 << 63), (1 << 63) - 1
 
 
@@ -86,9 +95,11 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 class _EdgeTable:
     """Per-edge endpoint bit masks, the swapped-word table and the table
-    that picks edges by rate."""
+    that picks edges by rate, for samples paths to a total horizon t (the
+    sum of the horizons of the estimates that share it)."""
 
     def __init__(self, g: Graph, t: float, samples: int):
+        self.graph = g
         self.n = g.n
         self.bu, self.bv = edge_masks(g)
         rates = np.array([rate for _, _, rate in g.edges])
@@ -96,8 +107,8 @@ class _EdgeTable:
         # None when all rates are equal: edges are then drawn by index.
         self.cumulative = np.cumsum(rates) if np.any(rates != rates[:1]) else None
         # Flat: entry (e << n) + w is word w after a jump on edge e. None when
-        # samples paths up to time t expect fewer jumps than it has entries, or
-        # above the cap; jumps then swap by bit masks.
+        # samples paths to total horizon t expect fewer jumps than it has
+        # entries, or above the cap; jumps then swap by bit masks.
         self.swapped = None
         entries = self.bu.size << g.n
         if 0 < entries <= min(SWAP_TABLE_ENTRIES, samples * self.total_rate * t):
@@ -125,26 +136,52 @@ def _evolve(words: np.ndarray, table: _EdgeTable, t: float,
     top = int(jumps.max(initial=0))
     key = (-jumps).astype(np.min_scalar_type(min(-top, -1)))
     order = np.argsort(key, kind="stable")
-    ascending = key[order]
     w = words[order]
-    for k in range(top):
-        m = int(np.searchsorted(ascending, -k))     # paths with more than k jumps
-        e = table.pick(rng, m)
+    # moving[k] paths have more than k jumps; drawn[k] edges move jumps 0..k-1.
+    moving = np.searchsorted(key[order], np.arange(0, -top, -1, dtype=key.dtype))
+    drawn = [0, *np.cumsum(moving).tolist()]
+    moving = moving.tolist()
+    k = 0
+    while k < top:
+        # Jumps k..j-1 draw their edges in one call: at most BLOCK of them,
+        # or a single jump's when it moves more paths than that.
+        j = max(bisect_right(drawn, drawn[k] + BLOCK, k) - 1, k + 1)
+        e = table.pick(rng, drawn[j] - drawn[k])
+        lo = 0
         if table.swapped is None:
-            w[:m] = swap_words(w[:m], table.bu[e], table.bv[e])
+            bu, bv = table.bu[e], table.bv[e]
+            for m in moving[k:j]:
+                w[:m] = swap_words(w[:m], bu[lo:lo + m], bv[lo:lo + m])
+                lo += m
         else:
             e <<= table.n
-            e += w[:m]
-            w[:m] = table.swapped[e]
+            for m in moving[k:j]:
+                idx = e[lo:lo + m]
+                idx += w[:m]
+                # Every index is in range; "raise" would buffer the output.
+                np.take(table.swapped, idx, out=w[:m], mode="clip")
+                lo += m
+        k = j
     out = np.empty_like(w)
     out[order] = w
     return out
 
 
-def _start_end(g: Graph, level: int | None, t: float, seed: int,
-               samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def edge_table(g: Graph, horizons: Sequence[float], samples: int) -> _EdgeTable:
+    """One edge table for a run whose estimates each draw samples paths, one
+    estimate per horizon: pass it to each as table=."""
+    for t in horizons:
+        _check_horizon(t)
+    return _EdgeTable(g, math.fsum(horizons), samples)
+
+
+def _start_end(g: Graph, level: int | None, t: float, seed: int, samples: int,
+               table: _EdgeTable | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(start words, end words) of a run's samples, one chunk at a time."""
-    table = _EdgeTable(g, t, samples)
+    if table is None:
+        table = _EdgeTable(g, t, samples)
+    elif table.graph != g:
+        raise ValueError("the edge table is of another graph")
     starts = None if level is None else enumerate_level(g.n, level).words
     for chunk, lo in enumerate(range(0, samples, CHUNK)):
         rng = _chunk_rng(seed, chunk)
@@ -170,9 +207,12 @@ def simulate_path(g: Graph, x0: Configuration, t: float, seed: int) -> Configura
     return Configuration(g.n, int(word[0]))
 
 
-def estimate_covariance(g: Graph, f: BooleanFunction, t: float,
-                        spec: SimulationSpec) -> EstimateResult:
-    """Monte Carlo Cov(f(X_0), f(X_t)) with a jackknife standard error."""
+def estimate_covariance(g: Graph, f: BooleanFunction, t: float, spec: SimulationSpec,
+                        table: _EdgeTable | None = None) -> EstimateResult:
+    """Monte Carlo Cov(f(X_0), f(X_t)) with a jackknife standard error.
+
+    table is the run's edge_table; None builds one for this estimate alone.
+    """
     if f.n != g.n:
         raise ValueError(f"function is on {f.n} vertices, graph has {g.n}")
     _check_horizon(t)
@@ -180,7 +220,7 @@ def estimate_covariance(g: Graph, f: BooleanFunction, t: float,
     a = np.empty(m)   # f at the start
     p = np.empty(m)   # product across the pair
     lo = 0
-    for w0, wt in _start_end(g, spec.level, t, spec.seed, m):
+    for w0, wt in _start_end(g, spec.level, t, spec.seed, m, table):
         hi = lo + w0.size
         a[lo:hi] = f.values[w0]
         p[lo:hi] = a[lo:hi] * f.values[wt]
@@ -196,8 +236,12 @@ def estimate_covariance(g: Graph, f: BooleanFunction, t: float,
 
 
 def estimate_flip_probability(g: Graph, f: BooleanFunction, eps: float,
-                              spec: SimulationSpec) -> EstimateResult:
-    """Monte Carlo P(f(X_0) != f(X_eps)) with a binomial standard error."""
+                              spec: SimulationSpec,
+                              table: _EdgeTable | None = None) -> EstimateResult:
+    """Monte Carlo P(f(X_0) != f(X_eps)) with a binomial standard error.
+
+    table is the run's edge_table; None builds one for this estimate alone.
+    """
     if not f.boolean:
         raise ValueError("flip probability requires a Boolean function")
     if f.n != g.n:
@@ -205,7 +249,7 @@ def estimate_flip_probability(g: Graph, f: BooleanFunction, eps: float,
     _check_horizon(eps)
     m = spec.samples
     flips = 0
-    for w0, wt in _start_end(g, spec.level, eps, spec.seed, m):
+    for w0, wt in _start_end(g, spec.level, eps, spec.seed, m, table):
         flips += int(np.count_nonzero(f.values[w0] != f.values[wt]))
     p_hat = flips / m
     se = math.sqrt(p_hat * (1.0 - p_hat) / m)

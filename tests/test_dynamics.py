@@ -1,12 +1,15 @@
 """Simulator law checks and estimator consistency."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from xproc import dynamics
+from xproc.cli import main
 from xproc.dynamics import (
+    BLOCK,
     CHUNK,
     SEED_MAX,
     SEED_MIN,
@@ -16,6 +19,7 @@ from xproc.dynamics import (
     _EdgeTable,
     _evolve,
     _start_end,
+    edge_table,
     estimate_covariance,
     estimate_flip_probability,
     simulate_path,
@@ -345,9 +349,109 @@ def test_table_and_bit_paths_end_on_the_same_words(monkeypatch, g, level, t):
     runs = [_pairs(g, level, t, 19, samples)]
     monkeypatch.setattr(dynamics, "SWAP_TABLE_ENTRIES", 0)
     runs.append(_pairs(g, level, t, 19, samples))
-    # and both end where the int64-sorted bit-mask sampler ends
+    # and both end where the int64-sorted bit-mask sampler, one draw per
+    # jump, ends
     monkeypatch.setattr(dynamics, "_evolve", _reference_evolve)
     runs.append(_pairs(g, level, t, 19, samples))
     for w0, wt in runs[1:]:
         assert np.array_equal(w0, runs[0][0])
         assert np.array_equal(wt, runs[0][1])
+
+
+@pytest.mark.parametrize("g,level,t,block", [
+    (MIXED, None, 2.0, 1),                  # one draw per jump
+    (make_complete(6, 0.4), 3, 2.0, 4001),  # blocks end mid-run, odd sizes
+    (MIXED, None, 40.0, BLOCK),             # each chunk draws many blocks
+], ids=["one-draw-per-jump", "odd-blocks", "many-blocks"])
+def test_table_and_bit_paths_end_on_the_same_words_in_blocks(monkeypatch, g, level, t, block):
+    # the same three samplers, with a chunk's edges drawn BLOCK at a time
+    monkeypatch.setattr(dynamics, "BLOCK", block)
+    test_table_and_bit_paths_end_on_the_same_words(monkeypatch, g, level, t)
+
+
+def test_a_chunk_draws_its_edges_a_block_at_a_time(monkeypatch):
+    sizes = []
+    real_pick = _EdgeTable.pick
+
+    def pick(self, rng, size):
+        sizes.append(size)
+        return real_pick(self, rng, size)
+
+    monkeypatch.setattr(_EdgeTable, "pick", pick)
+    g, t = make_complete(8, 0.25), 10.0          # about 70 jumps per path
+    rng = _chunk_rng(3, 0)
+    jumps = _chunk_rng(3, 0).poisson(7.0 * t, size=CHUNK)   # the counts _evolve draws
+    _evolve(np.zeros(CHUNK, dtype=np.int64), _EdgeTable(g, t, CHUNK), t, rng)
+    assert sum(sizes) == jumps.sum()
+    assert max(sizes) <= BLOCK
+    # a block ends only where the next jump's edges would not fit
+    assert all(size > BLOCK - CHUNK for size in sizes[:-1])
+    assert len(sizes) == 9
+
+
+SPLITS = [(1, 1), (3, 5), (7, 1, 9), (1, 2, 3, 4, 5), (1001, 33, 4097)]
+
+
+def _twin_streams():
+    # two copies of one chunk's stream after the draws _evolve's edges follow
+    streams = _chunk_rng(5, 0), _chunk_rng(5, 0)
+    for rng in streams:
+        rng.integers(1 << 7, size=5)    # start words
+        rng.poisson(3.0, size=5)        # jump counts
+    return streams
+
+
+@pytest.mark.parametrize("bound", [1, 2, 28, 1000, 2**33])
+@pytest.mark.parametrize("split", SPLITS, ids=str)
+def test_consecutive_integer_draws_continue_one_stream(bound, split):
+    # The blocked sampler draws a block of jumps' edges in one call where the
+    # one-draw-per-jump sampler made one call per jump. Both read the same
+    # words only while numpy keeps this property of its bounded integers.
+    whole, parts = _twin_streams()
+    joined = np.concatenate([parts.integers(bound, size=k) for k in split])
+    assert np.array_equal(joined, whole.integers(bound, size=sum(split)))
+
+
+@pytest.mark.parametrize("split", SPLITS, ids=str)
+def test_consecutive_uniform_draws_continue_one_stream(split):
+    # the same for the uniforms that pick edges by rate
+    whole, parts = _twin_streams()
+    joined = np.concatenate([parts.random(k) for k in split])
+    assert np.array_equal(joined, whole.random(sum(split)))
+
+
+def test_edge_table_counts_every_horizon_of_the_run():
+    g = make_cycle(5, 1.0)                                # 5 * 2^5 = 160 entries
+    assert _EdgeTable(g, 0.5, 32).swapped is None         # 80 jumps per horizon
+    assert edge_table(g, [0.5, 0.5], 32).swapped.size == 160
+    assert edge_table(g, [0.5], 32).swapped is None
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        edge_table(g, [0.5, math.nan], 32)
+
+
+def test_an_edge_table_serves_only_its_graph():
+    table = edge_table(make_cycle(5, 1.0), [1.0], 100)
+    f = parity_on_set(5, [0, 2])
+    spec = SimulationSpec(seed=1, samples=100)
+    with pytest.raises(ValueError, match="another graph"):
+        estimate_covariance(make_complete(5, 1.0), f, 1.0, spec, table=table)
+    # an equal graph is the same graph
+    shared = estimate_covariance(make_cycle(5, 1.0), f, 1.0, spec, table=table)
+    assert shared == estimate_covariance(make_cycle(5, 1.0), f, 1.0, spec)
+
+
+def test_a_two_horizon_run_builds_one_table(monkeypatch, capsys):
+    built = []
+
+    class Counted(_EdgeTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.swapped is not None)
+
+    monkeypatch.setattr(dynamics, "_EdgeTable", Counted)
+    # 80 expected jumps per horizon, 160 for the run: one table of 160 entries
+    assert main(["simulate", "--graph", "cycle:5", "--rate", "1", "--function", "majority",
+                 "--t", "0.5", "--eps", "0.5", "--samples", "32"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) >= {"covariance", "flip_probability"}
+    assert built == [True]
