@@ -37,13 +37,11 @@ from .generator import (
 from .spectral import (
     SpectralBasis,
     complete_graph_basis,
-    eigendecompose,
     eigendecompose_stack,
-    level_bases,
     lift_down,
     lift_up,
     mirror_basis,
-    solve_level,
+    solve_graph,
     sum_lift,
 )
 from .fourier import (

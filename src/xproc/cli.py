@@ -16,12 +16,13 @@ import math
 import operator
 import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
 from . import __version__
 from . import diagnostics, dynamics, fourier, spectral, verify
-from .generator import NumericalError, build_level_generator
+from .generator import NumericalError
 from .statespace import StateCapExceeded, check_levels, state_cap
 from .graph import (
     FAMILIES, Graph, is_complete, is_edge_subgraph, load_graph, max_degree, to_json_dict,
@@ -74,7 +75,7 @@ def dumps_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def format_csv(header: list[str], rows: list[tuple], config: dict) -> str:
+def format_csv(header: list[str], rows: Iterable[tuple], config: dict) -> str:
     lines = [f"# schema={SCHEMA_VERSION} config={json.dumps(config, sort_keys=True)}"]
     lines.append(",".join(header))
     for row in rows:
@@ -246,21 +247,21 @@ def cmd_spectrum(args) -> tuple:
     levels = parse_levels(args.level, g.n)
     check_levels(g.n, levels)
     config = config_echo(args, ["graph", "rate", "rate_policy", "level", "format"])
-    rows = []
-    for level in levels:
+    by_level = {}  # level -> its rows; solve_stacks solves the largest level first
+    for _, gen, basis in spectral.solve_stacks([(g, level) for level in levels]):
+        level = gen.space.level
         if args.dump_matrix:
             path = args.dump_matrix
             if len(levels) > 1:
                 root, ext = os.path.splitext(path)
                 path = f"{root}.level{level}{ext or '.csv'}"
-            matrix = build_level_generator(g, level).matrix
-            emit(format_csv([f"c{j}" for j in range(matrix.shape[0])],
-                            [tuple(row) for row in matrix], config), path, "--dump-matrix")
-            del matrix
-        basis = spectral.solve_level(g, level)
-        rows += [(level, i, float(basis.eigenvalues[i]), gid)
-                 for gid, group in enumerate(basis.groups) for i in group]
-        del basis  # free this level before the next one is solved
+            # Rows as the CSV reads them, not size^2 float objects at once
+            emit(format_csv([f"c{j}" for j in range(gen.space.size)],
+                            map(tuple, gen.matrix), config), path, "--dump-matrix")
+        by_level[level] = [(level, i, float(basis.eigenvalues[i]), gid)
+                           for gid, group in enumerate(basis.groups) for i in group]
+        del gen, basis  # free this level before the next one is solved
+    rows = [row for level in levels for row in by_level[level]]
     if args.format == "csv":
         return config, (["level", "index", "eigenvalue", "multiplicity_group_id"], rows)
     return config, {
@@ -281,7 +282,7 @@ def cmd_profile(args) -> tuple:
     check_levels(g.n)
     f = resolve_function(args.function, g.n)
     config = config_echo(args, ["graph", "rate", "rate_policy", "function", "format"])
-    profile = fourier.spectral_profile(f, spectral.level_bases(g))
+    profile = fourier.spectral_profile(f, spectral.solve_graph(g))
     if args.format == "csv":
         return config, (["level", "eigenvalue", "coeff_sq"], fourier.profile_csv_rows(profile))
     return config, fourier.profile_summary(profile)
@@ -302,8 +303,14 @@ def _profile_sweep(args) -> tuple:
     n_grid = parse_n_grid(args.n_grid)
     if family == "half_complete_cycle" and any(n % 2 for n in n_grid):
         raise ConfigError("--n-grid: half_complete_cycle needs even vertex counts")
-    if family == "cycle" and min(n_grid) < 3:
-        raise ConfigError("--n-grid: cycle needs n >= 3")
+
+    def size_of(n: int) -> int:  # the family's size parameter for n vertices
+        return n // 2 if family == "half_complete_cycle" else n
+
+    try:  # a maker refuses only sizes below its family's smallest graph
+        FAMILIES[family](size_of(min(n_grid)), 1.0)
+    except ValueError:
+        raise ConfigError(f"--n-grid: {family} has no graph on n={min(n_grid)} vertices")
     try:
         k_grid = [float(s) for s in (args.k or "1.0").split(",")]
     except ValueError:
@@ -314,11 +321,10 @@ def _profile_sweep(args) -> tuple:
         raise ConfigError("--function: a named family is required with --n-grid")
 
     def make_profile(n: int) -> fourier.SpectralProfile:
-        size = n // 2 if family == "half_complete_cycle" else n
-        g = family_graph(family, size, args.rate, args.rate_policy)
+        g = family_graph(family, size_of(n), args.rate, args.rate_policy)
         check_levels(g.n)
         f = resolve_function(function_spec, g.n)
-        return fourier.spectral_profile(f, spectral.level_bases(g))
+        return fourier.spectral_profile(f, spectral.solve_graph(g))
 
     config = config_echo(args, ["graph", "rate", "rate_policy", "function",
                                 "n-grid", "k", "format"])
@@ -332,7 +338,7 @@ def cmd_exact(args) -> tuple:
     f = resolve_function(args.function, g.n)
     check_numbers(*horizon_rules(args))
     config = config_echo(args, ["graph", "rate", "rate_policy", "function", "t", "eps"])
-    profile = fourier.spectral_profile(f, spectral.level_bases(g))
+    profile = fourier.spectral_profile(f, spectral.solve_graph(g))
     body: dict = {"mean": profile.mean, "variance": profile.variance()}
     if args.t is not None:
         body["t"] = args.t
@@ -400,6 +406,7 @@ def cmd_compare(args) -> tuple:
     g_b = resolve_graph(args.graph_b, args.rate_b, args.rate_policy_b, "--graph-b")
     if g_a.n != g_b.n:
         raise ConfigError(f"--graph-b: vertex counts differ ({g_a.n} vs {g_b.n})")
+    check_levels(g_a.n)
     config = config_echo(args, ["graph", "rate", "rate_policy", "graph-b", "rate-b",
                                 "rate-policy-b", "function", "k", "kprime"])
     checks = []
@@ -413,8 +420,8 @@ def cmd_compare(args) -> tuple:
         kprime = args.kprime if args.kprime is not None else 2.0 * args.k
         holds = diagnostics.containment_hypothesis(g_a, args.k, kprime)
     if subgraph or holds:
-        bases_a = list(spectral.level_bases(g_a))
-        bases_b = list(spectral.level_bases(g_b))
+        bases_a, bases_b = (sorted(spectral.solve_graph(g), key=lambda b: b.space.level)
+                            for g in (g_a, g_b))
     if subgraph:
         checks.append(diagnostics.check_record(
             "spectra_dominated_by_supergraph",

@@ -158,10 +158,11 @@ def spectra_domination_gap(g_sub: Graph, g: Graph, bases_sub, bases) -> list[flo
     """Per level, the largest amount by which a subgraph eigenvalue exceeds the supergraph's.
 
     Sorted level spectra should be pointwise nondecreasing under edge
-    addition; a gap is positive only on a violation. bases_sub and bases are
-    the two graphs' levels 0..n in order, and may be level_bases streams:
-    map keeps no basis once its eigenvalues are sorted, so each stream frees
-    a level before it solves the next.
+    addition; a gap is positive only on a violation. bases_sub and bases hold
+    the two graphs' levels 0..n in one order: level order, or two
+    spectral.solve_graph streams, which on one n give their levels in the
+    same order. map keeps no basis once its eigenvalues are sorted, so each
+    stream frees a level before it solves the next.
     """
     if not is_edge_subgraph(g_sub, g):
         raise ValueError("first graph must be an equal-rate edge subgraph of the second")

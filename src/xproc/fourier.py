@@ -146,35 +146,32 @@ class SpectralProfile:
 def spectral_profile(f: BooleanFunction, bases) -> SpectralProfile:
     """Coefficients of f against the lifted per-level bases of one graph.
 
-    bases is any iterable of the levels 0..n in order, such as
-    spectral.level_bases(g); each basis is read once and only its level's
-    eigenvalues and coefficients are kept, so a generator's bases are freed
-    as the loop goes (see level_bases for the loop that allows this).
+    bases is any iterable of the levels 0..n, each exactly once and in any
+    order, such as spectral.solve_graph(g). Each basis is read once and only
+    its level's eigenvalues and coefficients are kept, so a generator's
+    bases are freed as the loop goes (see solve_graph for the loop that
+    allows this). The kept arrays are joined in level order at the end.
     """
     n = f.n
-    levels, eigenvalues, coeffs = [], [], []
-    level = 0
+    kept = {}  # level -> (eigenvalues, coefficients)
     for basis in bases:
         space = basis.space
-        if space.n != n or space.level != level:
-            raise ValueError(
-                f"basis at position {level} is for (n={space.n}, level={space.level})"
-            )
-        f_level = f.values[space.words]
+        if space.n != n:
+            raise ValueError(f"basis at position {len(kept)} is for "
+                             f"(n={space.n}, level={space.level}), not n={n}")
+        if space.level in kept:
+            raise ValueError(f"basis at position {len(kept)} repeats level {space.level}")
         scale = math.sqrt(space.size / 2.0**n)
-        coeffs_level = scale * basis.coefficients(f_level)
-        levels.append(np.full(space.size, level, dtype=np.int64))
-        eigenvalues.append(basis.eigenvalues)
-        coeffs.append(coeffs_level)
+        kept[space.level] = (basis.eigenvalues, scale * basis.coefficients(f.values[space.words]))
         del basis  # before the next level is solved
-        level += 1
-    if level != n + 1:
-        raise ValueError(f"need bases for all levels 0..{n}, got {level}")
+    if len(kept) != n + 1:
+        raise ValueError(f"need bases for all levels 0..{n}, got {len(kept)}")
+    levels = range(n + 1)
     return SpectralProfile(
         n=n,
-        levels=np.concatenate(levels),
-        eigenvalues=np.concatenate(eigenvalues),
-        coefficients=np.concatenate(coeffs),
+        levels=np.concatenate([np.full(kept[l][0].size, l, dtype=np.int64) for l in levels]),
+        eigenvalues=np.concatenate([kept[l][0] for l in levels]),
+        coefficients=np.concatenate([kept[l][1] for l in levels]),
         mean=f.mean(),
         boolean=f.boolean,
     )

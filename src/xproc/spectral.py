@@ -24,7 +24,7 @@ import numpy as np
 
 from .graph import Graph
 from .generator import (
-    LevelGenerator, NumericalError, build_level_generator, build_level_generators,
+    LevelGenerator, NumericalError, build_level_generators,
 )
 from .statespace import LevelStateSpace, enumerate_level, lift_table
 
@@ -113,11 +113,6 @@ def column_dots(x: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1)
 
 
-def eigendecompose(gen: LevelGenerator) -> SpectralBasis:
-    """Full eigendecomposition of -Q on one level: eigendecompose_stack of one."""
-    return eigendecompose_stack([gen])[0]
-
-
 def eigendecompose_stack(gens: Sequence[LevelGenerator]) -> list[SpectralBasis]:
     """Full eigendecompositions of -Q on several levels of one size, in one LAPACK call.
 
@@ -183,15 +178,6 @@ def _converges(matrix: np.ndarray) -> bool:
     return True
 
 
-def solve_level(g: Graph, level: int) -> SpectralBasis:
-    """The eigendecomposition of -Q on one level of the process on g.
-
-    The one place a single level is solved: the CLI's eigenbases all come
-    from here, and solve_stacks solves batches with the same kernel.
-    """
-    return eigendecompose(build_level_generator(g, level))
-
-
 def solve_stacks(pairs: Sequence[tuple[Graph, int]]):
     """Solve (graph, level) pairs in stacks; yield (index, generator, basis) per pair.
 
@@ -199,8 +185,8 @@ def solve_stacks(pairs: Sequence[tuple[Graph, int]]):
     Pairs of one level size share a stack, of at most STACK_BYTES of
     matrices, across graphs and across levels l and n - l. Each stack is
     built by build_level_generators, one call per level slice, and solved
-    by one eigendecompose_stack call, and every basis equals the one
-    solve_level gives for its pair, bit for bit. The generator keeps no
+    by one eigendecompose_stack call, and every basis equals the one a
+    stack of one gives for its pair, bit for bit. The generator keeps no
     stack it has yielded.
     """
     def slice_of(i):
@@ -224,22 +210,25 @@ def solve_stacks(pairs: Sequence[tuple[Graph, int]]):
             del gens, bases  # before the next stack is built
 
 
-def level_bases(g: Graph):
-    """Yield solve_level(g, level) for levels 0..n of the process on g, in order.
+def solve_graph(g: Graph):
+    """Yield the bases of levels 0..n of the process on g, from one solve_stacks call.
 
-    Level l is built and solved only when the consumer asks for it, and the
-    generator keeps no basis it has yielded. A consumer that drops each
-    basis before asking for the next therefore holds one level's basis at a
-    time, and the peak is the largest level's eigensolve. Iterate with a
-    plain `for basis in level_bases(g)` and `del basis` at the end of the
-    body (or with map): the loop variable, and the result tuple that
-    enumerate() and zip() reuse, keep the previous basis alive while the
-    next level is solved. A caller that indexes across levels or reads a
-    level twice holds them all with list(level_bases(g)), sum over l of
-    C(n, l)^2 doubles.
+    Levels come in solve_stacks order, largest first, and a stack is solved
+    only when the consumer asks for its first level. The generator drops
+    each generator and basis before it asks for the next stack, so a
+    consumer that drops each basis too (a plain `for basis in
+    solve_graph(g)` with `del basis` at the end of the body, or map) holds
+    one stack's bases at a time, and the peak is the largest level's
+    eigensolve. A generator expression over solve_stacks does not do this:
+    its frame keeps the last generator and basis alive while the next stack
+    is solved. On the consumer's side the result tuple that enumerate() and
+    zip() reuse does the same. A caller that indexes across levels holds
+    them all, sum over l of C(n, l)^2 doubles.
     """
-    for level in range(g.n + 1):
-        yield solve_level(g, level)
+    for _, gen, basis in solve_stacks([(g, level) for level in range(g.n + 1)]):
+        del gen
+        yield basis
+        del basis  # before the next stack is solved
 
 
 # ---------------------------------------------------------------------------

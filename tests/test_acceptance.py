@@ -19,6 +19,8 @@ from xproc.graph import (
     with_rate,
 )
 
+from conftest import solve_alone
+
 MC_SEED = 20260810
 
 
@@ -34,7 +36,7 @@ def test_criterion_1_complete_graph_spectrum():
         for alpha in (1.0, 1.0 / n):
             g = make_complete(n, alpha)
             for level in range(n // 2 + 1):
-                basis = spectral.eigendecompose(build_level_generator(g, level))
+                basis = solve_alone(g, [level])[0]
                 expected = []
                 for lam, mult in spectral.complete_graph_eigenvalue_table(n, level, alpha):
                     expected.extend([lam] * mult)
@@ -53,7 +55,7 @@ def test_criterion_2_lift_formulas_and_dichotomy():
         for alpha in (1.0, 1.0 / n):
             g = make_complete(n, alpha)
             for level in range(n // 2 + 1):
-                basis = spectral.eigendecompose(build_level_generator(g, level))
+                basis = solve_alone(g, [level])[0]
                 worst = max(worst, verify.lift_length_error(n, level, alpha, basis))
     dichotomy_ok = True
     worst_res = 0.0
@@ -61,7 +63,7 @@ def test_criterion_2_lift_formulas_and_dichotomy():
         g = make_cycle(n, 0.5)
         gens = [build_level_generator(g, level) for level in range(n + 1)]
         for level in range(n + 1):
-            basis = spectral.eigendecompose(gens[level])
+            basis = spectral.eigendecompose_stack([gens[level]])[0]
             for i in range(basis.size):
                 lam = float(basis.eigenvalues[i])
                 lifts = []
@@ -94,7 +96,7 @@ def test_criterion_3_eigenvalue_bound():
         g = verify.random_connected_graph(rng, n, rate)
         d = max_degree(g)
         for level in range(n + 1):
-            basis = spectral.eigendecompose(build_level_generator(g, level))
+            basis = solve_alone(g, [level])[0]
             gap = float(basis.eigenvalues[-1]) - 2.0 * rate * level * d
             worst_gap = max(worst_gap, gap)
             if gap > 1e-9 * max(1.0, 2.0 * rate * level * d):
@@ -113,7 +115,7 @@ def test_criterion_4_spectral_vs_oracle_correlation():
         g = verify.random_connected_graph(rng, n, float(rng.uniform(0.2, 1.5)))
         f = verify.random_boolean_function(rng, n)
         t = float(rng.uniform(0.0, 2.5))
-        profile = fourier.spectral_profile(f, list(spectral.level_bases(g)))
+        profile = fourier.spectral_profile(f, solve_alone(g))
         err = abs(fourier.exact_correlation(profile, t)
                   - oracle.brute_force_correlation(g, f, t))
         worst = max(worst, err)
@@ -138,7 +140,7 @@ def test_criterion_5_monte_carlo_consistency():
     ]
     passes = 0
     for idx, (g, f, kind, t) in enumerate(instances):
-        profile = fourier.spectral_profile(f, list(spectral.level_bases(g)))
+        profile = fourier.spectral_profile(f, solve_alone(g))
         spec = dynamics.SimulationSpec(seed=MC_SEED + idx, samples=100_000)
         if kind == "cov":
             est = dynamics.estimate_covariance(g, f, t, spec)
@@ -160,7 +162,7 @@ def test_criterion_6_containment():
     instances = 0
     for n in (6, 8, 10, 12):
         complete = make_complete(n, 1.0 / n)
-        bases_c = list(spectral.level_bases(complete))
+        bases_c = solve_alone(complete)
         others = [
             make_cycle(n, 1.0),
             make_half_complete_cycle(n // 2, 1.0),
@@ -168,7 +170,7 @@ def test_criterion_6_containment():
         ]
         for raw in others:
             other = with_rate(raw, 1.0 / max_degree(raw))
-            bases_o = list(spectral.level_bases(other))
+            bases_o = solve_alone(other)
             for k in (0.5, 1.0, 2.0, n / 4.0):
                 for res in diagnostics.containment_residual(complete, other, k, 2.0 * k,
                                                             bases_c, bases_o):
@@ -193,8 +195,8 @@ def test_criterion_7_projection_mass_inequality():
         f = verify.random_boolean_function(rng, n)
         k = float(rng.uniform(0.05, n / 4.0))
         lhs, rhs = diagnostics.projection_mass_inequality(
-            complete, other, k, fourier.spectral_profile(f, spectral.level_bases(complete)),
-            fourier.spectral_profile(f, spectral.level_bases(other)))
+            complete, other, k, fourier.spectral_profile(f, solve_alone(complete)),
+            fourier.spectral_profile(f, solve_alone(other)))
         gap = rhs - lhs
         worst = max(worst, gap)
         if gap > 1e-10:
@@ -217,8 +219,8 @@ def test_criterion_8_monotonicity():
         k = float(rng.uniform(1e-3, 2.0 * lam_max))
         kprime = float(rng.uniform(1e-3, 2.0 * lam_max))
         lhs, rhs = diagnostics.monotonicity_inequality_check(
-            g, sub, k, kprime, fourier.spectral_profile(f, spectral.level_bases(g)),
-            fourier.spectral_profile(f, spectral.level_bases(sub)))
+            g, sub, k, kprime, fourier.spectral_profile(f, solve_alone(g)),
+            fourier.spectral_profile(f, solve_alone(sub)))
         gap = lhs - rhs
         worst = max(worst, gap)
         if gap > 1e-10:
@@ -232,7 +234,7 @@ def test_criterion_8_monotonicity():
         ]
         for small, big in zip(chain, chain[1:]):
             gaps = diagnostics.spectra_domination_gap(
-                small, big, spectral.level_bases(small), spectral.level_bases(big))
+                small, big, solve_alone(small), solve_alone(big))
             if max(gaps) > 1e-10:
                 chain_ok = False
     report(8, violations == 0 and chain_ok,
@@ -243,8 +245,8 @@ def test_criterion_8_monotonicity():
 def test_criterion_9_kernel_independence():
     worst = 0.0
     for n in range(3, 11):
-        bases_complete = list(spectral.level_bases(make_complete(n, 1.0)))
-        bases_cycle = list(spectral.level_bases(make_cycle(n, 0.5)))
+        bases_complete = solve_alone(make_complete(n, 1.0))
+        bases_cycle = solve_alone(make_cycle(n, 0.5))
         for bc, bcyc in zip(bases_complete, bases_cycle):
             pc = bc.projector(bc.zero_indices())
             pcyc = bcyc.projector(bcyc.zero_indices())

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from xproc import cli, diagnostics, spectral, verify
 from xproc.cli import apply_config_file, build_parser, dumps_json, main
 from xproc.graph import make_complete, make_cycle, make_half_complete_cycle, save_graph
-from xproc.spectral import level_bases
+
+from conftest import solve_alone
 
 
 def run(args, capsys):
@@ -129,6 +130,15 @@ def test_profile_n_grid_validation(capsys):
          "dictator:0", "--n-grid", "4:6", "--k", "0,1"], capsys
     )
     assert code == 2 and "--k" in err
+
+
+@pytest.mark.parametrize("family, grid, n", [("complete", "1:3", 1), ("cycle", "2:4", 2),
+                                              ("half_complete_cycle", "2:2", 2)])
+def test_n_grid_below_the_smallest_graph_names_the_flag(capsys, family, grid, n):
+    code, out, err = run(["profile", "--graph", family, "--rate", "1", "--function",
+                          "dictator:0", "--n-grid", grid], capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: --n-grid: {family} has no graph on n={n} vertices\n"
 
 
 def test_simulate_deterministic(capsys):
@@ -254,7 +264,7 @@ def test_compare_containment_uses_the_diagnostics_hypothesis(capsys):
     complete, cycle = make_complete(6, 1 / 6), make_cycle(6, 0.5)
     assert diagnostics.containment_hypothesis(complete, k, 2.0)
     assert check["max_residual"] == max(diagnostics.containment_residual(
-        complete, cycle, k, 2.0, list(level_bases(complete)), list(level_bases(cycle))))
+        complete, cycle, k, 2.0, solve_alone(complete), solve_alone(cycle)))
 
 
 def test_compare_counts_a_violation_per_violating_instance(capsys, monkeypatch):
@@ -407,8 +417,12 @@ def test_compare_kprime_without_k_exit_2(capsys):
 
 
 def test_eigensolver_failure_exit_3(capsys, monkeypatch):
-    def fail(matrix):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    real = np.linalg.eigh
+
+    def fail(matrix):  # on the 4-state level 1 alone, whatever order levels are solved in
+        if matrix.shape[-1] == 4:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(matrix)
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     code, out, err = run(["spectrum", "--graph", "cycle:4", "--rate", "1"], capsys)
@@ -699,11 +713,16 @@ SOLVING_COMMANDS = {
     "spectrum": ["spectrum", "--graph", "cycle:5", "--rate", "1"],
     "spectrum --level --dump-matrix": ["spectrum", "--graph", "cycle:5", "--rate", "1",
                                        "--level", "2", "--dump-matrix", "m.csv"],
+    "spectrum --level all --dump-matrix": ["spectrum", "--graph", "cycle:5", "--rate", "1",
+                                           "--level", "all", "--dump-matrix", "m.csv"],
     "profile": ["profile", "--graph", "complete:5", "--rate", "1", "--function", "majority"],
     "exact": ["exact", "--graph", "cycle:5", "--rate", "1", "--function", "majority",
               "--t", "0.5"],
     "compare": ["compare", "--graph", "complete:6", "--rate", "1", "--graph-b", "cycle:6",
                 "--rate-b", "1", "--function", "dictator:0", "--k", "4", "--kprime", "8"],
+    # cycle:6 at rate 0.5 is no edge subgraph: the containment check alone solves
+    "compare --k": ["compare", "--graph", "complete:6", "--rate", "1", "--graph-b", "cycle:6",
+                    "--rate-b", "0.5", "--k", "1"],
     "profile --n-grid": ["profile", "--graph", "cycle", "--rate", "1", "--function",
                          "majority", "--n-grid", "3:5"],
     "verify": ["verify", "--nmax", "6"],
@@ -712,24 +731,20 @@ SOLVING_COMMANDS = {
 
 @pytest.mark.parametrize("command", SOLVING_COMMANDS)
 def test_every_solve_lands_in_eigendecompose_stack(tmp_path, capsys, monkeypatch, command):
-    """Each solved level comes from solve_level or from a pair handed to solve_stacks,
-    and is one member of an eigendecompose_stack call; verify never calls solve_level."""
+    """Each solved level is a pair handed to solve_stacks and one member of an
+    eigendecompose_stack call."""
     monkeypatch.chdir(tmp_path)
-    calls = {"solve_level": 0, "solve_stacks": 0, "eigendecompose_stack": 0}
-    sizes = {"solve_level": lambda g, level: 1, "solve_stacks": len,
-             "eigendecompose_stack": len}
+    calls = {"solve_stacks": 0, "eigendecompose_stack": 0}
     for name in calls:
         inner = getattr(spectral, name)
 
-        def counting(*args, name=name, inner=inner):
-            calls[name] += sizes[name](*args)
-            return inner(*args)
+        def counting(members, name=name, inner=inner):
+            calls[name] += len(members)
+            return inner(members)
 
         monkeypatch.setattr(spectral, name, counting)
     assert run(SOLVING_COMMANDS[command], capsys)[0] == 0
-    assert calls["eigendecompose_stack"] == calls["solve_level"] + calls["solve_stacks"] > 0
-    if command == "verify":
-        assert calls["solve_level"] == 0
+    assert calls["eigendecompose_stack"] == calls["solve_stacks"] > 0
 
 
 @pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])
@@ -741,8 +756,7 @@ def test_unwritable_output_path_exit_2_before_any_work(tmp_path, capsys, monkeyp
     def no_work(*args):
         raise AssertionError("work started before the output path was checked")
 
-    monkeypatch.setattr(cli, "build_level_generator", no_work)
-    monkeypatch.setattr(spectral, "solve_level", no_work)
+    monkeypatch.setattr(spectral, "solve_stacks", no_work)
     code, out, err = run(["spectrum", "--graph", "cycle:5", "--rate", "1", flag, str(path)],
                          capsys)
     assert code == 2 and out == ""
@@ -780,11 +794,25 @@ def test_spectrum_over_the_cap_exits_2_before_any_solve(capsys, monkeypatch, lev
     def no_solve(*args):
         raise AssertionError("a level was solved before the cap was checked")
 
-    monkeypatch.setattr(spectral, "solve_level", no_solve)
+    monkeypatch.setattr(spectral, "eigendecompose_stack", no_solve)
     code, out, err = run(["spectrum", "--graph", "cycle:8", "--rate", "1", "--level", level],
                          capsys)
     assert code == 2 and out == ""
     assert err == ("config error: level slice C(8,3) has 56 states, exceeding the cap 30 "
+                   "(set XPROC_STATE_CAP to raise it)\n")
+
+
+def test_compare_over_the_cap_exits_2_before_any_solve(capsys, monkeypatch):
+    monkeypatch.setenv("XPROC_STATE_CAP", "800")
+
+    def no_solve(*args):
+        raise AssertionError("a level was solved before the cap was checked")
+
+    monkeypatch.setattr(spectral, "eigendecompose_stack", no_solve)
+    code, out, err = run(["compare", "--graph", "complete:12", "--rate", "1",
+                          "--graph-b", "cycle:12", "--rate-b", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == ("config error: level slice C(12,6) has 924 states, exceeding the cap 800 "
                    "(set XPROC_STATE_CAP to raise it)\n")
 
 

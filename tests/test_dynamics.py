@@ -35,8 +35,9 @@ from xproc.fourier import (
 from xproc.generator import build_level_generator
 from xproc.graph import Graph, make_complete, make_cycle
 from xproc.oracle import matrix_exponential
-from xproc.spectral import level_bases
 from xproc.statespace import Configuration, enumerate_level, swap_words
+
+from conftest import solve_alone
 
 CHI2_P001 = {2: 13.816, 5: 20.515, 9: 27.877, 14: 36.123, 19: 43.820}
 
@@ -233,7 +234,7 @@ def test_covariance_at_lag_zero_matches_variance():
 def test_covariance_matches_exact():
     g = make_complete(4, 0.25)
     f = dictator(4, 0)
-    profile = spectral_profile(f, list(level_bases(g)))
+    profile = spectral_profile(f, solve_alone(g))
     est = estimate_covariance(g, f, 1.0, SimulationSpec(seed=3, samples=20000))
     assert est.std_error > 0
     assert abs(est.point - exact_covariance(profile, 1.0)) <= 3 * est.std_error
@@ -264,7 +265,7 @@ def test_flip_zero_time_and_constant():
 def test_flip_matches_exact():
     g = make_cycle(8, 0.5)
     f = parity_on_set(8, [0, 2, 4, 6])
-    profile = spectral_profile(f, list(level_bases(g)))
+    profile = spectral_profile(f, solve_alone(g))
     est = estimate_flip_probability(g, f, 0.3, SimulationSpec(seed=6, samples=20000))
     assert abs(est.point - exact_flip_probability(profile, 0.3)) <= 3 * est.std_error
 

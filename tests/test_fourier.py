@@ -29,10 +29,11 @@ from xproc.fourier import (
 from xproc.graph import make_complete, make_cycle
 from xproc.oracle import brute_force_correlation
 from xproc.spectral import (
-    complete_graph_basis, eigendecompose, group_eigenvalues, level_bases, mirror_basis,
+    complete_graph_basis, group_eigenvalues, mirror_basis,
 )
-from xproc.generator import build_level_generator
 from xproc.statespace import Configuration, enumerate_level
+
+from conftest import solve_alone
 
 
 def test_dictator_values():
@@ -96,7 +97,7 @@ def test_table_validation():
 def test_profile_of_constant():
     g = make_cycle(4, 1.0)
     f = from_table(4, np.ones(16))
-    profile = spectral_profile(f, list(level_bases(g)))
+    profile = spectral_profile(f, solve_alone(g))
     assert profile.total_mass == pytest.approx(1.0, abs=1e-12)
     assert profile.zero_mass() == pytest.approx(1.0, abs=1e-12)
     assert profile.conditional_mean_variance == pytest.approx(0.0, abs=1e-12)
@@ -110,7 +111,7 @@ def test_profile_dictator_k2_frozen():
     #   leaving 1/8 at the swap eigenvalue lambda = 2.
     g = make_complete(2, 1.0)
     f = dictator(2, 0)
-    profile = spectral_profile(f, list(level_bases(g)))
+    profile = spectral_profile(f, solve_alone(g))
     assert profile.total_mass == pytest.approx(0.5, abs=1e-12)
     assert profile.mean == pytest.approx(0.5)
     assert profile.zero_mass() == pytest.approx(3 / 8, abs=1e-12)
@@ -125,7 +126,7 @@ def test_zero_block_equals_conditional_means():
     n = 5
     g = make_cycle(n, 0.7)
     f = BooleanFunction(n, rng.integers(0, 2, size=32).astype(float))
-    profile = spectral_profile(f, list(level_bases(g)))
+    profile = spectral_profile(f, solve_alone(g))
     # independent conditional averaging
     expected = 0.0
     for level in range(n + 1):
@@ -144,13 +145,13 @@ def test_parseval(seed):
     n = int(rng.integers(3, 7))
     g = make_cycle(n, float(rng.uniform(0.2, 1.5)))
     f = BooleanFunction(n, rng.integers(0, 2, size=1 << n).astype(float))
-    profile = spectral_profile(f, list(level_bases(g)))
+    profile = spectral_profile(f, solve_alone(g))
     assert profile.total_mass == pytest.approx(float(np.mean(f.values**2)), abs=1e-10)
 
 
 def test_profile_requires_all_levels():
     g = make_cycle(4, 1.0)
-    bases = list(level_bases(g))
+    bases = solve_alone(g)
     f = dictator(4, 0)
     with pytest.raises(ValueError):
         spectral_profile(f, bases[:-1])
@@ -164,7 +165,7 @@ def test_profile_invariant_under_basis_choice():
     n = 6
     g = make_complete(n, 0.5)
     f = parity_on_set(n, [0, 2])
-    generic = spectral_profile(f, list(level_bases(g)))
+    generic = spectral_profile(f, solve_alone(g))
     closed = []
     for level in range(n + 1):
         if level <= n // 2:
@@ -190,7 +191,7 @@ def test_eigenvalue_bound_in_profiles():
 
     g = make_cycle(6, 0.5)
     f = parity_on_set(6, [0, 3])
-    profile = spectral_profile(f, list(level_bases(g)))
+    profile = spectral_profile(f, solve_alone(g))
     d = max_degree(g)
     for level, lam, _ in profile.entries():
         assert lam <= 2 * 0.5 * level * d + 1e-9
@@ -201,7 +202,7 @@ def test_eigenvalue_bound_in_profiles():
 # ---------------------------------------------------------------------------
 
 def profile_for(g, f):
-    return spectral_profile(f, list(level_bases(g)))
+    return spectral_profile(f, solve_alone(g))
 
 
 def test_correlation_at_zero_and_infinity():
@@ -372,7 +373,7 @@ def test_low_mass_against_coefficient_table():
     k = 1.0
     expected = 0.0
     for level in range(5):
-        basis = eigendecompose(build_level_generator(g, level))
+        basis = solve_alone(g, [level])[0]
         space = basis.space
         for i in range(basis.size):
             lam = float(basis.eigenvalues[i])
@@ -390,7 +391,7 @@ def test_decomposition_identity_random():
     rng = np.random.default_rng(77)
     n = 6
     g = make_cycle(n, 0.8)
-    bases = list(level_bases(g))
+    bases = solve_alone(g)
     spectrum = np.unique(np.concatenate([b.eigenvalues for b in bases]))
     for _ in range(10):
         f = BooleanFunction(n, rng.integers(0, 2, size=64).astype(float))

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from xproc.generator import build_level_generator, dirichlet_form, rayleigh_quotient
 from xproc.graph import Graph, make_complete, make_cycle
-from xproc.spectral import eigendecompose
+from xproc.spectral import eigendecompose_stack
+
+from conftest import solve_alone
 
 
 def test_k2_level1_matrix():
@@ -118,7 +120,7 @@ def test_dirichlet_dimension_mismatch():
 
 def test_rayleigh_of_eigenvector_is_eigenvalue():
     gen = build_level_generator(make_cycle(6, 0.5), 2)
-    basis = eigendecompose(gen)
+    basis = eigendecompose_stack([gen])[0]
     for i in range(basis.size):
         rq = rayleigh_quotient(gen, basis.vectors[:, i])
         assert rq == pytest.approx(float(basis.eigenvalues[i]), rel=1e-10, abs=1e-10)
@@ -164,5 +166,5 @@ def test_eigenvalue_bound_uniform_rate():
         d = max_degree(g)
         rate = g.edges[0][2]
         for level in range(g.n + 1):
-            basis = eigendecompose(build_level_generator(g, level))
+            basis = solve_alone(g, [level])[0]
             assert basis.eigenvalues[-1] <= 2 * rate * level * d + 1e-10

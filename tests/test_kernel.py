@@ -19,10 +19,9 @@ from xproc.spectral import (
     GROUP_RTOL,
     SIGN_TOL,
     complete_graph_basis,
-    eigendecompose,
+    eigendecompose_stack,
     fix_sign,
     group_eigenvalues,
-    level_bases,
     lift_down,
     lift_up,
     mirror_basis,
@@ -40,6 +39,8 @@ from xproc.statespace import (
     swap_words,
 )
 from xproc.verify import random_connected_graph
+
+from conftest import solve_alone
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +269,7 @@ def test_complete_graph_basis_matches_reference(n):
 def test_mirror_basis_matches_reference(n):
     g = make_cycle(n, 0.5)
     for level in range(n + 1):
-        basis = eigendecompose(build_level_generator(g, level))
+        basis = solve_alone(g, [level])[0]
         target = enumerate_level(n, n - level)
         index = ref_index(basis.space)
         mask = (1 << n) - 1
@@ -375,7 +376,7 @@ def test_fix_sign_matches_per_column_on_random_matrices():
 def test_eigendecompose_signs_match_per_column():
     g = random_connected_graph(np.random.default_rng(4), 8, 0.9)
     gen = build_level_generator(g, 4)
-    basis = eigendecompose(gen)
+    basis = eigendecompose_stack([gen])[0]
     _, v = np.linalg.eigh(gen.matrix)
     vectors = v * math.sqrt(gen.space.size)
     vectors[:, 0] = 1.0
@@ -501,7 +502,7 @@ def unequal_rate_graph(rng, n):
 def test_pooled_masses_match_reference_bit_for_bit(name):
     g = {"K_12": lambda: make_complete(12, 1.0 / 12), "C_12": lambda: make_cycle(12, 0.5),
          "random_12": lambda: unequal_rate_graph(np.random.default_rng(12), 12)}[name]()
-    bases = list(level_bases(g))
+    bases = solve_alone(g)
     for f in (majority(12), dictator(12, 0), parity_on_set(12, [0, 2, 5])):
         profile = spectral_profile(f, bases)
         assert mass_by_eigenvalue(profile) == ref_mass_by_eigenvalue(profile)

@@ -10,21 +10,21 @@ from xproc.graph import make_complete, make_cycle
 from xproc.spectral import (
     complete_graph_basis,
     complete_graph_eigenvalue_table,
-    eigendecompose,
+    eigendecompose_stack,
     fix_sign,
     group_eigenvalues,
-    level_bases,
     lift_down,
     lift_up,
     mirror_basis,
-    solve_level,
     sum_lift,
 )
 from xproc.statespace import enumerate_level
 
+from conftest import solve_alone
+
 
 def basis_for(g, level):
-    return eigendecompose(build_level_generator(g, level))
+    return solve_alone(g, [level])[0]
 
 
 def check_basis_invariants(gen, basis):
@@ -62,7 +62,7 @@ def test_invariants_hold(n):
     for g in (make_complete(n, 1.0), make_cycle(n, 0.5)):
         for level in range(n + 1):
             gen = build_level_generator(g, level)
-            check_basis_invariants(gen, eigendecompose(gen))
+            check_basis_invariants(gen, eigendecompose_stack([gen])[0])
 
 
 def test_symmetry_checked():
@@ -70,7 +70,7 @@ def test_symmetry_checked():
     gen.matrix[0, 1] += 1e-3
     with pytest.raises(NumericalError, match=r"^eigendecompose on n=4, level=1 \(4 states\): "
                                             "matrix is not symmetric"):
-        eigendecompose(gen)
+        eigendecompose_stack([gen])
 
 
 def test_eigensolver_failure_is_numerical_error(monkeypatch):
@@ -81,21 +81,21 @@ def test_eigensolver_failure_is_numerical_error(monkeypatch):
     gen = build_level_generator(make_cycle(5, 1.0), 2)
     with pytest.raises(NumericalError, match=r"^eigendecompose on n=5, level=2 \(10 states\): "
                                             "eigensolver failed to converge"):
-        eigendecompose(gen)
+        eigendecompose_stack([gen])
 
 
 def test_nonzero_kernel_is_numerical_error():
     gen = build_level_generator(make_cycle(4, 1.0), 2)
     gen.matrix += np.eye(gen.space.size)  # symmetric, smallest eigenvalue 1
     with pytest.raises(NumericalError, match="smallest eigenvalue 1 is not numerically zero"):
-        eigendecompose(gen)
+        eigendecompose_stack([gen])
     assert not issubclass(NumericalError, ValueError)
 
 
 def test_deterministic_decomposition():
     gen1 = build_level_generator(make_cycle(6, 0.5), 3)
     gen2 = build_level_generator(make_cycle(6, 0.5), 3)
-    b1, b2 = eigendecompose(gen1), eigendecompose(gen2)
+    b1, b2 = eigendecompose_stack([gen1])[0], eigendecompose_stack([gen2])[0]
     assert np.array_equal(b1.eigenvalues, b2.eigenvalues)
     assert np.array_equal(b1.vectors, b2.vectors)
 
@@ -108,7 +108,7 @@ def test_grouping_tolerance():
 @pytest.mark.parametrize("g", [make_cycle(5, 0.5), make_complete(7, 1.5)])
 def test_trivial_levels_solve_to_the_constant(g):
     for level in (0, g.n):
-        basis = solve_level(g, level)
+        basis = solve_alone(g, [level])[0]
         assert basis.space is enumerate_level(g.n, level)
         assert basis.eigenvalues.tobytes() == np.array([0.0]).tobytes()
         assert basis.vectors.tobytes() == np.array([[1.0]]).tobytes()
@@ -224,7 +224,7 @@ def test_lift_dichotomy_on_cycles(n):
     g = make_cycle(n, 0.5)
     gens = [build_level_generator(g, level) for level in range(n + 1)]
     for level in range(n + 1):
-        basis = eigendecompose(gens[level])
+        basis = eigendecompose_stack([gens[level]])[0]
         for i in range(basis.size):
             lam = float(basis.eigenvalues[i])
             if level >= 1:
@@ -311,7 +311,7 @@ def test_closed_form_matches_eigensolver():
     alpha = 0.5
     cb = complete_graph_basis(6, 3, alpha)
     gen = build_level_generator(make_complete(6, alpha), 3)
-    gb = eigendecompose(gen)
+    gb = eigendecompose_stack([gen])[0]
     check_basis_invariants(gen, cb)
     assert cb.groups == gb.groups
     for grp_c, grp_g in zip(cb.groups, gb.groups):
@@ -371,8 +371,8 @@ def test_mirror_is_involution_and_valid():
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_kernel_projector_independent_of_graph(n):
-    complete_bases = list(level_bases(make_complete(n, 1.0)))
-    cycle_bases = list(level_bases(make_cycle(n, 0.5)))
+    complete_bases = solve_alone(make_complete(n, 1.0))
+    cycle_bases = solve_alone(make_cycle(n, 0.5))
     for bc, bcyc in zip(complete_bases, cycle_bases):
         pc = bc.projector(bc.zero_indices())
         pcyc = bcyc.projector(bcyc.zero_indices())

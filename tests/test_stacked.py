@@ -7,8 +7,10 @@ import pytest
 from xproc import graph as graph_module, spectral, verify
 from xproc.generator import NumericalError, build_level_generator, build_level_generators
 from xproc.graph import Graph, make_complete, make_cycle, make_half_complete_cycle
-from xproc.spectral import eigendecompose, eigendecompose_stack, level_bases
+from xproc.spectral import eigendecompose_stack
 from xproc.verify import random_connected_graph
+
+from conftest import solve_alone
 
 
 def rated_graphs(seed: int, n: int, count: int) -> list[Graph]:
@@ -34,8 +36,8 @@ def test_stacked_build_and_solve_equal_one_at_a_time(n):
         for gen, ref in zip(gens, alone):
             assert np.array_equal(gen.matrix, ref.matrix)
             assert np.array_equal(gen.edge_permutations, ref.edge_permutations)
-        for basis, ref in zip(eigendecompose_stack(gens), map(eigendecompose, alone)):
-            assert_same_basis(basis, ref)
+        for basis, ref in zip(eigendecompose_stack(gens), alone):
+            assert_same_basis(basis, eigendecompose_stack([ref])[0])
 
 
 def test_one_state_levels_stack():
@@ -52,8 +54,7 @@ def test_a_stack_may_mix_levels_l_and_n_minus_l():
     graphs = rated_graphs(3, 7, 3)
     gens = build_level_generators(graphs, 2) + build_level_generators(graphs, 5)
     for gen, basis in zip(gens, eigendecompose_stack(gens)):
-        assert_same_basis(basis, eigendecompose(build_level_generator(gen.graph,
-                                                                      gen.space.level)))
+        assert_same_basis(basis, solve_alone(gen.graph, [gen.space.level])[0])
 
 
 def test_members_of_a_stack_hold_their_own_arrays():
@@ -72,7 +73,7 @@ def test_a_solve_alone_passes_the_matrix_without_a_copy(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    eigendecompose(gen)
+    eigendecompose_stack([gen])
     assert seen == [True]
 
 
@@ -84,7 +85,7 @@ def test_solve_levels_equals_level_bases(monkeypatch, stack_bytes):
               make_half_complete_cycle(3, 0.25), make_cycle(10, 1.0), make_cycle(4, 0.5)]
     for g, bases in zip(graphs, verify.BasisTable().levels(graphs), strict=True):
         assert len(bases) == g.n + 1
-        for basis, alone in zip(bases, level_bases(g)):
+        for basis, alone in zip(bases, solve_alone(g)):
             assert_same_basis(basis, alone)
 
 
@@ -152,7 +153,7 @@ def test_an_asymmetry_just_over_the_tolerance_names_its_member():
 
 def test_an_asymmetry_under_the_tolerance_passes():
     gens = three_sizes_of_ten()
-    alone = [eigendecompose(gen) for gen in gens]
+    alone = [eigendecompose_stack([gen])[0] for gen in gens]
     scale = max(1.0, np.max(np.abs(gens[1].matrix)))
     asym, tol = asymmetry_of(gens[1], 0.5e-12 * scale)
     assert 0.0 < asym < tol

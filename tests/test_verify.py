@@ -6,6 +6,8 @@ import pytest
 from xproc import spectral, verify
 from xproc.graph import is_complete, make_complete, make_cycle, make_half_complete_cycle
 
+from conftest import solve_alone
+
 
 def complete_solves(counts):
     return {key: c for key, c in counts.items() if is_complete(key[0])}
@@ -56,7 +58,7 @@ def test_held_basis_equals_a_fresh_solve():
     g = make_complete(6, 1.0)
     table = verify.BasisTable()
     [held_levels] = table.levels([g])
-    for held, fresh in zip(held_levels, spectral.level_bases(g), strict=True):
+    for held, fresh in zip(held_levels, solve_alone(g), strict=True):
         assert np.array_equal(held.vectors, fresh.vectors)
         assert np.array_equal(held.eigenvalues, fresh.eigenvalues)
         assert held.groups == fresh.groups
