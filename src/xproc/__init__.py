@@ -22,9 +22,6 @@ from .statespace import (
     LevelStateSpace,
     StateCapExceeded,
     enumerate_level,
-    flip_vertex,
-    is_below,
-    swap_edge,
 )
 from .generator import (
     LevelGenerator,
@@ -32,7 +29,6 @@ from .generator import (
     build_level_generator,
     build_level_generators,
     dirichlet_form,
-    rayleigh_quotient,
 )
 from .spectral import (
     SpectralBasis,
@@ -42,7 +38,6 @@ from .spectral import (
     lift_up,
     mirror_basis,
     solve_graph,
-    sum_lift,
 )
 from .fourier import (
     BooleanFunction,

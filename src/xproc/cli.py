@@ -301,8 +301,11 @@ def _profile_sweep(args) -> tuple:
     if args.format != "json":
         raise ConfigError("--format: an --n-grid sweep is written as json only")
     n_grid = parse_n_grid(args.n_grid)
-    if family == "half_complete_cycle" and any(n % 2 for n in n_grid):
-        raise ConfigError("--n-grid: half_complete_cycle needs even vertex counts")
+    if family == "half_complete_cycle":  # its graphs have even vertex counts only
+        n_grid = [n for n in n_grid if n % 2 == 0]
+        if not n_grid:
+            raise ConfigError(f"--n-grid: half_complete_cycle needs an even vertex count, "
+                              f"and {args.n_grid} holds none")
 
     def size_of(n: int) -> int:  # the family's size parameter for n vertices
         return n // 2 if family == "half_complete_cycle" else n

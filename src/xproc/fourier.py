@@ -96,7 +96,7 @@ def make_function(n: int, family: str) -> BooleanFunction:
     head, _, arg = family.partition(":")
     if head == "dictator":
         return dictator(n, int(arg))
-    if head in ("parity_on_set", "parity"):
+    if head == "parity_on_set":
         vertices = [int(s) for s in arg.split(",") if s != ""]
         return parity_on_set(n, vertices)
     if head == "majority":

@@ -107,13 +107,3 @@ def dirichlet_form(gen: LevelGenerator, f: np.ndarray) -> float:
         total += rate * float(diff @ diff)
     return total / (2.0 * gen.space.size)
 
-
-def rayleigh_quotient(gen: LevelGenerator, f: np.ndarray) -> float:
-    """<-Qf, f> / <f, f> under the uniform-measure inner product."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (gen.space.size,):
-        raise ValueError(f"function has shape {f.shape}, expected ({gen.space.size},)")
-    norm_sq = float(f @ f) / gen.space.size
-    if norm_sq == 0.0:
-        raise ValueError("Rayleigh quotient of the zero function is undefined")
-    return dirichlet_form(gen, f) / norm_sq

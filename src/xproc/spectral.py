@@ -267,22 +267,7 @@ def lift_up(space: LevelStateSpace, psi: np.ndarray) -> np.ndarray:
     """Sum psi over single-marble removals: a function on level+1 marbles."""
     if space.level == space.n:
         raise ValueError("cannot lift above the full level")
-    # Removals by ascending vertex are the one-smaller subconfigurations
-    # in reverse lexicographic order.
-    table = lift_table(space.n, space.level, space.level + 1)[:, ::-1]
-    return _gather_sum(space, psi, table)
-
-
-def sum_lift(space: LevelStateSpace, psi: np.ndarray, level: int) -> np.ndarray:
-    """Sum psi over all weight-m subconfigurations of each level state.
-
-    Equals (level - m)-fold lift_up divided by (level - m)!, since repeated
-    single-step lifts count every increasing chain once per ordering.
-    """
-    m = space.level
-    if not (m < level <= space.n):
-        raise ValueError(f"target level must be in {m + 1}..{space.n}, got {level}")
-    return _gather_sum(space, psi, lift_table(space.n, m, level))
+    return _gather_sum(space, psi, lift_table(space.n, space.level, space.level + 1))
 
 
 # ---------------------------------------------------------------------------

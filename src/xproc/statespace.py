@@ -20,7 +20,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -91,22 +90,6 @@ class Configuration:
         return cls(len(bits), int(bits, 2))
 
 
-def flip_vertex(x: Configuration, v: int) -> Configuration:
-    """Recolor the marble at vertex v; the weight changes by exactly one."""
-    if not (0 <= v < x.n):
-        raise ValueError(f"vertex {v} out of range for n={x.n}")
-    return Configuration(x.n, x.word ^ (1 << bit_position(x.n, v)))
-
-
-def swap_word(word: int, n: int, u: int, v: int) -> int:
-    """Word with the marbles at u and v interchanged (no bounds checks)."""
-    bu = bit_position(n, u)
-    bv = bit_position(n, v)
-    if ((word >> bu) ^ (word >> bv)) & 1:
-        return word ^ ((1 << bu) | (1 << bv))
-    return word
-
-
 def swap_words(words: np.ndarray, bu, bv) -> np.ndarray:
     """Words with bits bu and bv interchanged wherever the two differ.
 
@@ -115,21 +98,6 @@ def swap_words(words: np.ndarray, bu, bv) -> np.ndarray:
     """
     differ = ((words & bu) != 0) != ((words & bv) != 0)
     return np.where(differ, words ^ (bu | bv), words)
-
-
-def swap_edge(x: Configuration, e: tuple[int, int]) -> Configuration:
-    """Interchange the marbles at the endpoints of e; fixes x iff they match."""
-    u, v = e[0], e[1]
-    if not (0 <= u < x.n and 0 <= v < x.n):
-        raise ValueError(f"edge ({u}, {v}) out of range for n={x.n}")
-    return Configuration(x.n, swap_word(x.word, x.n, u, v))
-
-
-def is_below(y: Configuration, x: Configuration) -> bool:
-    """True iff every black marble of y sits where x also has one."""
-    if y.n != x.n:
-        raise ValueError(f"length mismatch: {y.n} vs {x.n}")
-    return (y.word & ~x.word) == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,14 +112,6 @@ class LevelStateSpace:
     def size(self) -> int:
         return len(self.words)
 
-    @property
-    def states(self) -> list[Configuration]:
-        return [Configuration(self.n, int(w)) for w in self.words]
-
-    def weight(self) -> float:
-        """Uniform probability of each state."""
-        return 1.0 / self.size
-
     def rank(self, words):
         """Positions of words (a scalar or any array) in this slice.
 
@@ -165,9 +125,6 @@ class LevelStateSpace:
                 f"word {words[missing][0]} is not in level slice C({self.n},{self.level})"
             )
         return pos
-
-    def position(self, x: Configuration) -> int:
-        return int(self.rank(x.word))
 
 
 def _level_words(n: int, level: int) -> list[int]:
@@ -230,11 +187,11 @@ def lift_table(n: int, source: int, target: int) -> np.ndarray:
     """Read-only (C(n, target), k) table of the source-level ranks a lift sums.
 
     Row i lists, in summation order, the level-`source` states that feed
-    state i of level `target`. For target = source - 1 they are the
-    single-marble additions by ascending vertex; for target > source they
-    are the weight-`source` subconfigurations in lexicographic vertex order.
-    Tables are cached per (n, source, target); the state cap is checked on
-    every call, as in enumerate_level.
+    state i of level `target`: for target = source - 1 the single-marble
+    additions, for target = source + 1 the single-marble removals, both by
+    ascending vertex. Any other pair raises ValueError. Tables are cached
+    per (n, source, target); the state cap is checked on every call, as in
+    enumerate_level.
     """
     enumerate_level(n, target)
     return _lift_table(n, source, target)
@@ -248,11 +205,9 @@ def _lift_table(n: int, source: int, target: int) -> np.ndarray:
     if target == source - 1:
         free = np.nonzero(~black)[1].reshape(dst.size, n - target)
         words = dst.words[:, None] | bits[free]
-    elif target > source:
-        black_bits = bits[np.nonzero(black)[1].reshape(dst.size, target)]
-        subsets = np.array(list(combinations(range(target), source)), dtype=np.intp)
-        subsets = subsets.reshape(math.comb(target, source), source)
-        words = black_bits[:, subsets].sum(axis=-1)
+    elif target == source + 1:
+        full = np.nonzero(black)[1].reshape(dst.size, target)
+        words = dst.words[:, None] ^ bits[full]
     else:
         raise ValueError(f"no lift from level {source} to level {target}")
     table = enumerate_level(n, source).rank(words)

@@ -204,8 +204,8 @@ def test_sampler_horizon_x_1_05_is_counted(monkeypatch):
     assert violations()["monte_carlo_agreement"] >= 1
 
 
-@pytest.mark.xfail(strict=True, reason="verify's random-graph draws hold the projection "
-                   "inequality with room for a quarter of k")
+@pytest.mark.xfail(strict=True, reason="the plant is the projection inequality itself at "
+                   "threshold k/4, so no instance can violate it")
 def test_band_mass_at_a_quarter_of_k_is_counted(monkeypatch):
     plant_band_mass(monkeypatch, lambda real, p, k, side: real(p, 0.25 * k, side))
     assert violations()["projection_mass_inequality"] >= 1

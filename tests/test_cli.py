@@ -130,6 +130,20 @@ def test_profile_n_grid_validation(capsys):
          "dictator:0", "--n-grid", "4:6", "--k", "0,1"], capsys
     )
     assert code == 2 and "--k" in err
+    code, _, err = run(
+        ["profile", "--graph", "half_complete_cycle", "--rate", "1", "--function",
+         "majority", "--n-grid", "3:3"], capsys
+    )
+    assert code == 2 and err.startswith("config error: --n-grid: ")
+
+
+def test_half_complete_cycle_n_grid_sweeps_the_even_counts(capsys):
+    code, out, _ = run(["profile", "--graph", "half_complete_cycle", "--rate", "1",
+                        "--function", "majority", "--n-grid", "4:10", "--k", "1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["n_grid"] == [4, 6, 8, 10]
+    assert [r["n"] for r in doc["records"]] == [4, 6, 8, 10]
 
 
 @pytest.mark.parametrize("family, grid, n", [("complete", "1:3", 1), ("cycle", "2:4", 2),
@@ -590,6 +604,10 @@ def test_verify_negative_seed_exit_2(capsys):
     assert err == "config error: --seed must be >= 0, got -1\n"
 
 
+class Named(str):
+    """A --function spec passed as given, not written to a table file."""
+
+
 @pytest.mark.parametrize("text,message", [
     (json.dumps({"n": 3, "values": [0, 2, 1, 0, 1, 0, 0, 1]}),
      "Boolean mode requires all values in {0, 1}"),
@@ -597,12 +615,17 @@ def test_verify_negative_seed_exit_2(capsys):
     ("not json", "Expecting value: line 1 column 1 (char 0)"),
     (json.dumps({"n": 3, "values": {"0": 1}}),
      "float() argument must be a string or a real number, not 'dict'"),
+    (Named("parity:0,1"),
+     "unknown function family 'parity'; expected dictator, parity_on_set, or majority"),
 ])
 def test_bad_function_table_names_the_flag(tmp_path, capsys, text, message):
-    path = tmp_path / "f.json"
-    path.write_text(text)
+    spec = text
+    if not isinstance(text, Named):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        spec = f"@{path}"
     code, out, err = run(["exact", "--graph", "complete:3", "--rate", "1", "--function",
-                          f"@{path}", "--t", "1"], capsys)
+                          spec, "--t", "1"], capsys)
     assert code == 2 and out == ""
     assert err == f"config error: --function: {message}\n"
 

@@ -118,7 +118,7 @@ def test_empirical_law_matches_oracle_row():
     probs = matrix_exponential(gen, t).probs
     space = gen.space
     x0 = Configuration.from_string("100")
-    row = probs[space.position(x0)]
+    row = probs[space.rank(x0.word)]
     samples = 20000
     ends = _evolve(np.full(samples, x0.word), _EdgeTable(g, t, samples), t, _chunk_rng(123, 0))
     counts = np.bincount(space.rank(ends), minlength=space.size)
@@ -136,7 +136,7 @@ def test_empirical_law_with_unequal_rates():
     probs = matrix_exponential(gen, t).probs
     space = gen.space
     x0 = Configuration.from_string("110000")
-    row = probs[space.position(x0)]
+    row = probs[space.rank(x0.word)]
     samples = 20000
     table = _EdgeTable(g, t, samples)
     assert table.cumulative is not None

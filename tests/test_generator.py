@@ -1,13 +1,13 @@
-"""Level generator assembly, Dirichlet forms, Rayleigh quotients."""
+"""Level generator assembly and Dirichlet forms."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xproc.generator import build_level_generator, dirichlet_form, rayleigh_quotient
+from xproc.generator import build_level_generator, dirichlet_form
 from xproc.graph import Graph, make_complete, make_cycle
-from xproc.spectral import eigendecompose_stack
+from xproc.statespace import Configuration
 
 from conftest import solve_alone
 
@@ -28,7 +28,8 @@ def test_k4_level2_diagonal():
     assert gen.matrix.shape == (6, 6)
     # brute force: count edges whose endpoints hold different colors
     g = make_complete(4, 1.0)
-    for i, x in enumerate(gen.space.states):
+    for i, w in enumerate(gen.space.words):
+        x = Configuration(4, int(w))
         active = sum(1 for u, v, _ in g.edges if x.get(u) != x.get(v))
         assert gen.matrix[i, i] == active == 4
 
@@ -62,22 +63,21 @@ def test_structure_invariants():
 def test_offdiagonal_matches_swap_rates():
     g = Graph(4, ((0, 1, 0.3), (1, 2, 0.7), (2, 3, 1.1), (0, 3, 0.5)))
     gen = build_level_generator(g, 2)
-    space = gen.space
-    for i, x in enumerate(space.states):
-        for j, y in enumerate(space.states):
+    words = [int(w) for w in gen.space.words]
+    for i, x in enumerate(words):
+        for j, y in enumerate(words):
             if i == j:
                 continue
-            expected = -sum(
-                r for u, v, r in g.edges
-                if x.word != y.word and y.word == _swapped(x, u, v)
-            )
+            expected = -sum(r for u, v, r in g.edges if y == _swapped(x, g.n, u, v))
             assert gen.matrix[i, j] == expected
 
 
-def _swapped(x, u, v):
-    from xproc.statespace import swap_word
-
-    return swap_word(x.word, x.n, u, v)
+def _swapped(word, n, u, v):
+    """word with the marbles at u and v interchanged; vertex 0 is the top bit."""
+    bu, bv = n - 1 - u, n - 1 - v
+    if ((word >> bu) ^ (word >> bv)) & 1:
+        return word ^ ((1 << bu) | (1 << bv))
+    return word
 
 
 def test_disconnected_rejected():
@@ -116,34 +116,6 @@ def test_dirichlet_dimension_mismatch():
     gen = build_level_generator(make_cycle(4, 1.0), 1)
     with pytest.raises(ValueError):
         dirichlet_form(gen, np.ones(3))
-
-
-def test_rayleigh_of_eigenvector_is_eigenvalue():
-    gen = build_level_generator(make_cycle(6, 0.5), 2)
-    basis = eigendecompose_stack([gen])[0]
-    for i in range(basis.size):
-        rq = rayleigh_quotient(gen, basis.vectors[:, i])
-        assert rq == pytest.approx(float(basis.eigenvalues[i]), rel=1e-10, abs=1e-10)
-
-
-def test_rayleigh_constant_and_zero():
-    gen = build_level_generator(make_complete(3, 1.0), 1)
-    assert rayleigh_quotient(gen, 3.7 * np.ones(3)) == 0.0
-    with pytest.raises(ValueError):
-        rayleigh_quotient(gen, np.zeros(3))
-
-
-def test_subgraph_rayleigh_monotone():
-    big = make_complete(6, 1.0)
-    small = make_cycle(6, 1.0)
-    rng = np.random.default_rng(17)
-    gen_big = build_level_generator(big, 3)
-    gen_small = build_level_generator(small, 3)
-    for _ in range(200):
-        f = rng.standard_normal(gen_big.space.size)
-        if np.allclose(f, 0):
-            continue
-        assert rayleigh_quotient(gen_small, f) <= rayleigh_quotient(gen_big, f) + 1e-10
 
 
 def test_subgraph_dirichlet_monotone_every_level():

@@ -6,7 +6,6 @@ approximate: the kernel must reproduce them bit for bit.
 """
 
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from xproc.spectral import (
     lift_down,
     lift_up,
     mirror_basis,
-    sum_lift,
 )
 from xproc.statespace import (
     StateCapExceeded,
@@ -79,25 +77,6 @@ def ref_lift_up(space, psi):
             bit = 1 << bit_position(n, v)
             if w & bit:
                 acc += psi[index[w ^ bit]]
-        out[i] = acc
-    return out
-
-
-def ref_sum_lift(space, psi, level):
-    index = ref_index(space)
-    m = space.level
-    target = enumerate_level(space.n, level)
-    out = np.zeros(target.size)
-    n = space.n
-    for i, w in enumerate(target.words):
-        w = int(w)
-        black = [v for v in range(n) if (w >> bit_position(n, v)) & 1]
-        acc = 0.0
-        for sub in combinations(black, m):
-            sub_word = 0
-            for v in sub:
-                sub_word |= 1 << bit_position(n, v)
-            acc += psi[index[sub_word]]
         out[i] = acc
     return out
 
@@ -221,27 +200,6 @@ def test_lift_down_with_many_neighbours():
     assert lift_table(10, 1, 0).shape == (1, 10)
     psi = rough(np.random.default_rng(3), space.size)
     assert np.array_equal(lift_down(space, psi), ref_lift_down(space, psi))
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_sum_lift_bit_exact_all_levels(n):
-    rng = np.random.default_rng(n)
-    for m in range(n):
-        space = enumerate_level(n, m)
-        psi = rough(rng, space.size)
-        batch = rough(rng, space.size, 2)
-        for level in range(m + 1, n + 1):
-            assert np.array_equal(sum_lift(space, psi, level), ref_sum_lift(space, psi, level))
-            out = sum_lift(space, batch, level)
-            for c in range(2):
-                assert np.array_equal(out[:, c], ref_sum_lift(space, batch[:, c], level))
-
-
-@pytest.mark.parametrize("n,m,level", [(10, 0, 5), (10, 2, 7), (10, 4, 9), (12, 3, 6)])
-def test_sum_lift_bit_exact_large(n, m, level):
-    space = enumerate_level(n, m)
-    psi = rough(np.random.default_rng(level), space.size)
-    assert np.array_equal(sum_lift(space, psi, level), ref_sum_lift(space, psi, level))
 
 
 def test_lift_rejects_bad_shapes():
@@ -535,8 +493,7 @@ def test_cached_arrays_are_read_only():
     with pytest.raises(ValueError):
         space.words[0] = 99
     assert swap_table(7, 3) is swap_table(7, 3)
-    for table in (lift_table(7, 3, 2), lift_table(7, 3, 4), lift_table(7, 2, 5),
-                  swap_table(7, 3)):
+    for table in (lift_table(7, 3, 2), lift_table(7, 3, 4), swap_table(7, 3)):
         with pytest.raises(ValueError):
             table[0, 0] = 0
 
@@ -564,6 +521,8 @@ def test_lift_table_rejects_non_lifts():
         lift_table(6, 3, 1)
     with pytest.raises(ValueError, match="no lift"):
         lift_table(6, 3, 3)
+    with pytest.raises(ValueError, match="no lift"):
+        lift_table(6, 2, 5)
 
 
 def test_cached_slice_still_respects_the_cap(monkeypatch):

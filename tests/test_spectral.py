@@ -16,7 +16,6 @@ from xproc.spectral import (
     lift_down,
     lift_up,
     mirror_basis,
-    sum_lift,
 )
 from xproc.statespace import enumerate_level
 
@@ -209,14 +208,14 @@ def test_lift_orthogonality_preserved():
             assert float(downs[i] @ downs[j]) / down_size == pytest.approx(0.0, abs=1e-10)
 
 
-def eigen_or_zero(gen, vec, lam, tol=1e-8):
+def eigen_or_zero(gen, vec, lam):
     size = gen.space.size
     norm = math.sqrt(float(vec @ vec) / size)
-    if norm <= tol:
+    if norm <= 1e-8:
         return True
     unit = vec / norm
     residual = gen.matrix @ unit - lam * unit
-    return math.sqrt(float(residual @ residual) / size) <= tol
+    return math.sqrt(float(residual @ residual) / size) <= 1e-8
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -233,57 +232,6 @@ def test_lift_dichotomy_on_cycles(n):
             if level <= n - 1:
                 up = lift_up(basis.space, basis.vectors[:, i])
                 assert eigen_or_zero(gens[level + 1], up, lam)
-
-
-def test_sum_lift_constant():
-    space = enumerate_level(6, 2)
-    out = sum_lift(space, np.ones(space.size), 4)
-    np.testing.assert_array_equal(out, np.full(math.comb(6, 4), math.comb(4, 2)))
-
-
-def test_sum_lift_equals_repeated_lift_up():
-    rng = np.random.default_rng(2)
-    space = enumerate_level(6, 1)
-    psi = rng.standard_normal(space.size)
-    repeated = psi
-    current = space
-    for _ in range(2):
-        repeated = lift_up(current, repeated)
-        current = enumerate_level(6, current.level + 1)
-    direct = sum_lift(space, psi, 3)
-    np.testing.assert_allclose(repeated, direct * math.factorial(2), atol=1e-12)
-
-
-def test_sum_lift_bad_levels():
-    space = enumerate_level(5, 2)
-    with pytest.raises(ValueError):
-        sum_lift(space, np.ones(space.size), 2)
-    with pytest.raises(ValueError):
-        sum_lift(space, np.ones(space.size), 1)
-
-
-def test_sum_lift_preserves_eigenvalue_on_k6():
-    g = make_complete(6, 1.0)
-    basis1 = basis_for(g, 1)
-    gen3 = build_level_generator(g, 3)
-    # level-1 eigenvector with eigenvalue 1*6*alpha = 6
-    idx = 1
-    lam = float(basis1.eigenvalues[idx])
-    assert lam == pytest.approx(6.0)
-    lifted = sum_lift(basis1.space, basis1.vectors[:, idx], 3)
-    assert eigen_or_zero(gen3, lifted, lam, tol=1e-10)
-    assert math.sqrt(float(lifted @ lifted) / gen3.space.size) > 1e-6
-
-
-def test_sum_lift_dichotomy_on_cycle6():
-    g = make_cycle(6, 1.0)
-    basis1 = basis_for(g, 1)
-    gen2 = build_level_generator(g, 2)
-    nonzero = [i for i in range(1, basis1.size)]
-    idx = min(nonzero, key=lambda i: basis1.eigenvalues[i])
-    lam = float(basis1.eigenvalues[idx])
-    lifted = sum_lift(basis1.space, basis1.vectors[:, idx], 2)
-    assert eigen_or_zero(gen2, lifted, lam)
 
 
 # ---------------------------------------------------------------------------
