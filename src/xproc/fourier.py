@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import group_eigenvalues, zero_mask
+from .statespace import bit_position
 
 THRESH_SLACK = 1e-9      # relative slack for eigenvalue-vs-threshold comparisons
 
@@ -56,7 +57,7 @@ class BooleanFunction:
 
 def _vertex_bits(n: int, v: int) -> np.ndarray:
     words = np.arange(1 << n, dtype=np.int64)
-    return (words >> (n - 1 - v)) & 1
+    return (words >> bit_position(n, v)) & 1
 
 
 def parity_on_set(n: int, vertices) -> BooleanFunction:

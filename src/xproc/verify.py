@@ -215,77 +215,60 @@ def check_eigensolver(nmax: int, rng: np.random.Generator,
     return _record("eigensolver_residuals", rows)
 
 
-def expected_complete_spectrum(n: int, level: int, alpha: float) -> np.ndarray:
-    lam, mult = zip(*spectral.complete_graph_eigenvalue_table(n, level, alpha))
-    return np.sort(np.repeat(lam, mult))
+def lift_length_error(n: int, level: int, alpha: float, lam: np.ndarray,
+                      down: np.ndarray | None, up: np.ndarray) -> float:
+    """Worst relative error of the closed-form lift lengths of one K_n level.
 
-
-def complete_cases(nmax: int) -> list[tuple[str, int, float, Graph, int]]:
-    """(label, n, alpha, K_n at rate alpha, level) for n = 2..nmax, alpha 1 and 1/n,
-    and levels 0..n/2: the instances of both closed-form complete-graph checks."""
-    graphs = [(n, alpha, make_complete(n, alpha))
-              for n in range(2, nmax + 1) for alpha in (1.0, 1.0 / n)]
-    return [(f"K_{n} alpha={alpha:g} level {level}", n, alpha, g, level)
-            for n, alpha, g in graphs for level in range(n // 2 + 1)]
-
-
-def check_complete_multiplicities(nmax: int, table: BasisTable) -> dict:
-    cases = complete_cases(nmax)
-    bases = table.bases((g, level) for *_, g, level in cases)
-    rows = []
-    for (label, n, alpha, _, level), basis in zip(cases, bases):
-        expected = expected_complete_spectrum(n, level, alpha)
-        err = float(
-            np.max(np.abs(np.sort(basis.eigenvalues) - expected)
-                   / np.maximum(1.0, expected))
-        )
-        rows.append((err, 1e-8, label))
-    return _record("complete_graph_multiplicities", rows)
-
-
-def lift_length_error(n: int, level: int, alpha: float, basis) -> float:
-    """Worst relative error of the closed-form lift lengths on one basis."""
-    lam = basis.eigenvalues
-    lifts = []
-    if level >= 1:
-        want = (n - level + 1) / (alpha * level) * (alpha * level * (n - level + 1) - lam)
-        lifts.append((spectral.lift_down(basis.space, basis.vectors), want))
-    if level <= n - 1:
-        want = (level + 1) / (alpha * (n - level)) * (alpha * (level + 1) * (n - level) - lam)
-        lifts.append((spectral.lift_up(basis.space, basis.vectors), want))
+    lam are the level's eigenvalues, down and up its eigenvectors lifted one
+    level down (None at level 0) and one level up.
+    """
+    lifts = [(up, (level + 1) / (alpha * (n - level))
+              * (alpha * (level + 1) * (n - level) - lam))]
+    if down is not None:
+        lifts.append((down, (n - level + 1) / (alpha * level)
+                      * (alpha * level * (n - level + 1) - lam)))
     errs = [np.max(np.abs(spectral.column_dots(lifted) / lifted.shape[0] - want)
                    / np.maximum(1.0, np.abs(want))) for lifted, want in lifts]
-    return float(np.max(errs, initial=0.0))
+    return float(np.max(errs))
 
 
-def check_lift_lengths(nmax: int, table: BasisTable) -> dict:
-    cases = complete_cases(nmax)
-    bases = table.bases((g, level) for *_, g, level in cases)
-    return _record("lift_length_formulas", [
-        (lift_length_error(n, level, alpha, basis), 1e-8, label)
-        for (label, n, alpha, _, level), basis in zip(cases, bases)])
+def check_complete_graphs(nmax: int, table: BasisTable) -> list[dict]:
+    """The closed forms of K_n, n = 2..nmax at rates 1 and 1/n, levels 0..n/2.
+
+    One pass reads each basis and lifts it once in each direction, for three
+    records: the spectrum against complete_graph_eigenvalue_table, the lift
+    lengths, and, at rate 1 for n >= 3 and level >= 1, the orthogonality of
+    the lifted eigenvectors.
+    """
+    graphs = [(n, alpha, make_complete(n, alpha))
+              for n in range(2, nmax + 1) for alpha in (1.0, 1.0 / n)]
+    cases = [(n, alpha, g, level) for n, alpha, g in graphs for level in range(n // 2 + 1)]
+    bases = table.bases((g, level) for _, _, g, level in cases)
+    spectrum, lengths, orthogonality = [], [], []
+    for (n, alpha, _, level), basis in zip(cases, bases):
+        label = f"K_{n} alpha={alpha:g} level {level}"
+        lam, mult = zip(*spectral.complete_graph_eigenvalue_table(n, level, alpha))
+        expected = np.sort(np.repeat(lam, mult))
+        err = np.max(np.abs(np.sort(basis.eigenvalues) - expected) / np.maximum(1.0, expected))
+        spectrum.append((float(err), 1e-8, label))
+        down = spectral.lift_down(basis.space, basis.vectors) if level >= 1 else None
+        up = spectral.lift_up(basis.space, basis.vectors)
+        lengths.append((lift_length_error(n, level, alpha, basis.eigenvalues, down, up),
+                        1e-8, label))
+        if alpha == 1.0 and n >= 3 and level >= 1:
+            for tag, mat in (("down", down), ("up", up)):
+                gram = mat.T @ mat / mat.shape[0]
+                off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
+                orthogonality.append((off, 1e-10 * max(1.0, float(np.max(np.abs(gram)))),
+                                      f"K_{n} level {level} {tag}"))
+    return [_record("complete_graph_multiplicities", spectrum),
+            _record("lift_length_formulas", lengths),
+            _record("lift_orthogonality", orthogonality)]
 
 
-def check_orthogonality_preserved(nmax: int, table: BasisTable) -> dict:
-    """Lifts of orthogonal complete-graph eigenvectors stay orthogonal."""
-    graphs = {n: make_complete(n, 1.0) for n in range(3, nmax + 1)}
-    cases = [(n, level) for n in graphs for level in range(1, n // 2 + 1)]
-    rows = []
-    for (n, level), basis in zip(cases, table.bases((graphs[n], level) for n, level in cases)):
-        downs = spectral.lift_down(basis.space, basis.vectors)
-        ups = spectral.lift_up(basis.space, basis.vectors)
-        for tag, mat in (("down", downs), ("up", ups)):
-            gram = mat.T @ mat / mat.shape[0]
-            off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
-            rows.append((off, 1e-10 * max(1.0, float(np.max(np.abs(gram)))),
-                         f"K_{n} level {level} {tag}"))
-    return _record("lift_orthogonality", rows)
-
-
-def check_eigenvalue_bound(nmax: int, rng: np.random.Generator, table: BasisTable,
-                           count: int = 30) -> dict:
+def check_eigenvalue_bound(nmax: int, rng: np.random.Generator, table: BasisTable) -> dict:
     draws = []
-    for _ in range(count):
+    for _ in range(30):
         n = int(rng.integers(3, min(nmax, 8) + 1))
         rate = float(rng.uniform(0.1, 1.5))
         draws.append((n, rate, random_connected_graph(rng, n, rate)))
@@ -300,10 +283,9 @@ def check_eigenvalue_bound(nmax: int, rng: np.random.Generator, table: BasisTabl
     return _record("eigenvalue_upper_bound", rows)
 
 
-def check_parseval(nmax: int, rng: np.random.Generator, table: BasisTable,
-                   count: int = 12) -> dict:
+def check_parseval(nmax: int, rng: np.random.Generator, table: BasisTable) -> dict:
     draws = []
-    for _ in range(count):
+    for _ in range(12):
         n = int(rng.integers(3, min(nmax, 7) + 1))
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
         draws.append((n, g, random_boolean_function(rng, n)))
@@ -323,10 +305,9 @@ def check_parseval(nmax: int, rng: np.random.Generator, table: BasisTable,
     return _record("parseval", rows)
 
 
-def check_oracle_equivalence(rng: np.random.Generator, table: BasisTable,
-                             count: int = 15) -> dict:
+def check_oracle_equivalence(rng: np.random.Generator, table: BasisTable) -> dict:
     draws = []
-    for _ in range(count):
+    for _ in range(15):
         n = int(rng.integers(3, 7))
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
         f = random_boolean_function(rng, n)
@@ -367,10 +348,9 @@ def check_containment(nmax: int, rng: np.random.Generator,
     return _record("containment_residual", rows)
 
 
-def check_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable,
-                          count: int = 25) -> dict:
+def check_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable) -> dict:
     draws = []
-    for _ in range(count):
+    for _ in range(25):
         n = int(rng.integers(4, min(nmax, 8) + 1))
         raw = random_connected_graph(rng, n, 1.0)
         other = with_rate(raw, 1.0 / max_degree(raw))
@@ -389,9 +369,9 @@ def check_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable
     return _record("projection_mass_inequality", rows)
 
 
-def check_monotonicity(rng: np.random.Generator, table: BasisTable, count: int = 25) -> dict:
+def check_monotonicity(rng: np.random.Generator, table: BasisTable) -> dict:
     draws = []
-    for _ in range(count):
+    for _ in range(25):
         n = int(rng.integers(5, 7))
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
         sub = random_connected_subgraph(rng, g)
@@ -424,7 +404,7 @@ def check_monotonicity(rng: np.random.Generator, table: BasisTable, count: int =
     return _record("monotonicity_inequality", rows)
 
 
-def check_monte_carlo(seed: int, table: BasisTable, samples: int = 4000) -> dict:
+def check_monte_carlo(seed: int, table: BasisTable, samples: int) -> dict:
     """Estimates agree with the exact formulas within 3 standard errors."""
     rows = []
     cases = [
@@ -456,9 +436,7 @@ def run_suite(nmax: int = 8, seed: int = 7, mc_samples: int = 4000) -> dict:
     checks = [
         check_generator_invariants(nmax, rng),
         check_eigensolver(nmax, rng, table),
-        check_complete_multiplicities(nmax, table),
-        check_lift_lengths(nmax, table),
-        check_orthogonality_preserved(nmax, table),
+        *check_complete_graphs(nmax, table),
         check_eigenvalue_bound(nmax, rng, table),
         check_parseval(nmax, rng, table),
         check_oracle_equivalence(rng, table),

@@ -56,7 +56,10 @@ def test_criterion_2_lift_formulas_and_dichotomy():
             g = make_complete(n, alpha)
             for level in range(n // 2 + 1):
                 basis = solve_alone(g, [level])[0]
-                worst = max(worst, verify.lift_length_error(n, level, alpha, basis))
+                down = spectral.lift_down(basis.space, basis.vectors) if level >= 1 else None
+                up = spectral.lift_up(basis.space, basis.vectors)
+                worst = max(worst, verify.lift_length_error(n, level, alpha,
+                                                            basis.eigenvalues, down, up))
     dichotomy_ok = True
     worst_res = 0.0
     for n in range(3, 11):

@@ -1,5 +1,7 @@
 """The verify suite's run-scoped basis table, and one solve per graph in its checks."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -69,8 +71,25 @@ def test_two_runs_in_one_process_give_equal_reports():
 
 
 def test_monotonicity_chain_solves_each_graph_once(solves):
-    verify.check_monotonicity(np.random.default_rng(7), verify.BasisTable(), count=0)
+    verify.check_monotonicity(np.random.default_rng(7), verify.BasisTable())
     chain = [g for half in (2, 3) for g in (make_cycle(2 * half, 0.5),
                                             make_half_complete_cycle(half, 0.5),
                                             make_complete(2 * half, 0.5))]
-    assert dict(solves) == {(g, level): 1 for g in chain for level in range(g.n + 1)}
+    assert {key: c for key, c in solves.items() if key[0] in chain} == {
+        (g, level): 1 for g in chain for level in range(g.n + 1)}
+
+
+def test_each_complete_basis_is_lifted_once_per_direction(monkeypatch):
+    calls = Counter()
+    for name in ("lift_down", "lift_up"):
+        def counting(space, psi, inner=getattr(spectral, name), name=name):
+            calls[name] += 1
+            return inner(space, psi)
+        monkeypatch.setattr(spectral, name, counting)
+    nmax = 6
+    verify.run_suite(nmax=nmax, seed=3)
+    # K_n at rates 1 and 1/n, levels 0..n/2: up from every level, down from level >= 1.
+    cases = [(n, level) for n in range(2, nmax + 1) for _ in (1.0, 1.0 / n)
+             for level in range(n // 2 + 1)]
+    assert calls == {"lift_up": len(cases),
+                     "lift_down": sum(level >= 1 for _, level in cases)}
