@@ -466,24 +466,15 @@ def _add_graph_flags(p, suffix=""):
                    help="how edge rates are chosen for graph families")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="xproc",
-        description="Spectral analysis and simulation of exclusion dynamics on graphs.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("spectrum", help="eigenvalues and multiplicities per level")
+def _spectrum_flags(p):
     _add_graph_flags(p)
     p.add_argument("--level", default="all", help="level index or 'all'")
     p.add_argument("--dump-matrix", default=None, metavar="PATH",
                    help="also write the level generator matrix as CSV")
     p.add_argument("--format", default="csv", choices=["json", "csv"])
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("profile", help="spectral profile of a function")
+
+def _profile_flags(p):
     _add_graph_flags(p)
     p.add_argument("--function", help="dictator:v | parity_on_set:v1,v2 | majority | @table.json")
     p.add_argument("--n-grid", default=None, metavar="A:B",
@@ -491,47 +482,83 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default=None,
                    help="comma-separated eigenvalue thresholds for the sweep")
     p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("exact", help="exact covariance / flip probability")
+
+def _exact_flags(p):  # simulate's first flags too
     _add_graph_flags(p)
     p.add_argument("--function")
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("simulate", help="Monte Carlo estimates with std errors")
-    _add_graph_flags(p)
-    p.add_argument("--function")
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
+
+def _simulate_flags(p):
+    _exact_flags(p)
     p.add_argument("--level", default="all",
                    help="start level ('all' = uniform over every configuration)")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="run the full invariant suite")
+
+def _verify_flags(p):
     p.add_argument("--suite", default="all")
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--mc-samples", type=int, default=4000)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("compare", help="two-graph containment/monotonicity report")
+
+def _compare_flags(p):
     _add_graph_flags(p)
     _add_graph_flags(p, suffix="b")
     p.add_argument("--function", default=None)
     p.add_argument("--k", type=float, default=None)
     p.add_argument("--kprime", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_compare)
 
+
+# name -> (help, the function that adds its flags, cmd_*), in the order --help lists them
+SUBCOMMANDS = {
+    "spectrum": ("eigenvalues and multiplicities per level", _spectrum_flags, cmd_spectrum),
+    "profile": ("spectral profile of a function", _profile_flags, cmd_profile),
+    "exact": ("exact covariance / flip probability", _exact_flags, cmd_exact),
+    "simulate": ("Monte Carlo estimates with std errors", _simulate_flags, cmd_simulate),
+    "verify": ("run the full invariant suite", _verify_flags, cmd_verify),
+    "compare": ("two-graph containment/monotonicity report", _compare_flags, cmd_compare),
+}
+
+
+def _fill(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, add_flags, func = SUBCOMMANDS[name]
+    add_flags(p)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=func)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="xproc",
+        description="Spectral analysis and simulation of exclusion dynamics on graphs.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, _, _) in SUBCOMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as build_parser() does, building only the named subcommand's parser.
+
+    Argv with no subcommand first, or with a word that subcommand leaves over, goes to
+    the full tree, which words help, usage and errors as before. So does a word starting
+    '--=': the top-level parser rejects it as ambiguous before any subcommand reads it."""
+    name = argv[0] if argv else None
+    if name in SUBCOMMANDS and not any(word.startswith("--=") for word in argv):
+        p = _fill(argparse.ArgumentParser(prog=f"xproc {name}"), name)
+        args, rest = p.parse_known_args(argv[1:])
+        if not rest:
+            args.subcommand = name
+            return args
+    return build_parser().parse_args(argv)
 
 
 def apply_config_file(argv: list[str]) -> list[str]:
@@ -573,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = apply_config_file(argv)
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
         check_writable("--out", args.out)
         check_writable("--dump-matrix", getattr(args, "dump_matrix", None))
         config, body = args.func(args)

@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import resource
@@ -546,6 +547,7 @@ def test_config_file_split_parses_as_explicit_flags(tmp_path_factory, split):
         explicit.append(f"--{key.replace('_', '-')}={value}")
     parser = build_parser()
     assert parser.parse_args(apply_config_file(argv)) == parser.parse_args(explicit)
+    assert cli.parse_args(apply_config_file(argv)) == parser.parse_args(explicit)
 
 
 def test_simulate_zero_samples_exit_2(capsys):
@@ -907,3 +909,92 @@ def test_a_numeric_flag_outside_its_rule_exits_2_naming_it(capsys, case):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert f"config error: {flag} must be " in err
+
+
+# ---------------------------------------------------------------------------
+# cli.parse_args builds one subcommand's parser; build_parser() is the reference
+# ---------------------------------------------------------------------------
+
+# Per subcommand: flags that parse (with '=' forms and abbreviations), a flag that
+# takes a number, and a flag with choices (verify has none).
+PARSE_CASES = {
+    "spectrum": (["--graph=cycle:5", "--rate", "0.5", "--level", "2", "--form=json",
+                  "--dump-matrix", "m.csv"], "--rate", "--format"),
+    "profile": (["--graph", "cycle", "--n-grid=3:6", "--k", "0.5,1",
+                 "--rate-policy=one-over-max-degree", "--func", "majority"],
+                "--rate", "--rate-policy"),
+    "exact": (["--graph", "complete:4", "--function=majority", "--t", "1e-3", "--eps=0.5"],
+              "--t", "--rate-policy"),
+    "simulate": (["--graph", "cycle:5", "--sam", "50", "--seed", "-3", "--level=2",
+                  "--t=2"], "--eps", "--rate-policy"),
+    "verify": (["--nmax=6", "--mc", "500", "--seed", "3", "--suite", "all"], "--nmax", None),
+    "compare": (["--graph", "complete:6", "--graph-b=cycle:6", "--k", "4", "--kp", "8",
+                 "--rate-policy-b", "uniform"], "--k", "--rate-policy-b"),
+}
+
+
+def exit_text(parse, argv, capsys):
+    """Exit code, stdout and stderr of a parse that exits (help, --version, an error)."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_parse_cases_cover_every_subcommand():
+    assert list(PARSE_CASES) == list(cli.SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("name", PARSE_CASES)
+def test_parse_args_gives_the_full_trees_namespace(tmp_path, name):
+    flags = PARSE_CASES[name][0]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"subcommand": name, "out": "from-config.json"}))
+    for argv in ([name], [name, *flags], [name, *flags, "--out=r.json"],
+                 apply_config_file(["--config", str(cfg), *flags]),
+                 apply_config_file([name, f"--config={cfg}", *flags, "--out", "r.json"])):
+        args = cli.parse_args(argv)
+        assert args == build_parser().parse_args(argv), argv
+        assert args.subcommand == name and args.func is cli.SUBCOMMANDS[name][2]
+
+
+@pytest.mark.parametrize("name", PARSE_CASES)
+def test_main_words_help_and_errors_as_the_full_tree(capsys, name):
+    flags, number, choice = PARSE_CASES[name]
+    argvs = [[name, "-h"], [name, *flags, "--help"], [name, *flags, "--bogus", "1"],
+             [name, number, "abc"], [name, *flags, number], [name, "--version"],
+             [name, *flags, "--version"], [name, *flags, "--", "--out", "r.json"],
+             [name, *flags, "extra"], [name, "--=x"]]
+    if choice:
+        argvs.append([name, *flags, choice, "bogus"])
+    for argv in argvs:
+        assert exit_text(main, argv, capsys) == exit_text(build_parser().parse_args, argv,
+                                                          capsys), argv
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["bogus", "--help"], ["--help"], ["-h"],
+                                  ["--version"], ["--version", "simulate"],
+                                  ["--", "simulate"], ["--graph", "cycle:5"]])
+def test_main_without_a_leading_subcommand_is_the_full_tree(capsys, argv):
+    assert exit_text(main, argv, capsys) == exit_text(build_parser().parse_args, argv, capsys)
+
+
+def test_a_subcommand_op_builds_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["simulate", "--graph", "cycle:5", "--rate", "1", "--function", "dictator:0",
+                 "--t", "1", "--samples", "50"]) == 0
+    assert built == ["xproc simulate"]
+    # A word the subcommand leaves over goes to the full tree, which words the error.
+    built.clear()
+    code, out, err = exit_text(main, ["simulate", "--graph", "cycle:5", "--bogus"], capsys)
+    assert built == ["xproc simulate", "xproc", *(f"xproc {name}" for name in cli.SUBCOMMANDS)]
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "xproc: error: unrecognized arguments: --bogus"

@@ -78,7 +78,7 @@ def test_a_solve_alone_passes_the_matrix_without_a_copy(monkeypatch):
 
 
 @pytest.mark.parametrize("stack_bytes", [0, 1 << 12, 1 << 30])
-def test_solve_levels_equals_level_bases(monkeypatch, stack_bytes):
+def test_basis_table_levels_equal_per_level_solves(monkeypatch, stack_bytes):
     monkeypatch.setattr(spectral, "STACK_BYTES", stack_bytes)
     # Sizes shared across n: C(4, 2) = C(6, 1) = 6 and C(5, 2) = C(10, 1) = 10.
     graphs = [make_cycle(4, 0.5), make_complete(6, 1.0), *rated_graphs(7, 5, 2),
