@@ -45,10 +45,8 @@ from .fourier import (
     exact_correlation,
     exact_covariance,
     exact_flip_probability,
-    low_frequency_mass,
     make_function,
     spectral_profile,
-    tail_mass,
 )
 from .dynamics import (
     EstimateResult,

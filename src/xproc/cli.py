@@ -182,6 +182,9 @@ def resolve_function(spec: str | None, n: int) -> fourier.BooleanFunction:
     """The --function table on n vertices; a table too large to allocate names --graph."""
     if not spec:
         raise ConfigError("--function is required")
+    too_large = f"--graph: n={n} is too large for a function table of 2^{n} values"
+    if 8 << n > np.iinfo(np.intp).max:
+        raise ConfigError(f"{too_large} (more bytes than numpy can address)")
     try:
         if not spec.startswith("@"):
             return fourier.make_function(n, spec)
@@ -199,8 +202,7 @@ def resolve_function(spec: str | None, n: int) -> fourier.BooleanFunction:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"--function: {exc}")
     except MemoryError as exc:
-        raise ConfigError(f"--graph: n={n} is too large for a function table of 2^{n} "
-                          f"values ({exc})")
+        raise ConfigError(f"{too_large} ({exc})")
 
 
 def parse_levels(spec: str, n: int) -> list[int]:

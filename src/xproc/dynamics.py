@@ -43,8 +43,7 @@ import numpy as np
 
 from .fourier import BooleanFunction
 from .graph import Graph
-from .generator import edge_masks
-from .statespace import Configuration, enumerate_level, swap_words
+from .statespace import Configuration, enumerate_level, swap_words, vertex_masks
 
 CHUNK = 4096
 BLOCK = 1 << 15                # most edges a block of jumps draws (256 KiB of int64)
@@ -101,7 +100,8 @@ class _EdgeTable:
     def __init__(self, g: Graph, t: float, samples: int):
         self.graph = g
         self.n = g.n
-        self.bu, self.bv = edge_masks(g)
+        ends = np.array([(u, v) for u, v, _ in g.edges], dtype=np.int64).reshape(-1, 2)
+        self.bu, self.bv = vertex_masks(g.n)[ends].T
         rates = np.array([rate for _, _, rate in g.edges])
         self.total_rate = float(rates.sum())
         # None when all rates are equal: edges are then drawn by index.

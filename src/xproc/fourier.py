@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import group_eigenvalues, zero_mask
-from .statespace import bit_position
+from .statespace import vertex_masks
 
 THRESH_SLACK = 1e-9      # relative slack for eigenvalue-vs-threshold comparisons
 
@@ -37,7 +37,6 @@ class BooleanFunction:
     n: int
     values: np.ndarray
     boolean: bool = True
-    name: str | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -55,9 +54,9 @@ class BooleanFunction:
         return float(np.mean(self.values**2) - self.values.mean() ** 2)
 
 
-def _vertex_bits(n: int, v: int) -> np.ndarray:
-    words = np.arange(1 << n, dtype=np.int64)
-    return (words >> bit_position(n, v)) & 1
+def _marbles_on(n: int, mask) -> np.ndarray:
+    """Per configuration word, the number of black marbles under mask."""
+    return np.bitwise_count(np.arange(1 << n, dtype=np.int64) & mask)
 
 
 def parity_on_set(n: int, vertices) -> BooleanFunction:
@@ -65,42 +64,37 @@ def parity_on_set(n: int, vertices) -> BooleanFunction:
     vertices = sorted(set(int(v) for v in vertices))
     if any(not (0 <= v < n) for v in vertices):
         raise ValueError(f"vertices out of range for n={n}: {vertices}")
-    total = np.zeros(1 << n, dtype=np.int64)
-    for v in vertices:
-        total += _vertex_bits(n, v)
-    name = "parity_on_set(" + ",".join(map(str, vertices)) + ")"
-    return BooleanFunction(n, (total % 2).astype(float), name=name)
+    mask = np.bitwise_or.reduce(vertex_masks(n)[vertices], initial=0)
+    return BooleanFunction(n, (_marbles_on(n, mask) % 2).astype(float))
 
 
 def dictator(n: int, v: int) -> BooleanFunction:
     """The color at a single vertex."""
     if not (0 <= v < n):
         raise ValueError(f"vertex {v} out of range for n={n}")
-    return BooleanFunction(n, _vertex_bits(n, v).astype(float), name=f"dictator({v})")
+    return BooleanFunction(n, _marbles_on(n, vertex_masks(n)[v]).astype(float))
 
 
 def majority(n: int) -> BooleanFunction:
     """1 when black marbles are a strict majority (ties count as 0)."""
-    total = np.zeros(1 << n, dtype=np.int64)
-    for v in range(n):
-        total += _vertex_bits(n, v)
-    return BooleanFunction(n, (total > n / 2).astype(float), name="majority")
+    return BooleanFunction(n, (_marbles_on(n, (1 << n) - 1) > n / 2).astype(float))
 
 
-def from_table(n: int, values, boolean: bool = True, name: str | None = None) -> BooleanFunction:
-    return BooleanFunction(n, np.asarray(values, dtype=float), boolean=boolean,
-                           name=name or "explicit_table")
+def from_table(n: int, values, boolean: bool = True) -> BooleanFunction:
+    return BooleanFunction(n, np.asarray(values, dtype=float), boolean=boolean)
 
 
 def make_function(n: int, family: str) -> BooleanFunction:
     """Build a named family: "dictator:v", "parity_on_set:v1,v2,...", "majority"."""
-    head, _, arg = family.partition(":")
+    head, sep, arg = family.partition(":")
     if head == "dictator":
         return dictator(n, int(arg))
     if head == "parity_on_set":
         vertices = [int(s) for s in arg.split(",") if s != ""]
         return parity_on_set(n, vertices)
     if head == "majority":
+        if sep:
+            raise ValueError(f"majority takes no argument, got {family!r}")
         return majority(n)
     raise ValueError(
         f"unknown function family {head!r}; expected dictator, parity_on_set, or majority"
@@ -228,16 +222,6 @@ def band_mass(profile: SpectralProfile, k: float, side: str) -> float:
     """Squared-coefficient mass over band_mask(eigenvalues, k, side)."""
     mask = band_mask(profile.eigenvalues, k, side)
     return float((profile.coefficients[mask] ** 2).sum())
-
-
-def low_frequency_mass(profile: SpectralProfile, k: float) -> float:
-    """Squared-coefficient mass over eigenvalues in (0, k]."""
-    return band_mass(profile, k, "<=")
-
-
-def tail_mass(profile: SpectralProfile, k: float) -> float:
-    """Squared-coefficient mass over eigenvalues >= k (zero block excluded)."""
-    return band_mass(profile, k, ">=")
 
 
 def mass_by_eigenvalue(profile: SpectralProfile) -> list[tuple[float, float]]:

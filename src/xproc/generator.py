@@ -8,10 +8,11 @@ y, and the diagonal holds the total active-swap rate out of each state.
 Inner products are uniform-measure weighted throughout:
 <f, g> = (1/|S|) sum_x f(x) g(x).
 
-A generator's edge permutations are rows of statespace.swap_table, which
-depends on (n, level) alone: it is built once per level slice and held for
-the life of the process, so each later graph on that slice only gathers its
-edges' rows (see statespace for the table's memory bound).
+A generator's edge permutations are rows of the slice's swap table
+(LevelStateSpace.swaps), which depends on (n, level) alone: it is built
+once per level slice and lives as long as the slice, so each later graph on
+that slice only gathers its edges' rows (see statespace for the table's
+memory bound).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .statespace import LevelStateSpace, bit_position, enumerate_level, pair_row, swap_table
+from .statespace import LevelStateSpace, enumerate_level, pair_row
 
 
 @dataclass(eq=False)
@@ -51,13 +52,6 @@ class NumericalError(ArithmeticError):
                          f"({space.size} states): {detail}")
 
 
-def edge_masks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Single-bit int64 masks of the two endpoints of each edge, in edge order."""
-    ends = np.array([(u, v) for u, v, _ in g.edges], dtype=np.int64).reshape(-1, 2)
-    bits = np.int64(1) << bit_position(g.n, ends)
-    return bits[:, 0], bits[:, 1]
-
-
 def build_level_generator(g: Graph, level: int) -> LevelGenerator:
     """Assemble -Q for the given level of the exclusion process on g."""
     return build_level_generators([g], level)[0]
@@ -77,9 +71,8 @@ def build_level_generators(graphs: Sequence[Graph], level: int) -> list[LevelGen
     space = enumerate_level(n, level)
     size = space.size
     stack = np.zeros((len(graphs), size, size))
-    table = swap_table(n, level)
     states = np.arange(size)
-    perms = [table[[pair_row(n, u, v) for u, v, _ in g.edges]] for g in graphs]
+    perms = [space.swaps[[pair_row(n, u, v) for u, v, _ in g.edges]] for g in graphs]
     # Distinct edges never join the same pair of states, so each
     # off-diagonal entry is written once; fixed states land on the diagonal.
     edge_member = np.repeat(np.arange(len(graphs)), [len(g.edges) for g in graphs])

@@ -26,7 +26,7 @@ from .graph import Graph
 from .generator import (
     LevelGenerator, NumericalError, build_level_generators,
 )
-from .statespace import LevelStateSpace, enumerate_level, lift_table
+from .statespace import LevelStateSpace, enumerate_level
 
 GROUP_RTOL = 1e-8       # eigenvalues within 1e-8 * max(1, lam) form one cluster
 ZERO_TOL = 1e-8         # below this an eigenvalue counts as zero in masks
@@ -260,14 +260,14 @@ def lift_down(space: LevelStateSpace, psi: np.ndarray) -> np.ndarray:
     """
     if space.level == 0:
         raise ValueError("cannot lift below level 0")
-    return _gather_sum(space, psi, lift_table(space.n, space.level, space.level - 1))
+    return _gather_sum(space, psi, enumerate_level(space.n, space.level - 1).additions)
 
 
 def lift_up(space: LevelStateSpace, psi: np.ndarray) -> np.ndarray:
     """Sum psi over single-marble removals: a function on level+1 marbles."""
     if space.level == space.n:
         raise ValueError("cannot lift above the full level")
-    return _gather_sum(space, psi, lift_table(space.n, space.level, space.level + 1))
+    return _gather_sum(space, psi, enumerate_level(space.n, space.level + 1).removals)
 
 
 # ---------------------------------------------------------------------------

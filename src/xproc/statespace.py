@@ -6,12 +6,17 @@ string, i.e. vertex v occupies bit position n-1-v of the word. The level
 slice with exactly l black marbles is enumerated in ascending word order,
 once, and every matrix and vector downstream indexes against that order.
 
-Slices and the gather tables built on them (lift_table, swap_table) are
-cached per size for the life of the process and handed out read-only.
-A swap table holds C(n, 2) * C(n, level) int32 ranks. For 2 <= level <=
-n - 2 that is at most half the bytes of the level's dense generator; at
-levels 0, 1, n - 1 and n it is below 2 n^3 bytes. The tables of all levels
-of one n take 2 n (n - 1) 2^n bytes, 2.6 MB at n = 13.
+vertex_masks(n) holds the single-bit mask of each vertex. Outside this
+module the layout is read only through it, and every table here is built
+from it.
+
+Slices are cached per (n, level) for the life of the process, and each
+slice builds its gather tables (swaps, additions, removals) on first read
+and keeps them as long as it lives; all are read-only. The swap table
+holds C(n, 2) * C(n, level) int32 ranks. For 2 <= level <= n - 2 that is
+at most half the bytes of the level's dense generator; at levels 0, 1,
+n - 1 and n it is below 2 n^3 bytes. The swap tables of all levels of one
+n take 2 n (n - 1) 2^n bytes, 2.6 MB at n = 13.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,6 +61,17 @@ def state_cap() -> int:
 
 def bit_position(n: int, v: int) -> int:
     return n - 1 - v
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def vertex_masks(n: int) -> np.ndarray:
+    """Read-only int64 array whose entry v is the single-bit mask of vertex v."""
+    return _frozen(np.int64(1) << bit_position(n, np.arange(n, dtype=np.int64)))
 
 
 @dataclass(frozen=True)
@@ -126,6 +142,43 @@ class LevelStateSpace:
             )
         return pos
 
+    @cached_property
+    def swaps(self) -> np.ndarray:
+        """int32 (C(n, 2), size) table of the ranks after a swap.
+
+        Row pair_row(n, u, v) holds, per state, the rank of the state with
+        the marbles at u and v interchanged; rows run over the pairs u < v
+        in np.triu_indices(n, 1) order.
+        """
+        masks = vertex_masks(self.n)
+        u, v = np.triu_indices(self.n, 1)
+        table = self.rank(swap_words(self.words, masks[u, None], masks[v, None]))
+        return _frozen(table.astype(np.int32))
+
+    @cached_property
+    def additions(self) -> np.ndarray:
+        """(size, n - level) table of the level+1 ranks of single-marble additions.
+
+        Row i lists them by ascending vertex: the summation order of lift_down.
+        """
+        masks = vertex_masks(self.n)
+        black = (self.words[:, None] & masks) != 0
+        free = np.nonzero(~black)[1].reshape(self.size, self.n - self.level)
+        return _frozen(enumerate_level(self.n, self.level + 1)
+                       .rank(self.words[:, None] | masks[free]))
+
+    @cached_property
+    def removals(self) -> np.ndarray:
+        """(size, level) table of the level-1 ranks of single-marble removals.
+
+        Row i lists them by ascending vertex: the summation order of lift_up.
+        """
+        masks = vertex_masks(self.n)
+        black = (self.words[:, None] & masks) != 0
+        full = np.nonzero(black)[1].reshape(self.size, self.level)
+        return _frozen(enumerate_level(self.n, self.level - 1)
+                       .rank(self.words[:, None] ^ masks[full]))
+
 
 def _level_words(n: int, level: int) -> list[int]:
     # Gosper's hack walks the words of a fixed popcount in ascending order.
@@ -144,9 +197,7 @@ def _level_words(n: int, level: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _level_slice(n: int, level: int) -> LevelStateSpace:
-    words = np.array(_level_words(n, level), dtype=np.int64)
-    words.flags.writeable = False
-    return LevelStateSpace(n, level, words)
+    return LevelStateSpace(n, level, _frozen(np.array(_level_words(n, level), dtype=np.int64)))
 
 
 def enumerate_level(n: int, level: int) -> LevelStateSpace:
@@ -156,11 +207,6 @@ def enumerate_level(n: int, level: int) -> LevelStateSpace:
     Raises StateCapExceeded on every call, cached or not, when C(n, level)
     is over the configured cap.
     """
-    _check_slice(n, level)
-    return _level_slice(n, level)
-
-
-def _check_slice(n: int, level: int) -> None:
     if not (2 <= n <= 63):
         raise ValueError(f"supported vertex counts are 2..63, got {n}")
     if not (0 <= level <= n):
@@ -169,6 +215,7 @@ def _check_slice(n: int, level: int) -> None:
     cap = state_cap()
     if size > cap:
         raise StateCapExceeded(n, level, size, cap)
+    return _level_slice(n, level)
 
 
 def check_levels(n: int, levels=None) -> None:
@@ -183,61 +230,7 @@ def check_levels(n: int, levels=None) -> None:
             raise StateCapExceeded(n, level, size, cap)
 
 
-def lift_table(n: int, source: int, target: int) -> np.ndarray:
-    """Read-only (C(n, target), k) table of the source-level ranks a lift sums.
-
-    Row i lists, in summation order, the level-`source` states that feed
-    state i of level `target`: for target = source - 1 the single-marble
-    additions, for target = source + 1 the single-marble removals, both by
-    ascending vertex. Any other pair raises ValueError. Tables are cached
-    per (n, source, target); the state cap is checked on every call, as in
-    enumerate_level.
-    """
-    enumerate_level(n, target)
-    return _lift_table(n, source, target)
-
-
-@lru_cache(maxsize=None)
-def _lift_table(n: int, source: int, target: int) -> np.ndarray:
-    dst = enumerate_level(n, target)
-    bits = np.int64(1) << bit_position(n, np.arange(n, dtype=np.int64))
-    black = (dst.words[:, None] & bits) != 0
-    if target == source - 1:
-        free = np.nonzero(~black)[1].reshape(dst.size, n - target)
-        words = dst.words[:, None] | bits[free]
-    elif target == source + 1:
-        full = np.nonzero(black)[1].reshape(dst.size, target)
-        words = dst.words[:, None] ^ bits[full]
-    else:
-        raise ValueError(f"no lift from level {source} to level {target}")
-    table = enumerate_level(n, source).rank(words)
-    table.flags.writeable = False
-    return table
-
-
 def pair_row(n: int, u: int, v: int) -> int:
-    """Row of the vertex pair u < v in a swap table: np.triu_indices(n, 1) order."""
+    """Row of the vertex pair u < v in LevelStateSpace.swaps: np.triu_indices(n, 1) order."""
     return u * (2 * n - u - 1) // 2 + v - u - 1
 
-
-def swap_table(n: int, level: int) -> np.ndarray:
-    """Read-only int32 (C(n, 2), C(n, level)) table of the ranks after a swap.
-
-    Row pair_row(n, u, v) holds, per state of the level, the rank of the
-    state with the marbles at u and v interchanged; rows run over the pairs
-    u < v in np.triu_indices(n, 1) order. Tables are cached per (n, level);
-    the state cap is checked on every call, as in enumerate_level.
-    """
-    _check_slice(n, level)
-    return _swap_table(n, level)
-
-
-@lru_cache(maxsize=None)
-def _swap_table(n: int, level: int) -> np.ndarray:
-    space = enumerate_level(n, level)
-    bits = np.int64(1) << bit_position(n, np.arange(n, dtype=np.int64))
-    u, v = np.triu_indices(n, 1)
-    swapped = swap_words(space.words, bits[u, None], bits[v, None])
-    table = space.rank(swapped).astype(np.int32)
-    table.flags.writeable = False
-    return table

@@ -118,7 +118,7 @@ def random_connected_subgraph(rng: np.random.Generator, g: Graph) -> Graph:
 
 def random_boolean_function(rng: np.random.Generator, n: int) -> fourier.BooleanFunction:
     values = rng.integers(0, 2, size=1 << n).astype(float)
-    return fourier.BooleanFunction(n, values, name="random")
+    return fourier.BooleanFunction(n, values)
 
 
 # ---------------------------------------------------------------------------

@@ -619,6 +619,7 @@ class Named(str):
      "float() argument must be a string or a real number, not 'dict'"),
     (Named("parity:0,1"),
      "unknown function family 'parity'; expected dictator, parity_on_set, or majority"),
+    (Named("majority:3"), "majority takes no argument, got 'majority:3'"),
 ])
 def test_bad_function_table_names_the_flag(tmp_path, capsys, text, message):
     spec = text
@@ -665,6 +666,14 @@ def test_too_large_graph_simulate_names_graph(capsys, address_space_limit):
     code, out, err = run(["simulate", *TOO_LARGE, "--t", "1"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("config error: --graph: n=40 is too large for a function table")
+    # past 2^59 entries numpy cannot address the table at all; at 2^63 and up
+    # 1 << n overflows int64
+    for graph in ("cycle:60", "cycle:63", "complete:64"):
+        n = graph.split(":")[1]
+        code, out, err = run(["simulate", "--graph", graph, "--rate", "1", "--function",
+                              "dictator:0", "--t", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: --graph: n={n} is too large for a function table")
 
 
 def test_too_many_samples_names_samples(capsys, address_space_limit):

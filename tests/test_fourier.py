@@ -15,7 +15,6 @@ from xproc.fourier import (
     exact_covariance,
     exact_flip_probability,
     from_table,
-    low_frequency_mass,
     majority,
     make_function,
     mass_by_eigenvalue,
@@ -23,7 +22,6 @@ from xproc.fourier import (
     profile_csv_rows,
     profile_summary,
     spectral_profile,
-    tail_mass,
     threshold_mask,
 )
 from xproc.graph import make_complete, make_cycle
@@ -37,9 +35,10 @@ from conftest import solve_alone
 
 
 def test_dictator_values():
-    f = dictator(3, 0)
-    for word in range(8):
-        assert f.values[word] == Configuration(3, word).get(0)
+    for n in range(2, 10):
+        configs = [Configuration(n, word) for word in range(1 << n)]
+        for v in range(n):
+            assert dictator(n, v).values.tolist() == [x.get(v) for x in configs]
 
 
 def test_parity_single_vertex_is_dictator():
@@ -64,6 +63,12 @@ def test_parity_indicator_form():
         x = Configuration(4, word)
         count = x.get(1) + x.get(3)
         assert f.values[word] == (1 - (-1) ** count) / 2
+    rng = np.random.default_rng(2)
+    for n in range(2, 10):
+        configs = [Configuration(n, word) for word in range(1 << n)]
+        for vertices in ([], range(n), [n - 1], rng.choice(n, n // 2, replace=False)):
+            want = [sum(x.get(v) for v in vertices) % 2 for x in configs]
+            assert parity_on_set(n, vertices).values.tolist() == want
 
 
 def test_majority_convention():
@@ -71,14 +76,22 @@ def test_majority_convention():
     for word in range(16):
         weight = Configuration(4, word).weight()
         assert f.values[word] == (1.0 if weight > 2 else 0.0)
+    for n in range(2, 10):
+        want = [sum(Configuration(n, word).get(v) for v in range(n)) > n / 2
+                for word in range(1 << n)]
+        assert majority(n).values.tolist() == want
 
 
 def test_make_function_dispatch():
-    assert make_function(3, "dictator:1").name == "dictator(1)"
-    assert make_function(4, "parity_on_set:0,2").name == "parity_on_set(0,2)"
-    assert make_function(3, "majority").name == "majority"
+    assert np.array_equal(make_function(3, "dictator:1").values, dictator(3, 1).values)
+    assert np.array_equal(make_function(4, "parity_on_set:0,2").values,
+                          parity_on_set(4, [0, 2]).values)
+    assert np.array_equal(make_function(3, "majority").values, majority(3).values)
     with pytest.raises(ValueError):
         make_function(3, "tribes:2")
+    for spec in ("majority:3", "majority:"):
+        with pytest.raises(ValueError, match="majority takes no argument"):
+            make_function(3, spec)
 
 
 def test_table_validation():
@@ -296,15 +309,15 @@ def synthetic_profile(eigenvalues, coefficients):
 
 def test_mass_boundary_conventions():
     profile = synthetic_profile([0.0, 1.0, 2.0, 4.0], [0.5, 0.3, 0.2, 0.1])
-    assert low_frequency_mass(profile, 1.0) == pytest.approx(0.09)
-    assert low_frequency_mass(profile, 3.9) == pytest.approx(0.13)
-    assert tail_mass(profile, 2.0) == pytest.approx(0.05)   # includes lambda = 2
-    assert tail_mass(profile, 2.1) == pytest.approx(0.01)
-    assert tail_mass(profile, 5.0) == 0.0
+    assert band_mass(profile, 1.0, "<=") == pytest.approx(0.09)
+    assert band_mass(profile, 3.9, "<=") == pytest.approx(0.13)
+    assert band_mass(profile, 2.0, ">=") == pytest.approx(0.05)   # includes lambda = 2
+    assert band_mass(profile, 2.1, ">=") == pytest.approx(0.01)
+    assert band_mass(profile, 5.0, ">=") == 0.0
     with pytest.raises(ValueError):
-        low_frequency_mass(profile, 0.0)
+        band_mass(profile, 0.0, "<=")
     with pytest.raises(ValueError):
-        tail_mass(profile, -1.0)
+        band_mass(profile, -1.0, ">=")
 
 
 def test_threshold_mask_slack_edges():
@@ -330,8 +343,8 @@ def test_masses_take_whole_clusters_at_a_boundary_k(n):
     assert any(v == k for v, _ in pooled)
     low = sum(m for v, m in pooled if 0 < v <= k)
     tail = sum(m for v, m in pooled if v >= k)
-    assert low_frequency_mass(profile, k) == pytest.approx(low, rel=1e-12, abs=1e-15)
-    assert tail_mass(profile, k) == pytest.approx(tail, rel=1e-12, abs=1e-15)
+    assert band_mass(profile, k, "<=") == pytest.approx(low, rel=1e-12, abs=1e-15)
+    assert band_mass(profile, k, ">=") == pytest.approx(tail, rel=1e-12, abs=1e-15)
 
 
 def test_mass_extremes_on_real_profile():
@@ -341,10 +354,10 @@ def test_mass_extremes_on_real_profile():
     lam_max = max(lam for _, lam, _ in profile.entries())
     lam_min = min(lam for _, lam, _ in profile.entries() if lam > 1e-8)
     nonzero = profile.total_mass - profile.zero_mass()
-    assert low_frequency_mass(profile, lam_max + 1.0) == pytest.approx(nonzero, abs=1e-12)
-    assert low_frequency_mass(profile, lam_min / 2) == 0.0
-    assert tail_mass(profile, lam_max + 1.0) == 0.0
-    assert tail_mass(profile, lam_min / 2) == pytest.approx(nonzero, abs=1e-12)
+    assert band_mass(profile, lam_max + 1.0, "<=") == pytest.approx(nonzero, abs=1e-12)
+    assert band_mass(profile, lam_min / 2, "<=") == 0.0
+    assert band_mass(profile, lam_max + 1.0, ">=") == 0.0
+    assert band_mass(profile, lam_min / 2, ">=") == pytest.approx(nonzero, abs=1e-12)
 
 
 def test_mass_by_eigenvalue_pools_the_clusters_of_group_eigenvalues():
@@ -384,7 +397,7 @@ def test_low_mass_against_coefficient_table():
             coeff = math.sqrt(space.size / 2.0**4) * inner
             if 1e-8 < lam <= k:
                 expected += coeff**2
-    assert low_frequency_mass(profile, k) == pytest.approx(expected, abs=1e-10)
+    assert band_mass(profile, k, "<=") == pytest.approx(expected, abs=1e-10)
 
 
 def test_decomposition_identity_random():
@@ -400,7 +413,7 @@ def test_decomposition_identity_random():
         # place k strictly between eigenvalues so both conventions agree
         if np.min(np.abs(spectrum - k)) < 1e-6:
             k += 1e-3
-        total = low_frequency_mass(profile, k) + tail_mass(profile, k) + profile.zero_mass()
+        total = band_mass(profile, k, "<=") + band_mass(profile, k, ">=") + profile.zero_mass()
         assert total == pytest.approx(profile.total_mass, abs=1e-10)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from xproc.fourier import dictator, majority, mass_by_eigenvalue, parity_on_set, spectral_profile
 from xproc import spectral
-from xproc.generator import build_level_generator, build_level_generators, edge_masks
+from xproc.generator import build_level_generator, build_level_generators
 from xproc.graph import Graph, make_complete, make_cycle, make_half_complete_cycle
 from xproc.spectral import (
     GROUP_RTOL,
@@ -27,14 +27,13 @@ from xproc.spectral import (
 )
 from xproc.statespace import (
     StateCapExceeded,
-    _swap_table,
+    _level_slice,
     bit_position,
     enumerate_level,
-    lift_table,
     pair_row,
     state_cap,
-    swap_table,
     swap_words,
+    vertex_masks,
 )
 from xproc.verify import random_connected_graph
 
@@ -197,7 +196,7 @@ def test_lift_down_and_up_bit_exact(n, level):
 def test_lift_down_with_many_neighbours():
     # every level-0 state has 10 single-marble additions at n = 10
     space = enumerate_level(10, 1)
-    assert lift_table(10, 1, 0).shape == (1, 10)
+    assert enumerate_level(10, 0).additions.shape == (1, 10)
     psi = rough(np.random.default_rng(3), space.size)
     assert np.array_equal(lift_down(space, psi), ref_lift_down(space, psi))
 
@@ -257,7 +256,7 @@ def ref_generator_by_masks(g, level):
     """Matrix and edge permutations as built before the swap table: one
     swap_words + rank pass over the graph's own edge masks."""
     space = enumerate_level(g.n, level)
-    bu, bv = edge_masks(g)
+    bu, bv = vertex_masks(g.n)[[(u, v) for u, v, _ in g.edges]].T
     perms = space.rank(swap_words(space.words, bu[:, None], bv[:, None]))
     m = np.zeros((space.size, space.size))
     rates = np.array([rate for _, _, rate in g.edges])
@@ -492,16 +491,19 @@ def test_cached_arrays_are_read_only():
     assert enumerate_level(7, 3) is space
     with pytest.raises(ValueError):
         space.words[0] = 99
-    assert swap_table(7, 3) is swap_table(7, 3)
-    for table in (lift_table(7, 3, 2), lift_table(7, 3, 4), swap_table(7, 3)):
+    assert space.swaps is enumerate_level(7, 3).swaps
+    assert space.additions.shape == (space.size, 4)
+    assert space.removals.shape == (space.size, 3)
+    for table in (space.additions, space.removals, space.swaps, vertex_masks(7)):
         with pytest.raises(ValueError):
-            table[0, 0] = 0
+            table[(0,) * table.ndim] = 0
+    assert vertex_masks(7) is vertex_masks(7)
 
 
 @pytest.mark.parametrize("n,level", [(n, level) for n in range(2, 9) for level in range(n + 1)])
 def test_swap_table_rows_are_the_swap_involutions(n, level):
     space = enumerate_level(n, level)
-    table = swap_table(n, level)
+    table = space.swaps
     assert table.dtype == np.int32 and table.shape == (math.comb(n, 2), space.size)
     # A swap fixes a state iff u and v carry the same colour: both white
     # (choose the l black marbles among the other n - 2) or both black.
@@ -516,21 +518,12 @@ def test_swap_table_rows_are_the_swap_involutions(n, level):
         assert np.count_nonzero(perm == ident) == fixed
 
 
-def test_lift_table_rejects_non_lifts():
-    with pytest.raises(ValueError, match="no lift"):
-        lift_table(6, 3, 1)
-    with pytest.raises(ValueError, match="no lift"):
-        lift_table(6, 3, 3)
-    with pytest.raises(ValueError, match="no lift"):
-        lift_table(6, 2, 5)
-
-
 def test_cached_slice_still_respects_the_cap(monkeypatch):
     space = enumerate_level(12, 6)
     source = enumerate_level(12, 5)
     lift_up(source, np.ones(source.size))           # caches the gather table
-    swaps = swap_table(12, 6)
-    built = _swap_table.cache_info().currsize
+    removals, swaps = space.removals, space.swaps
+    built = _level_slice.cache_info().currsize
     monkeypatch.setenv("XPROC_STATE_CAP", "100")
     for _ in range(2):
         with pytest.raises(StateCapExceeded):
@@ -538,13 +531,13 @@ def test_cached_slice_still_respects_the_cap(monkeypatch):
         with pytest.raises(StateCapExceeded):
             lift_up(source, np.ones(source.size))
         with pytest.raises(StateCapExceeded):
-            swap_table(12, 6)
+            enumerate_level(12, 6).swaps
         with pytest.raises(StateCapExceeded):
-            swap_table(17, 3)                       # 680 states, never built
-    assert _swap_table.cache_info().currsize == built
+            enumerate_level(17, 3).swaps            # 680 states, never built
+    assert _level_slice.cache_info().currsize == built
     monkeypatch.setenv("XPROC_STATE_CAP", "1000")
     assert enumerate_level(12, 6) is space
-    assert swap_table(12, 6) is swaps
+    assert space.removals is removals and space.swaps is swaps
 
 
 @pytest.mark.parametrize("raw", ["-5", "0", "abc", "1.5", " "])
