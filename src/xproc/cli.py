@@ -368,23 +368,19 @@ def cmd_simulate(args) -> tuple:
                                 "eps", "level", "samples", "seed"])
     spec = dynamics.SimulationSpec(level=level, seed=args.seed, samples=args.samples)
     body: dict = {}
-    try:
-        horizons = [h for h in (args.t, args.eps) if h is not None]
-        table = dynamics.edge_table(g, horizons, args.samples)
-        if args.t is not None:
-            est = dynamics.estimate_covariance(g, f, args.t, spec, table=table)
-            body["covariance"] = {
-                "t": args.t, "point": est.point,
-                "std_error": est.std_error, "samples": est.samples,
-            }
-        if args.eps is not None:
-            est = dynamics.estimate_flip_probability(g, f, args.eps, spec, table=table)
-            body["flip_probability"] = {
-                "eps": args.eps, "point": est.point,
-                "std_error": est.std_error, "samples": est.samples,
-            }
-    except MemoryError as exc:
-        raise ConfigError(f"--samples: {args.samples} samples are too many to allocate ({exc})")
+    for name, flag, horizon, estimate in (
+            ("covariance", "--t", args.t, dynamics.estimate_covariance),
+            ("flip_probability", "--eps", args.eps, dynamics.estimate_flip_probability)):
+        if horizon is None:
+            continue
+        try:
+            est = estimate(g, f, horizon, spec)
+        except ValueError as exc:   # a horizon with too many jumps to sample
+            raise ConfigError(f"{flag}: {exc}") from exc
+        except MemoryError as exc:
+            raise ConfigError(f"--samples: {args.samples} samples are too many to allocate ({exc})")
+        body[name] = {flag[2:]: horizon, "point": est.point,
+                      "std_error": est.std_error, "samples": est.samples}
     return config, body
 
 

@@ -23,21 +23,22 @@ samples do not depend on how many samples the run has. Seeds are 64-bit
 signed integers, from SEED_MIN to SEED_MAX; each keys its own streams.
 
 A jump looks its swapped word up in a per-graph table: entry (e << n) + w
-is word w after a jump on edge e, built by swap_words itself, once per run
-(edge_table) for all of its estimates. Building an entry costs about as
-much as one bit-mask swap, so the table is built only when the run's
-expected jump count, samples * R * (the sum of its horizons), is at least
-its edges * 2^n entries, and never above SWAP_TABLE_ENTRIES entries
-(8 MiB); otherwise jumps swap by bit masks. Both ways give the same words,
-so results do not depend on which one runs.
+is word w after a jump on edge e, built by swap_words itself. Building an
+entry costs about as much as one bit-mask swap, so the table is built the
+first time one estimate's expected jumps, samples * R * t, reach its
+edges * 2^n entries, and never above SWAP_TABLE_ENTRIES entries (8 MiB);
+until then jumps swap by bit masks. The last graph's table is kept for its
+next estimate. Both ways give the same words, so results do not depend on
+which one runs. R * t above numpy's Poisson limit is refused.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,8 +48,10 @@ from .statespace import Configuration, enumerate_level, swap_words, vertex_masks
 
 CHUNK = 4096
 BLOCK = 1 << 15                # most edges a block of jumps draws (256 KiB of int64)
-SWAP_TABLE_ENTRIES = 1 << 20   # largest edges * 2^n swap table a run builds
+SWAP_TABLE_ENTRIES = 1 << 20   # largest edges * 2^n swap table cover() builds
 SEED_MIN, SEED_MAX = -(1 << 63), (1 << 63) - 1
+# The largest mean numpy's Poisson sampler takes, as numpy computes it.
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 @dataclass(frozen=True)
@@ -93,12 +96,10 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 class _EdgeTable:
-    """Per-edge endpoint bit masks, the swapped-word table and the table
-    that picks edges by rate, for samples paths to a total horizon t (the
-    sum of the horizons of the estimates that share it)."""
+    """Per-edge endpoint bit masks, the table that picks edges by rate and,
+    once cover() asks for it, the swapped-word table of one graph."""
 
-    def __init__(self, g: Graph, t: float, samples: int):
-        self.graph = g
+    def __init__(self, g: Graph):
         self.n = g.n
         ends = np.array([(u, v) for u, v, _ in g.edges], dtype=np.int64).reshape(-1, 2)
         self.bu, self.bv = vertex_masks(g.n)[ends].T
@@ -106,13 +107,16 @@ class _EdgeTable:
         self.total_rate = float(rates.sum())
         # None when all rates are equal: edges are then drawn by index.
         self.cumulative = np.cumsum(rates) if np.any(rates != rates[:1]) else None
-        # Flat: entry (e << n) + w is word w after a jump on edge e. None when
-        # samples paths to total horizon t expect fewer jumps than it has
-        # entries, or above the cap; jumps then swap by bit masks.
+        # Flat: entry (e << n) + w is word w after a jump on edge e. None
+        # until cover() builds it; jumps then swap by bit masks.
         self.swapped = None
-        entries = self.bu.size << g.n
-        if 0 < entries <= min(SWAP_TABLE_ENTRIES, samples * self.total_rate * t):
-            words = np.arange(1 << g.n, dtype=np.int64)
+
+    def cover(self, jumps: float) -> None:
+        """Build the swapped-word table if jumps expected jumps cover its entries
+        and it is within SWAP_TABLE_ENTRIES; a built table stays."""
+        entries = self.bu.size << self.n
+        if self.swapped is None and 0 < entries <= min(SWAP_TABLE_ENTRIES, jumps):
+            words = np.arange(1 << self.n, dtype=np.int64)
             swapped = np.empty((self.bu.size, words.size), dtype=np.int64)
             for row, bu, bv in zip(swapped, self.bu, self.bv):
                 row[:] = swap_words(words, bu, bv)   # one row at a time
@@ -167,21 +171,25 @@ def _evolve(words: np.ndarray, table: _EdgeTable, t: float,
     return out
 
 
-def edge_table(g: Graph, horizons: Sequence[float], samples: int) -> _EdgeTable:
-    """One edge table for a run whose estimates each draw samples paths, one
-    estimate per horizon: pass it to each as table=."""
-    for t in horizons:
-        _check_horizon(t)
-    return _EdgeTable(g, math.fsum(horizons), samples)
+_edge_table = lru_cache(maxsize=1)(_EdgeTable)   # the last graph's, for its next estimate
 
 
-def _start_end(g: Graph, level: int | None, t: float, seed: int, samples: int,
-               table: _EdgeTable | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _covered_table(g: Graph, t: float, paths: int) -> _EdgeTable:
+    """g's edge table, covered for paths paths to time t; a ValueError when one
+    path's expected jumps R * t are not finite or are over POISSON_LAM_MAX."""
+    table = _edge_table(g)
+    jumps = table.total_rate * t
+    if not jumps <= POISSON_LAM_MAX:
+        raise ValueError(f"a path to time {t:g} expects {jumps:g} jumps (total rate times "
+                         f"time); the Poisson sampler takes at most {POISSON_LAM_MAX:.4g}")
+    table.cover(paths * table.total_rate * t)
+    return table
+
+
+def _start_end(g: Graph, level: int | None, t: float, seed: int,
+               samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(start words, end words) of a run's samples, one chunk at a time."""
-    if table is None:
-        table = _EdgeTable(g, t, samples)
-    elif table.graph != g:
-        raise ValueError("the edge table is of another graph")
+    table = _covered_table(g, t, samples)
     starts = None if level is None else enumerate_level(g.n, level).words
     for chunk, lo in enumerate(range(0, samples, CHUNK)):
         rng = _chunk_rng(seed, chunk)
@@ -202,17 +210,14 @@ def simulate_path(g: Graph, x0: Configuration, t: float, seed: int) -> Configura
     _check_seed(seed)
     if x0.n != g.n:
         raise ValueError(f"configuration is on {x0.n} vertices, graph has {g.n}")
-    table = _EdgeTable(g, t, 1)
+    table = _covered_table(g, t, 1)
     word = _evolve(np.array([x0.word], dtype=np.int64), table, t, _chunk_rng(seed, 0))
     return Configuration(g.n, int(word[0]))
 
 
-def estimate_covariance(g: Graph, f: BooleanFunction, t: float, spec: SimulationSpec,
-                        table: _EdgeTable | None = None) -> EstimateResult:
-    """Monte Carlo Cov(f(X_0), f(X_t)) with a jackknife standard error.
-
-    table is the run's edge_table; None builds one for this estimate alone.
-    """
+def estimate_covariance(g: Graph, f: BooleanFunction, t: float,
+                        spec: SimulationSpec) -> EstimateResult:
+    """Monte Carlo Cov(f(X_0), f(X_t)) with a jackknife standard error."""
     if f.n != g.n:
         raise ValueError(f"function is on {f.n} vertices, graph has {g.n}")
     _check_horizon(t)
@@ -220,7 +225,7 @@ def estimate_covariance(g: Graph, f: BooleanFunction, t: float, spec: Simulation
     a = np.empty(m)   # f at the start
     p = np.empty(m)   # product across the pair
     lo = 0
-    for w0, wt in _start_end(g, spec.level, t, spec.seed, m, table):
+    for w0, wt in _start_end(g, spec.level, t, spec.seed, m):
         hi = lo + w0.size
         a[lo:hi] = f.values[w0]
         p[lo:hi] = a[lo:hi] * f.values[wt]
@@ -236,12 +241,8 @@ def estimate_covariance(g: Graph, f: BooleanFunction, t: float, spec: Simulation
 
 
 def estimate_flip_probability(g: Graph, f: BooleanFunction, eps: float,
-                              spec: SimulationSpec,
-                              table: _EdgeTable | None = None) -> EstimateResult:
-    """Monte Carlo P(f(X_0) != f(X_eps)) with a binomial standard error.
-
-    table is the run's edge_table; None builds one for this estimate alone.
-    """
+                              spec: SimulationSpec) -> EstimateResult:
+    """Monte Carlo P(f(X_0) != f(X_eps)) with a binomial standard error."""
     if not f.boolean:
         raise ValueError("flip probability requires a Boolean function")
     if f.n != g.n:
@@ -249,7 +250,7 @@ def estimate_flip_probability(g: Graph, f: BooleanFunction, eps: float,
     _check_horizon(eps)
     m = spec.samples
     flips = 0
-    for w0, wt in _start_end(g, spec.level, eps, spec.seed, m, table):
+    for w0, wt in _start_end(g, spec.level, eps, spec.seed, m):
         flips += int(np.count_nonzero(f.values[w0] != f.values[wt]))
     p_hat = flips / m
     se = math.sqrt(p_hat * (1.0 - p_hat) / m)

@@ -90,7 +90,10 @@ def make_function(n: int, family: str) -> BooleanFunction:
     if head == "dictator":
         return dictator(n, int(arg))
     if head == "parity_on_set":
-        vertices = [int(s) for s in arg.split(",") if s != ""]
+        vertices = [int(s) if s else None for s in arg.split(",")]
+        if None in vertices or len(set(vertices)) < len(vertices):
+            raise ValueError(f"parity_on_set takes a list of distinct vertices, as "
+                             f"parity_on_set:0,2, got {family!r}")
         return parity_on_set(n, vertices)
     if head == "majority":
         if sep:

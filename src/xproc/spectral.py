@@ -8,9 +8,10 @@ coefficients and projectors in this package follow it.
 Between-level structure comes from two lifting operators: summing an
 eigenfunction over single-marble additions (lift toward fewer marbles) or
 removals (lift toward more marbles). Both send eigenvectors to eigenvectors
-with the same eigenvalue, or to zero. On complete graphs the lifts have
-closed-form lengths, which makes the whole eigenbasis constructible level
-by level without a numerical eigensolver.
+with the same eigenvalue, or to zero. Both read the additions tables:
+complementing, all that mirror_basis does, turns removals into additions.
+On complete graphs the lifts have closed-form lengths, which makes the
+whole eigenbasis constructible level by level without a numerical solver.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .graph import Graph
 from .generator import (
     LevelGenerator, NumericalError, build_level_generators,
 )
-from .statespace import LevelStateSpace, enumerate_level
+from .statespace import LevelStateSpace, check_levels, enumerate_level
 
 GROUP_RTOL = 1e-8       # eigenvalues within 1e-8 * max(1, lam) form one cluster
 ZERO_TOL = 1e-8         # below this an eigenvalue counts as zero in masks
@@ -125,8 +126,8 @@ def eigendecompose_stack(gens: Sequence[LevelGenerator]) -> list[SpectralBasis]:
     uniform-measure convention, installs the exact (0, constant) eigenpair,
     and fixes signs so the first nonzero coordinate of each vector is
     positive. Raises NumericalError, naming the first member at fault, when
-    a matrix is not symmetric, the solver does not converge or the smallest
-    eigenvalue is not numerically zero.
+    a matrix has an entry that is not finite or is not symmetric, the solver
+    does not converge or the smallest eigenvalue is not numerically zero.
     """
     size = gens[0].space.size
     if any(gen.space.size != size for gen in gens):
@@ -137,6 +138,9 @@ def eigendecompose_stack(gens: Sequence[LevelGenerator]) -> list[SpectralBasis]:
     matrices = (gens[0].matrix[None] if len(gens) == 1
                 else np.stack([gen.matrix for gen in gens]))
     scale = np.maximum(1.0, np.maximum(matrices.max(axis=(1, 2)), -matrices.min(axis=(1, 2))))
+    for gen, s in zip(gens, scale):
+        if not math.isfinite(s):   # an overflowed rate sum: every later test would pass
+            raise NumericalError("eigendecompose", gen, f"matrix is not finite: max |A| = {s:g}")
     if (matrices != matrices.transpose(0, 2, 1)).any():  # only then find max |A - A^T|
         asym = np.max(np.abs(matrices - matrices.transpose(0, 2, 1)), axis=(1, 2))
         for gen, a, s in zip(gens, asym, scale):
@@ -264,10 +268,15 @@ def lift_down(space: LevelStateSpace, psi: np.ndarray) -> np.ndarray:
 
 
 def lift_up(space: LevelStateSpace, psi: np.ndarray) -> np.ndarray:
-    """Sum psi over single-marble removals: a function on level+1 marbles."""
+    """Sum psi over single-marble removals: a function on level+1 marbles.
+
+    Complemented, they are the additions to level n - level - 1, whose
+    table read backwards, in rows and in ranks, is the removals table."""
     if space.level == space.n:
         raise ValueError("cannot lift above the full level")
-    return _gather_sum(space, psi, enumerate_level(space.n, space.level + 1).removals)
+    check_levels(space.n, [space.level + 1])   # a target over the cap is named as itself
+    additions = enumerate_level(space.n, space.n - space.level - 1).additions
+    return _gather_sum(space, psi, space.size - 1 - additions[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +345,6 @@ def mirror_basis(basis: SpectralBasis) -> SpectralBasis:
     twice restores the original vectors exactly.
     """
     space = basis.space
-    n = space.n
-    mask = (1 << n) - 1
-    target = enumerate_level(n, n - space.level)
-    perm = space.rank(target.words ^ mask)
-    return SpectralBasis(target, basis.eigenvalues.copy(), basis.vectors[perm, :].copy())
+    # Complementing reverses the ascending order: state i maps to row size - 1 - i.
+    target = enumerate_level(space.n, space.n - space.level)
+    return SpectralBasis(target, basis.eigenvalues.copy(), basis.vectors[::-1].copy())

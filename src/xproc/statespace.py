@@ -5,13 +5,16 @@ n-bit word. Vertex 0 is the *leftmost* character of the fixed-width binary
 string, i.e. vertex v occupies bit position n-1-v of the word. The level
 slice with exactly l black marbles is enumerated in ascending word order,
 once, and every matrix and vector downstream indexes against that order.
+Complementing every word maps level l onto level n - l and reverses that
+order, so a removal is the complement of an addition, and the additions
+tables serve lifts in both directions.
 
 vertex_masks(n) holds the single-bit mask of each vertex. Outside this
 module the layout is read only through it, and every table here is built
 from it.
 
 Slices are cached per (n, level) for the life of the process, and each
-slice builds its gather tables (swaps, additions, removals) on first read
+slice builds its gather tables (swaps, additions) on first read
 and keeps them as long as it lives; all are read-only. The swap table
 holds C(n, 2) * C(n, level) int32 ranks. For 2 <= level <= n - 2 that is
 at most half the bytes of the level's dense generator; at levels 0, 1,
@@ -159,25 +162,13 @@ class LevelStateSpace:
     def additions(self) -> np.ndarray:
         """(size, n - level) table of the level+1 ranks of single-marble additions.
 
-        Row i lists them by ascending vertex: the summation order of lift_down.
+        Row i lists them by ascending vertex: the summation order of both lifts.
         """
         masks = vertex_masks(self.n)
         black = (self.words[:, None] & masks) != 0
         free = np.nonzero(~black)[1].reshape(self.size, self.n - self.level)
         return _frozen(enumerate_level(self.n, self.level + 1)
                        .rank(self.words[:, None] | masks[free]))
-
-    @cached_property
-    def removals(self) -> np.ndarray:
-        """(size, level) table of the level-1 ranks of single-marble removals.
-
-        Row i lists them by ascending vertex: the summation order of lift_up.
-        """
-        masks = vertex_masks(self.n)
-        black = (self.words[:, None] & masks) != 0
-        full = np.nonzero(black)[1].reshape(self.size, self.level)
-        return _frozen(enumerate_level(self.n, self.level - 1)
-                       .rank(self.words[:, None] ^ masks[full]))
 
 
 def _level_words(n: int, level: int) -> list[int]:

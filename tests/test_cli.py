@@ -446,6 +446,33 @@ def test_eigensolver_failure_exit_3(capsys, monkeypatch):
                           "eigensolver failed to converge")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")   # rate sums of inf
+@pytest.mark.parametrize("argv", [["spectrum"], ["exact", "--function", "majority", "--t", "1"],
+                                  ["profile", "--function", "majority"]])
+def test_an_overflowing_rate_is_a_numerical_error(capsys, argv):
+    # the generator's diagonal overflows to inf: the solve is refused, not
+    # reported as a NaN that cannot be serialized
+    code, out, err = run([*argv, "--graph", "cycle:5", "--rate", "1e308"], capsys)
+    assert code == 3 and out == ""
+    assert err == ("numerical error: eigendecompose on n=5, level=2 (10 states): "
+                   "matrix is not finite: max |A| = inf\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("flags,flag,jumps", [
+    (["--rate", "1", "--t", "1e300"], "--t", "5e+300"),
+    (["--rate", "1e308", "--t", "1"], "--t", "inf"),
+    (["--rate", "1", "--t", "1", "--eps", "1e300"], "--eps", "5e+300"),
+])
+def test_a_horizon_too_long_to_sample_names_its_flag(capsys, flags, flag, jumps):
+    code, out, err = run(["simulate", "--graph", "cycle:5", "--function", "majority",
+                          "--samples", "10", *flags], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: {flag}: a path to time ")
+    assert f" expects {jumps} jumps " in err
+    assert err.endswith("the Poisson sampler takes at most 9.223e+18\n")
+
+
 def test_dump_matrix_all_levels_keeps_spectrum(tmp_path, capsys):
     argv = ["spectrum", "--graph", "cycle:4", "--rate", "1", "--format", "json"]
     code, plain, _ = run(argv, capsys)
@@ -620,6 +647,10 @@ class Named(str):
     (Named("parity:0,1"),
      "unknown function family 'parity'; expected dictator, parity_on_set, or majority"),
     (Named("majority:3"), "majority takes no argument, got 'majority:3'"),
+    *((Named(spec), "parity_on_set takes a list of distinct vertices, as "
+                    f"parity_on_set:0,2, got {spec!r}")
+      for spec in ("parity_on_set", "parity_on_set:", "parity_on_set:1,,2",
+                   "parity_on_set:1,", "parity_on_set:1,1", "parity_on_set:2,0,02")),
 ])
 def test_bad_function_table_names_the_flag(tmp_path, capsys, text, message):
     spec = text

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,15 +12,16 @@ from xproc.cli import main
 from xproc.dynamics import (
     BLOCK,
     CHUNK,
+    POISSON_LAM_MAX,
     SEED_MAX,
     SEED_MIN,
     SWAP_TABLE_ENTRIES,
     SimulationSpec,
     _chunk_rng,
     _EdgeTable,
+    _edge_table,
     _evolve,
     _start_end,
-    edge_table,
     estimate_covariance,
     estimate_flip_probability,
     simulate_path,
@@ -40,6 +42,13 @@ from xproc.statespace import Configuration, enumerate_level, swap_words
 from conftest import solve_alone
 
 CHI2_P001 = {2: 13.816, 5: 20.515, 9: 27.877, 14: 36.123, 19: 43.820}
+
+
+def covered(g, t, samples):
+    """A fresh edge table of g, covered for samples paths to time t."""
+    table = _EdgeTable(g)
+    table.cover(samples * table.total_rate * t)
+    return table
 
 
 def _pairs(g, level, t, seed, samples):
@@ -120,7 +129,7 @@ def test_empirical_law_matches_oracle_row():
     x0 = Configuration.from_string("100")
     row = probs[space.rank(x0.word)]
     samples = 20000
-    ends = _evolve(np.full(samples, x0.word), _EdgeTable(g, t, samples), t, _chunk_rng(123, 0))
+    ends = _evolve(np.full(samples, x0.word), covered(g, t, samples), t, _chunk_rng(123, 0))
     counts = np.bincount(space.rank(ends), minlength=space.size)
     expected = row * samples
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -138,7 +147,7 @@ def test_empirical_law_with_unequal_rates():
     x0 = Configuration.from_string("110000")
     row = probs[space.rank(x0.word)]
     samples = 20000
-    table = _EdgeTable(g, t, samples)
+    table = covered(g, t, samples)
     assert table.cumulative is not None
     ends = _evolve(np.full(samples, x0.word), table, t, _chunk_rng(17, 0))
     counts = np.bincount(space.rank(ends), minlength=space.size)
@@ -149,8 +158,9 @@ def test_empirical_law_with_unequal_rates():
 
 def test_empirical_laws_on_the_bit_path(monkeypatch):
     # the same two laws with every jump swapped by bit masks, as above the cap
+    _edge_table.cache_clear()
     monkeypatch.setattr(dynamics, "SWAP_TABLE_ENTRIES", 0)
-    assert _EdgeTable(MIXED, 1.0, 20000).swapped is None
+    assert covered(MIXED, 1.0, 20000).swapped is None
     test_empirical_law_matches_oracle_row()
     test_empirical_law_with_unequal_rates()
 
@@ -316,7 +326,7 @@ def test_seeds_at_the_bounds_have_streams_of_their_own():
                                make_complete(13, 1.0), make_complete(14, 1.0)],
                          ids=["cycle16", "cycle17", "complete13", "complete14"])
 def test_swap_table_is_built_exactly_up_to_the_cap(g):
-    table = _EdgeTable(g, 1.0, 1 << 20)    # expects more jumps than any table has entries
+    table = covered(g, 1.0, 1 << 20)      # expects more jumps than any table has entries
     entries = len(g.edges) << g.n
     if entries > SWAP_TABLE_ENTRIES:
         assert table.swapped is None
@@ -330,11 +340,21 @@ def test_swap_table_is_built_only_when_the_jumps_cover_it():
     # building an entry costs about one bit-mask swap: the table must expect
     # at least as many jumps (samples * total rate * t) as it has entries
     g = make_cycle(5, 1.0)                               # 5 * 2^5 = 160 entries
-    assert _EdgeTable(g, 1.0, 32).swapped.size == 160    # 160 expected jumps
-    assert _EdgeTable(g, 1.0, 31).swapped is None        # 155
-    assert _EdgeTable(g, 0.0, 10**9).swapped is None     # no jumps at t = 0
-    assert _EdgeTable(g, 1.0, 1).swapped is None         # simulate_path's one path
-    assert _EdgeTable(Graph(4), 1.0, 10**9).swapped is None   # no edges, no table
+    assert covered(g, 1.0, 32).swapped.size == 160       # 160 expected jumps
+    assert covered(g, 1.0, 31).swapped is None           # 155
+    assert covered(g, 0.0, 10**9).swapped is None        # no jumps at t = 0
+    assert covered(g, 1.0, 1).swapped is None            # simulate_path's one path
+    assert covered(Graph(4), 1.0, 10**9).swapped is None     # no edges, no table
+    # the rule is one estimate's: 80 expected jumps twice build nothing, and
+    # a built table stays for an estimate that would not build it
+    table = covered(g, 0.5, 32)
+    table.cover(32 * 5 * 0.5)
+    assert table.swapped is None
+    table.cover(160)
+    swapped = table.swapped
+    assert swapped.size == 160
+    table.cover(0)
+    assert table.swapped is swapped
 
 
 @pytest.mark.parametrize("g,level,t", [
@@ -346,8 +366,11 @@ def test_swap_table_is_built_only_when_the_jumps_cover_it():
 ])
 def test_table_and_bit_paths_end_on_the_same_words(monkeypatch, g, level, t):
     samples = 2 * CHUNK + 300
-    assert (_EdgeTable(g, t, samples).swapped is None) == (t == 0)
+    assert (covered(g, t, samples).swapped is None) == (t == 0)
     runs = [_pairs(g, level, t, 19, samples)]
+    assert (_edge_table(g).swapped is None) == (t == 0)
+    # the cached table is built: drop it, so that the cap of 0 is read
+    _edge_table.cache_clear()
     monkeypatch.setattr(dynamics, "SWAP_TABLE_ENTRIES", 0)
     runs.append(_pairs(g, level, t, 19, samples))
     # and both end where the int64-sorted bit-mask sampler, one draw per
@@ -382,7 +405,7 @@ def test_a_chunk_draws_its_edges_a_block_at_a_time(monkeypatch):
     g, t = make_complete(8, 0.25), 10.0          # about 70 jumps per path
     rng = _chunk_rng(3, 0)
     jumps = _chunk_rng(3, 0).poisson(7.0 * t, size=CHUNK)   # the counts _evolve draws
-    _evolve(np.zeros(CHUNK, dtype=np.int64), _EdgeTable(g, t, CHUNK), t, rng)
+    _evolve(np.zeros(CHUNK, dtype=np.int64), covered(g, t, CHUNK), t, rng)
     assert sum(sizes) == jumps.sum()
     assert max(sizes) <= BLOCK
     # a block ends only where the next jump's edges would not fit
@@ -421,38 +444,75 @@ def test_consecutive_uniform_draws_continue_one_stream(split):
     assert np.array_equal(joined, whole.random(sum(split)))
 
 
-def test_edge_table_counts_every_horizon_of_the_run():
-    g = make_cycle(5, 1.0)                                # 5 * 2^5 = 160 entries
-    assert _EdgeTable(g, 0.5, 32).swapped is None         # 80 jumps per horizon
-    assert edge_table(g, [0.5, 0.5], 32).swapped.size == 160
-    assert edge_table(g, [0.5], 32).swapped is None
-    with pytest.raises(ValueError, match="finite and >= 0"):
-        edge_table(g, [0.5, math.nan], 32)
+def _count_builds(monkeypatch):
+    """Per cover() call from here on, whether it built the swapped-word table."""
+    built = []
+    real_cover = _EdgeTable.cover
+
+    def cover(self, jumps):
+        before = self.swapped
+        real_cover(self, jumps)
+        built.append(before is None and self.swapped is not None)
+
+    monkeypatch.setattr(_EdgeTable, "cover", cover)
+    _edge_table.cache_clear()
+    return built
 
 
-def test_an_edge_table_serves_only_its_graph():
-    table = edge_table(make_cycle(5, 1.0), [1.0], 100)
-    f = parity_on_set(5, [0, 2])
-    spec = SimulationSpec(seed=1, samples=100)
-    with pytest.raises(ValueError, match="another graph"):
-        estimate_covariance(make_complete(5, 1.0), f, 1.0, spec, table=table)
-    # an equal graph is the same graph
-    shared = estimate_covariance(make_cycle(5, 1.0), f, 1.0, spec, table=table)
-    assert shared == estimate_covariance(make_cycle(5, 1.0), f, 1.0, spec)
+def _simulate(capsys, samples):
+    assert main(["simulate", "--graph", "cycle:5", "--rate", "1", "--function", "majority",
+                 "--t", "0.5", "--eps", "0.5", "--samples", str(samples)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) >= {"covariance", "flip_probability"}
+    return doc
 
 
 def test_a_two_horizon_run_builds_one_table(monkeypatch, capsys):
-    built = []
+    built = _count_builds(monkeypatch)
+    # 160 expected jumps per horizon: the first estimate builds the table of
+    # 160 entries and the second reads the same one
+    _simulate(capsys, 64)
+    assert built == [True, False]
+    table = _edge_table(make_cycle(5, 1.0))
+    assert table.swapped.size == 160
+    # a later run on an equal graph builds none
+    _simulate(capsys, 64)
+    assert built == [True, False, False, False]
+    assert _edge_table(make_cycle(5, 1.0)) is table
+    # another graph takes the cache's one place
+    assert _edge_table(make_complete(5, 1.0)) is not table
+    assert _edge_table(make_cycle(5, 1.0)) is not table
 
-    class Counted(_EdgeTable):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self.swapped is not None)
 
-    monkeypatch.setattr(dynamics, "_EdgeTable", Counted)
-    # 80 expected jumps per horizon, 160 for the run: one table of 160 entries
-    assert main(["simulate", "--graph", "cycle:5", "--rate", "1", "--function", "majority",
-                 "--t", "0.5", "--eps", "0.5", "--samples", "32"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert set(doc) >= {"covariance", "flip_probability"}
-    assert built == [True]
+def test_a_run_whose_horizons_cover_the_table_only_together_swaps_by_masks(monkeypatch,
+                                                                          capsys):
+    built = _count_builds(monkeypatch)
+    # 80 expected jumps per horizon: neither estimate alone covers 160 entries
+    on_masks = _simulate(capsys, 32)
+    assert built == [False, False]
+    assert _edge_table(make_cycle(5, 1.0)).swapped is None
+    # and the table path, forced by a cached built table, gives the same report
+    _edge_table(make_cycle(5, 1.0)).cover(math.inf)
+    assert _simulate(capsys, 32) == on_masks
+
+
+def test_the_poisson_limit_is_numpys():
+    rng = np.random.default_rng(0)
+    assert rng.poisson(POISSON_LAM_MAX) > 0
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(POISSON_LAM_MAX, math.inf))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")   # a total rate of inf
+@pytest.mark.parametrize("g,t", [(make_cycle(5, 1.0), 1e300),
+                                 (make_cycle(5, 1.0), POISSON_LAM_MAX / 4),
+                                 (make_cycle(5, 1e308), 1.0)])
+def test_a_horizon_over_the_poisson_limit_is_refused(g, t):
+    f = dictator(5, 0)
+    spec = SimulationSpec(seed=0, samples=10)
+    expects = re.escape(f"expects {g.edges[0][2] * 5 * t:g} jumps")
+    for run in (lambda: estimate_covariance(g, f, t, spec),
+                lambda: estimate_flip_probability(g, f, t, spec),
+                lambda: simulate_path(g, Configuration(5, 1), t, seed=0)):
+        with pytest.raises(ValueError, match=expects):
+            run()

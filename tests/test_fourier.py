@@ -92,6 +92,13 @@ def test_make_function_dispatch():
     for spec in ("majority:3", "majority:"):
         with pytest.raises(ValueError, match="majority takes no argument"):
             make_function(3, spec)
+    # no vertex list, an empty entry or a repeated vertex
+    for spec in ("parity_on_set", "parity_on_set:", "parity_on_set:0,,2", "parity_on_set:0,",
+                 "parity_on_set:1,1", "parity_on_set:2,0,02"):
+        with pytest.raises(ValueError, match="parity_on_set takes a list of distinct vertices"):
+            make_function(4, spec)
+    # the empty set stays open to callers that mean it: the constant zero
+    assert not parity_on_set(4, []).values.any()
 
 
 def test_table_validation():

@@ -493,8 +493,9 @@ def test_cached_arrays_are_read_only():
         space.words[0] = 99
     assert space.swaps is enumerate_level(7, 3).swaps
     assert space.additions.shape == (space.size, 4)
-    assert space.removals.shape == (space.size, 3)
-    for table in (space.additions, space.removals, space.swaps, vertex_masks(7)):
+    assert enumerate_level(7, 4).additions.shape == (space.size, 3)
+    for table in (space.additions, enumerate_level(7, 4).additions, space.swaps,
+                  vertex_masks(7)):
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 0
     assert vertex_masks(7) is vertex_masks(7)
@@ -521,8 +522,8 @@ def test_swap_table_rows_are_the_swap_involutions(n, level):
 def test_cached_slice_still_respects_the_cap(monkeypatch):
     space = enumerate_level(12, 6)
     source = enumerate_level(12, 5)
-    lift_up(source, np.ones(source.size))           # caches the gather table
-    removals, swaps = space.removals, space.swaps
+    lift_up(source, np.ones(source.size))           # caches level 12 - 5 - 1's additions
+    additions, swaps = space.additions, space.swaps
     built = _level_slice.cache_info().currsize
     monkeypatch.setenv("XPROC_STATE_CAP", "100")
     for _ in range(2):
@@ -537,7 +538,16 @@ def test_cached_slice_still_respects_the_cap(monkeypatch):
     assert _level_slice.cache_info().currsize == built
     monkeypatch.setenv("XPROC_STATE_CAP", "1000")
     assert enumerate_level(12, 6) is space
-    assert space.removals is removals and space.swaps is swaps
+    assert space.additions is additions and space.swaps is swaps
+
+
+def test_a_lift_over_the_cap_names_its_target_slice(monkeypatch):
+    # lift_up reads the additions of level n - level - 1, a slice of the
+    # target's size; the error still names the target, C(9, 3)
+    source = enumerate_level(9, 2)                  # 36 states
+    monkeypatch.setenv("XPROC_STATE_CAP", "50")
+    with pytest.raises(StateCapExceeded, match=r"level slice C\(9,3\) has 84 states"):
+        lift_up(source, np.ones(source.size))
 
 
 @pytest.mark.parametrize("raw", ["-5", "0", "abc", "1.5", " "])

@@ -171,6 +171,23 @@ def test_a_member_with_a_nonzero_kernel_is_named():
         eigendecompose_stack(gens)
 
 
+def test_a_member_that_is_not_finite_is_named():
+    # a rate sum that overflows puts inf on the diagonal; against an infinite
+    # scale the smallest-eigenvalue test would pass on eigh's NaN
+    gens = mixed_stack()
+    gens[1].matrix[0, 0] = -np.inf
+    with pytest.raises(NumericalError, match=r"^eigendecompose on n=5, level=2 \(10 states\): "
+                                            r"matrix is not finite: max \|A\| = inf$"):
+        eigendecompose_stack(gens)
+    gens[1].matrix[0, 0] = np.nan
+    with pytest.raises(NumericalError, match=r"matrix is not finite: max \|A\| = nan$"):
+        eigendecompose_stack(gens)
+    with np.errstate(over="ignore"):
+        overflowing = build_level_generator(make_cycle(5, 1e308), 2)
+    with pytest.raises(NumericalError, match="level=2 .* matrix is not finite"):
+        eigendecompose_stack([overflowing])
+
+
 def test_the_member_that_does_not_converge_is_named(monkeypatch):
     gens = mixed_stack()
     bad = gens[2].matrix.copy()

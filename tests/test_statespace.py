@@ -24,6 +24,16 @@ def test_enumerate_small():
     assert [Configuration(3, int(w)).to_string() for w in space.words] == ["001", "010", "100"]
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_complementing_a_slice_reverses_its_order(n):
+    # x -> ~x maps level l onto level n - l and reverses ascending order:
+    # the theorem behind lift_up's and mirror_basis's reads of one table
+    full = (1 << n) - 1
+    for level in range(n + 1):
+        mirrored = full ^ enumerate_level(n, level).words[::-1]
+        assert mirrored.tolist() == enumerate_level(n, n - level).words.tolist()
+
+
 def test_enumerate_counts():
     assert enumerate_level(4, 2).size == 6
     assert enumerate_level(14, 7).size == math.comb(14, 7)
