@@ -25,8 +25,8 @@ from . import diagnostics, dynamics, fourier, spectral, verify
 from .generator import NumericalError
 from .statespace import StateCapExceeded, check_levels, state_cap
 from .graph import (
-    FAMILIES, Graph, is_complete, is_edge_subgraph, load_graph, max_degree, to_json_dict,
-    with_rate,
+    FAMILIES, Graph, GraphFormatError, is_complete, is_edge_subgraph, load_graph, max_degree,
+    to_json_dict, with_rate,
 )
 
 SCHEMA_VERSION = "xproc-report-1"
@@ -148,7 +148,7 @@ def resolve_graph(spec: str | None, rate: float | None, rate_policy: str,
         raise ConfigError(f"{field} is required")
     check_numbers((field.replace("--graph", "--rate"), rate, ">", 0))
     if spec.startswith("@"):
-        return rate_step(load_graph(spec[1:]), rate, rate_policy)
+        return rate_step(load_graph(spec[1:]), rate, rate_policy, field)
     head, _, arg = spec.partition(":")
     if head not in FAMILIES:
         raise ConfigError(
@@ -168,14 +168,18 @@ def family_graph(head: str, size: int, rate: float | None, rate_policy: str,
     if rate is None and rate_policy == "uniform":
         raise ConfigError(f"{field.replace('--graph', '--rate')} is required with "
                           f"rate policy 'uniform' for {field}")
-    return rate_step(FAMILIES[head](size, 1.0), rate, rate_policy)
+    return rate_step(FAMILIES[head](size, 1.0), rate, rate_policy, field)
 
 
-def rate_step(g: Graph, rate: float | None, rate_policy: str) -> Graph:
-    """g at rate 1/max-degree under one-over-max-degree, else at rate if one is given."""
+def rate_step(g: Graph, rate: float | None, rate_policy: str, field: str) -> Graph:
+    """g at rate 1/max-degree under one-over-max-degree, else at rate if one is given;
+    a rate whose sum over g's edges overflows names field's rate flag."""
     if rate_policy == "one-over-max-degree":
         return with_rate(g, 1.0 / max_degree(g))
-    return g if rate is None else with_rate(g, rate)
+    try:
+        return g if rate is None else with_rate(g, rate)
+    except GraphFormatError as exc:
+        raise ConfigError(f"{field.replace('--graph', '--rate')}: {exc}") from exc
 
 
 def resolve_function(spec: str | None, n: int) -> fourier.BooleanFunction:
@@ -198,7 +202,7 @@ def resolve_function(spec: str | None, n: int) -> fourier.BooleanFunction:
             raise ConfigError(
                 f"--function: table is for n={raw['n']} but the graph has n={n}"
             )
-        return fourier.from_table(n, raw["values"])
+        return fourier.BooleanFunction(n, raw["values"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"--function: {exc}")
     except MemoryError as exc:

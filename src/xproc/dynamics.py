@@ -243,8 +243,6 @@ def estimate_covariance(g: Graph, f: BooleanFunction, t: float,
 def estimate_flip_probability(g: Graph, f: BooleanFunction, eps: float,
                               spec: SimulationSpec) -> EstimateResult:
     """Monte Carlo P(f(X_0) != f(X_eps)) with a binomial standard error."""
-    if not f.boolean:
-        raise ValueError("flip probability requires a Boolean function")
     if f.n != g.n:
         raise ValueError(f"function is on {f.n} vertices, graph has {g.n}")
     _check_horizon(eps)

@@ -1,13 +1,15 @@
-"""Functions on the full configuration space and their spectral profiles.
+"""Boolean functions on the full configuration space and their spectral profiles.
 
-A function on {0,1}^n is stored as a table of 2^n values indexed by the
-configuration word. Its spectral profile collects the coefficients against
-the full-space eigenbasis obtained by rescaling each level basis by
-sqrt(2^n / C(n, l)) and extending by zero, so the coefficient at (i, l) is
-sqrt(C(n, l) / 2^n) times the level inner product with the level vector.
+A function f: {0,1}^n -> {0,1} is stored as a table of 2^n values indexed
+by the configuration word. As in the paper, every function is Boolean: a
+table holding any other value is refused when it is built. Its spectral
+profile collects the coefficients against the full-space eigenbasis
+obtained by rescaling each level basis by sqrt(2^n / C(n, l)) and extending
+by zero, so the coefficient at (i, l) is sqrt(C(n, l) / 2^n) times the
+level inner product with the level vector.
 
 Everything downstream — exact time correlations, covariances, and the
-Boolean flip probability — is a weighted sum over the profile entries:
+flip probability — is a weighted sum over the profile entries:
 
     E[f(X_0) f(X_t)]     = sum exp(-t * lam) * coeff^2
     P(f(X_0) != f(X_eps)) = 2 * sum (1 - exp(-eps * lam)) * coeff^2
@@ -28,15 +30,14 @@ THRESH_SLACK = 1e-9      # relative slack for eigenvalue-vs-threshold comparison
 
 @dataclass(eq=False)
 class BooleanFunction:
-    """A table of values over all 2^n configurations.
+    """A function f: {0,1}^n -> {0,1}, as a float table over all 2^n configurations.
 
-    Boolean mode requires values in {0, 1}; real-valued mode exists for
-    test oracles and disables the flip-probability formula.
+    Every value is checked to be 0 or 1 when the function is built, so the
+    flip probability is defined for every function.
     """
 
     n: int
     values: np.ndarray
-    boolean: bool = True
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -44,7 +45,7 @@ class BooleanFunction:
             raise ValueError(
                 f"table has length {self.values.shape}, expected ({1 << self.n},)"
             )
-        if self.boolean and not np.isin(self.values, (0.0, 1.0)).all():
+        if not np.isin(self.values, (0.0, 1.0)).all():
             raise ValueError("Boolean mode requires all values in {0, 1}")
 
     def mean(self) -> float:
@@ -78,10 +79,6 @@ def dictator(n: int, v: int) -> BooleanFunction:
 def majority(n: int) -> BooleanFunction:
     """1 when black marbles are a strict majority (ties count as 0)."""
     return BooleanFunction(n, (_marbles_on(n, (1 << n) - 1) > n / 2).astype(float))
-
-
-def from_table(n: int, values, boolean: bool = True) -> BooleanFunction:
-    return BooleanFunction(n, np.asarray(values, dtype=float), boolean=boolean)
 
 
 def make_function(n: int, family: str) -> BooleanFunction:
@@ -119,7 +116,6 @@ class SpectralProfile:
     eigenvalues: np.ndarray
     coefficients: np.ndarray
     mean: float
-    boolean: bool
     total_mass: float = field(init=False)
     conditional_mean_variance: float = field(init=False)
     zero: np.ndarray = field(init=False, repr=False)
@@ -171,7 +167,6 @@ def spectral_profile(f: BooleanFunction, bases) -> SpectralProfile:
         eigenvalues=np.concatenate([kept[l][0] for l in levels]),
         coefficients=np.concatenate([kept[l][1] for l in levels]),
         mean=f.mean(),
-        boolean=f.boolean,
     )
 
 
@@ -188,9 +183,7 @@ def exact_covariance(profile: SpectralProfile, t: float) -> float:
 
 
 def exact_flip_probability(profile: SpectralProfile, eps: float) -> float:
-    """P(f(X_0) != f(X_eps)) for Boolean f."""
-    if not profile.boolean:
-        raise ValueError("flip probability requires a Boolean function")
+    """P(f(X_0) != f(X_eps))."""
     if eps < 0:
         raise ValueError(f"time must be >= 0, got {eps}")
     return 2.0 * float(

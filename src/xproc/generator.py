@@ -8,11 +8,12 @@ y, and the diagonal holds the total active-swap rate out of each state.
 Inner products are uniform-measure weighted throughout:
 <f, g> = (1/|S|) sum_x f(x) g(x).
 
-A generator's edge permutations are rows of the slice's swap table
-(LevelStateSpace.swaps), which depends on (n, level) alone: it is built
-once per level slice and lives as long as the slice, so each later graph on
-that slice only gathers its edges' rows (see statespace for the table's
-memory bound).
+A generator's off-diagonal entries are scattered from rows of the slice's
+swap table (LevelStateSpace.swaps), which depends on (n, level) alone: it is
+built once per level slice and lives as long as the slice, so each later
+graph on that slice only reads its edges' rows (see statespace for the
+table's memory bound). The generator keeps no copy of those rows;
+dirichlet_form reads the same rows from the slice.
 """
 
 from __future__ import annotations
@@ -28,16 +29,11 @@ from .statespace import LevelStateSpace, enumerate_level, pair_row
 
 @dataclass(eq=False)
 class LevelGenerator:
-    """-Q on one level slice, with the graph that produced it.
-
-    Row e of edge_permutations holds, per state index, the index of the
-    state after swap e.
-    """
+    """-Q on one level slice, with the graph that produced it."""
 
     graph: Graph
     space: LevelStateSpace
     matrix: np.ndarray
-    edge_permutations: np.ndarray
 
 
 class NumericalError(ArithmeticError):
@@ -72,17 +68,16 @@ def build_level_generators(graphs: Sequence[Graph], level: int) -> list[LevelGen
     size = space.size
     stack = np.zeros((len(graphs), size, size))
     states = np.arange(size)
-    perms = [space.swaps[[pair_row(n, u, v) for u, v, _ in g.edges]] for g in graphs]
+    rows = [pair_row(n, u, v) for g in graphs for u, v, _ in g.edges]
     # Distinct edges never join the same pair of states, so each
     # off-diagonal entry is written once; fixed states land on the diagonal.
     edge_member = np.repeat(np.arange(len(graphs)), [len(g.edges) for g in graphs])
     rates = np.array([rate for g in graphs for _, _, rate in g.edges])
-    stack[edge_member[:, None], states, np.concatenate(perms)] = -rates[:, None]
+    stack[edge_member[:, None], states, space.swaps[rows]] = -rates[:, None]
     # Exact zero row sums: the diagonal balances the off-diagonal mass.
     stack[:, states, states] = 0.0
     stack[:, states, states] = -stack.sum(axis=2)
-    return [LevelGenerator(graph=g, space=space, matrix=m, edge_permutations=p)
-            for g, m, p in zip(graphs, stack, perms)]
+    return [LevelGenerator(graph=g, space=space, matrix=m) for g, m in zip(graphs, stack)]
 
 
 def dirichlet_form(gen: LevelGenerator, f: np.ndarray) -> float:
@@ -93,10 +88,10 @@ def dirichlet_form(gen: LevelGenerator, f: np.ndarray) -> float:
     f = np.asarray(f, dtype=float)
     if f.shape != (gen.space.size,):
         raise ValueError(f"function has shape {f.shape}, expected ({gen.space.size},)")
-    perms = gen.edge_permutations
+    n, swaps = gen.space.n, gen.space.swaps
     total = 0.0
-    for k, (_, _, rate) in enumerate(gen.graph.edges):
-        diff = f - f[perms[k]]
+    for u, v, rate in gen.graph.edges:
+        diff = f - f[swaps[pair_row(n, u, v)]]
         total += rate * float(diff @ diff)
     return total / (2.0 * gen.space.size)
 

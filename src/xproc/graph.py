@@ -24,7 +24,10 @@ class GraphFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph with a finite, strictly positive rate on each edge."""
+    """Undirected simple graph with a finite, strictly positive rate on each edge.
+
+    The rates must also have a finite sum, which bounds every generator entry.
+    """
 
     n: int
     edges: tuple[tuple[int, int, float], ...] = field(default=())
@@ -69,6 +72,9 @@ class Graph:
                 raise GraphFormatError(f"edge {k}: rate must be finite and > 0, got {rate}", k)
             seen.add((u, v))
             canon.append((u, v, rate))
+        total = sum(rate for _, _, rate in canon)
+        if not math.isfinite(total):
+            raise GraphFormatError(f"edge rates sum to {total}; the total rate must be finite")
         canon.sort()
         object.__setattr__(self, "edges", tuple(canon))
 

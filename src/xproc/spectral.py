@@ -74,16 +74,16 @@ class SpectralBasis:
         return (self.vectors.T @ np.asarray(f, dtype=float)) / self.size
 
 
-def group_eigenvalues(eigenvalues: np.ndarray, rtol: float = GROUP_RTOL) -> list[list[int]]:
-    """Cluster ascending eigenvalues that differ by at most rtol * max(1, lam).
+def group_eigenvalues(eigenvalues: np.ndarray) -> list[list[int]]:
+    """Cluster ascending eigenvalues that differ by at most GROUP_RTOL * max(1, lam).
 
-    Eigenvalue i joins the group of i - 1 iff w[i] - w[i-1] <= rtol *
+    Eigenvalue i joins the group of i - 1 iff w[i] - w[i-1] <= GROUP_RTOL *
     max(1, |w[i]|); every other index starts a new group.
     """
     w = np.asarray(eigenvalues, dtype=float)
     if w.size == 0:
         return []
-    joins = np.diff(w) <= rtol * np.maximum(1.0, np.abs(w[1:]))
+    joins = np.diff(w) <= GROUP_RTOL * np.maximum(1.0, np.abs(w[1:]))
     bounds = [0, *(np.flatnonzero(~joins) + 1).tolist(), w.size]
     return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
 

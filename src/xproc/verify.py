@@ -429,7 +429,7 @@ def check_monte_carlo(seed: int, table: BasisTable, samples: int) -> dict:
     return _record("monte_carlo_agreement", rows)
 
 
-def run_suite(nmax: int = 8, seed: int = 7, mc_samples: int = 4000) -> dict:
+def run_suite(*, nmax: int, seed: int, mc_samples: int) -> dict:
     """Run every check; the report is JSON-ready and fully deterministic."""
     rng = np.random.default_rng(seed)
     table = BasisTable()

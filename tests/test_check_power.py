@@ -10,11 +10,12 @@ check lacks the power to see it.
 """
 
 import json
+from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
 
-from xproc import diagnostics, dynamics, fourier, generator, spectral, verify
+from xproc import diagnostics, dynamics, fourier, generator, spectral, statespace, verify
 from xproc.cli import main
 from xproc.graph import Graph
 
@@ -27,6 +28,27 @@ def violations() -> dict[str, int]:
 def wrap(monkeypatch, module, name, make):
     """Replace module.name with make(original)."""
     monkeypatch.setattr(module, name, make(getattr(module, name)))
+
+
+def plant_identity_swap_row(monkeypatch):
+    """Every slice's swap table reads the vertex pair (0, 1) as fixing every state.
+
+    The generator and the Dirichlet form read the one table, so both lose that
+    edge alike. Slices built before the plant keep their real tables, so the
+    plant runs on a fresh slice cache.
+    """
+    real = statespace.LevelStateSpace.swaps.func
+
+    def planted(space):
+        table = real(space).copy()
+        table[statespace.pair_row(space.n, 0, 1)] = np.arange(space.size)
+        table.flags.writeable = False
+        return table
+    swaps = cached_property(planted)
+    swaps.__set_name__(statespace.LevelStateSpace, "swaps")
+    monkeypatch.setattr(statespace.LevelStateSpace, "swaps", swaps)
+    monkeypatch.setattr(statespace, "_level_slice",
+                        lru_cache(maxsize=None)(statespace._level_slice.__wrapped__))
 
 
 def plant_asymmetric_entry(monkeypatch):
@@ -115,7 +137,7 @@ def plant_dropped_coefficient(monkeypatch):
             coefficients = p.coefficients.copy()
             coefficients[-1] = 0.0
             return fourier.SpectralProfile(p.n, p.levels, p.eigenvalues, coefficients,
-                                           p.mean, p.boolean)
+                                           p.mean)
         return planted
     wrap(monkeypatch, fourier, "spectral_profile", make)
 
@@ -127,7 +149,7 @@ def plant_dropped_level(monkeypatch):
             p = real(f, bases)
             coefficients = np.where(p.levels == p.n // 2, 0.0, p.coefficients)
             return fourier.SpectralProfile(p.n, p.levels, p.eigenvalues, coefficients,
-                                           p.mean, p.boolean)
+                                           p.mean)
         return planted
     wrap(monkeypatch, fourier, "spectral_profile", make)
 
@@ -161,6 +183,9 @@ def plant_horizon(monkeypatch, factor):
 
 PLANTS = {
     "asymmetric generator entry": (plant_asymmetric_entry, ["generator_invariants"]),
+    "swap row of pair (0, 1) is the identity": (
+        plant_identity_swap_row,
+        ["generator_invariants", "complete_graph_multiplicities", "monte_carlo_agreement"]),
     "top eigenvalue x (1 + 1e-6)": (plant_top_eigenvalue,
                                     ["eigensolver_residuals", "complete_graph_multiplicities"]),
     "lifts x (1 + 1e-6)": (plant_lifts, ["lift_length_formulas"]),

@@ -446,22 +446,40 @@ def test_eigensolver_failure_exit_3(capsys, monkeypatch):
                           "eigensolver failed to converge")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")   # rate sums of inf
+OVERFLOW = "edge rates sum to inf; the total rate must be finite"
+
+
 @pytest.mark.parametrize("argv", [["spectrum"], ["exact", "--function", "majority", "--t", "1"],
                                   ["profile", "--function", "majority"]])
 def test_an_overflowing_rate_is_a_numerical_error(capsys, argv):
-    # the generator's diagonal overflows to inf: the solve is refused, not
-    # reported as a NaN that cannot be serialized
+    # five edges at 1e308 sum to inf, which would overflow the generator's
+    # diagonal: the graph is refused, naming the flag, before numpy sees it
     code, out, err = run([*argv, "--graph", "cycle:5", "--rate", "1e308"], capsys)
-    assert code == 3 and out == ""
-    assert err == ("numerical error: eigendecompose on n=5, level=2 (10 states): "
-                   "matrix is not finite: max |A| = inf\n")
+    assert code == 2 and out == ""
+    assert err == f"config error: --rate: {OVERFLOW}\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("argv,named", [
+    (["simulate", "--graph", "cycle:5", "--rate", "1e308", "--function", "majority",
+      "--t", "0"], "--rate"),
+    (["compare", "--graph", "cycle:5", "--rate", "1", "--graph-b", "cycle:5",
+      "--rate-b", "1e308"], "--rate-b"),
+    (["profile", "--graph", "complete", "--rate", "1e308", "--function", "majority",
+      "--n-grid", "3:5"], "--rate"),
+    (["spectrum", "--graph", "@big.json"], "big.json"),
+    (["spectrum", "--graph", "@big.json", "--rate", "1"], "big.json"),
+])
+def test_an_overflowing_total_rate_names_its_source(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text('{"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]}')
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: {named}: {OVERFLOW}\n"
+
+
 @pytest.mark.parametrize("flags,flag,jumps", [
     (["--rate", "1", "--t", "1e300"], "--t", "5e+300"),
-    (["--rate", "1e308", "--t", "1"], "--t", "inf"),
+    (["--rate", "1e300", "--t", "1e10"], "--t", "inf"),
     (["--rate", "1", "--t", "1", "--eps", "1e300"], "--eps", "5e+300"),
 ])
 def test_a_horizon_too_long_to_sample_names_its_flag(capsys, flags, flag, jumps):

@@ -12,7 +12,7 @@ from xproc.diagnostics import (
     sensitivity_profile,
     spectra_domination_gap,
 )
-from xproc.fourier import dictator, from_table, parity_on_set, spectral_profile
+from xproc.fourier import BooleanFunction, dictator, parity_on_set, spectral_profile
 from xproc.graph import make_complete, make_cycle, make_half_complete_cycle, max_degree, with_rate
 from xproc.verify import random_boolean_function, random_connected_graph, random_connected_subgraph
 
@@ -92,7 +92,7 @@ def test_projection_mass_constant():
     complete = make_complete(n, 1.0 / n)
     raw = make_cycle(n, 1.0)
     other = with_rate(raw, 1.0 / max_degree(raw))
-    f = from_table(n, np.ones(1 << n))
+    f = BooleanFunction(n, np.ones(1 << n))
     lhs, rhs = projection_mass(complete, other, f, 1.0)
     assert lhs == pytest.approx(0.0, abs=1e-12)
     assert rhs == pytest.approx(0.0, abs=1e-12)
@@ -250,7 +250,7 @@ def solved(make):
 
 def test_sensitivity_profile_constant_family():
     def make(n):
-        return make_cycle(n, 0.5), from_table(n, np.ones(1 << n))
+        return make_cycle(n, 0.5), BooleanFunction(n, np.ones(1 << n))
 
     report = sensitivity_profile(solved(make), [4, 5, 6], [0.5, 1.0], family="constant")
     assert [r["n"] for r in report["records"]] == [4, 5, 6]

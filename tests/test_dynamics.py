@@ -27,10 +27,10 @@ from xproc.dynamics import (
     simulate_path,
 )
 from xproc.fourier import (
+    BooleanFunction,
     dictator,
     exact_covariance,
     exact_flip_probability,
-    from_table,
     parity_on_set,
     spectral_profile,
 )
@@ -228,7 +228,7 @@ def test_runs_shorter_than_a_chunk(samples):
 
 def test_covariance_constant_function():
     g = make_cycle(4, 1.0)
-    f = from_table(4, np.ones(16))
+    f = BooleanFunction(4, np.ones(16))
     est = estimate_covariance(g, f, 0.5, SimulationSpec(seed=1, samples=500))
     assert est.point == 0.0
     assert est.std_error == 0.0
@@ -267,7 +267,7 @@ def test_flip_zero_time_and_constant():
     f = parity_on_set(8, [0, 2, 4, 6])
     est = estimate_flip_probability(g, f, 0.0, SimulationSpec(seed=4, samples=2000))
     assert est.point == 0.0
-    const = from_table(8, np.ones(256))
+    const = BooleanFunction(8, np.ones(256))
     est = estimate_flip_probability(g, const, 0.7, SimulationSpec(seed=4, samples=2000))
     assert est.point == 0.0
 
@@ -278,13 +278,6 @@ def test_flip_matches_exact():
     profile = spectral_profile(f, solve_alone(g))
     est = estimate_flip_probability(g, f, 0.3, SimulationSpec(seed=6, samples=20000))
     assert abs(est.point - exact_flip_probability(profile, 0.3)) <= 3 * est.std_error
-
-
-def test_flip_requires_boolean():
-    g = make_cycle(4, 1.0)
-    f = from_table(4, np.linspace(0, 1, 16), boolean=False)
-    with pytest.raises(ValueError):
-        estimate_flip_probability(g, f, 0.5, SimulationSpec(seed=0, samples=10))
 
 
 def test_estimators_bit_reproducible():
@@ -503,10 +496,9 @@ def test_the_poisson_limit_is_numpys():
         rng.poisson(np.nextafter(POISSON_LAM_MAX, math.inf))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")   # a total rate of inf
 @pytest.mark.parametrize("g,t", [(make_cycle(5, 1.0), 1e300),
                                  (make_cycle(5, 1.0), POISSON_LAM_MAX / 4),
-                                 (make_cycle(5, 1e308), 1.0)])
+                                 (make_cycle(5, 1e300), 1.0)])
 def test_a_horizon_over_the_poisson_limit_is_refused(g, t):
     f = dictator(5, 0)
     spec = SimulationSpec(seed=0, samples=10)

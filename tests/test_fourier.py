@@ -14,7 +14,6 @@ from xproc.fourier import (
     exact_correlation,
     exact_covariance,
     exact_flip_probability,
-    from_table,
     majority,
     make_function,
     mass_by_eigenvalue,
@@ -106,8 +105,9 @@ def test_table_validation():
         BooleanFunction(3, np.zeros(7))
     with pytest.raises(ValueError):
         BooleanFunction(2, np.array([0.0, 0.5, 1.0, 0.0]))
-    f = from_table(2, [0.0, 0.5, 1.0, 0.0], boolean=False)
-    assert not f.boolean
+    # any sequence of 0s and 1s is read as a float table
+    f = BooleanFunction(2, [0, 1, 1, 0])
+    assert f.values.dtype == float and f.values.tolist() == [0.0, 1.0, 1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_table_validation():
 
 def test_profile_of_constant():
     g = make_cycle(4, 1.0)
-    f = from_table(4, np.ones(16))
+    f = BooleanFunction(4, np.ones(16))
     profile = spectral_profile(f, solve_alone(g))
     assert profile.total_mass == pytest.approx(1.0, abs=1e-12)
     assert profile.zero_mass() == pytest.approx(1.0, abs=1e-12)
@@ -261,7 +261,7 @@ def test_covariance():
     f = dictator(4, 0)
     profile = profile_for(g, f)
     assert exact_covariance(profile, 0.0) == pytest.approx(f.variance(), abs=1e-12)
-    const = profile_for(g, from_table(4, np.ones(16)))
+    const = profile_for(g, BooleanFunction(4, np.ones(16)))
     for t in (0.0, 0.5, 3.0):
         assert exact_covariance(const, t) == pytest.approx(0.0, abs=1e-12)
 
@@ -274,7 +274,7 @@ def test_flip_probability_basics():
     values = [exact_flip_probability(profile, e) for e in np.linspace(0, 4, 25)]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-    const = profile_for(g, from_table(5, np.ones(32)))
+    const = profile_for(g, BooleanFunction(5, np.ones(32)))
     assert exact_flip_probability(const, 1.0) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         exact_flip_probability(profile, -1.0)
@@ -290,14 +290,6 @@ def test_flip_probability_identity():
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-def test_flip_requires_boolean():
-    g = make_cycle(4, 1.0)
-    f = from_table(4, np.linspace(0, 1, 16), boolean=False)
-    profile = profile_for(g, f)
-    with pytest.raises(ValueError):
-        exact_flip_probability(profile, 0.5)
-
-
 # ---------------------------------------------------------------------------
 # frequency masses
 # ---------------------------------------------------------------------------
@@ -310,7 +302,6 @@ def synthetic_profile(eigenvalues, coefficients):
         eigenvalues=np.array(eigenvalues, dtype=float),
         coefficients=np.array(coefficients, dtype=float),
         mean=float(coefficients[0]),
-        boolean=False,
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,6 +262,22 @@ def test_format_error_without_an_edge_has_no_index(tmp_path):
     with pytest.raises(GraphFormatError) as exc:
         load_graph(str(path))
     assert exc.value.index is None
+
+
+def test_rates_whose_sum_overflows_are_refused(tmp_path):
+    # each rate is finite, but a generator's diagonal entry can reach their sum
+    with pytest.raises(GraphFormatError, match="^edge rates sum to inf; the total rate "
+                                               "must be finite$") as exc:
+        make_cycle(5, 1e308)
+    assert exc.value.index is None
+    big = 0.5 * np.finfo(float).max
+    assert Graph(3, ((0, 1, big), (1, 2, big))).edges[0][2] == big
+    with pytest.raises(GraphFormatError, match="sum to inf"):
+        with_rate(make_cycle(5, 1.0), 1e308)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]}))
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(str(path))}: edge rates sum to inf"):
+        load_graph(str(path))
 
 
 def test_with_rate_matches_the_family_at_that_rate():

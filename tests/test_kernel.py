@@ -245,11 +245,11 @@ def test_generator_matches_reference():
             gen = build_level_generator(g, level)
             assert np.array_equal(gen.matrix, ref_generator_matrix(g, level))
             index = ref_index(gen.space)
-            for k, (u, v, _) in enumerate(g.edges):
+            for u, v, _ in g.edges:
                 bu, bv = 1 << bit_position(g.n, u), 1 << bit_position(g.n, v)
                 want = [index[w ^ (bu | bv)] if bool(w & bu) != bool(w & bv) else i
                         for i, w in enumerate(map(int, gen.space.words))]
-                assert gen.edge_permutations[k].tolist() == want
+                assert gen.space.swaps[pair_row(g.n, u, v)].tolist() == want
 
 
 def ref_generator_by_masks(g, level):
@@ -275,7 +275,8 @@ def test_generator_from_swap_table_is_bit_identical(n):
             gen = build_level_generator(g, level)
             matrix, perms = ref_generator_by_masks(g, level)
             assert gen.matrix.tobytes() == matrix.tobytes()
-            assert np.array_equal(gen.edge_permutations, perms)
+            rows = [pair_row(g.n, u, v) for u, v, _ in g.edges]
+            assert np.array_equal(gen.space.swaps[rows], perms)
 
 
 def test_disconnected_graph_is_rejected_at_the_trivial_levels():
@@ -439,15 +440,16 @@ def test_group_eigenvalues_at_the_tolerance_edge(lam):
 
 
 @pytest.mark.parametrize("lam", [0.5, 4.0])
-def test_group_eigenvalues_joins_a_gap_equal_to_the_tolerance(lam):
+def test_group_eigenvalues_joins_a_gap_equal_to_the_tolerance(monkeypatch, lam):
     # A power-of-two rtol makes the gap exactly rtol * max(1, lam).
     rtol = 2.0**-20
+    monkeypatch.setattr(spectral, "GROUP_RTOL", rtol)
     prev = lam - rtol * max(1.0, lam)
     assert lam - prev == rtol * max(1.0, lam)
     for before, groups in ((prev, 1), (np.nextafter(prev, -np.inf), 2)):
         w = np.array([before, lam])
-        assert group_eigenvalues(w, rtol) == ref_group_eigenvalues(w, rtol)
-        assert len(group_eigenvalues(w, rtol)) == groups
+        assert group_eigenvalues(w) == ref_group_eigenvalues(w, rtol)
+        assert len(group_eigenvalues(w)) == groups
 
 
 def unequal_rate_graph(rng, n):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xproc.fourier import BooleanFunction, dictator, from_table, spectral_profile
+from xproc.fourier import BooleanFunction, dictator, spectral_profile
 from xproc.fourier import exact_correlation
 from xproc.generator import NumericalError, build_level_generator
 from xproc.graph import Graph, make_complete, make_cycle
@@ -83,7 +83,7 @@ def test_brute_force_t_zero():
 def test_brute_force_constant():
     g = make_complete(3, 0.5)
     c = 1.0
-    f = from_table(3, np.full(8, c))
+    f = BooleanFunction(3, np.full(8, c))
     for t in (0.0, 0.4, 2.0):
         assert brute_force_correlation(g, f, t) == pytest.approx(c * c, abs=1e-12)
 

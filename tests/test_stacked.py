@@ -35,7 +35,6 @@ def test_stacked_build_and_solve_equal_one_at_a_time(n):
         alone = [build_level_generator(g, level) for g in graphs]
         for gen, ref in zip(gens, alone):
             assert np.array_equal(gen.matrix, ref.matrix)
-            assert np.array_equal(gen.edge_permutations, ref.edge_permutations)
         for basis, ref in zip(eigendecompose_stack(gens), alone):
             assert_same_basis(basis, eigendecompose_stack([ref])[0])
 
@@ -172,7 +171,8 @@ def test_a_member_with_a_nonzero_kernel_is_named():
 
 
 def test_a_member_that_is_not_finite_is_named():
-    # a rate sum that overflows puts inf on the diagonal; against an infinite
+    # Graph refuses rates whose sum overflows, so no generator built from a
+    # graph holds inf; the check stays as a guard, and against an infinite
     # scale the smallest-eigenvalue test would pass on eigh's NaN
     gens = mixed_stack()
     gens[1].matrix[0, 0] = -np.inf
@@ -182,10 +182,6 @@ def test_a_member_that_is_not_finite_is_named():
     gens[1].matrix[0, 0] = np.nan
     with pytest.raises(NumericalError, match=r"matrix is not finite: max \|A\| = nan$"):
         eigendecompose_stack(gens)
-    with np.errstate(over="ignore"):
-        overflowing = build_level_generator(make_cycle(5, 1e308), 2)
-    with pytest.raises(NumericalError, match="level=2 .* matrix is not finite"):
-        eigendecompose_stack([overflowing])
 
 
 def test_the_member_that_does_not_converge_is_named(monkeypatch):

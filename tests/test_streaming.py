@@ -7,7 +7,7 @@ import pytest
 
 from xproc import diagnostics, spectral
 from xproc.cli import main
-from xproc.fourier import dictator, from_table, spectral_profile
+from xproc.fourier import BooleanFunction, dictator, spectral_profile
 from xproc.graph import make_complete, make_cycle
 
 from conftest import solve_alone
@@ -94,7 +94,7 @@ def test_solve_graph_solves_each_stack_when_asked(solves):
 
 def test_profile_takes_the_levels_in_any_order():
     g = make_cycle(6, 0.5)
-    f = from_table(6, np.random.default_rng(4).integers(0, 2, 1 << 6))
+    f = BooleanFunction(6, np.random.default_rng(4).integers(0, 2, 1 << 6))
     bases = solve_alone(g)
     ordered = spectral_profile(f, bases)
     orders = [np.random.default_rng(seed).permutation(7) for seed in range(3)]

@@ -67,7 +67,8 @@ def test_held_basis_equals_a_fresh_solve():
 
 
 def test_two_runs_in_one_process_give_equal_reports():
-    assert verify.run_suite(nmax=8, seed=7) == verify.run_suite(nmax=8, seed=7)
+    assert (verify.run_suite(nmax=8, seed=7, mc_samples=4000)
+            == verify.run_suite(nmax=8, seed=7, mc_samples=4000))
 
 
 def test_monotonicity_chain_solves_each_graph_once(solves):
@@ -87,7 +88,7 @@ def test_each_complete_basis_is_lifted_once_per_direction(monkeypatch):
             return inner(space, psi)
         monkeypatch.setattr(spectral, name, counting)
     nmax = 6
-    verify.run_suite(nmax=nmax, seed=3)
+    verify.run_suite(nmax=nmax, seed=3, mc_samples=4000)
     # K_n at rates 1 and 1/n, levels 0..n/2: up from every level, down from level >= 1.
     cases = [(n, level) for n in range(2, nmax + 1) for _ in (1.0, 1.0 / n)
              for level in range(n // 2 + 1)]
