@@ -127,7 +127,8 @@ def eigendecompose_stack(gens: Sequence[LevelGenerator]) -> list[SpectralBasis]:
     and fixes signs so the first nonzero coordinate of each vector is
     positive. Raises NumericalError, naming the first member at fault, when
     a matrix has an entry that is not finite or is not symmetric, the solver
-    does not converge or the smallest eigenvalue is not numerically zero.
+    does not converge, an eigenvalue is not finite or the smallest
+    eigenvalue is not numerically zero.
     """
     size = gens[0].space.size
     if any(gen.space.size != size for gen in gens):
@@ -159,6 +160,12 @@ def eigendecompose_stack(gens: Sequence[LevelGenerator]) -> list[SpectralBasis]:
             f"eigensolver failed to converge ({exc}); "
             f"max off-diagonal entry {np.max(np.abs(off)):g}",
         ) from exc
+    finite = np.isfinite(w).all(axis=1)
+    if not finite.all():   # finite entries can still have an eigenvalue past the float range
+        gen, lam = next((gen, lam) for gen, lam, ok in zip(gens, w, finite) if not ok)
+        bad = int(np.flatnonzero(~np.isfinite(lam))[0])
+        raise NumericalError("eigendecompose", gen,
+                             f"eigenvalues are not finite: eigenvalue {bad} is {lam[bad]:g}")
     for gen, lam, s in zip(gens, w[:, 0], scale):
         if abs(lam) > 1e-10 * s:
             raise NumericalError("eigendecompose", gen,
@@ -180,6 +187,12 @@ def _converges(matrix: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def stack_members(size: int) -> int:
+    """How many levels of size states solve_stacks puts in one stack: as many
+    matrices as STACK_BYTES holds, and at least one."""
+    return max(1, STACK_BYTES // (8 * size * size))
 
 
 def solve_stacks(pairs: Sequence[tuple[Graph, int]]):
@@ -204,7 +217,7 @@ def solve_stacks(pairs: Sequence[tuple[Graph, int]]):
     for size, members in sorted(by_size.items(), reverse=True):
         # Members on one (n, level) sit side by side and are built in one call.
         members.sort(key=slice_of)
-        per_stack = max(1, STACK_BYTES // (8 * size * size))
+        per_stack = stack_members(size)
         for start in range(0, len(members), per_stack):
             indices = members[start:start + per_stack]
             gens = [gen for (_, level), run in groupby(indices, key=slice_of)

@@ -7,12 +7,15 @@ CLI `verify` subcommand serializes these results and exits nonzero on any
 violation.
 """
 
+import math
+from collections import Counter
+
 import numpy as np
 
 from . import diagnostics, dynamics, fourier, oracle, spectral
 from .generator import build_level_generators, dirichlet_form
 from .graph import (
-    Graph, is_complete, make_complete, make_cycle, make_half_complete_cycle, max_degree,
+    Graph, make_complete, make_cycle, make_half_complete_cycle, max_degree,
     with_rate,
 )
 from .statespace import enumerate_level
@@ -29,47 +32,80 @@ KEEP_PROB = 0.5         # random_connected_subgraph: chance of keeping each non-
 
 
 class BasisTable:
-    """Complete-graph eigenbases of one suite run, each solved once.
+    """The solve plan of one suite run, and the store of its bases.
 
-    Keyed by (Graph, level): Graph is a frozen dataclass, so a complete
-    graph built at two call sites with equal rates is one key. Only
-    complete graphs are held; any other graph is solved on every call, since
-    holding every basis of a run would cost three times the memory for
-    little more speed. Held arrays are read-only, so no check can change a
+    Made from every read the run will make, as (Graph, level) pairs, one per
+    read: Graph is a frozen dataclass, so a graph built at two call sites
+    with equal rates is one key. solve_batch solves, in one
+    spectral.solve_stacks call, each planned pair whose level shares a stack
+    with others (shares_a_stack); a larger level is solved by its first read.
+    So each pair is solved once. A basis is held while the plan has reads of
+    it left and dropped by its last read, after which the reader's reference
+    is the only one. Held arrays are read-only, so no check can change a
     basis another check reads. A solve is deterministic for identical input,
-    stacked or not, so reusing a basis changes no report. Every check reads
-    its bases here but check_eigensolver, which solves its own to keep each
-    basis's generator and then holds them.
+    stacked or not, so the plan changes no report.
     """
 
-    def __init__(self):
+    def __init__(self, reads=()):
+        self._reads = Counter(reads)   # reads left, per pair
         self._bases: dict[tuple[Graph, int], spectral.SpectralBasis] = {}
 
-    def hold(self, g: Graph, level: int, basis: spectral.SpectralBasis) -> None:
-        """Keep a complete graph's basis, read-only; any other graph's is not kept."""
-        if is_complete(g) and (g, level) not in self._bases:
-            basis.eigenvalues.flags.writeable = False
-            basis.vectors.flags.writeable = False
-            self._bases[(g, level)] = basis
+    def _hold(self, pair, basis: spectral.SpectralBasis) -> None:
+        basis.eigenvalues.flags.writeable = False
+        basis.vectors.flags.writeable = False
+        self._bases[pair] = basis
+
+    def solve_batch(self, pairs=()):
+        """Solve the planned pairs that share a stack, and pairs, in one solve_stacks call.
+
+        Yields (pair, generator, basis) for each distinct pair of pairs, as
+        its stack is solved; the planned bases are held and every other one
+        is dropped. No generator is kept.
+        """
+        wanted = set(pairs)
+        batch = [pair for pair in dict.fromkeys([*pairs, *self._reads])
+                 if pair in wanted or shares_a_stack(*pair)]
+        for i, gen, basis in spectral.solve_stacks(batch):
+            if batch[i] in self._reads:
+                self._hold(batch[i], basis)
+            if batch[i] in wanted:
+                yield batch[i], gen, basis
+            del gen, basis   # before the next stack is solved
 
     def bases(self, pairs) -> list[spectral.SpectralBasis]:
-        """The bases of the (graph, level) pairs, in order.
+        """The bases of the (graph, level) pairs, in order, each one read of the plan.
 
         Each distinct pair not held is solved once, all of them in one batch
-        of stacks (spectral.solve_stacks).
+        of stacks (spectral.solve_stacks). A read past a pair's last planned
+        one is solved again.
         """
         pairs = list(pairs)
-        found = {pair: self._bases[pair] for pair in pairs if pair in self._bases}
-        missing = [pair for pair in dict.fromkeys(pairs) if pair not in found]
+        missing = [pair for pair in dict.fromkeys(pairs) if pair not in self._bases]
         for i, _, basis in spectral.solve_stacks(missing):
-            self.hold(*missing[i], basis)
-            found[missing[i]] = basis
-        return [found[pair] for pair in pairs]
+            self._hold(missing[i], basis)
+        found = [self._bases[pair] for pair in pairs]
+        for pair in pairs:
+            self._reads[pair] -= 1
+            if self._reads[pair] <= 0:
+                del self._reads[pair]
+                self._bases.pop(pair, None)
+        return found
 
     def levels(self, graphs) -> list[list[spectral.SpectralBasis]]:
         """Per graph, its bases of levels 0..n, as one call to bases."""
-        bases = iter(self.bases([(g, level) for g in graphs for level in range(g.n + 1)]))
+        bases = iter(self.bases(levels_of(graphs)))
         return [[next(bases) for _ in range(g.n + 1)] for g in graphs]
+
+
+def shares_a_stack(g: Graph, level: int) -> bool:
+    """Whether spectral.solve_stacks stacks more than one level of this one's size:
+    8 * size**2 <= STACK_BYTES / 2, at most 128 states."""
+    return spectral.stack_members(math.comb(g.n, level)) > 1
+
+
+def levels_of(graphs) -> list[tuple[Graph, int]]:
+    """The (graph, level) pairs of levels 0..n of each graph, in order."""
+    return [(g, level) for g in graphs for level in range(g.n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,33 +167,50 @@ def _record(name: str, rows: list[tuple[float, float, str]]) -> dict:
     return diagnostics.check_record(name, residuals, tols, labels)
 
 
-def check_generator_invariants(nmax: int, rng: np.random.Generator) -> dict:
+def draw_generator_invariants(nmax: int, rng: np.random.Generator):
+    """The named graphs of the matrix checks, and the Dirichlet-monotonicity draws:
+    (n, graph, connected subgraph, level, function) each."""
+    named = []
+    for n in range(3, min(nmax, 8) + 1):
+        named += [(f"K_{n}", make_complete(n, 1.0)), (f"C_{n}", make_cycle(n, 0.5)),
+                  (f"random_{n}", random_connected_graph(rng, n, float(rng.uniform(0.2, 1.5))))]
+    if nmax >= 6:
+        named.append(("half_complete_cycle_3", make_half_complete_cycle(3, 0.25)))
+    draws = []
+    for _ in range(10):
+        n = int(rng.integers(4, min(nmax, 6) + 1))
+        g = random_connected_graph(rng, n, 1.0)
+        sub = random_connected_subgraph(rng, g)
+        level = int(rng.integers(1, n))
+        draws.append((n, g, sub, level, rng.standard_normal(math.comb(n, level))))
+    return named, draws
+
+
+def check_generator_invariants(nmax: int, named, draws) -> dict:
     """Row sums, symmetry, sign pattern, kernel, complete-graph diagonal,
     and edge-monotonicity of the quadratic form."""
-    rows = []
-
-    def graphs():
-        for n in range(3, min(nmax, 8) + 1):
-            yield f"K_{n}", make_complete(n, 1.0)
-            yield f"C_{n}", make_cycle(n, 0.5)
-            yield f"random_{n}", random_connected_graph(rng, n, float(rng.uniform(0.2, 1.5)))
-        if nmax >= 6:
-            yield "half_complete_cycle_3", make_half_complete_cycle(3, 0.25)
-
-    for name, g in graphs():
-        for level in range(g.n + 1):
-            [gen] = build_level_generators([g], level)
-            m = gen.matrix
-            scale = max(1.0, float(np.max(np.abs(m))))
-            off = m - np.diag(np.diag(m))
-            res = float(np.max([
-                np.max(np.abs(m - m.T)),
-                np.max(np.abs(m.sum(axis=1))),
-                off.max(initial=0.0),          # off-diagonal must be <= 0
-                -np.diag(m).min(initial=0.0),  # diagonal must be >= 0
-                np.max(np.abs(m @ np.ones(gen.space.size))),
-            ]))
-            rows.append((res / scale, 1e-12, f"{name} level {level}"))
+    # Each (n, level) of the named graphs is built as one stack.
+    on_n: dict[int, list[int]] = {}
+    for i, (_, g) in enumerate(named):
+        on_n.setdefault(g.n, []).append(i)
+    defects = {}
+    for n, members in on_n.items():
+        for level in range(n + 1):
+            gens = build_level_generators([named[i][1] for i in members], level)
+            for i, gen in zip(members, gens):
+                m = gen.matrix
+                scale = max(1.0, float(np.max(np.abs(m))))
+                off = m - np.diag(np.diag(m))
+                res = float(np.max([
+                    np.max(np.abs(m - m.T)),
+                    np.max(np.abs(m.sum(axis=1))),
+                    off.max(initial=0.0),          # off-diagonal must be <= 0
+                    -np.diag(m).min(initial=0.0),  # diagonal must be >= 0
+                    np.max(np.abs(m @ np.ones(gen.space.size))),
+                ]))
+                defects[i, level] = res / scale
+    rows = [(defects[i, level], 1e-12, f"{name} level {level}")
+            for i, (name, g) in enumerate(named) for level in range(g.n + 1)]
     # complete-graph diagonal is level * (n - level) * rate everywhere
     for n in range(2, min(nmax, 8) + 1):
         rate = 0.75
@@ -168,13 +221,8 @@ def check_generator_invariants(nmax: int, rng: np.random.Generator) -> dict:
             res = float(np.max(np.abs(np.diag(gen.matrix) - expected)))
             rows.append((res, 1e-12 * max(1.0, expected), f"K_{n} diagonal level {level}"))
     # removing edges can only decrease the quadratic form
-    for i in range(10):
-        n = int(rng.integers(4, min(nmax, 6) + 1))
-        g = random_connected_graph(rng, n, 1.0)
-        sub = random_connected_subgraph(rng, g)
-        level = int(rng.integers(1, n))
+    for i, (n, g, sub, level, f) in enumerate(draws):
         gen, gen_sub = build_level_generators([g, sub], level)
-        f = rng.standard_normal(gen.space.size)
         gap = dirichlet_form(gen_sub, f) - dirichlet_form(gen, f)
         rows.append((gap, 1e-10 * max(1.0, abs(dirichlet_form(gen, f))),
                      f"dirichlet monotonicity draw {i} (n={n})"))
@@ -195,23 +243,26 @@ def basis_defect(gen, basis) -> float:
     return float(np.max([eig_err if norm2 > 0 else 0.0, ortho_err, kernel_err]))
 
 
-def check_eigensolver(nmax: int, rng: np.random.Generator,
-                      table: BasisTable) -> dict:
+def draw_eigensolver(nmax: int, rng: np.random.Generator) -> list[tuple[str, Graph]]:
+    """The named graphs whose every level check_eigensolver checks."""
+    return [(f"{name}_{n}", g) for n in range(3, min(nmax, 8) + 1)
+            for name, g in (("K", make_complete(n, 1.0)), ("C", make_cycle(n, 0.5)),
+                            ("random", random_connected_graph(rng, n, 1.0)))]
+
+
+def check_eigensolver(named, solved) -> dict:
     """Each basis against the generator it was solved from.
 
-    Each distinct (graph, level) is solved here, with its generator at hand;
-    the complete graphs' bases are then held in the table.
+    solved yields (pair, generator, basis) for each (graph, level) pair of
+    the named graphs (BasisTable.solve_batch), and each defect is found as
+    its pair comes, so no generator is kept.
     """
-    graphs = [(f"{name}_{n}", g) for n in range(3, min(nmax, 8) + 1)
-              for name, g in (("K", make_complete(n, 1.0)), ("C", make_cycle(n, 0.5)),
-                              ("random", random_connected_graph(rng, n, 1.0)))]
-    pairs = list(dict.fromkeys((g, level) for _, g in graphs for level in range(g.n + 1)))
     defects = {}
-    for i, gen, basis in spectral.solve_stacks(pairs):
-        table.hold(*pairs[i], basis)
-        defects[pairs[i]] = basis_defect(gen, basis)
+    for pair, gen, basis in solved:
+        defects[pair] = basis_defect(gen, basis)
+        del gen, basis   # before the next stack is solved
     rows = [(defects[g, level], 1e-10, f"{name} level {level}")
-            for name, g in graphs for level in range(g.n + 1)]
+            for name, g in named for level in range(g.n + 1)]
     return _record("eigensolver_residuals", rows)
 
 
@@ -232,20 +283,24 @@ def lift_length_error(n: int, level: int, alpha: float, lam: np.ndarray,
     return float(np.max(errs))
 
 
-def check_complete_graphs(nmax: int, table: BasisTable) -> list[dict]:
-    """The closed forms of K_n, n = 2..nmax at rates 1 and 1/n, levels 0..n/2.
-
-    One pass reads each basis and lifts it once in each direction, for three
-    records: the spectrum against complete_graph_eigenvalue_table, the lift
-    lengths, and, at rate 1 for n >= 3 and level >= 1, the orthogonality of
-    the lifted eigenvectors.
-    """
+def complete_graph_cases(nmax: int) -> list[tuple[int, float, Graph, int]]:
+    """(n, alpha, K_n at rate alpha, level): n = 2..nmax, rates 1 and 1/n, levels 0..n/2."""
     graphs = [(n, alpha, make_complete(n, alpha))
               for n in range(2, nmax + 1) for alpha in (1.0, 1.0 / n)]
-    cases = [(n, alpha, g, level) for n, alpha, g in graphs for level in range(n // 2 + 1)]
-    bases = table.bases((g, level) for _, _, g, level in cases)
+    return [(n, alpha, g, level) for n, alpha, g in graphs for level in range(n // 2 + 1)]
+
+
+def check_complete_graphs(cases, table: BasisTable) -> list[dict]:
+    """The closed forms of K_n on the complete_graph_cases.
+
+    One pass reads each basis, one at a time, and lifts it once in each
+    direction, for three records: the spectrum against
+    complete_graph_eigenvalue_table, the lift lengths, and, at rate 1 for
+    n >= 3 and level >= 1, the orthogonality of the lifted eigenvectors.
+    """
     spectrum, lengths, orthogonality = [], [], []
-    for (n, alpha, _, level), basis in zip(cases, bases):
+    for n, alpha, g, level in cases:
+        [basis] = table.bases([(g, level)])
         label = f"K_{n} alpha={alpha:g} level {level}"
         lam, mult = zip(*spectral.complete_graph_eigenvalue_table(n, level, alpha))
         expected = np.sort(np.repeat(lam, mult))
@@ -266,12 +321,16 @@ def check_complete_graphs(nmax: int, table: BasisTable) -> list[dict]:
             _record("lift_orthogonality", orthogonality)]
 
 
-def check_eigenvalue_bound(nmax: int, rng: np.random.Generator, table: BasisTable) -> dict:
+def draw_eigenvalue_bound(nmax: int, rng: np.random.Generator):
     draws = []
     for _ in range(30):
         n = int(rng.integers(3, min(nmax, 8) + 1))
         rate = float(rng.uniform(0.1, 1.5))
         draws.append((n, rate, random_connected_graph(rng, n, rate)))
+    return draws
+
+
+def check_eigenvalue_bound(draws, table: BasisTable) -> dict:
     rows = []
     levels = table.levels([g for _, _, g in draws])
     for i, ((n, rate, g), bases) in enumerate(zip(draws, levels)):
@@ -283,12 +342,16 @@ def check_eigenvalue_bound(nmax: int, rng: np.random.Generator, table: BasisTabl
     return _record("eigenvalue_upper_bound", rows)
 
 
-def check_parseval(nmax: int, rng: np.random.Generator, table: BasisTable) -> dict:
+def draw_parseval(nmax: int, rng: np.random.Generator):
     draws = []
     for _ in range(12):
         n = int(rng.integers(3, min(nmax, 7) + 1))
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
         draws.append((n, g, random_boolean_function(rng, n)))
+    return draws
+
+
+def check_parseval(draws, table: BasisTable) -> dict:
     rows = []
     levels = table.levels([g for _, g, _ in draws])
     for i, ((n, g, f), bases) in enumerate(zip(draws, levels)):
@@ -305,13 +368,17 @@ def check_parseval(nmax: int, rng: np.random.Generator, table: BasisTable) -> di
     return _record("parseval", rows)
 
 
-def check_oracle_equivalence(rng: np.random.Generator, table: BasisTable) -> dict:
+def draw_oracle_equivalence(rng: np.random.Generator):
     draws = []
     for _ in range(15):
         n = int(rng.integers(3, 7))
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
         f = random_boolean_function(rng, n)
         draws.append((n, g, f, float(rng.uniform(0.0, 2.0))))
+    return draws
+
+
+def check_oracle_equivalence(draws, table: BasisTable) -> dict:
     rows = []
     levels = table.levels([g for _, g, _, _ in draws])
     for i, ((n, g, f, t), bases) in enumerate(zip(draws, levels)):
@@ -322,20 +389,26 @@ def check_oracle_equivalence(rng: np.random.Generator, table: BasisTable) -> dic
     return _record("oracle_equivalence", rows)
 
 
-def check_containment(nmax: int, rng: np.random.Generator,
-                      table: BasisTable) -> dict:
-    rows = []
+def draw_containment(nmax: int, rng: np.random.Generator):
+    """Per n in 6, 8, 10, 12 up to nmax: K_n at rate 1/n and the named other
+    graphs, each at rate 1 / its max degree."""
+    cases = []
     for n in (6, 8, 10, 12):
         if n > nmax:
             continue
-        complete = make_complete(n, 1.0 / n)
-        others = [("cycle", make_cycle(n, 1.0))]
-        if n % 2 == 0:
-            others.append(("half_complete_cycle", make_half_complete_cycle(n // 2, 1.0)))
-        others.append(("random", random_connected_graph(rng, n, 1.0)))
+        others = [("cycle", make_cycle(n, 1.0)),
+                  ("half_complete_cycle", make_half_complete_cycle(n // 2, 1.0)),
+                  ("random", random_connected_graph(rng, n, 1.0))]
+        cases.append((n, make_complete(n, 1.0 / n),
+                      [(name, with_rate(raw, 1.0 / max_degree(raw))) for name, raw in others]))
+    return cases
+
+
+def check_containment(cases, table: BasisTable) -> dict:
+    rows = []
+    for n, complete, others in cases:
         [bases_c] = table.levels([complete])
-        for name, raw in others:
-            other = with_rate(raw, 1.0 / max_degree(raw))
+        for name, other in others:
             # One other graph at a time: all nine at once would hold their
             # bases together, 1.5 MB per graph at n = 10.
             [bases_o] = table.levels([other])
@@ -348,7 +421,7 @@ def check_containment(nmax: int, rng: np.random.Generator,
     return _record("containment_residual", rows)
 
 
-def check_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable) -> dict:
+def draw_projection_mass(nmax: int, rng: np.random.Generator):
     draws = []
     for _ in range(25):
         n = int(rng.integers(4, min(nmax, 8) + 1))
@@ -356,6 +429,10 @@ def check_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable
         other = with_rate(raw, 1.0 / max_degree(raw))
         f = random_boolean_function(rng, n)
         draws.append((n, make_complete(n, 1.0 / n), other, f, float(rng.uniform(0.05, n / 4.0))))
+    return draws
+
+
+def check_projection_mass(draws, table: BasisTable) -> dict:
     rows = []
     levels = table.levels([g for _, complete, other, _, _ in draws for g in (complete, other)])
     for i, ((n, complete, other, f, k), bases_c, bases_o) in enumerate(
@@ -369,7 +446,8 @@ def check_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable
     return _record("projection_mass_inequality", rows)
 
 
-def check_monotonicity(rng: np.random.Generator, table: BasisTable) -> dict:
+def draw_monotonicity(rng: np.random.Generator):
+    """The random draws, and the example chains of graphs on 4 and 6 vertices."""
     draws = []
     for _ in range(25):
         n = int(rng.integers(5, 7))
@@ -379,6 +457,13 @@ def check_monotonicity(rng: np.random.Generator, table: BasisTable) -> dict:
         lam_max = 2.0 * max(r for _, _, r in g.edges) * n * max_degree(g)
         k = float(rng.uniform(1e-3, 2.0 * lam_max))
         draws.append((n, g, sub, f, k, float(rng.uniform(1e-3, 2.0 * lam_max))))
+    chains = [(("cycle", make_cycle(2 * half, 0.5)),
+               ("half_complete_cycle", make_half_complete_cycle(half, 0.5)),
+               ("complete", make_complete(2 * half, 0.5))) for half in (2, 3)]
+    return draws, chains
+
+
+def check_monotonicity(draws, chains, table: BasisTable) -> dict:
     rows = []
     levels = table.levels([h for _, g, sub, *_ in draws for h in (g, sub)])
     for i, ((n, g, sub, f, k, kprime), bases, bases_sub) in enumerate(
@@ -389,10 +474,7 @@ def check_monotonicity(rng: np.random.Generator, table: BasisTable) -> dict:
         )
         rows.append((lhs - rhs, diagnostics.MONOTONICITY_TOL,
                      f"draw {i} (n={n}, k={k:.3f}, k'={kprime:.3f})"))
-    # the example chain: spectra grow pointwise under edge addition
-    chains = [(("cycle", make_cycle(2 * half, 0.5)),
-               ("half_complete_cycle", make_half_complete_cycle(half, 0.5)),
-               ("complete", make_complete(2 * half, 0.5))) for half in (2, 3)]
+    # the example chains: spectra grow pointwise under edge addition
     graphs = [g for chain in chains for _, g in chain]
     bases = dict(zip(graphs, table.levels(graphs)))
     for chain in chains:
@@ -404,16 +486,20 @@ def check_monotonicity(rng: np.random.Generator, table: BasisTable) -> dict:
     return _record("monotonicity_inequality", rows)
 
 
-def check_monte_carlo(seed: int, table: BasisTable, samples: int) -> dict:
-    """Estimates agree with the exact formulas within 3 standard errors."""
-    rows = []
-    cases = [
+def monte_carlo_cases() -> list[tuple[str, Graph, fourier.BooleanFunction, str, float]]:
+    """(label, graph, function, "cov" or "flip", horizon) of check_monte_carlo."""
+    return [
         ("K_4 dictator cov t=1", make_complete(4, 0.25), fourier.dictator(4, 0), "cov", 1.0),
         ("C_6 parity flip eps=0.3", make_cycle(6, 0.5),
          fourier.parity_on_set(6, [0, 2, 4]), "flip", 0.3),
         ("half_complete_cycle_3 dictator cov t=0.5", make_half_complete_cycle(3, 0.25),
          fourier.dictator(6, 1), "cov", 0.5),
     ]
+
+
+def check_monte_carlo(cases, seed: int, table: BasisTable, samples: int) -> dict:
+    """Estimates agree with the exact formulas within 3 standard errors."""
+    rows = []
     for idx, (label, g, f, kind, t) in enumerate(cases):
         [bases] = table.levels([g])
         profile = fourier.spectral_profile(f, bases)
@@ -430,20 +516,47 @@ def check_monte_carlo(seed: int, table: BasisTable, samples: int) -> dict:
 
 
 def run_suite(*, nmax: int, seed: int, mc_samples: int) -> dict:
-    """Run every check; the report is JSON-ready and fully deterministic."""
+    """Run every check; the report is JSON-ready and fully deterministic.
+
+    Every check draws its instances first, with the random calls of the
+    checks in run order. The plan, a BasisTable, holds every read the checks
+    will make; its batch solves the levels that share a stack while
+    check_eigensolver reads them, and the larger levels are solved when read.
+    """
     rng = np.random.default_rng(seed)
-    table = BasisTable()
+    named, dirichlet = draw_generator_invariants(nmax, rng)
+    solved = draw_eigensolver(nmax, rng)
+    complete = complete_graph_cases(nmax)
+    bound = draw_eigenvalue_bound(nmax, rng)
+    parseval = draw_parseval(nmax, rng)
+    oracle_draws = draw_oracle_equivalence(rng)
+    containment = draw_containment(nmax, rng)
+    projection = draw_projection_mass(nmax, rng)
+    monotonicity, chains = draw_monotonicity(rng)
+    mc = monte_carlo_cases()
+    table = BasisTable([
+        *((g, level) for _, _, g, level in complete),
+        *levels_of(g for _, _, g in bound),
+        *levels_of(g for _, g, _ in parseval),
+        *levels_of(g for _, g, _, _ in oracle_draws),
+        *levels_of(g for _, complete_n, others in containment
+                   for g in (complete_n, *(other for _, other in others))),
+        *levels_of(g for _, complete_n, other, _, _ in projection for g in (complete_n, other)),
+        *levels_of(h for _, g, sub, *_ in monotonicity for h in (g, sub)),
+        *levels_of(g for chain in chains for _, g in chain),
+        *levels_of(g for _, g, *_ in mc),
+    ])
     checks = [
-        check_generator_invariants(nmax, rng),
-        check_eigensolver(nmax, rng, table),
-        *check_complete_graphs(nmax, table),
-        check_eigenvalue_bound(nmax, rng, table),
-        check_parseval(nmax, rng, table),
-        check_oracle_equivalence(rng, table),
-        check_containment(nmax, rng, table),
-        check_projection_mass(nmax, rng, table),
-        check_monotonicity(rng, table),
-        check_monte_carlo(seed, table, mc_samples),
+        check_generator_invariants(nmax, named, dirichlet),
+        check_eigensolver(solved, table.solve_batch(levels_of(g for _, g in solved))),
+        *check_complete_graphs(complete, table),
+        check_eigenvalue_bound(bound, table),
+        check_parseval(parseval, table),
+        check_oracle_equivalence(oracle_draws, table),
+        check_containment(containment, table),
+        check_projection_mass(projection, table),
+        check_monotonicity(monotonicity, chains, table),
+        check_monte_carlo(mc, seed, table, mc_samples),
     ]
     return {
         "suite": "all",

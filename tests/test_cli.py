@@ -477,6 +477,17 @@ def test_an_overflowing_total_rate_names_its_source(tmp_path, monkeypatch, capsy
     assert err == f"config error: {named}: {OVERFLOW}\n"
 
 
+@pytest.mark.parametrize("argv", [["spectrum"],
+                                  ["exact", "--function", "dictator:0", "--t", "1"]])
+def test_an_overflowing_eigenvalue_is_a_numerical_error(capsys, argv):
+    # K_2's one edge at 1.5e308 is a finite total rate, but the level-1
+    # eigenvalue 2 * rate is past the float range
+    code, out, err = run([*argv, "--graph", "complete:2", "--rate", "1.5e308"], capsys)
+    assert code == 3 and out == ""
+    assert err == ("numerical error: eigendecompose on n=2, level=1 (2 states): "
+                   "eigenvalues are not finite: eigenvalue 1 is inf\n")
+
+
 @pytest.mark.parametrize("flags,flag,jumps", [
     (["--rate", "1", "--t", "1e300"], "--t", "5e+300"),
     (["--rate", "1e300", "--t", "1e10"], "--t", "inf"),

@@ -82,7 +82,11 @@ def test_basis_table_levels_equal_per_level_solves(monkeypatch, stack_bytes):
     # Sizes shared across n: C(4, 2) = C(6, 1) = 6 and C(5, 2) = C(10, 1) = 10.
     graphs = [make_cycle(4, 0.5), make_complete(6, 1.0), *rated_graphs(7, 5, 2),
               make_half_complete_cycle(3, 0.25), make_cycle(10, 1.0), make_cycle(4, 0.5)]
-    for g, bases in zip(graphs, verify.BasisTable().levels(graphs), strict=True):
+    # Planned, as verify plans a run: the batch solves the levels that share
+    # a stack under the limit, and the reads solve the rest.
+    table = verify.BasisTable(verify.levels_of(graphs))
+    assert list(table.solve_batch()) == []
+    for g, bases in zip(graphs, table.levels(graphs), strict=True):
         assert len(bases) == g.n + 1
         for basis, alone in zip(bases, solve_alone(g)):
             assert_same_basis(basis, alone)
@@ -181,6 +185,16 @@ def test_a_member_that_is_not_finite_is_named():
         eigendecompose_stack(gens)
     gens[1].matrix[0, 0] = np.nan
     with pytest.raises(NumericalError, match=r"matrix is not finite: max \|A\| = nan$"):
+        eigendecompose_stack(gens)
+
+
+def test_a_member_whose_eigenvalues_are_not_finite_is_named():
+    gens = mixed_stack()
+    # K_5 at rate 0.5, level 3: every entry is at most 3 * 5e307, finite, but
+    # the top eigenvalue 4 * 5e307 (multiplicity 5) is past the float range
+    gens[3].matrix[...] *= 5e307
+    with pytest.raises(NumericalError, match=r"^eigendecompose on n=5, level=3 \(10 states\): "
+                                            r"eigenvalues are not finite: eigenvalue 5 is inf$"):
         eigendecompose_stack(gens)
 
 

@@ -1,11 +1,15 @@
-"""The verify suite's run-scoped basis table, and one solve per graph in its checks."""
+"""The verify suite's solve plan: one batch of small stacks per run, each basis
+solved once and held until its last read."""
 
+import math
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from xproc import spectral, verify
+from xproc.generator import build_level_generator
 from xproc.graph import is_complete, make_complete, make_cycle, make_half_complete_cycle
 
 from conftest import solve_alone
@@ -21,8 +25,25 @@ def test_each_complete_basis_is_solved_once_per_run(solves):
     # K_n at rates 1, 1/n and others, several levels each: the table is in use.
     assert len(complete) > 50
     assert max(complete.values()) == 1
-    # Other graphs are still solved by every check that needs them.
-    assert any(c > 1 for key, c in solves.items() if not is_complete(key[0]))
+    # Every other graph is solved once too.
+    assert set(solves.values()) == {1}
+
+
+@pytest.mark.parametrize("nmax", [9, 10])
+def test_each_basis_is_solved_once_per_run(monkeypatch, solves, nmax):
+    calls = []
+    counting = spectral.eigendecompose_stack   # the solves fixture's counter
+
+    def stacks(gens):
+        calls.append(len(gens))
+        return counting(gens)
+
+    monkeypatch.setattr(spectral, "eigendecompose_stack", stacks)
+    verify.run_suite(nmax=nmax, seed=5, mc_samples=400)
+    assert set(solves.values()) == {1}
+    assert sum(calls) == len(solves)
+    if nmax == 10:
+        assert len(calls) <= 70
 
 
 def test_each_run_starts_with_an_empty_table(solves):
@@ -35,7 +56,8 @@ def test_each_run_starts_with_an_empty_table(solves):
 
 
 def test_held_bases_are_shared_and_read_only():
-    table = verify.BasisTable()
+    k5 = make_complete(5, 0.2)
+    table = verify.BasisTable([(k5, 2), (k5, 2), *verify.levels_of([k5])])
     [basis] = table.bases([(make_complete(5, 0.2), 2)])
     [again] = table.bases([(make_complete(5, 1.0 / 5), 2)])
     [levels] = table.levels([make_complete(5, 0.2)])
@@ -47,23 +69,120 @@ def test_held_bases_are_shared_and_read_only():
 
 
 def test_other_graphs_are_not_held():
-    table = verify.BasisTable()
+    # A basis is held while the plan reads it again, whatever its graph; a
+    # read past the plan solves it again.
     cycle = make_cycle(5, 1.0)
+    table = verify.BasisTable([(cycle, 2)] * 2)
     [first] = table.bases([(cycle, 2)])
     [second] = table.bases([(cycle, 2)])
-    assert first is not second
-    assert np.array_equal(first.vectors, second.vectors)
-    assert first.vectors.flags.writeable
+    assert second is first
+    [third] = table.bases([(cycle, 2)])
+    assert third is not first
+    assert np.array_equal(first.vectors, third.vectors)
+
+
+def test_a_held_basis_is_gone_after_its_last_reader():
+    cycle = make_cycle(6, 1.0)
+    table = verify.BasisTable([(cycle, 2), (cycle, 3), (cycle, 2)])
+    assert list(table.solve_batch()) == []   # nothing asked for but the plan
+    [basis] = table.bases([(cycle, 2)])
+    ref = weakref.ref(basis)
+    del basis
+    assert ref() is not None   # one read of it left
+    [basis], [other] = table.bases([(cycle, 2)]), table.bases([(cycle, 3)])
+    del basis, other
+    assert ref() is None
+
+
+def test_each_basis_is_gone_after_its_last_reader_in_a_run(monkeypatch):
+    # Every basis a check read is gone once that check has returned, unless a
+    # later check reads it too.
+    reads, tables = [], []
+    inner = verify.BasisTable.bases
+
+    def recording(table, pairs):
+        tables.append(table)
+        pairs = list(pairs)
+        bases = inner(table, pairs)
+        reads.extend((pair, weakref.ref(basis)) for pair, basis in zip(pairs, bases))
+        return bases
+
+    monkeypatch.setattr(verify.BasisTable, "bases", recording)
+    checked = []
+    for name in ("check_complete_graphs", "check_eigenvalue_bound", "check_parseval",
+                 "check_oracle_equivalence", "check_containment", "check_projection_mass",
+                 "check_monotonicity", "check_monte_carlo"):
+        def after(*args, check=getattr(verify, name), **kwargs):
+            record = check(*args, **kwargs)
+            left = tables[-1]._reads
+            alive = [pair for pair, ref in reads if ref() is not None and left[pair] == 0]
+            checked.append(len(reads))
+            assert alive == []
+            return record
+        monkeypatch.setattr(verify, name, after)
+    verify.run_suite(nmax=8, seed=7, mc_samples=400)
+    assert len(checked) == 8 and checked[-1] > 500
+    assert not tables[-1]._reads and not tables[-1]._bases
 
 
 def test_held_basis_equals_a_fresh_solve():
     g = make_complete(6, 1.0)
-    table = verify.BasisTable()
+    table = verify.BasisTable(verify.levels_of([g]))
+    solved = {pair: basis for pair, _, basis in table.solve_batch(verify.levels_of([g]))}
     [held_levels] = table.levels([g])
-    for held, fresh in zip(held_levels, solve_alone(g), strict=True):
+    for level, (held, fresh) in enumerate(zip(held_levels, solve_alone(g), strict=True)):
+        assert held is solved[g, level]
         assert np.array_equal(held.vectors, fresh.vectors)
         assert np.array_equal(held.eigenvalues, fresh.eigenvalues)
         assert held.groups == fresh.groups
+
+
+def test_the_batch_holds_the_small_levels_and_yields_only_those_asked_for(solves):
+    cycle, complete = make_cycle(10, 1.0), make_complete(10, 0.1)
+    table = verify.BasisTable(verify.levels_of([cycle]))
+    pairs = [(complete, 2), (complete, 5)]
+    yielded = [pair for pair, _, _ in table.solve_batch(pairs)]
+    assert sorted(yielded, key=lambda pair: pair[1]) == pairs
+    # The cycle's 1-, 10-, 45- and 120-state levels share stacks; its 210-
+    # and 252-state levels (4, 5 and 6) are left to their first read.
+    small = [level for level in range(11) if math.comb(10, level) <= 128]
+    assert small == [0, 1, 2, 3, 7, 8, 9, 10]
+    assert all(verify.shares_a_stack(cycle, level) == (level in small) for level in range(11))
+    assert sorted(table._bases) == [(cycle, level) for level in small]
+    assert set(solves) == {*pairs, *table._bases}
+    table.levels([cycle])
+    assert set(solves.values()) == {1} and not table._bases
+
+
+def solve_each_alone(pairs):
+    """spectral.solve_stacks with every pair solved as a stack of one, in order."""
+    for i, (g, level) in enumerate(pairs):
+        yield i, build_level_generator(g, level), solve_alone(g, [level])[0]
+
+
+@pytest.mark.parametrize("nmax", [6, 8])
+def test_a_run_equals_one_that_solves_every_level_alone(monkeypatch, nmax):
+    planned = verify.run_suite(nmax=nmax, seed=11, mc_samples=400)
+    monkeypatch.setattr(spectral, "solve_stacks", solve_each_alone)
+    assert verify.run_suite(nmax=nmax, seed=11, mc_samples=400) == planned
+
+
+def test_a_run_solves_its_small_levels_in_one_batch(monkeypatch):
+    calls = []
+    inner = spectral.solve_stacks
+
+    def recording(pairs):
+        calls.append([math.comb(g.n, level) for g, level in pairs])
+        return inner(pairs)
+
+    monkeypatch.setattr(spectral, "solve_stacks", recording)
+    verify.run_suite(nmax=10, seed=7, mc_samples=400)
+    # The batch is the one call with levels of 128 states or fewer; every
+    # later call solves levels of K_10 and the containment graphs too large
+    # to share a stack.
+    small = [any(size <= 128 for size in sizes) for sizes in calls]
+    assert small == [True] + [False] * (len(calls) - 1)
+    assert {size for sizes in calls[1:] for size in sizes} == {210, 252}
 
 
 def test_two_runs_in_one_process_give_equal_reports():
@@ -72,7 +191,8 @@ def test_two_runs_in_one_process_give_equal_reports():
 
 
 def test_monotonicity_chain_solves_each_graph_once(solves):
-    verify.check_monotonicity(np.random.default_rng(7), verify.BasisTable())
+    draws, chains = verify.draw_monotonicity(np.random.default_rng(7))
+    verify.check_monotonicity(draws, chains, verify.BasisTable())
     chain = [g for half in (2, 3) for g in (make_cycle(2 * half, 0.5),
                                             make_half_complete_cycle(half, 0.5),
                                             make_complete(2 * half, 0.5))]
