@@ -9,6 +9,7 @@ violation.
 
 import math
 from collections import Counter
+from functools import partial
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .graph import (
     Graph, make_complete, make_cycle, make_half_complete_cycle, max_degree,
     with_rate,
 )
-from .statespace import enumerate_level
 
 # Fewest samples at which check_monte_carlo's 3-standard-error test means
 # something: below it a sample with no spread, and so a zero standard error,
@@ -34,20 +34,20 @@ KEEP_PROB = 0.5         # random_connected_subgraph: chance of keeping each non-
 class BasisTable:
     """The solve plan of one suite run, and the store of its bases.
 
-    Made from every read the run will make, as (Graph, level) pairs, one per
-    read: Graph is a frozen dataclass, so a graph built at two call sites
-    with equal rates is one key. solve_batch solves, in one
-    spectral.solve_stacks call, each planned pair whose level shares a stack
-    with others (shares_a_stack); a larger level is solved by its first read.
-    So each pair is solved once. A basis is held while the plan has reads of
-    it left and dropped by its last read, after which the reader's reference
-    is the only one. Held arrays are read-only, so no check can change a
-    basis another check reads. A solve is deterministic for identical input,
-    stacked or not, so the plan changes no report.
+    Starts empty. plan and levels add one planned read per (Graph, level)
+    pair when called, and return the reads: Graph is a frozen dataclass, so a
+    graph built at two call sites with equal rates is one key. solve_batch
+    solves, in one spectral.solve_stacks call, each planned pair whose level
+    shares a stack with others (shares_a_stack); a larger level is solved by
+    its first read. So each pair is solved once. A basis is held while the
+    plan has reads of it left and dropped by its last read, after which the
+    reader's reference is the only one. Held arrays are read-only, so no
+    check can change a basis another check reads. A solve is deterministic
+    for identical input, stacked or not, so the plan changes no report.
     """
 
-    def __init__(self, reads=()):
-        self._reads = Counter(reads)   # reads left, per pair
+    def __init__(self):
+        self._reads = Counter()   # reads left, per pair
         self._bases: dict[tuple[Graph, int], spectral.SpectralBasis] = {}
 
     def _hold(self, pair, basis: spectral.SpectralBasis) -> None:
@@ -72,40 +72,37 @@ class BasisTable:
                 yield batch[i], gen, basis
             del gen, basis   # before the next stack is solved
 
-    def bases(self, pairs) -> list[spectral.SpectralBasis]:
-        """The bases of the (graph, level) pairs, in order, each one read of the plan.
+    def plan(self, groups):
+        """Plan one read of each group of (graph, level) pairs.
 
-        Each distinct pair not held is solved once, all of them in one batch
-        of stacks (spectral.solve_stacks). A read past a pair's last planned
-        one is solved again.
+        Returns an iterator that yields, per group in order, the bases of its
+        pairs; the group's pairs not held are solved as it is read, in one
+        solve_stacks call.
         """
-        pairs = list(pairs)
+        groups = [list(group) for group in groups]
+        self._reads.update(pair for group in groups for pair in group)
+        return map(self._read, groups)
+
+    def levels(self, graphs):
+        """plan of each graph's levels 0..n, one group per graph."""
+        return self.plan([(g, level) for level in range(g.n + 1)] for g in graphs)
+
+    def _read(self, pairs) -> list[spectral.SpectralBasis]:
         missing = [pair for pair in dict.fromkeys(pairs) if pair not in self._bases]
         for i, _, basis in spectral.solve_stacks(missing):
             self._hold(missing[i], basis)
         found = [self._bases[pair] for pair in pairs]
         for pair in pairs:
             self._reads[pair] -= 1
-            if self._reads[pair] <= 0:
-                del self._reads[pair]
-                self._bases.pop(pair, None)
+            if not self._reads[pair]:
+                del self._reads[pair], self._bases[pair]
         return found
-
-    def levels(self, graphs) -> list[list[spectral.SpectralBasis]]:
-        """Per graph, its bases of levels 0..n, as one call to bases."""
-        bases = iter(self.bases(levels_of(graphs)))
-        return [[next(bases) for _ in range(g.n + 1)] for g in graphs]
 
 
 def shares_a_stack(g: Graph, level: int) -> bool:
     """Whether spectral.solve_stacks stacks more than one level of this one's size:
     8 * size**2 <= STACK_BYTES / 2, at most 128 states."""
     return spectral.stack_members(math.comb(g.n, level)) > 1
-
-
-def levels_of(graphs) -> list[tuple[Graph, int]]:
-    """The (graph, level) pairs of levels 0..n of each graph, in order."""
-    return [(g, level) for g in graphs for level in range(g.n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +165,8 @@ def _record(name: str, rows: list[tuple[float, float, str]]) -> dict:
 
 
 def draw_generator_invariants(nmax: int, rng: np.random.Generator):
-    """The named graphs of the matrix checks, and the Dirichlet-monotonicity draws:
-    (n, graph, connected subgraph, level, function) each."""
+    """check_generator_invariants on the named graphs of the matrix checks and the
+    Dirichlet-monotonicity draws: (n, graph, connected subgraph, level, function) each."""
     named = []
     for n in range(3, min(nmax, 8) + 1):
         named += [(f"K_{n}", make_complete(n, 1.0)), (f"C_{n}", make_cycle(n, 0.5)),
@@ -183,7 +180,7 @@ def draw_generator_invariants(nmax: int, rng: np.random.Generator):
         sub = random_connected_subgraph(rng, g)
         level = int(rng.integers(1, n))
         draws.append((n, g, sub, level, rng.standard_normal(math.comb(n, level))))
-    return named, draws
+    return partial(check_generator_invariants, nmax, named, draws)
 
 
 def check_generator_invariants(nmax: int, named, draws) -> dict:
@@ -243,11 +240,13 @@ def basis_defect(gen, basis) -> float:
     return float(np.max([eig_err if norm2 > 0 else 0.0, ortho_err, kernel_err]))
 
 
-def draw_eigensolver(nmax: int, rng: np.random.Generator) -> list[tuple[str, Graph]]:
-    """The named graphs whose every level check_eigensolver checks."""
-    return [(f"{name}_{n}", g) for n in range(3, min(nmax, 8) + 1)
-            for name, g in (("K", make_complete(n, 1.0)), ("C", make_cycle(n, 0.5)),
-                            ("random", random_connected_graph(rng, n, 1.0)))]
+def draw_eigensolver(nmax: int, rng: np.random.Generator, table: BasisTable):
+    """check_eigensolver on every level of the named graphs, as table's batch solves them."""
+    named = [(f"{name}_{n}", g) for n in range(3, min(nmax, 8) + 1)
+             for name, g in (("K", make_complete(n, 1.0)), ("C", make_cycle(n, 0.5)),
+                             ("random", random_connected_graph(rng, n, 1.0)))]
+    return partial(check_eigensolver, named, table.solve_batch(
+        [(g, level) for _, g in named for level in range(g.n + 1)]))
 
 
 def check_eigensolver(named, solved) -> dict:
@@ -283,14 +282,17 @@ def lift_length_error(n: int, level: int, alpha: float, lam: np.ndarray,
     return float(np.max(errs))
 
 
-def complete_graph_cases(nmax: int) -> list[tuple[int, float, Graph, int]]:
-    """(n, alpha, K_n at rate alpha, level): n = 2..nmax, rates 1 and 1/n, levels 0..n/2."""
+def complete_graph_cases(nmax: int, table: BasisTable):
+    """check_complete_graphs on (n, alpha, K_n at rate alpha, level): n = 2..nmax,
+    rates 1 and 1/n, levels 0..n/2, each level read alone."""
     graphs = [(n, alpha, make_complete(n, alpha))
               for n in range(2, nmax + 1) for alpha in (1.0, 1.0 / n)]
-    return [(n, alpha, g, level) for n, alpha, g in graphs for level in range(n // 2 + 1)]
+    cases = [(n, alpha, g, level) for n, alpha, g in graphs for level in range(n // 2 + 1)]
+    return partial(check_complete_graphs, cases,
+                   table.plan([(g, level)] for _, _, g, level in cases))
 
 
-def check_complete_graphs(cases, table: BasisTable) -> list[dict]:
+def check_complete_graphs(cases, reads) -> list[dict]:
     """The closed forms of K_n on the complete_graph_cases.
 
     One pass reads each basis, one at a time, and lifts it once in each
@@ -299,8 +301,7 @@ def check_complete_graphs(cases, table: BasisTable) -> list[dict]:
     n >= 3 and level >= 1, the orthogonality of the lifted eigenvectors.
     """
     spectrum, lengths, orthogonality = [], [], []
-    for n, alpha, g, level in cases:
-        [basis] = table.bases([(g, level)])
+    for (n, alpha, g, level), [basis] in zip(cases, reads, strict=True):
         label = f"K_{n} alpha={alpha:g} level {level}"
         lam, mult = zip(*spectral.complete_graph_eigenvalue_table(n, level, alpha))
         expected = np.sort(np.repeat(lam, mult))
@@ -321,19 +322,18 @@ def check_complete_graphs(cases, table: BasisTable) -> list[dict]:
             _record("lift_orthogonality", orthogonality)]
 
 
-def draw_eigenvalue_bound(nmax: int, rng: np.random.Generator):
+def draw_eigenvalue_bound(nmax: int, rng: np.random.Generator, table: BasisTable):
     draws = []
     for _ in range(30):
         n = int(rng.integers(3, min(nmax, 8) + 1))
         rate = float(rng.uniform(0.1, 1.5))
         draws.append((n, rate, random_connected_graph(rng, n, rate)))
-    return draws
+    return partial(check_eigenvalue_bound, draws, table.levels(g for _, _, g in draws))
 
 
-def check_eigenvalue_bound(draws, table: BasisTable) -> dict:
+def check_eigenvalue_bound(draws, levels) -> dict:
     rows = []
-    levels = table.levels([g for _, _, g in draws])
-    for i, ((n, rate, g), bases) in enumerate(zip(draws, levels)):
+    for i, ((n, rate, g), bases) in enumerate(zip(draws, levels, strict=True)):
         d = max_degree(g)
         for level, basis in enumerate(bases):
             bound = 2.0 * rate * level * d
@@ -342,25 +342,23 @@ def check_eigenvalue_bound(draws, table: BasisTable) -> dict:
     return _record("eigenvalue_upper_bound", rows)
 
 
-def draw_parseval(nmax: int, rng: np.random.Generator):
+def draw_parseval(nmax: int, rng: np.random.Generator, table: BasisTable):
     draws = []
     for _ in range(12):
         n = int(rng.integers(3, min(nmax, 7) + 1))
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
         draws.append((n, g, random_boolean_function(rng, n)))
-    return draws
+    return partial(check_parseval, draws, table.levels(g for _, g, _ in draws))
 
 
-def check_parseval(draws, table: BasisTable) -> dict:
+def check_parseval(draws, levels) -> dict:
     rows = []
-    levels = table.levels([g for _, g, _ in draws])
-    for i, ((n, g, f), bases) in enumerate(zip(draws, levels)):
+    for i, ((n, g, f), bases) in enumerate(zip(draws, levels, strict=True)):
         profile = fourier.spectral_profile(f, bases)
         direct = float(np.mean(f.values**2))
         cond = 0.0
-        for level in range(n + 1):
-            space = enumerate_level(n, level)
-            cond += space.size / 2.0**n * float(f.values[space.words].mean()) ** 2
+        for basis in bases:
+            cond += basis.size / 2.0**n * float(f.values[basis.space.words].mean()) ** 2
         err = float(np.max(np.abs([profile.total_mass - direct,
                                    profile.zero_mass() - cond,
                                    fourier.exact_correlation(profile, 0.0) - direct])))
@@ -368,20 +366,19 @@ def check_parseval(draws, table: BasisTable) -> dict:
     return _record("parseval", rows)
 
 
-def draw_oracle_equivalence(rng: np.random.Generator):
+def draw_oracle_equivalence(rng: np.random.Generator, table: BasisTable):
     draws = []
     for _ in range(15):
         n = int(rng.integers(3, 7))
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
         f = random_boolean_function(rng, n)
         draws.append((n, g, f, float(rng.uniform(0.0, 2.0))))
-    return draws
+    return partial(check_oracle_equivalence, draws, table.levels(g for _, g, _, _ in draws))
 
 
-def check_oracle_equivalence(draws, table: BasisTable) -> dict:
+def check_oracle_equivalence(draws, levels) -> dict:
     rows = []
-    levels = table.levels([g for _, g, _, _ in draws])
-    for i, ((n, g, f, t), bases) in enumerate(zip(draws, levels)):
+    for i, ((n, g, f, t), bases) in enumerate(zip(draws, levels, strict=True)):
         profile = fourier.spectral_profile(f, bases)
         err = abs(fourier.exact_correlation(profile, t)
                   - oracle.brute_force_correlation(g, f, t))
@@ -389,29 +386,27 @@ def check_oracle_equivalence(draws, table: BasisTable) -> dict:
     return _record("oracle_equivalence", rows)
 
 
-def draw_containment(nmax: int, rng: np.random.Generator):
-    """Per n in 6, 8, 10, 12 up to nmax: K_n at rate 1/n and the named other
-    graphs, each at rate 1 / its max degree."""
+def draw_containment(nmax: int, rng: np.random.Generator, table: BasisTable):
+    """check_containment per n in 6, 8, 10, 12 up to nmax: K_n at rate 1/n and the
+    named other graphs, each at rate 1 / its max degree."""
     cases = []
-    for n in (6, 8, 10, 12):
-        if n > nmax:
-            continue
+    for n in range(6, min(nmax, 12) + 1, 2):
         others = [("cycle", make_cycle(n, 1.0)),
                   ("half_complete_cycle", make_half_complete_cycle(n // 2, 1.0)),
                   ("random", random_connected_graph(rng, n, 1.0))]
         cases.append((n, make_complete(n, 1.0 / n),
                       [(name, with_rate(raw, 1.0 / max_degree(raw))) for name, raw in others]))
-    return cases
+    return partial(check_containment, cases, [
+        (table.levels([complete]), table.levels(other for _, other in others))
+        for _, complete, others in cases])
 
 
-def check_containment(cases, table: BasisTable) -> dict:
+def check_containment(cases, reads) -> dict:
     rows = []
-    for n, complete, others in cases:
-        [bases_c] = table.levels([complete])
-        for name, other in others:
-            # One other graph at a time: all nine at once would hold their
-            # bases together, 1.5 MB per graph at n = 10.
-            [bases_o] = table.levels([other])
+    for (n, complete, others), ([bases_c], other_levels) in zip(cases, reads, strict=True):
+        # One other graph at a time: all nine at once would hold their
+        # bases together, 1.5 MB per graph at n = 10.
+        for (name, other), bases_o in zip(others, other_levels, strict=True):
             for k in (0.5, 1.0, 2.0, n / 4.0):
                 residuals = diagnostics.containment_residual(complete, other, k, 2.0 * k,
                                                              bases_c, bases_o)
@@ -421,7 +416,7 @@ def check_containment(cases, table: BasisTable) -> dict:
     return _record("containment_residual", rows)
 
 
-def draw_projection_mass(nmax: int, rng: np.random.Generator):
+def draw_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable):
     draws = []
     for _ in range(25):
         n = int(rng.integers(4, min(nmax, 8) + 1))
@@ -429,14 +424,15 @@ def draw_projection_mass(nmax: int, rng: np.random.Generator):
         other = with_rate(raw, 1.0 / max_degree(raw))
         f = random_boolean_function(rng, n)
         draws.append((n, make_complete(n, 1.0 / n), other, f, float(rng.uniform(0.05, n / 4.0))))
-    return draws
+    return partial(check_projection_mass, draws,
+                   table.levels(complete for _, complete, *_ in draws),
+                   table.levels(other for _, _, other, *_ in draws))
 
 
-def check_projection_mass(draws, table: BasisTable) -> dict:
+def check_projection_mass(draws, complete_levels, other_levels) -> dict:
     rows = []
-    levels = table.levels([g for _, complete, other, _, _ in draws for g in (complete, other)])
     for i, ((n, complete, other, f, k), bases_c, bases_o) in enumerate(
-            zip(draws, levels[::2], levels[1::2])):
+            zip(draws, complete_levels, other_levels, strict=True)):
         lhs, rhs = diagnostics.projection_mass_inequality(
             complete, other, k, fourier.spectral_profile(f, bases_c),
             fourier.spectral_profile(f, bases_o),
@@ -446,8 +442,9 @@ def check_projection_mass(draws, table: BasisTable) -> dict:
     return _record("projection_mass_inequality", rows)
 
 
-def draw_monotonicity(rng: np.random.Generator):
-    """The random draws, and the example chains of graphs on 4 and 6 vertices."""
+def draw_monotonicity(rng: np.random.Generator, table: BasisTable):
+    """check_monotonicity on the random draws and the example chains of graphs on
+    4 and 6 vertices."""
     draws = []
     for _ in range(25):
         n = int(rng.integers(5, 7))
@@ -460,14 +457,16 @@ def draw_monotonicity(rng: np.random.Generator):
     chains = [(("cycle", make_cycle(2 * half, 0.5)),
                ("half_complete_cycle", make_half_complete_cycle(half, 0.5)),
                ("complete", make_complete(2 * half, 0.5))) for half in (2, 3)]
-    return draws, chains
+    return partial(check_monotonicity, draws, chains,
+                   table.levels(g for _, g, *_ in draws),
+                   table.levels(sub for _, _, sub, *_ in draws),
+                   [table.levels(g for _, g in chain) for chain in chains])
 
 
-def check_monotonicity(draws, chains, table: BasisTable) -> dict:
+def check_monotonicity(draws, chains, levels, sub_levels, chain_levels) -> dict:
     rows = []
-    levels = table.levels([h for _, g, sub, *_ in draws for h in (g, sub)])
     for i, ((n, g, sub, f, k, kprime), bases, bases_sub) in enumerate(
-            zip(draws, levels[::2], levels[1::2])):
+            zip(draws, levels, sub_levels, strict=True)):
         lhs, rhs = diagnostics.monotonicity_inequality_check(
             g, sub, k, kprime, fourier.spectral_profile(f, bases),
             fourier.spectral_profile(f, bases_sub),
@@ -475,33 +474,32 @@ def check_monotonicity(draws, chains, table: BasisTable) -> dict:
         rows.append((lhs - rhs, diagnostics.MONOTONICITY_TOL,
                      f"draw {i} (n={n}, k={k:.3f}, k'={kprime:.3f})"))
     # the example chains: spectra grow pointwise under edge addition
-    graphs = [g for chain in chains for _, g in chain]
-    bases = dict(zip(graphs, table.levels(graphs)))
-    for chain in chains:
-        for (sname, small), (bname, big) in zip(chain, chain[1:]):
+    for chain, reads in zip(chains, chain_levels, strict=True):
+        bases = list(reads)
+        for i, ((sname, small), (bname, big)) in enumerate(zip(chain, chain[1:])):
             gap = float(np.max(
-                diagnostics.spectra_domination_gap(small, big, bases[small], bases[big])))
+                diagnostics.spectra_domination_gap(small, big, bases[i], bases[i + 1])))
             rows.append((gap, diagnostics.DOMINATION_TOL,
                          f"{sname} vs {bname} on {small.n} vertices"))
     return _record("monotonicity_inequality", rows)
 
 
-def monte_carlo_cases() -> list[tuple[str, Graph, fourier.BooleanFunction, str, float]]:
-    """(label, graph, function, "cov" or "flip", horizon) of check_monte_carlo."""
-    return [
+def monte_carlo_cases(seed: int, samples: int, table: BasisTable):
+    """check_monte_carlo on (label, graph, function, "cov" or "flip", horizon)."""
+    cases = [
         ("K_4 dictator cov t=1", make_complete(4, 0.25), fourier.dictator(4, 0), "cov", 1.0),
         ("C_6 parity flip eps=0.3", make_cycle(6, 0.5),
          fourier.parity_on_set(6, [0, 2, 4]), "flip", 0.3),
         ("half_complete_cycle_3 dictator cov t=0.5", make_half_complete_cycle(3, 0.25),
          fourier.dictator(6, 1), "cov", 0.5),
     ]
+    return partial(check_monte_carlo, cases, seed, samples, table.levels(g for _, g, *_ in cases))
 
 
-def check_monte_carlo(cases, seed: int, table: BasisTable, samples: int) -> dict:
+def check_monte_carlo(cases, seed: int, samples: int, levels) -> dict:
     """Estimates agree with the exact formulas within 3 standard errors."""
     rows = []
-    for idx, (label, g, f, kind, t) in enumerate(cases):
-        [bases] = table.levels([g])
+    for idx, ((label, g, f, kind, t), bases) in enumerate(zip(cases, levels, strict=True)):
         profile = fourier.spectral_profile(f, bases)
         spec = dynamics.SimulationSpec(seed=seed + idx, samples=samples)
         if kind == "cov":
@@ -518,46 +516,27 @@ def check_monte_carlo(cases, seed: int, table: BasisTable, samples: int) -> dict
 def run_suite(*, nmax: int, seed: int, mc_samples: int) -> dict:
     """Run every check; the report is JSON-ready and fully deterministic.
 
-    Every check draws its instances first, with the random calls of the
-    checks in run order. The plan, a BasisTable, holds every read the checks
-    will make; its batch solves the levels that share a stack while
-    check_eigensolver reads them, and the larger levels are solved when read.
+    Every check is drawn first, with the random calls of the checks in run
+    order; each draw plans its reads in one BasisTable. Then the checks run
+    in report order: the table's batch solves the planned levels that share
+    a stack while check_eigensolver reads them, and the larger levels are
+    solved when read.
     """
     rng = np.random.default_rng(seed)
-    named, dirichlet = draw_generator_invariants(nmax, rng)
-    solved = draw_eigensolver(nmax, rng)
-    complete = complete_graph_cases(nmax)
-    bound = draw_eigenvalue_bound(nmax, rng)
-    parseval = draw_parseval(nmax, rng)
-    oracle_draws = draw_oracle_equivalence(rng)
-    containment = draw_containment(nmax, rng)
-    projection = draw_projection_mass(nmax, rng)
-    monotonicity, chains = draw_monotonicity(rng)
-    mc = monte_carlo_cases()
-    table = BasisTable([
-        *((g, level) for _, _, g, level in complete),
-        *levels_of(g for _, _, g in bound),
-        *levels_of(g for _, g, _ in parseval),
-        *levels_of(g for _, g, _, _ in oracle_draws),
-        *levels_of(g for _, complete_n, others in containment
-                   for g in (complete_n, *(other for _, other in others))),
-        *levels_of(g for _, complete_n, other, _, _ in projection for g in (complete_n, other)),
-        *levels_of(h for _, g, sub, *_ in monotonicity for h in (g, sub)),
-        *levels_of(g for chain in chains for _, g in chain),
-        *levels_of(g for _, g, *_ in mc),
-    ])
-    checks = [
-        check_generator_invariants(nmax, named, dirichlet),
-        check_eigensolver(solved, table.solve_batch(levels_of(g for _, g in solved))),
-        *check_complete_graphs(complete, table),
-        check_eigenvalue_bound(bound, table),
-        check_parseval(parseval, table),
-        check_oracle_equivalence(oracle_draws, table),
-        check_containment(containment, table),
-        check_projection_mass(projection, table),
-        check_monotonicity(monotonicity, chains, table),
-        check_monte_carlo(mc, seed, table, mc_samples),
+    table = BasisTable()
+    invariants, eigensolver, complete, *others = [
+        draw_generator_invariants(nmax, rng),
+        draw_eigensolver(nmax, rng, table),
+        complete_graph_cases(nmax, table),
+        draw_eigenvalue_bound(nmax, rng, table),
+        draw_parseval(nmax, rng, table),
+        draw_oracle_equivalence(rng, table),
+        draw_containment(nmax, rng, table),
+        draw_projection_mass(nmax, rng, table),
+        draw_monotonicity(rng, table),
+        monte_carlo_cases(seed, mc_samples, table),
     ]
+    checks = [invariants(), eigensolver(), *complete(), *(check() for check in others)]
     return {
         "suite": "all",
         "nmax": nmax,

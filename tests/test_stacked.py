@@ -84,9 +84,10 @@ def test_basis_table_levels_equal_per_level_solves(monkeypatch, stack_bytes):
               make_half_complete_cycle(3, 0.25), make_cycle(10, 1.0), make_cycle(4, 0.5)]
     # Planned, as verify plans a run: the batch solves the levels that share
     # a stack under the limit, and the reads solve the rest.
-    table = verify.BasisTable(verify.levels_of(graphs))
+    table = verify.BasisTable()
+    reads = table.levels(graphs)
     assert list(table.solve_batch()) == []
-    for g, bases in zip(graphs, table.levels(graphs), strict=True):
+    for g, bases in zip(graphs, reads, strict=True):
         assert len(bases) == g.n + 1
         for basis, alone in zip(bases, solve_alone(g)):
             assert_same_basis(basis, alone)
@@ -219,7 +220,7 @@ def test_a_disconnected_graph_is_refused():
     with pytest.raises(ValueError, match="generator requires a connected graph"):
         build_level_generators([make_cycle(4, 1.0), two_pairs], 2)
     with pytest.raises(ValueError, match="generator requires a connected graph"):
-        verify.BasisTable().levels([make_cycle(4, 1.0), two_pairs])
+        list(verify.BasisTable().levels([make_cycle(4, 1.0), two_pairs]))
     # One disconnected member among three, refused at every level and on
     # every call once its verdict is cached.
     for level in (2, 0, 2, 4):
@@ -238,7 +239,7 @@ def test_connectivity_is_checked_once_per_graph(monkeypatch):
 
     monkeypatch.setattr(graph_module, "is_connected", counting)
     graphs = rated_graphs(5, 6, 3)
-    verify.BasisTable().levels(graphs)
+    list(verify.BasisTable().levels(graphs))
     for level in range(7):
         build_level_generators(graphs, level)
     assert calls == graphs

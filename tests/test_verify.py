@@ -15,6 +15,10 @@ from xproc.graph import is_complete, make_complete, make_cycle, make_half_comple
 from conftest import solve_alone
 
 
+def levels_of(g):
+    return [(g, level) for level in range(g.n + 1)]
+
+
 def complete_solves(counts):
     return {key: c for key, c in counts.items() if is_complete(key[0])}
 
@@ -57,10 +61,10 @@ def test_each_run_starts_with_an_empty_table(solves):
 
 def test_held_bases_are_shared_and_read_only():
     k5 = make_complete(5, 0.2)
-    table = verify.BasisTable([(k5, 2), (k5, 2), *verify.levels_of([k5])])
-    [basis] = table.bases([(make_complete(5, 0.2), 2)])
-    [again] = table.bases([(make_complete(5, 1.0 / 5), 2)])
+    table = verify.BasisTable()
+    reads = table.plan([[(k5, 2)], [(make_complete(5, 1.0 / 5), 2)]])
     [levels] = table.levels([make_complete(5, 0.2)])
+    [basis], [again] = reads
     assert again is basis and levels[2] is basis
     with pytest.raises(ValueError):
         basis.vectors[0, 0] = 2.0
@@ -68,28 +72,27 @@ def test_held_bases_are_shared_and_read_only():
         basis.eigenvalues[1] = 0.0
 
 
-def test_other_graphs_are_not_held():
-    # A basis is held while the plan reads it again, whatever its graph; a
-    # read past the plan solves it again.
+def test_a_plan_is_read_once_in_order():
     cycle = make_cycle(5, 1.0)
-    table = verify.BasisTable([(cycle, 2)] * 2)
-    [first] = table.bases([(cycle, 2)])
-    [second] = table.bases([(cycle, 2)])
-    assert second is first
-    [third] = table.bases([(cycle, 2)])
-    assert third is not first
-    assert np.array_equal(first.vectors, third.vectors)
+    table = verify.BasisTable()
+    reads = table.plan([[(cycle, 2)], [(cycle, 3), (cycle, 2)]])
+    assert table._bases == {}   # nothing is solved before its first read
+    [first] = next(reads)
+    [other, second] = next(reads)
+    assert second is first and other.space.level == 3
+    assert next(reads, None) is None and not table._reads and not table._bases
 
 
 def test_a_held_basis_is_gone_after_its_last_reader():
     cycle = make_cycle(6, 1.0)
-    table = verify.BasisTable([(cycle, 2), (cycle, 3), (cycle, 2)])
+    table = verify.BasisTable()
+    reads = table.plan([[(cycle, 2)], [(cycle, 2)], [(cycle, 3)]])
     assert list(table.solve_batch()) == []   # nothing asked for but the plan
-    [basis] = table.bases([(cycle, 2)])
+    [basis] = next(reads)
     ref = weakref.ref(basis)
     del basis
     assert ref() is not None   # one read of it left
-    [basis], [other] = table.bases([(cycle, 2)]), table.bases([(cycle, 3)])
+    [basis], [other] = reads
     del basis, other
     assert ref() is None
 
@@ -98,16 +101,15 @@ def test_each_basis_is_gone_after_its_last_reader_in_a_run(monkeypatch):
     # Every basis a check read is gone once that check has returned, unless a
     # later check reads it too.
     reads, tables = [], []
-    inner = verify.BasisTable.bases
+    inner = verify.BasisTable._read
 
     def recording(table, pairs):
         tables.append(table)
-        pairs = list(pairs)
         bases = inner(table, pairs)
         reads.extend((pair, weakref.ref(basis)) for pair, basis in zip(pairs, bases))
         return bases
 
-    monkeypatch.setattr(verify.BasisTable, "bases", recording)
+    monkeypatch.setattr(verify.BasisTable, "_read", recording)
     checked = []
     for name in ("check_complete_graphs", "check_eigenvalue_bound", "check_parseval",
                  "check_oracle_equivalence", "check_containment", "check_projection_mass",
@@ -127,9 +129,10 @@ def test_each_basis_is_gone_after_its_last_reader_in_a_run(monkeypatch):
 
 def test_held_basis_equals_a_fresh_solve():
     g = make_complete(6, 1.0)
-    table = verify.BasisTable(verify.levels_of([g]))
-    solved = {pair: basis for pair, _, basis in table.solve_batch(verify.levels_of([g]))}
-    [held_levels] = table.levels([g])
+    table = verify.BasisTable()
+    reads = table.levels([g])
+    solved = {pair: basis for pair, _, basis in table.solve_batch(levels_of(g))}
+    [held_levels] = reads
     for level, (held, fresh) in enumerate(zip(held_levels, solve_alone(g), strict=True)):
         assert held is solved[g, level]
         assert np.array_equal(held.vectors, fresh.vectors)
@@ -139,7 +142,8 @@ def test_held_basis_equals_a_fresh_solve():
 
 def test_the_batch_holds_the_small_levels_and_yields_only_those_asked_for(solves):
     cycle, complete = make_cycle(10, 1.0), make_complete(10, 0.1)
-    table = verify.BasisTable(verify.levels_of([cycle]))
+    table = verify.BasisTable()
+    reads = table.levels([cycle])
     pairs = [(complete, 2), (complete, 5)]
     yielded = [pair for pair, _, _ in table.solve_batch(pairs)]
     assert sorted(yielded, key=lambda pair: pair[1]) == pairs
@@ -150,7 +154,7 @@ def test_the_batch_holds_the_small_levels_and_yields_only_those_asked_for(solves
     assert all(verify.shares_a_stack(cycle, level) == (level in small) for level in range(11))
     assert sorted(table._bases) == [(cycle, level) for level in small]
     assert set(solves) == {*pairs, *table._bases}
-    table.levels([cycle])
+    list(reads)
     assert set(solves.values()) == {1} and not table._bases
 
 
@@ -191,8 +195,7 @@ def test_two_runs_in_one_process_give_equal_reports():
 
 
 def test_monotonicity_chain_solves_each_graph_once(solves):
-    draws, chains = verify.draw_monotonicity(np.random.default_rng(7))
-    verify.check_monotonicity(draws, chains, verify.BasisTable())
+    verify.draw_monotonicity(np.random.default_rng(7), verify.BasisTable())()
     chain = [g for half in (2, 3) for g in (make_cycle(2 * half, 0.5),
                                             make_half_complete_cycle(half, 0.5),
                                             make_complete(2 * half, 0.5))]
@@ -214,3 +217,27 @@ def test_each_complete_basis_is_lifted_once_per_direction(monkeypatch):
              for level in range(n // 2 + 1)]
     assert calls == {"lift_up": len(cases),
                      "lift_down": sum(level >= 1 for _, level in cases)}
+
+
+def test_each_check_runs_once_in_report_order(monkeypatch):
+    # A check run_suite reaches other than by its module-level name (a
+    # closure, say) would be missed here, and by every tracer that wraps it.
+    calls = []
+    names = [name for name in vars(verify) if name.startswith("check_")]
+    for name in names:
+        def recording(*args, name=name, check=getattr(verify, name)):
+            calls.append(name)
+            return check(*args)
+        monkeypatch.setattr(verify, name, recording)
+    report = verify.run_suite(nmax=6, seed=3, mc_samples=400)
+    assert calls == [
+        "check_generator_invariants", "check_eigensolver", "check_complete_graphs",
+        "check_eigenvalue_bound", "check_parseval", "check_oracle_equivalence",
+        "check_containment", "check_projection_mass", "check_monotonicity",
+        "check_monte_carlo"]
+    assert sorted(calls) == sorted(names)
+    assert [c["name"] for c in report["checks"]] == [
+        "generator_invariants", "eigensolver_residuals", "complete_graph_multiplicities",
+        "lift_length_formulas", "lift_orthogonality", "eigenvalue_upper_bound", "parseval",
+        "oracle_equivalence", "containment_residual", "projection_mass_inequality",
+        "monotonicity_inequality", "monte_carlo_agreement"]
