@@ -101,12 +101,10 @@ class _EdgeTable:
 
     def __init__(self, g: Graph):
         self.n = g.n
-        ends = np.array([(u, v) for u, v, _ in g.edges], dtype=np.int64).reshape(-1, 2)
-        self.bu, self.bv = vertex_masks(g.n)[ends].T
-        rates = np.array([rate for _, _, rate in g.edges])
-        self.total_rate = float(rates.sum())
+        self.bu, self.bv = vertex_masks(g.n)[g.ends].T
+        self.total_rate = float(g.rates.sum())
         # None when all rates are equal: edges are then drawn by index.
-        self.cumulative = np.cumsum(rates) if np.any(rates != rates[:1]) else None
+        self.cumulative = np.cumsum(g.rates) if np.any(g.rates != g.rates[:1]) else None
         # Flat: entry (e << n) + w is word w after a jump on edge e. None
         # until cover() builds it; jumps then swap by bit masks.
         self.swapped = None

@@ -13,6 +13,10 @@ import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
+from .statespace import pair_row, read_only
+
 
 class GraphFormatError(ValueError):
     """A malformed graph file or edge list; index is the offending edge's, if one is."""
@@ -42,25 +46,26 @@ class Graph:
                 u, v, rate = e
             except (TypeError, ValueError):
                 raise GraphFormatError(f"edge {k}: expected (u, v, rate), got {e!r}", k)
-            # int() and float() accept booleans; numpy's are not bool instances
-            if any(isinstance(x, bool) or getattr(x, "dtype", None) == bool
-                   for x in (u, v, rate)):
-                raise GraphFormatError(
-                    f"edge {k}: endpoints and rate cannot be booleans, got {e!r}", k
-                )
-            # float() would also read a string such as "1.5"
-            if not isinstance(rate, numbers.Real):
-                raise GraphFormatError(f"edge {k}: rate must be a real number, got {rate!r}", k)
-            try:
-                iu, iv, rate = int(u), int(v), float(rate)
-                integral = (iu, iv) == (u, v)
-            except (TypeError, ValueError, OverflowError):
-                integral = False
-            if not integral:
-                raise GraphFormatError(
-                    f"edge {k}: expected integer endpoints and a numeric rate, got {e!r}", k
-                )
-            u, v = iu, iv
+            # Plain int endpoints and a plain float rate are canonical already.
+            if not (type(u) is int and type(v) is int and type(rate) is float):
+                # int() and float() accept booleans; numpy's are not bool instances
+                if any(isinstance(x, bool) or getattr(x, "dtype", None) == bool
+                       for x in (u, v, rate)):
+                    raise GraphFormatError(
+                        f"edge {k}: endpoints and rate cannot be booleans, got {e!r}", k)
+                # float() would also read a string such as "1.5"
+                if not isinstance(rate, numbers.Real):
+                    raise GraphFormatError(
+                        f"edge {k}: rate must be a real number, got {rate!r}", k)
+                try:
+                    iu, iv, rate = int(u), int(v), float(rate)
+                    integral = (iu, iv) == (u, v)
+                except (TypeError, ValueError, OverflowError):
+                    integral = False
+                if not integral:
+                    raise GraphFormatError(
+                        f"edge {k}: expected integer endpoints and a numeric rate, got {e!r}", k)
+                u, v = iu, iv
             if not (0 <= u < v < self.n):
                 raise GraphFormatError(
                     f"edge {k}: endpoints must satisfy 0 <= u < v < n, got ({u}, {v}) with n={self.n}",
@@ -84,6 +89,22 @@ class Graph:
     @cached_property  # kept in the instance __dict__, outside the compared fields
     def connected(self) -> bool:
         return is_connected(self)
+
+    # Read-only arrays over the edges, in edge order, each built once per graph.
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """int64 (edges, 2) array of the endpoints."""
+        return read_only(np.array([e[:2] for e in self.edges], dtype=np.int64).reshape(-1, 2))
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        return read_only(np.array([e[2] for e in self.edges], dtype=float))
+
+    @cached_property
+    def swap_rows(self) -> np.ndarray:
+        """Each edge's row in LevelStateSpace.swaps (statespace.pair_row)."""
+        rows = [pair_row(self.n, u, v) for u, v, _ in self.edges]
+        return read_only(np.array(rows, dtype=np.intp))
 
     # The dataclass hash of (n, edges), kept once per instance: graphs key the
     # basis table's dicts, and hashing the edge tuple visits every edge.

@@ -19,14 +19,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
 from .graph import Graph
-from .generator import (
-    LevelGenerator, NumericalError, build_level_generators,
-)
+from .generator import GeneratorStack, LevelGenerator, NumericalError, build_stack
 from .statespace import LevelStateSpace, check_levels, enumerate_level
 
 GROUP_RTOL = 1e-8       # eigenvalues within 1e-8 * max(1, lam) form one cluster
@@ -93,18 +90,25 @@ def fix_sign(vec: np.ndarray) -> None:
 
     Takes one float vector, a (size, k) matrix of column vectors or a stack
     of such matrices (..., size, k); a coordinate counts as nonzero above
-    SIGN_TOL times the column's largest magnitude. Its only full-size
-    temporaries are boolean, so a full basis costs no extra matrix.
+    SIGN_TOL times the column's largest magnitude. The leads are sought in
+    the top 4, 8, 16, ... rows, until every column has one there.
     """
     cols = vec[:, None] if vec.ndim == 1 else vec
     scale = np.maximum(cols.max(axis=-2, initial=0.0), -cols.min(axis=-2, initial=0.0))
     tol = SIGN_TOL * scale[..., None, :]
-    first = ((cols > tol) | (cols < -tol)).argmax(axis=-2)
-    lead = np.take_along_axis(cols, first[..., None, :], axis=-2)
-    # The first nonzero coordinate is negative iff it lies below -tol. A
-    # product with -1.0 is an exact negation, and a column holding NaN has a
-    # NaN tol, so it is never flipped.
-    cols *= np.where(lead < -tol, -1.0, 1.0)
+    stop = 4
+    while True:
+        top = cols[..., :stop, :]
+        negative = top < -tol
+        nonzero = negative | (top > tol)
+        if stop >= cols.shape[-2] or nonzero.any(axis=-2).all():
+            break
+        stop *= 2
+    # The lead is the row where the count of nonzero rows reaches 1. A
+    # product with -1.0 is an exact negation, and a column holding NaN has
+    # a NaN tol, so it is never flipped.
+    flip = ((np.cumsum(nonzero, axis=-2) == 1) & negative).any(axis=-2)
+    cols *= np.where(flip, -1.0, 1.0)[..., None, :]
 
 
 def column_dots(x: np.ndarray) -> np.ndarray:
@@ -117,10 +121,8 @@ def column_dots(x: np.ndarray) -> np.ndarray:
 def eigendecompose_stack(gens: Sequence[LevelGenerator]) -> list[SpectralBasis]:
     """Full eigendecompositions of -Q on several levels of one size, in one LAPACK call.
 
-    One generator's matrix is passed as a stack of one, a view and never a
-    copy, so a level too large to stack costs no extra memory; several are
-    copied into one (k, size, size) stack.
-
+    A GeneratorStack is solved in its array and one generator in a view of
+    its matrix; other generators are copied into one (k, size, size) stack.
     Uses the dense symmetric LAPACK driver (deterministic for identical
     input on one build, stacked or not), then rescales each member to the
     uniform-measure convention, installs the exact (0, constant) eigenpair,
@@ -134,20 +136,21 @@ def eigendecompose_stack(gens: Sequence[LevelGenerator]) -> list[SpectralBasis]:
     if any(gen.space.size != size for gen in gens):
         raise ValueError(f"a stack needs levels of one size, got "
                          f"{sorted({gen.space.size for gen in gens})}")
-    if size == 1:
-        return [SpectralBasis(gen.space, np.zeros(1), np.ones((1, 1))) for gen in gens]
-    matrices = (gens[0].matrix[None] if len(gens) == 1
-                else np.stack([gen.matrix for gen in gens]))
+    matrices = (gens.matrices if isinstance(gens, GeneratorStack) else gens[0].matrix[None]
+                if len(gens) == 1 else np.stack([gen.matrix for gen in gens]))
+
+    def refuse_first(bad, detail):   # each test is one pass over the whole stack
+        if bad.any():
+            i = int(bad.argmax())
+            raise NumericalError("eigendecompose", gens[i], detail(i))
+
     scale = np.maximum(1.0, np.maximum(matrices.max(axis=(1, 2)), -matrices.min(axis=(1, 2))))
-    for gen, s in zip(gens, scale):
-        if not math.isfinite(s):   # an overflowed rate sum: every later test would pass
-            raise NumericalError("eigendecompose", gen, f"matrix is not finite: max |A| = {s:g}")
+    # An overflowed rate sum: every later test would pass.
+    refuse_first(~np.isfinite(scale), lambda i: f"matrix is not finite: max |A| = {scale[i]:g}")
     if (matrices != matrices.transpose(0, 2, 1)).any():  # only then find max |A - A^T|
         asym = np.max(np.abs(matrices - matrices.transpose(0, 2, 1)), axis=(1, 2))
-        for gen, a, s in zip(gens, asym, scale):
-            if a > 1e-12 * s:
-                raise NumericalError("eigendecompose", gen,
-                                     f"matrix is not symmetric: max |A - A^T| = {a:g}")
+        refuse_first(asym > 1e-12 * scale,
+                     lambda i: f"matrix is not symmetric: max |A - A^T| = {asym[i]:g}")
     try:
         w, v = np.linalg.eigh(matrices)
     except np.linalg.LinAlgError as exc:
@@ -160,20 +163,16 @@ def eigendecompose_stack(gens: Sequence[LevelGenerator]) -> list[SpectralBasis]:
             f"eigensolver failed to converge ({exc}); "
             f"max off-diagonal entry {np.max(np.abs(off)):g}",
         ) from exc
-    finite = np.isfinite(w).all(axis=1)
-    if not finite.all():   # finite entries can still have an eigenvalue past the float range
-        gen, lam = next((gen, lam) for gen, lam, ok in zip(gens, w, finite) if not ok)
-        bad = int(np.flatnonzero(~np.isfinite(lam))[0])
-        raise NumericalError("eigendecompose", gen,
-                             f"eigenvalues are not finite: eigenvalue {bad} is {lam[bad]:g}")
-    for gen, lam, s in zip(gens, w[:, 0], scale):
-        if abs(lam) > 1e-10 * s:
-            raise NumericalError("eigendecompose", gen,
-                                 f"smallest eigenvalue {lam:g} is not numerically zero")
+    # Finite entries can still have an eigenvalue past the float range.
+    finite = np.isfinite(w)
+    refuse_first(~finite.all(axis=1), lambda i: "eigenvalues are not finite: eigenvalue "
+                 f"{finite[i].argmin()} is {w[i, finite[i].argmin()]:g}")
+    refuse_first(np.abs(w[:, 0]) > 1e-10 * scale,
+                 lambda i: f"smallest eigenvalue {w[i, 0]:g} is not numerically zero")
     v *= math.sqrt(size)
     w[:, 0] = 0.0
     v[:, :, 0] = 1.0
-    fix_sign(v[:, :, 1:])
+    fix_sign(v)   # the constant column leads with 1.0 and keeps its sign
     if len(gens) == 1:
         return [SpectralBasis(gens[0].space, w[0], v[0])]
     # A copy per member lets a held basis keep only its own arrays alive.
@@ -200,28 +199,23 @@ def solve_stacks(pairs: Sequence[tuple[Graph, int]]):
 
     index is the pair's position in pairs; pairs come out stack by stack.
     Pairs of one level size share a stack, of at most STACK_BYTES of
-    matrices, across graphs and across levels l and n - l. Each stack is
-    built by build_level_generators, one call per level slice, and solved
-    by one eigendecompose_stack call, and every basis equals the one a
-    stack of one gives for its pair, bit for bit. The generator keeps no
-    stack it has yielded.
+    matrices, across graphs and across levels l and n - l. Each stack is one
+    build_stack and one eigendecompose_stack call, and every basis equals
+    the one a stack of one gives for its pair, bit for bit. The generator
+    keeps no stack it has yielded.
     """
-    def slice_of(i):
-        return pairs[i][0].n, pairs[i][1]
-
     by_size: dict[int, list[int]] = {}
     for i, (g, level) in enumerate(pairs):
         by_size.setdefault(math.comb(g.n, level), []).append(i)
     # Largest first: the biggest solve's workspace is gone before the
     # smaller bases pile up.
     for size, members in sorted(by_size.items(), reverse=True):
-        # Members on one (n, level) sit side by side and are built in one call.
-        members.sort(key=slice_of)
+        # Members on one (n, level) sit side by side: one run of the build.
+        members.sort(key=lambda i: (pairs[i][0].n, pairs[i][1]))
         per_stack = stack_members(size)
         for start in range(0, len(members), per_stack):
             indices = members[start:start + per_stack]
-            gens = [gen for (_, level), run in groupby(indices, key=slice_of)
-                    for gen in build_level_generators([pairs[i][0] for i in run], level)]
+            gens = build_stack([pairs[i] for i in indices])
             bases = eigendecompose_stack(gens)
             yield from zip(indices, gens, bases)
             del gens, bases  # before the next stack is built
@@ -231,16 +225,11 @@ def solve_graph(g: Graph):
     """Yield the bases of levels 0..n of the process on g, from one solve_stacks call.
 
     Levels come in solve_stacks order, largest first, and a stack is solved
-    only when the consumer asks for its first level. The generator drops
-    each generator and basis before it asks for the next stack, so a
-    consumer that drops each basis too (a plain `for basis in
-    solve_graph(g)` with `del basis` at the end of the body, or map) holds
-    one stack's bases at a time, and the peak is the largest level's
-    eigensolve. A generator expression over solve_stacks does not do this:
-    its frame keeps the last generator and basis alive while the next stack
-    is solved. On the consumer's side the result tuple that enumerate() and
-    zip() reuse does the same. A caller that indexes across levels holds
-    them all, sum over l of C(n, l)^2 doubles.
+    only when the consumer asks for its first level. Each generator and
+    basis is dropped before the next stack is solved, so a consumer that
+    drops each basis too (`del basis` at the end of a plain for body, or
+    map; not enumerate() or zip(), whose reused tuple keeps it) holds one
+    stack's bases at a time, and the peak is the largest level's eigensolve.
     """
     for _, gen, basis in solve_stacks([(g, level) for level in range(g.n + 1)]):
         del gen

@@ -66,7 +66,7 @@ def bit_position(n: int, v: int) -> int:
     return n - 1 - v
 
 
-def _frozen(table: np.ndarray) -> np.ndarray:
+def read_only(table: np.ndarray) -> np.ndarray:
     table.flags.writeable = False
     return table
 
@@ -74,7 +74,7 @@ def _frozen(table: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def vertex_masks(n: int) -> np.ndarray:
     """Read-only int64 array whose entry v is the single-bit mask of vertex v."""
-    return _frozen(np.int64(1) << bit_position(n, np.arange(n, dtype=np.int64)))
+    return read_only(np.int64(1) << bit_position(n, np.arange(n, dtype=np.int64)))
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ class LevelStateSpace:
         masks = vertex_masks(self.n)
         u, v = np.triu_indices(self.n, 1)
         table = self.rank(swap_words(self.words, masks[u, None], masks[v, None]))
-        return _frozen(table.astype(np.int32))
+        return read_only(table.astype(np.int32))
 
     @cached_property
     def additions(self) -> np.ndarray:
@@ -167,7 +167,7 @@ class LevelStateSpace:
         masks = vertex_masks(self.n)
         black = (self.words[:, None] & masks) != 0
         free = np.nonzero(~black)[1].reshape(self.size, self.n - self.level)
-        return _frozen(enumerate_level(self.n, self.level + 1)
+        return read_only(enumerate_level(self.n, self.level + 1)
                        .rank(self.words[:, None] | masks[free]))
 
 
@@ -188,7 +188,7 @@ def _level_words(n: int, level: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _level_slice(n: int, level: int) -> LevelStateSpace:
-    return LevelStateSpace(n, level, _frozen(np.array(_level_words(n, level), dtype=np.int64)))
+    return LevelStateSpace(n, level, read_only(np.array(_level_words(n, level), dtype=np.int64)))
 
 
 def enumerate_level(n: int, level: int) -> LevelStateSpace:

@@ -1,8 +1,9 @@
 """Planted defects: each verify record, comparison report and sweep can fail.
 
 Each test plants one defect by monkeypatch, at the name its caller looks up
-(generator, spectral and verify each look up build_level_generators in their
-own namespace; every solve reaches spectral.eigendecompose_stack as a global;
+(verify looks up build_level_generators in its own namespace, and generator
+and spectral look up build_stack in theirs; every solve reaches
+spectral.eigendecompose_stack as a global;
 diagnostics imports band_mass and threshold_mask by name), and asserts that
 the record meant to catch it counts a violation. Plants on the stacked kernels
 see every member of a stack. A plant that no record catches is an xfail: the
@@ -73,14 +74,14 @@ def faster_first_edge(g: Graph) -> Graph:
 def plant_wrong_edge_rate(monkeypatch):
     """Every generator is built with its graph's first edge at 1.01 times its rate."""
     def make(real):
-        def planted(graphs, level):
-            gens = real([faster_first_edge(g) for g in graphs], level)
-            for gen, g in zip(gens, graphs):
+        def planted(pairs):
+            gens = real([(faster_first_edge(g), level) for g, level in pairs])
+            for gen, (g, _) in zip(gens, pairs):
                 gen.graph = g
             return gens
         return planted
-    for module in (generator, spectral, verify):
-        wrap(monkeypatch, module, "build_level_generators", make)
+    for module in (generator, spectral):
+        wrap(monkeypatch, module, "build_stack", make)
 
 
 def plant_bases(monkeypatch, change):

@@ -21,6 +21,7 @@ from xproc.graph import (
     uniform_rate,
     with_rate,
 )
+from xproc.statespace import pair_row
 
 
 def test_complete_smallest():
@@ -227,6 +228,23 @@ def test_integral_endpoints_of_any_numeric_type_accepted():
     g = Graph(3, ((np.int64(0), 1.0, np.float64(0.5)), (1, np.float64(2), 2)))
     assert g.edges == ((0, 1, 0.5), (1, 2, 2.0))
     assert all(type(x) is int for u, v, _ in g.edges for x in (u, v))
+
+
+def test_edge_arrays_hold_each_edge_in_order_and_are_read_only():
+    g = Graph(5, ((3, 4, 0.5), (0, 2, 2.0), (1, 4, 1.25), (0, 1, 1.0)))
+    # numpy endpoints and an int rate take the checked path to the same graph
+    twin = Graph(5, ((np.int64(3), 4, np.float64(0.5)), (0, 2, 2), (1, np.int32(4), 1.25),
+                     (0, 1, 1.0)))
+    assert twin == g and all(type(r) is float for _, _, r in twin.edges)
+    for h in (g, twin):
+        assert h.ends.tolist() == [[u, v] for u, v, _ in g.edges]
+        assert h.rates.tolist() == [r for _, _, r in g.edges]
+        assert h.swap_rows.tolist() == [pair_row(5, u, v) for u, v, _ in g.edges]
+        assert h.ends.dtype == np.int64 and h.rates.dtype == float
+        for arr in (h.ends, h.rates, h.swap_rows):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+    assert "rates" not in repr(g) and hash(twin) == hash(g)
 
 
 @pytest.mark.parametrize("entry", ["[0, 2.5, 1.0]", "[false, 2, 1.0]", "[1, 2, true]"])

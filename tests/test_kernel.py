@@ -12,7 +12,7 @@ import pytest
 
 from xproc.fourier import dictator, majority, mass_by_eigenvalue, parity_on_set, spectral_profile
 from xproc import spectral
-from xproc.generator import build_level_generator, build_level_generators
+from xproc.generator import build_level_generator, build_level_generators, dirichlet_form
 from xproc.graph import Graph, make_complete, make_cycle, make_half_complete_cycle
 from xproc.spectral import (
     GROUP_RTOL,
@@ -95,6 +95,28 @@ def ref_fix_sign(vec):
     if len(nz) and vec[nz[0]] < 0:
         return -vec
     return vec
+
+
+def scalar_fix_sign(column):
+    """The sign rule one coordinate at a time: a copy of column, negated iff its first
+    |x| > SIGN_TOL * max |x| is negative; a column holding NaN is kept."""
+    values = [float(x) for x in column]
+    if any(math.isnan(x) for x in values):
+        return column.copy()
+    scale = max(abs(x) for x in values)
+    for x in values:
+        if abs(x) > SIGN_TOL * scale:
+            return -column if x < 0 else column.copy()
+    return column.copy()
+
+
+def ref_dirichlet_form(gen, f):
+    """The edge sum one edge at a time, in edge order, as dirichlet_form once ran."""
+    total = 0.0
+    for u, v, rate in gen.graph.edges:
+        diff = f - f[gen.space.swaps[pair_row(gen.space.n, u, v)]]
+        total += rate * float(diff @ diff)
+    return total / (2.0 * gen.space.size)
 
 
 def ref_group_eigenvalues(eigenvalues, rtol=GROUP_RTOL):
@@ -380,6 +402,60 @@ def test_in_place_sign_fix_matches_fix_sign_on_stacks(members, rows, cols):
     for m in range(members):
         for c in range(cols):
             assert got[m, :, c].tobytes() == ref_fix_sign(stack[m, :, c]).tobytes()
+
+
+def planted_leads(rng, size, leads):
+    """(size, len(leads) + 2) columns: column c leads at row leads[c], with every
+    earlier coordinate at most SIGN_TOL times the column's largest (exactly at it,
+    of either sign, or zero); then an all-zero column and a column holding NaN."""
+    cols = rough(rng, size, len(leads) + 2)
+    for c, row in enumerate(leads):
+        scale = float(np.max(np.abs(cols[:, c]))) * 2.0
+        cols[-1, c] = scale * rng.choice([-1.0, 1.0])   # the column's largest entry
+        edge = SIGN_TOL * scale
+        cols[:row, c] = rng.choice([-edge, 0.0, edge], size=row)
+        if row < size - 1:
+            cols[row, c] = rng.choice([-1.0, 1.0]) * rng.choice([np.nextafter(edge, 1.0), 0.5])
+    cols[:, -2] = 0.0
+    cols[size // 2, -1] = np.nan
+    return cols
+
+
+@pytest.mark.parametrize("size", [111, 140])
+def test_fix_sign_equals_a_scalar_reference_with_deep_leads(size):
+    rng = np.random.default_rng(size)
+    leads = [0, 1, 110, size - 1] * 3
+    cols = planted_leads(rng, size, leads)
+    want = np.stack([scalar_fix_sign(cols[:, c]) for c in range(cols.shape[1])], axis=1)
+    for c, row in enumerate(leads):   # each lead is where it was planted
+        scale = np.max(np.abs(cols[:, c]))
+        assert np.flatnonzero(np.abs(cols[:, c]) > SIGN_TOL * scale)[0] == row
+    flipped = [want[-1, c] != cols[-1, c] for c in range(len(leads))]
+    assert 0 < sum(flipped) < len(leads)
+    assert np.isnan(want[size // 2, -1]) and np.array_equal(want[:, -2], cols[:, -2])
+    assert fixed(cols).tobytes() == want.tobytes()
+    for c in range(cols.shape[1]):
+        assert fixed(cols[:, c]).tobytes() == want[:, c].tobytes()
+    # a stack of three members, each with its own column order
+    orders = [rng.permutation(cols.shape[1]) for _ in range(3)]
+    stack = np.stack([cols[:, order] for order in orders])
+    assert fixed(stack).tobytes() == np.stack([want[:, order] for order in orders]).tobytes()
+    # the sign-fix's own input in eigendecompose_stack: a strided view of the columns
+    wide = np.hstack([np.ones((size, 1)), cols])
+    fix_sign(wide[:, 1:])
+    assert wide[:, 1:].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dirichlet_form_equals_the_edge_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = 5 + seed
+    g = Graph(n, tuple((u, v, float(rng.uniform(0.1, 2.0)))
+                       for u, v, _ in random_connected_graph(rng, n, 1.0).edges))
+    for level in range(n + 1):
+        gen = build_level_generator(g, level)
+        f = rng.standard_normal(gen.space.size)
+        assert dirichlet_form(gen, f) == ref_dirichlet_form(gen, f)
 
 
 def test_eigendecompose_stack_signs_match_fix_sign():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from xproc import graph as graph_module, spectral, verify
-from xproc.generator import NumericalError, build_level_generator, build_level_generators
+from xproc.generator import (
+    GeneratorStack, NumericalError, build_level_generator, build_level_generators, build_stack,
+)
 from xproc.graph import Graph, make_complete, make_cycle, make_half_complete_cycle
 from xproc.spectral import eigendecompose_stack
 from xproc.verify import random_connected_graph
@@ -213,6 +215,90 @@ def test_the_member_that_does_not_converge_is_named(monkeypatch):
     with pytest.raises(NumericalError, match=r"^eigendecompose on n=5, level=3 \(10 states\): "
                                             "eigensolver failed to converge"):
         eigendecompose_stack(gens)
+
+
+def one_build_of_three():
+    """build_stack of three 10-state levels on three (n, level) slices, the middle
+    one C_10 level 1: one array, solved in place."""
+    return build_stack([(make_cycle(5, 1.0), 2), (make_cycle(10, 1.0), 1),
+                        (make_complete(5, 0.5), 3)])
+
+
+def plant_inf_entry(m):
+    m[0, 0] = np.inf
+
+
+def plant_asymmetry(m):
+    m[0, 1] += 1e-6
+
+
+def plant_kernel(m):
+    m[...] += np.eye(len(m))
+
+
+def plant_overflowing_eigenvalue(m):
+    m[...] *= 8e307   # entries up to 1.6e308; the top eigenvalue 4 * 8e307 overflows
+
+
+@pytest.mark.parametrize("plant,message,members", [
+    (plant_inf_entry, r"matrix is not finite: max \|A\| = inf$", [1]),
+    (plant_inf_entry, r"matrix is not finite: max \|A\| = inf$", [1, 2]),
+    (plant_asymmetry, "matrix is not symmetric", [1]),
+    (plant_asymmetry, "matrix is not symmetric", [1, 2]),
+    (plant_kernel, "smallest eigenvalue 1 is not numerically zero", [1]),
+    (plant_kernel, "smallest eigenvalue 1 is not numerically zero", [1, 2]),
+    (plant_overflowing_eigenvalue, r"eigenvalues are not finite: eigenvalue \d+ is inf$", [1]),
+])
+def test_the_first_failing_member_of_a_built_stack_is_named(plant, message, members):
+    gens = one_build_of_three()
+    assert isinstance(gens, GeneratorStack)
+    for i in members:
+        plant(gens[i].matrix)
+    with pytest.raises(NumericalError, match=r"^eigendecompose on n=10, level=1 \(10 states\): "
+                                            + message):
+        eigendecompose_stack(gens)
+
+
+def test_a_solve_stack_of_mixed_slices_is_one_array_solved_in_place(monkeypatch):
+    # Size 10 from (10, 1), (10, 9), (5, 2) and (5, 3), two graphs each, in one stack.
+    pairs = [(g, level) for g in rated_graphs(5, 10, 2) for level in (1, 9)]
+    pairs += [(g, level) for g in (make_cycle(5, 1.0), make_complete(5, 0.5)) for level in (2, 3)]
+    stacks, solved = [], []
+    real_eigh, real_stack = np.linalg.eigh, spectral.eigendecompose_stack
+
+    def eigh(a):
+        solved.append(a)
+        return real_eigh(a)
+
+    def recording(gens):
+        stacks.append(gens)
+        return real_stack(gens)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(spectral, "eigendecompose_stack", recording)
+    out = list(spectral.solve_stacks(pairs))
+    [gens] = stacks
+    assert len(solved) == 1 and solved[0] is gens.matrices
+    assert gens.matrices.shape == (8, 10, 10)
+    assert sorted(i for i, _, _ in out) == list(range(8))
+    for i, gen, basis in out:
+        g, level = pairs[i]
+        assert np.shares_memory(gen.matrix, gens.matrices)
+        assert gen.matrix.tobytes() == build_level_generator(g, level).matrix.tobytes()
+        assert_same_basis(basis, solve_alone(g, [level])[0])
+
+
+def test_build_stack_takes_unsorted_runs():
+    # Interleaved slices make one run per pair; every member still equals its own build.
+    graphs = rated_graphs(11, 5, 3)
+    pairs = [(g, level) for g in graphs for level in (2, 3)]
+    gens = build_stack(pairs)
+    assert len(gens) == 6 and gens.matrices.shape == (6, 10, 10)
+    for (g, level), gen in zip(pairs, gens, strict=True):
+        assert (gen.graph, gen.space.level) == (g, level)
+        assert gen.matrix.tobytes() == build_level_generator(g, level).matrix.tobytes()
+    with pytest.raises(ValueError, match=r"levels of one size, got \[5, 10\]"):
+        build_stack([(graphs[0], 1), (graphs[0], 2)])
 
 
 def test_a_disconnected_graph_is_refused():
