@@ -27,7 +27,6 @@ from .generator import (
     LevelGenerator,
     NumericalError,
     build_level_generator,
-    build_level_generators,
     dirichlet_form,
 )
 from .spectral import (

@@ -58,14 +58,7 @@ class GeneratorStack(tuple):
 
 def build_level_generator(g: Graph, level: int) -> LevelGenerator:
     """Assemble -Q for the given level of the exclusion process on g."""
-    return build_level_generators([g], level)[0]
-
-
-def build_level_generators(graphs: Sequence[Graph], level: int) -> GeneratorStack:
-    """Assemble -Q on one level for each of several graphs on the same n, as one stack."""
-    if len({g.n for g in graphs}) > 1:
-        raise ValueError(f"a stack needs graphs on one n, got {sorted({g.n for g in graphs})}")
-    return build_stack([(g, level) for g in graphs])
+    return build_stack([(g, level)])[0]
 
 
 def build_stack(pairs: Sequence[tuple[Graph, int]]) -> GeneratorStack:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .generator import GeneratorStack, LevelGenerator, NumericalError, build_stack
+from .generator import GeneratorStack, NumericalError, build_stack
 from .statespace import LevelStateSpace, check_levels, enumerate_level
 
 GROUP_RTOL = 1e-8       # eigenvalues within 1e-8 * max(1, lam) form one cluster
@@ -118,26 +118,19 @@ def column_dots(x: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1)
 
 
-def eigendecompose_stack(gens: Sequence[LevelGenerator]) -> list[SpectralBasis]:
-    """Full eigendecompositions of -Q on several levels of one size, in one LAPACK call.
+def eigendecompose_stack(gens: GeneratorStack) -> list[SpectralBasis]:
+    """Full eigendecompositions of -Q on the levels of one build_stack, in one LAPACK call.
 
-    A GeneratorStack is solved in its array and one generator in a view of
-    its matrix; other generators are copied into one (k, size, size) stack.
-    Uses the dense symmetric LAPACK driver (deterministic for identical
-    input on one build, stacked or not), then rescales each member to the
-    uniform-measure convention, installs the exact (0, constant) eigenpair,
-    and fixes signs so the first nonzero coordinate of each vector is
-    positive. Raises NumericalError, naming the first member at fault, when
-    a matrix has an entry that is not finite or is not symmetric, the solver
-    does not converge, an eigenvalue is not finite or the smallest
-    eigenvalue is not numerically zero.
+    Passes gens.matrices, the stack's own array, to the dense symmetric
+    LAPACK driver (deterministic for identical input on one build, stacked
+    or not), then rescales each member to the uniform-measure convention,
+    installs the exact (0, constant) eigenpair, and fixes signs so the first
+    nonzero coordinate of each vector is positive. Raises NumericalError,
+    naming the first member at fault, when a matrix has an entry that is not
+    finite or is not symmetric, the solver does not converge, an eigenvalue
+    is not finite or the smallest eigenvalue is not numerically zero.
     """
-    size = gens[0].space.size
-    if any(gen.space.size != size for gen in gens):
-        raise ValueError(f"a stack needs levels of one size, got "
-                         f"{sorted({gen.space.size for gen in gens})}")
-    matrices = (gens.matrices if isinstance(gens, GeneratorStack) else gens[0].matrix[None]
-                if len(gens) == 1 else np.stack([gen.matrix for gen in gens]))
+    matrices = gens.matrices
 
     def refuse_first(bad, detail):   # each test is one pass over the whole stack
         if bad.any():
@@ -169,7 +162,7 @@ def eigendecompose_stack(gens: Sequence[LevelGenerator]) -> list[SpectralBasis]:
                  f"{finite[i].argmin()} is {w[i, finite[i].argmin()]:g}")
     refuse_first(np.abs(w[:, 0]) > 1e-10 * scale,
                  lambda i: f"smallest eigenvalue {w[i, 0]:g} is not numerically zero")
-    v *= math.sqrt(size)
+    v *= math.sqrt(matrices.shape[1])
     w[:, 0] = 0.0
     v[:, :, 0] = 1.0
     fix_sign(v)   # the constant column leads with 1.0 and keeps its sign

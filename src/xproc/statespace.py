@@ -202,10 +202,7 @@ def enumerate_level(n: int, level: int) -> LevelStateSpace:
         raise ValueError(f"supported vertex counts are 2..63, got {n}")
     if not (0 <= level <= n):
         raise ValueError(f"level must be in 0..{n}, got {level}")
-    size = math.comb(n, level)
-    cap = state_cap()
-    if size > cap:
-        raise StateCapExceeded(n, level, size, cap)
+    check_levels(n, [level])
     return _level_slice(n, level)
 
 

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from . import diagnostics, dynamics, fourier, oracle, spectral
-from .generator import build_level_generators, dirichlet_form
+from .generator import build_stack, dirichlet_form
 from .graph import (
     Graph, make_complete, make_cycle, make_half_complete_cycle, max_degree,
     with_rate,
@@ -193,7 +193,7 @@ def check_generator_invariants(nmax: int, named, draws) -> dict:
     defects = {}
     for n, members in on_n.items():
         for level in range(n + 1):
-            gens = build_level_generators([named[i][1] for i in members], level)
+            gens = build_stack([(named[i][1], level) for i in members])
             for i, gen in zip(members, gens):
                 m = gen.matrix
                 scale = max(1.0, float(np.max(np.abs(m))))
@@ -213,13 +213,13 @@ def check_generator_invariants(nmax: int, named, draws) -> dict:
         rate = 0.75
         g = make_complete(n, rate)
         for level in range(n + 1):
-            [gen] = build_level_generators([g], level)
+            [gen] = build_stack([(g, level)])
             expected = level * (n - level) * rate
             res = float(np.max(np.abs(np.diag(gen.matrix) - expected)))
             rows.append((res, 1e-12 * max(1.0, expected), f"K_{n} diagonal level {level}"))
     # removing edges can only decrease the quadratic form
     for i, (n, g, sub, level, f) in enumerate(draws):
-        gen, gen_sub = build_level_generators([g, sub], level)
+        gen, gen_sub = build_stack([(g, level), (sub, level)])
         gap = dirichlet_form(gen_sub, f) - dirichlet_form(gen, f)
         rows.append((gap, 1e-10 * max(1.0, abs(dirichlet_form(gen, f))),
                      f"dirichlet monotonicity draw {i} (n={n})"))

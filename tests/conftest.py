@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from xproc import spectral
-from xproc.generator import build_level_generator
+from xproc.generator import build_stack
 
 
 def solve_alone(g, levels=None):
@@ -15,7 +15,7 @@ def solve_alone(g, levels=None):
     solve equals bit for bit.
     """
     levels = range(g.n + 1) if levels is None else levels
-    return [spectral.eigendecompose_stack([build_level_generator(g, level)])[0]
+    return [spectral.eigendecompose_stack(build_stack([(g, level)]))[0]
             for level in levels]
 
 

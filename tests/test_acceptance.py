@@ -66,7 +66,7 @@ def test_criterion_2_lift_formulas_and_dichotomy():
         g = make_cycle(n, 0.5)
         gens = [build_level_generator(g, level) for level in range(n + 1)]
         for level in range(n + 1):
-            basis = spectral.eigendecompose_stack([gens[level]])[0]
+            basis = solve_alone(g, [level])[0]
             for i in range(basis.size):
                 lam = float(basis.eigenvalues[i])
                 lifts = []

@@ -1,9 +1,8 @@
 """Planted defects: each verify record, comparison report and sweep can fail.
 
 Each test plants one defect by monkeypatch, at the name its caller looks up
-(verify looks up build_level_generators in its own namespace, and generator
-and spectral look up build_stack in theirs; every solve reaches
-spectral.eigendecompose_stack as a global;
+(generator, spectral and verify each look up build_stack in their own
+namespace; every solve reaches spectral.eigendecompose_stack as a global;
 diagnostics imports band_mass and threshold_mask by name), and asserts that
 the record meant to catch it counts a violation. Plants on the stacked kernels
 see every member of a stack. A plant that no record catches is an xfail: the
@@ -56,14 +55,14 @@ def plant_asymmetric_entry(monkeypatch):
     # Only in verify, where the generator invariants build: planted in every
     # build, every solve would refuse the matrix.
     def make(real):
-        def planted(graphs, level):
-            gens = real(graphs, level)
+        def planted(pairs):
+            gens = real(pairs)
             for gen in gens:
                 if gen.space.size > 1:
                     gen.matrix[0, 1] += 1e-6
             return gens
         return planted
-    wrap(monkeypatch, verify, "build_level_generators", make)
+    wrap(monkeypatch, verify, "build_stack", make)
 
 
 def faster_first_edge(g: Graph) -> Graph:
@@ -80,7 +79,7 @@ def plant_wrong_edge_rate(monkeypatch):
                 gen.graph = g
             return gens
         return planted
-    for module in (generator, spectral):
+    for module in (generator, spectral, verify):
         wrap(monkeypatch, module, "build_stack", make)
 
 

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from xproc import cli, diagnostics, spectral, verify
 from xproc.cli import apply_config_file, build_parser, dumps_json, main
+from xproc.generator import GeneratorStack
 from xproc.graph import make_complete, make_cycle, make_half_complete_cycle, save_graph
 
 from conftest import solve_alone
@@ -826,19 +827,23 @@ SOLVING_COMMANDS = {
 @pytest.mark.parametrize("command", SOLVING_COMMANDS)
 def test_every_solve_lands_in_eigendecompose_stack(tmp_path, capsys, monkeypatch, command):
     """Each solved level is a pair handed to solve_stacks and one member of an
-    eigendecompose_stack call."""
+    eigendecompose_stack call, whose argument is the GeneratorStack of one build."""
     monkeypatch.chdir(tmp_path)
     calls = {"solve_stacks": 0, "eigendecompose_stack": 0}
+    solved = []
     for name in calls:
         inner = getattr(spectral, name)
 
         def counting(members, name=name, inner=inner):
             calls[name] += len(members)
+            if name == "eigendecompose_stack":
+                solved.append(type(members))
             return inner(members)
 
         monkeypatch.setattr(spectral, name, counting)
     assert run(SOLVING_COMMANDS[command], capsys)[0] == 0
     assert calls["eigendecompose_stack"] == calls["solve_stacks"] > 0
+    assert set(solved) == {GeneratorStack}
 
 
 @pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])

@@ -196,7 +196,7 @@ def test_comparison_checks_solve_nothing(monkeypatch):
 
     monkeypatch.setattr(spectral, "eigendecompose_stack", no_solve)
     assert not hasattr(diagnostics, "eigendecompose_stack")
-    assert not hasattr(diagnostics, "build_level_generators")
+    assert not hasattr(diagnostics, "build_stack")
     assert not hasattr(diagnostics, "solve_graph")
     assert not hasattr(diagnostics, "spectral_profile")
     assert len(containment_residual(complete, other, 1.0, 2.0, bases[complete],

@@ -12,7 +12,7 @@ import pytest
 
 from xproc.fourier import dictator, majority, mass_by_eigenvalue, parity_on_set, spectral_profile
 from xproc import spectral
-from xproc.generator import build_level_generator, build_level_generators, dirichlet_form
+from xproc.generator import build_level_generator, build_stack, dirichlet_form
 from xproc.graph import Graph, make_complete, make_cycle, make_half_complete_cycle
 from xproc.spectral import (
     GROUP_RTOL,
@@ -355,8 +355,8 @@ def test_fix_sign_matches_per_column_on_random_matrices():
 
 def test_eigendecompose_signs_match_per_column():
     g = random_connected_graph(np.random.default_rng(4), 8, 0.9)
-    gen = build_level_generator(g, 4)
-    basis = eigendecompose_stack([gen])[0]
+    gens = build_stack([(g, 4)])
+    gen, basis = gens[0], eigendecompose_stack(gens)[0]
     _, v = np.linalg.eigh(gen.matrix)
     vectors = v * math.sqrt(gen.space.size)
     vectors[:, 0] = 1.0
@@ -462,7 +462,7 @@ def test_eigendecompose_stack_signs_match_fix_sign():
     rng = np.random.default_rng(12)
     graphs = [make_complete(6, 1.0), make_cycle(6, 0.5),
               *(random_connected_graph(rng, 6, 0.7) for _ in range(2))]
-    gens = build_level_generators(graphs, 3)
+    gens = build_stack([(g, 3) for g in graphs])
     _, v = np.linalg.eigh(np.stack([gen.matrix for gen in gens]))
     v *= math.sqrt(gens[0].space.size)
     v[:, :, 0] = 1.0

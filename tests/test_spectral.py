@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from xproc.generator import NumericalError, build_level_generator
+from xproc.generator import NumericalError, build_level_generator, build_stack
 from xproc.graph import make_complete, make_cycle
 from xproc.spectral import (
     complete_graph_basis,
@@ -60,16 +60,16 @@ def test_cycle4_level1_walk_spectrum():
 def test_invariants_hold(n):
     for g in (make_complete(n, 1.0), make_cycle(n, 0.5)):
         for level in range(n + 1):
-            gen = build_level_generator(g, level)
-            check_basis_invariants(gen, eigendecompose_stack([gen])[0])
+            gens = build_stack([(g, level)])
+            check_basis_invariants(gens[0], eigendecompose_stack(gens)[0])
 
 
 def test_symmetry_checked():
-    gen = build_level_generator(make_cycle(4, 1.0), 1)
-    gen.matrix[0, 1] += 1e-3
+    gens = build_stack([(make_cycle(4, 1.0), 1)])
+    gens[0].matrix[0, 1] += 1e-3
     with pytest.raises(NumericalError, match=r"^eigendecompose on n=4, level=1 \(4 states\): "
                                             "matrix is not symmetric"):
-        eigendecompose_stack([gen])
+        eigendecompose_stack(gens)
 
 
 def test_eigensolver_failure_is_numerical_error(monkeypatch):
@@ -77,24 +77,23 @@ def test_eigensolver_failure_is_numerical_error(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
-    gen = build_level_generator(make_cycle(5, 1.0), 2)
+    gens = build_stack([(make_cycle(5, 1.0), 2)])
     with pytest.raises(NumericalError, match=r"^eigendecompose on n=5, level=2 \(10 states\): "
                                             "eigensolver failed to converge"):
-        eigendecompose_stack([gen])
+        eigendecompose_stack(gens)
 
 
 def test_nonzero_kernel_is_numerical_error():
-    gen = build_level_generator(make_cycle(4, 1.0), 2)
-    gen.matrix += np.eye(gen.space.size)  # symmetric, smallest eigenvalue 1
+    gens = build_stack([(make_cycle(4, 1.0), 2)])
+    gens[0].matrix[...] += np.eye(gens[0].space.size)  # symmetric, smallest eigenvalue 1
     with pytest.raises(NumericalError, match="smallest eigenvalue 1 is not numerically zero"):
-        eigendecompose_stack([gen])
+        eigendecompose_stack(gens)
     assert not issubclass(NumericalError, ValueError)
 
 
 def test_deterministic_decomposition():
-    gen1 = build_level_generator(make_cycle(6, 0.5), 3)
-    gen2 = build_level_generator(make_cycle(6, 0.5), 3)
-    b1, b2 = eigendecompose_stack([gen1])[0], eigendecompose_stack([gen2])[0]
+    b1, b2 = (eigendecompose_stack(build_stack([(make_cycle(6, 0.5), 3)]))[0]
+              for _ in range(2))
     assert np.array_equal(b1.eigenvalues, b2.eigenvalues)
     assert np.array_equal(b1.vectors, b2.vectors)
 
@@ -223,7 +222,7 @@ def test_lift_dichotomy_on_cycles(n):
     g = make_cycle(n, 0.5)
     gens = [build_level_generator(g, level) for level in range(n + 1)]
     for level in range(n + 1):
-        basis = eigendecompose_stack([gens[level]])[0]
+        basis = basis_for(g, level)
         for i in range(basis.size):
             lam = float(basis.eigenvalues[i])
             if level >= 1:
@@ -258,8 +257,8 @@ def test_multiplicity_counting_identity(n):
 def test_closed_form_matches_eigensolver():
     alpha = 0.5
     cb = complete_graph_basis(6, 3, alpha)
-    gen = build_level_generator(make_complete(6, alpha), 3)
-    gb = eigendecompose_stack([gen])[0]
+    gens = build_stack([(make_complete(6, alpha), 3)])
+    gen, gb = gens[0], eigendecompose_stack(gens)[0]
     check_basis_invariants(gen, cb)
     assert cb.groups == gb.groups
     for grp_c, grp_g in zip(cb.groups, gb.groups):
