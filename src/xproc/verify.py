@@ -36,41 +36,21 @@ class BasisTable:
 
     Starts empty. plan and levels add one planned read per (Graph, level)
     pair when called, and return the reads: Graph is a frozen dataclass, so a
-    graph built at two call sites with equal rates is one key. solve_batch
-    solves, in one spectral.solve_stacks call, each planned pair whose level
-    shares a stack with others (shares_a_stack); a larger level is solved by
-    its first read. So each pair is solved once. A basis is held while the
-    plan has reads of it left and dropped by its last read, after which the
-    reader's reference is the only one. Held arrays are read-only, so no
-    check can change a basis another check reads. A solve is deterministic
-    for identical input, stacked or not, so the plan changes no report.
+    graph built at two call sites with equal rates is one key. A read solves
+    its pairs not held, in one spectral.solve_stacks call; if one of them
+    shares a stack with others (shares_a_stack), the call also takes every
+    planned pair not held that shares one. So the first read of a small level
+    solves the run's batch, a larger level is solved by its first read, and
+    each pair is solved once. A basis is held while the plan has reads of it
+    left and dropped by its last read, after which the reader's reference is
+    the only one. Held arrays are read-only, so no check can change a basis
+    another check reads. A solve is deterministic for identical input,
+    stacked or not, so the plan changes no report.
     """
 
     def __init__(self):
         self._reads = Counter()   # reads left, per pair
         self._bases: dict[tuple[Graph, int], spectral.SpectralBasis] = {}
-
-    def _hold(self, pair, basis: spectral.SpectralBasis) -> None:
-        basis.eigenvalues.flags.writeable = False
-        basis.vectors.flags.writeable = False
-        self._bases[pair] = basis
-
-    def solve_batch(self, pairs=()):
-        """Solve the planned pairs that share a stack, and pairs, in one solve_stacks call.
-
-        Yields (pair, generator, basis) for each distinct pair of pairs, as
-        its stack is solved; the planned bases are held and every other one
-        is dropped. No generator is kept.
-        """
-        wanted = set(pairs)
-        batch = [pair for pair in dict.fromkeys([*pairs, *self._reads])
-                 if pair in wanted or shares_a_stack(*pair)]
-        for i, gen, basis in spectral.solve_stacks(batch):
-            if batch[i] in self._reads:
-                self._hold(batch[i], basis)
-            if batch[i] in wanted:
-                yield batch[i], gen, basis
-            del gen, basis   # before the next stack is solved
 
     def plan(self, groups):
         """Plan one read of each group of (graph, level) pairs.
@@ -89,8 +69,14 @@ class BasisTable:
 
     def _read(self, pairs) -> list[spectral.SpectralBasis]:
         missing = [pair for pair in dict.fromkeys(pairs) if pair not in self._bases]
+        if any(shares_a_stack(*pair) for pair in missing):
+            batch = [pair for pair in self._reads
+                     if pair not in self._bases and shares_a_stack(*pair)]
+            missing = list(dict.fromkeys([*missing, *batch]))
         for i, _, basis in spectral.solve_stacks(missing):
-            self._hold(missing[i], basis)
+            basis.eigenvalues.flags.writeable = False
+            basis.vectors.flags.writeable = False
+            self._bases[missing[i]] = basis
         found = [self._bases[pair] for pair in pairs]
         for pair in pairs:
             self._reads[pair] -= 1
@@ -183,31 +169,33 @@ def draw_generator_invariants(nmax: int, rng: np.random.Generator):
     return partial(check_generator_invariants, nmax, named, draws)
 
 
+def level_groups(named) -> list[list[tuple[Graph, int]]]:
+    """The (graph, level) pairs of the (name, graph) pairs, one group per (n, level)."""
+    on_n: dict[int, list[Graph]] = {}
+    for _, g in named:
+        on_n.setdefault(g.n, []).append(g)
+    return [[(g, level) for g in graphs] for n, graphs in on_n.items() for level in range(n + 1)]
+
+
 def check_generator_invariants(nmax: int, named, draws) -> dict:
     """Row sums, symmetry, sign pattern, kernel, complete-graph diagonal,
     and edge-monotonicity of the quadratic form."""
-    # Each (n, level) of the named graphs is built as one stack.
-    on_n: dict[int, list[int]] = {}
-    for i, (_, g) in enumerate(named):
-        on_n.setdefault(g.n, []).append(i)
     defects = {}
-    for n, members in on_n.items():
-        for level in range(n + 1):
-            gens = build_stack([(named[i][1], level) for i in members])
-            for i, gen in zip(members, gens):
-                m = gen.matrix
-                scale = max(1.0, float(np.max(np.abs(m))))
-                off = m - np.diag(np.diag(m))
-                res = float(np.max([
-                    np.max(np.abs(m - m.T)),
-                    np.max(np.abs(m.sum(axis=1))),
-                    off.max(initial=0.0),          # off-diagonal must be <= 0
-                    -np.diag(m).min(initial=0.0),  # diagonal must be >= 0
-                    np.max(np.abs(m @ np.ones(gen.space.size))),
-                ]))
-                defects[i, level] = res / scale
-    rows = [(defects[i, level], 1e-12, f"{name} level {level}")
-            for i, (name, g) in enumerate(named) for level in range(g.n + 1)]
+    for group in level_groups(named):
+        for pair, gen in zip(group, build_stack(group)):
+            m = gen.matrix
+            scale = max(1.0, float(np.max(np.abs(m))))
+            off = m - np.diag(np.diag(m))
+            res = float(np.max([
+                np.max(np.abs(m - m.T)),
+                np.max(np.abs(m.sum(axis=1))),
+                off.max(initial=0.0),          # off-diagonal must be <= 0
+                -np.diag(m).min(initial=0.0),  # diagonal must be >= 0
+                np.max(np.abs(m @ np.ones(gen.space.size))),
+            ]))
+            defects[pair] = res / scale
+    rows = [(defects[g, level], 1e-12, f"{name} level {level}")
+            for name, g in named for level in range(g.n + 1)]
     # complete-graph diagonal is level * (n - level) * rate everywhere
     for n in range(2, min(nmax, 8) + 1):
         rate = 0.75
@@ -241,25 +229,21 @@ def basis_defect(gen, basis) -> float:
 
 
 def draw_eigensolver(nmax: int, rng: np.random.Generator, table: BasisTable):
-    """check_eigensolver on every level of the named graphs, as table's batch solves them."""
+    """check_eigensolver on every level of the named graphs, one read per (n, level)."""
     named = [(f"{name}_{n}", g) for n in range(3, min(nmax, 8) + 1)
              for name, g in (("K", make_complete(n, 1.0)), ("C", make_cycle(n, 0.5)),
                              ("random", random_connected_graph(rng, n, 1.0)))]
-    return partial(check_eigensolver, named, table.solve_batch(
-        [(g, level) for _, g in named for level in range(g.n + 1)]))
+    groups = level_groups(named)
+    return partial(check_eigensolver, named, groups, table.plan(groups))
 
 
-def check_eigensolver(named, solved) -> dict:
-    """Each basis against the generator it was solved from.
-
-    solved yields (pair, generator, basis) for each (graph, level) pair of
-    the named graphs (BasisTable.solve_batch), and each defect is found as
-    its pair comes, so no generator is kept.
-    """
+def check_eigensolver(named, groups, reads) -> dict:
+    """Each basis against its generator, built again apart from its solve:
+    one build_stack per group of level_groups(named)."""
     defects = {}
-    for pair, gen, basis in solved:
-        defects[pair] = basis_defect(gen, basis)
-        del gen, basis   # before the next stack is solved
+    for group, bases in zip(groups, reads, strict=True):
+        for pair, gen, basis in zip(group, build_stack(group), bases, strict=True):
+            defects[pair] = basis_defect(gen, basis)
     rows = [(defects[g, level], 1e-10, f"{name} level {level}")
             for name, g in named for level in range(g.n + 1)]
     return _record("eigensolver_residuals", rows)
@@ -518,9 +502,9 @@ def run_suite(*, nmax: int, seed: int, mc_samples: int) -> dict:
 
     Every check is drawn first, with the random calls of the checks in run
     order; each draw plans its reads in one BasisTable. Then the checks run
-    in report order: the table's batch solves the planned levels that share
-    a stack while check_eigensolver reads them, and the larger levels are
-    solved when read.
+    in report order: the run's first read, check_eigensolver's, solves the
+    planned levels that share a stack, and the larger levels are solved when
+    read.
     """
     rng = np.random.default_rng(seed)
     table = BasisTable()

@@ -81,11 +81,10 @@ def test_basis_table_levels_equal_per_level_solves(monkeypatch, stack_bytes):
     # Sizes shared across n: C(4, 2) = C(6, 1) = 6 and C(5, 2) = C(10, 1) = 10.
     graphs = [make_cycle(4, 0.5), make_complete(6, 1.0), *rated_graphs(7, 5, 2),
               make_half_complete_cycle(3, 0.25), make_cycle(10, 1.0), make_cycle(4, 0.5)]
-    # Planned, as verify plans a run: the batch solves the levels that share
-    # a stack under the limit, and the reads solve the rest.
+    # Planned, as verify plans a run: the first read solves the levels that
+    # share a stack under the limit, and each later read solves the rest.
     table = verify.BasisTable()
     reads = table.levels(graphs)
-    assert list(table.solve_batch()) == []
     for g, bases in zip(graphs, reads, strict=True):
         assert len(bases) == g.n + 1
         for basis, alone in zip(bases, solve_alone(g)):

@@ -87,8 +87,8 @@ def test_a_held_basis_is_gone_after_its_last_reader():
     cycle = make_cycle(6, 1.0)
     table = verify.BasisTable()
     reads = table.plan([[(cycle, 2)], [(cycle, 2)], [(cycle, 3)]])
-    assert list(table.solve_batch()) == []   # nothing asked for but the plan
     [basis] = next(reads)
+    assert set(table._bases) == {(cycle, 2), (cycle, 3)}   # the batch: both share a stack
     ref = weakref.ref(basis)
     del basis
     assert ref() is not None   # one read of it left
@@ -111,7 +111,8 @@ def test_each_basis_is_gone_after_its_last_reader_in_a_run(monkeypatch):
 
     monkeypatch.setattr(verify.BasisTable, "_read", recording)
     checked = []
-    for name in ("check_complete_graphs", "check_eigenvalue_bound", "check_parseval",
+    for name in ("check_eigensolver", "check_complete_graphs", "check_eigenvalue_bound",
+                 "check_parseval",
                  "check_oracle_equivalence", "check_containment", "check_projection_mass",
                  "check_monotonicity", "check_monte_carlo"):
         def after(*args, check=getattr(verify, name), **kwargs):
@@ -123,32 +124,31 @@ def test_each_basis_is_gone_after_its_last_reader_in_a_run(monkeypatch):
             return record
         monkeypatch.setattr(verify, name, after)
     verify.run_suite(nmax=8, seed=7, mc_samples=400)
-    assert len(checked) == 8 and checked[-1] > 500
+    assert len(checked) == 9 and checked[-1] > 500
     assert not tables[-1]._reads and not tables[-1]._bases
 
 
 def test_held_basis_equals_a_fresh_solve():
     g = make_complete(6, 1.0)
     table = verify.BasisTable()
-    reads = table.levels([g])
-    solved = {pair: basis for pair, _, basis in table.solve_batch(levels_of(g))}
-    [held_levels] = reads
+    first, held_levels = table.levels([g, make_complete(6, 1.0)])
     for level, (held, fresh) in enumerate(zip(held_levels, solve_alone(g), strict=True)):
-        assert held is solved[g, level]
+        assert held is first[level]
         assert np.array_equal(held.vectors, fresh.vectors)
         assert np.array_equal(held.eigenvalues, fresh.eigenvalues)
         assert held.groups == fresh.groups
 
 
-def test_the_batch_holds_the_small_levels_and_yields_only_those_asked_for(solves):
+def test_the_first_read_holds_the_small_levels_and_leaves_the_large_to_their_reads(solves):
     cycle, complete = make_cycle(10, 1.0), make_complete(10, 0.1)
     table = verify.BasisTable()
-    reads = table.levels([cycle])
     pairs = [(complete, 2), (complete, 5)]
-    yielded = [pair for pair, _, _ in table.solve_batch(pairs)]
-    assert sorted(yielded, key=lambda pair: pair[1]) == pairs
+    first = table.plan([pairs])
+    reads = table.levels([cycle])
+    [[b2, b5]] = first
+    assert b2.space.level == 2 and b5.space.level == 5
     # The cycle's 1-, 10-, 45- and 120-state levels share stacks; its 210-
-    # and 252-state levels (4, 5 and 6) are left to their first read.
+    # and 252-state levels (4, 5 and 6) are left to their own read.
     small = [level for level in range(11) if math.comb(10, level) <= 128]
     assert small == [0, 1, 2, 3, 7, 8, 9, 10]
     assert all(verify.shares_a_stack(cycle, level) == (level in small) for level in range(11))
@@ -156,6 +156,31 @@ def test_the_batch_holds_the_small_levels_and_yields_only_those_asked_for(solves
     assert set(solves) == {*pairs, *table._bases}
     list(reads)
     assert set(solves.values()) == {1} and not table._bases
+
+
+def test_a_later_group_read_first_solves_the_batch(monkeypatch, solves):
+    calls = []
+    inner = spectral.solve_stacks
+
+    def recording(pairs):
+        calls.append(list(pairs))
+        return inner(pairs)
+
+    monkeypatch.setattr(spectral, "solve_stacks", recording)
+    cycle, complete = make_cycle(6, 1.0), make_complete(5, 0.5)
+    table = verify.BasisTable()
+    earlier = table.levels([cycle])
+    later = table.plan([[(complete, 2)], [(complete, level) for level in range(6)]])
+    [_, later_levels] = later   # the second group holds every level of K_5
+    # The first read solved every planned level in one solve_stacks call (all
+    # share a stack), and the second read passes it nothing.
+    assert [len(pairs) for pairs in calls] == [13, 0]
+    assert set(calls[0]) == {*levels_of(cycle), *levels_of(complete)}
+    [cycle_levels] = earlier
+    assert [len(pairs) for pairs in calls] == [13, 0, 0] and set(solves.values()) == {1}
+    assert [b.space.level for b in cycle_levels] == list(range(7))
+    assert [b.space.level for b in later_levels] == list(range(6))
+    assert not table._reads and not table._bases
 
 
 def solve_each_alone(pairs):
