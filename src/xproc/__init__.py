@@ -36,14 +36,16 @@ from .spectral import (
     lift_down,
     lift_up,
     mirror_basis,
-    solve_graph,
+    solve_stacks,
 )
 from .fourier import (
     BooleanFunction,
     SpectralProfile,
+    bases_profile,
     exact_correlation,
     exact_covariance,
     exact_flip_probability,
+    level_piece,
     make_function,
     spectral_profile,
 )

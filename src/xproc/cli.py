@@ -173,13 +173,18 @@ def family_graph(head: str, size: int, rate: float | None, rate_policy: str,
 
 def rate_step(g: Graph, rate: float | None, rate_policy: str, field: str) -> Graph:
     """g at rate 1/max-degree under one-over-max-degree, else at rate if one is given;
-    a rate whose sum over g's edges overflows names field's rate flag."""
+    a rate given with one-over-max-degree, or whose sum over g's edges overflows,
+    names field's rate flag."""
+    rate_flag = field.replace("--graph", "--rate")
     if rate_policy == "one-over-max-degree":
+        if rate is not None:
+            raise ConfigError(f"{rate_flag}: not read with "
+                              f"{field.replace('--graph', '--rate-policy')} one-over-max-degree")
         return with_rate(g, 1.0 / max_degree(g))
     try:
         return g if rate is None else with_rate(g, rate)
     except GraphFormatError as exc:
-        raise ConfigError(f"{field.replace('--graph', '--rate')}: {exc}") from exc
+        raise ConfigError(f"{rate_flag}: {exc}") from exc
 
 
 def resolve_function(spec: str | None, n: int) -> fourier.BooleanFunction:
@@ -253,8 +258,8 @@ def cmd_spectrum(args) -> tuple:
     levels = parse_levels(args.level, g.n)
     check_levels(g.n, levels)
     config = config_echo(args, ["graph", "rate", "rate_policy", "level", "format"])
-    by_level = {}  # level -> its rows; solve_stacks solves the largest level first
-    for _, gen, basis in spectral.solve_stacks([(g, level) for level in levels]):
+
+    def read(gen, basis) -> list[tuple]:  # the level's rows; --dump-matrix writes gen too
         level = gen.space.level
         if args.dump_matrix:
             path = args.dump_matrix
@@ -264,10 +269,11 @@ def cmd_spectrum(args) -> tuple:
             # Rows as the CSV reads them, not size^2 float objects at once
             emit(format_csv([f"c{j}" for j in range(gen.space.size)],
                             map(tuple, gen.matrix), config), path, "--dump-matrix")
-        by_level[level] = [(level, i, float(basis.eigenvalues[i]), gid)
-                           for gid, group in enumerate(basis.groups) for i in group]
-        del gen, basis  # free this level before the next one is solved
-    rows = [row for level in levels for row in by_level[level]]
+        return [(level, i, float(basis.eigenvalues[i]), gid)
+                for gid, group in enumerate(basis.groups) for i in group]
+
+    rows = [row for level_rows in spectral.solve_stacks([(g, level) for level in levels], read)
+            for row in level_rows]
     if args.format == "csv":
         return config, (["level", "index", "eigenvalue", "multiplicity_group_id"], rows)
     return config, {
@@ -279,6 +285,14 @@ def cmd_spectrum(args) -> tuple:
     }
 
 
+def solve_profile(g: Graph, f: fourier.BooleanFunction) -> fourier.SpectralProfile:
+    """f's spectral profile on g, from one solve_stacks call that keeps only the
+    level pieces."""
+    pieces = spectral.solve_stacks([(g, level) for level in range(g.n + 1)],
+                                   lambda _, basis: fourier.level_piece(f, basis))
+    return fourier.spectral_profile(f, pieces)
+
+
 def cmd_profile(args) -> tuple:
     if args.n_grid:
         return _profile_sweep(args)
@@ -288,7 +302,7 @@ def cmd_profile(args) -> tuple:
     check_levels(g.n)
     f = resolve_function(args.function, g.n)
     config = config_echo(args, ["graph", "rate", "rate_policy", "function", "format"])
-    profile = fourier.spectral_profile(f, spectral.solve_graph(g))
+    profile = solve_profile(g, f)
     if args.format == "csv":
         return config, (["level", "eigenvalue", "coeff_sq"], fourier.profile_csv_rows(profile))
     return config, fourier.profile_summary(profile)
@@ -333,7 +347,7 @@ def _profile_sweep(args) -> tuple:
         g = family_graph(family, size_of(n), args.rate, args.rate_policy)
         check_levels(g.n)
         f = resolve_function(function_spec, g.n)
-        return fourier.spectral_profile(f, spectral.solve_graph(g))
+        return solve_profile(g, f)
 
     config = config_echo(args, ["graph", "rate", "rate_policy", "function",
                                 "n-grid", "k", "format"])
@@ -347,7 +361,7 @@ def cmd_exact(args) -> tuple:
     f = resolve_function(args.function, g.n)
     check_numbers(*horizon_rules(args))
     config = config_echo(args, ["graph", "rate", "rate_policy", "function", "t", "eps"])
-    profile = fourier.spectral_profile(f, spectral.solve_graph(g))
+    profile = solve_profile(g, f)
     body: dict = {"mean": profile.mean, "variance": profile.variance()}
     if args.t is not None:
         body["t"] = args.t
@@ -398,6 +412,11 @@ def cmd_verify(args) -> tuple:
         check_levels(args.nmax, [args.nmax // 2])
     except StateCapExceeded as exc:
         raise ConfigError(f"--nmax: {exc}") from exc
+    try:  # the Monte Carlo check's two sample arrays, before any check runs
+        np.empty((2, args.mc_samples))
+    except MemoryError as exc:
+        raise ConfigError(f"--mc-samples: {args.mc_samples} samples are too many "
+                          f"to allocate ({exc})") from exc
     config = config_echo(args, ["suite", "nmax", "seed", "mc_samples"])
     return config, verify.run_suite(nmax=args.nmax, seed=args.seed,
                                     mc_samples=args.mc_samples)
@@ -425,8 +444,8 @@ def cmd_compare(args) -> tuple:
         kprime = args.kprime if args.kprime is not None else 2.0 * args.k
         holds = diagnostics.containment_hypothesis(g_a, args.k, kprime)
     if subgraph or holds:
-        bases_a, bases_b = (sorted(spectral.solve_graph(g), key=lambda b: b.space.level)
-                            for g in (g_a, g_b))
+        bases_a, bases_b = (spectral.solve_stacks([(g, level) for level in range(g.n + 1)],
+                                                  lambda _, basis: basis) for g in (g_a, g_b))
     if subgraph:
         checks.append(diagnostics.check_record(
             "spectra_dominated_by_supergraph",
@@ -434,8 +453,8 @@ def cmd_compare(args) -> tuple:
             diagnostics.DOMINATION_TOL))
         if f is not None:
             lhs, rhs = diagnostics.monotonicity_inequality_check(
-                g_a, g_b, args.k, args.kprime, fourier.spectral_profile(f, bases_a),
-                fourier.spectral_profile(f, bases_b))
+                g_a, g_b, args.k, args.kprime, fourier.bases_profile(f, bases_a),
+                fourier.bases_profile(f, bases_b))
             checks.append({**diagnostics.check_record("monotonicity_inequality", [lhs - rhs],
                                                       diagnostics.MONOTONICITY_TOL),
                            "lhs": lhs, "rhs": rhs})

@@ -158,17 +158,13 @@ def spectra_domination_gap(g_sub: Graph, g: Graph, bases_sub, bases) -> list[flo
     """Per level, the largest amount by which a subgraph eigenvalue exceeds the supergraph's.
 
     Sorted level spectra should be pointwise nondecreasing under edge
-    addition; a gap is positive only on a violation. bases_sub and bases hold
-    the two graphs' levels 0..n in one order: level order, or two
-    spectral.solve_graph streams, which on one n give their levels in the
-    same order. map keeps no basis once its eigenvalues are sorted, so each
-    stream frees a level before it solves the next.
+    addition; a gap is positive only on a violation. bases_sub and bases are
+    the two graphs' levels 0..n in order.
     """
     if not is_edge_subgraph(g_sub, g):
         raise ValueError("first graph must be an equal-rate edge subgraph of the second")
-    small, big = (map(lambda basis: np.sort(basis.eigenvalues), levels)
-                  for levels in (bases_sub, bases))
-    return [float((s - b).max()) for s, b in zip(small, big, strict=True)]
+    return [float((np.sort(s.eigenvalues) - np.sort(b.eigenvalues)).max())
+            for s, b in zip(bases_sub, bases, strict=True)]
 
 
 def check_record(name: str, residuals: Sequence[float], tol: float | Sequence[float],

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import group_eigenvalues, zero_mask
+from .spectral import SpectralBasis, group_eigenvalues, zero_mask
 from .statespace import vertex_masks
 
 THRESH_SLACK = 1e-9      # relative slack for eigenvalue-vs-threshold comparisons
@@ -137,37 +137,37 @@ class SpectralProfile:
             yield int(l), float(lam), float(c)
 
 
-def spectral_profile(f: BooleanFunction, bases) -> SpectralProfile:
-    """Coefficients of f against the lifted per-level bases of one graph.
+def level_piece(f: BooleanFunction, basis: SpectralBasis) -> tuple[int, np.ndarray, np.ndarray]:
+    """One level's part of f's spectral profile: the level, the basis eigenvalues,
+    and f's coefficients against the basis lifted to the full space, scaled by
+    sqrt(C(n, l) / 2^n)."""
+    space = basis.space
+    if space.n != f.n:
+        raise ValueError(f"basis is for n={space.n}, function for n={f.n}")
+    scale = math.sqrt(space.size / 2.0**f.n)
+    return space.level, basis.eigenvalues, scale * basis.coefficients(f.values[space.words])
 
-    bases is any iterable of the levels 0..n, each exactly once and in any
-    order, such as spectral.solve_graph(g). Each basis is read once and only
-    its level's eigenvalues and coefficients are kept, so a generator's
-    bases are freed as the loop goes (see solve_graph for the loop that
-    allows this). The kept arrays are joined in level order at the end.
-    """
+
+def spectral_profile(f: BooleanFunction, pieces) -> SpectralProfile:
+    """Join f's level_piece of each level 0..n of one graph, given in level order;
+    any other list of pieces is refused."""
     n = f.n
-    kept = {}  # level -> (eigenvalues, coefficients)
-    for basis in bases:
-        space = basis.space
-        if space.n != n:
-            raise ValueError(f"basis at position {len(kept)} is for "
-                             f"(n={space.n}, level={space.level}), not n={n}")
-        if space.level in kept:
-            raise ValueError(f"basis at position {len(kept)} repeats level {space.level}")
-        scale = math.sqrt(space.size / 2.0**n)
-        kept[space.level] = (basis.eigenvalues, scale * basis.coefficients(f.values[space.words]))
-        del basis  # before the next level is solved
-    if len(kept) != n + 1:
-        raise ValueError(f"need bases for all levels 0..{n}, got {len(kept)}")
-    levels = range(n + 1)
+    found = [(level, lam.size) for level, lam, _ in pieces]
+    if found != [(level, math.comb(n, level)) for level in range(n + 1)]:
+        raise ValueError(f"need the pieces of levels 0..{n} in level order, with "
+                         f"C({n}, level) entries each; got (level, entries) {found}")
     return SpectralProfile(
         n=n,
-        levels=np.concatenate([np.full(kept[l][0].size, l, dtype=np.int64) for l in levels]),
-        eigenvalues=np.concatenate([kept[l][0] for l in levels]),
-        coefficients=np.concatenate([kept[l][1] for l in levels]),
+        levels=np.repeat(np.arange(n + 1, dtype=np.int64), [size for _, size in found]),
+        eigenvalues=np.concatenate([lam for _, lam, _ in pieces]),
+        coefficients=np.concatenate([coeffs for _, _, coeffs in pieces]),
         mean=f.mean(),
     )
+
+
+def bases_profile(f: BooleanFunction, bases) -> SpectralProfile:
+    """spectral_profile of f from one graph's bases of levels 0..n, in level order."""
+    return spectral_profile(f, [level_piece(f, basis) for basis in bases])
 
 
 def exact_correlation(profile: SpectralProfile, t: float) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -255,36 +256,27 @@ def load_graph(path: str) -> Graph:
         raise GraphFormatError(f"{path}: {where}{exc}", exc.index) from exc
 
 
+_DECODER = json.JSONDecoder()
+_SPACE = re.compile(r"\s*")
+
+
 def _locate_edge(text: str, k: int) -> str:
     """Locate edge entry k of a parsed file; line-precise for one-edge-per-line files.
 
-    Counts the entries of the edge list, of any JSON type, by their commas
-    outside nested brackets. Entry k is the first malformed one, so no
-    entry before it holds a string that could hide a bracket.
+    Steps over the entries of the first list after the "edges" key, of any
+    JSON type, one raw_decode each.
     """
     key = text.find('"edges"')
-    opening = text.find("[", key) if key >= 0 else -1
-    if opening < 0:
-        return f"edges[{k}]"
-    depth, count, starts_entry = 0, -1, True
-    for pos in range(opening + 1, len(text)):
-        ch = text[pos]
-        if ch.isspace():
-            continue
-        if depth == 0:
-            if ch == "]":
-                break
-            if ch == ",":
-                starts_entry = True
-                continue
-            if starts_entry:
-                count += 1
-                starts_entry = False
-                if count == k:
-                    line = text.count("\n", 0, pos) + 1
-                    return f"edges[{k}] (line {line})"
-        if ch in "[{":
-            depth += 1
-        elif ch in "]}":
-            depth -= 1
+    pos = text.find("[", key) if key >= 0 else -1
+    for i in range(k + 1 if pos >= 0 else 0):
+        pos = _SPACE.match(text, pos + 1).end()   # entry i, past "[" or ","
+        if i == k and text[pos] != "]":
+            line = text.count("\n", 0, pos) + 1
+            return f"edges[{k}] (line {line})"
+        try:
+            pos = _SPACE.match(text, _DECODER.raw_decode(text, pos)[1]).end()
+        except ValueError:   # the list ends before entry k
+            break
+        if text[pos] != ",":
+            break
     return f"edges[{k}]"

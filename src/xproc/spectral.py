@@ -17,7 +17,7 @@ whole eigenbasis constructible level by level without a numerical solver.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,21 +187,23 @@ def stack_members(size: int) -> int:
     return max(1, STACK_BYTES // (8 * size * size))
 
 
-def solve_stacks(pairs: Sequence[tuple[Graph, int]]):
-    """Solve (graph, level) pairs in stacks; yield (index, generator, basis) per pair.
+def solve_stacks(pairs: Sequence[tuple[Graph, int]], read: Callable) -> list:
+    """Solve (graph, level) pairs in stacks; return [read(gen, basis), ...] in pair order.
 
-    index is the pair's position in pairs; pairs come out stack by stack.
     Pairs of one level size share a stack, of at most STACK_BYTES of
     matrices, across graphs and across levels l and n - l. Each stack is one
     build_stack and one eigendecompose_stack call, and every basis equals
-    the one a stack of one gives for its pair, bit for bit. The generator
-    keeps no stack it has yielded.
+    the one a stack of one gives for its pair, bit for bit. Stacks are
+    solved largest first and read member by member; each stack's generators
+    and bases are dropped before the next stack is built, so a basis
+    outlives its stack only when read returns it.
     """
+    out = [None] * len(pairs)
     by_size: dict[int, list[int]] = {}
     for i, (g, level) in enumerate(pairs):
         by_size.setdefault(math.comb(g.n, level), []).append(i)
     # Largest first: the biggest solve's workspace is gone before the
-    # smaller bases pile up.
+    # smaller levels' reads pile up.
     for size, members in sorted(by_size.items(), reverse=True):
         # Members on one (n, level) sit side by side: one run of the build.
         members.sort(key=lambda i: (pairs[i][0].n, pairs[i][1]))
@@ -210,24 +212,10 @@ def solve_stacks(pairs: Sequence[tuple[Graph, int]]):
             indices = members[start:start + per_stack]
             gens = build_stack([pairs[i] for i in indices])
             bases = eigendecompose_stack(gens)
-            yield from zip(indices, gens, bases)
-            del gens, bases  # before the next stack is built
-
-
-def solve_graph(g: Graph):
-    """Yield the bases of levels 0..n of the process on g, from one solve_stacks call.
-
-    Levels come in solve_stacks order, largest first, and a stack is solved
-    only when the consumer asks for its first level. Each generator and
-    basis is dropped before the next stack is solved, so a consumer that
-    drops each basis too (`del basis` at the end of a plain for body, or
-    map; not enumerate() or zip(), whose reused tuple keeps it) holds one
-    stack's bases at a time, and the peak is the largest level's eigensolve.
-    """
-    for _, gen, basis in solve_stacks([(g, level) for level in range(g.n + 1)]):
-        del gen
-        yield basis
-        del basis  # before the next stack is solved
+            for i, gen, basis in zip(indices, gens, bases):
+                out[i] = read(gen, basis)
+            del gens, bases, gen, basis  # before the next stack is built
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,10 @@ class BasisTable:
             batch = [pair for pair in self._reads
                      if pair not in self._bases and shares_a_stack(*pair)]
             missing = list(dict.fromkeys([*missing, *batch]))
-        for i, _, basis in spectral.solve_stacks(missing):
+        for pair, basis in zip(missing, spectral.solve_stacks(missing, lambda _, basis: basis)):
             basis.eigenvalues.flags.writeable = False
             basis.vectors.flags.writeable = False
-            self._bases[missing[i]] = basis
+            self._bases[pair] = basis
         found = [self._bases[pair] for pair in pairs]
         for pair in pairs:
             self._reads[pair] -= 1
@@ -338,7 +338,7 @@ def draw_parseval(nmax: int, rng: np.random.Generator, table: BasisTable):
 def check_parseval(draws, levels) -> dict:
     rows = []
     for i, ((n, g, f), bases) in enumerate(zip(draws, levels, strict=True)):
-        profile = fourier.spectral_profile(f, bases)
+        profile = fourier.bases_profile(f, bases)
         direct = float(np.mean(f.values**2))
         cond = 0.0
         for basis in bases:
@@ -363,7 +363,7 @@ def draw_oracle_equivalence(rng: np.random.Generator, table: BasisTable):
 def check_oracle_equivalence(draws, levels) -> dict:
     rows = []
     for i, ((n, g, f, t), bases) in enumerate(zip(draws, levels, strict=True)):
-        profile = fourier.spectral_profile(f, bases)
+        profile = fourier.bases_profile(f, bases)
         err = abs(fourier.exact_correlation(profile, t)
                   - oracle.brute_force_correlation(g, f, t))
         rows.append((err, 1e-8, f"draw {i} (n={n}, t={t:.3f})"))
@@ -418,8 +418,8 @@ def check_projection_mass(draws, complete_levels, other_levels) -> dict:
     for i, ((n, complete, other, f, k), bases_c, bases_o) in enumerate(
             zip(draws, complete_levels, other_levels, strict=True)):
         lhs, rhs = diagnostics.projection_mass_inequality(
-            complete, other, k, fourier.spectral_profile(f, bases_c),
-            fourier.spectral_profile(f, bases_o),
+            complete, other, k, fourier.bases_profile(f, bases_c),
+            fourier.bases_profile(f, bases_o),
         )
         rows.append((rhs - lhs, diagnostics.PROJECTION_MASS_TOL,
                      f"draw {i} (n={n}, k={k:.3f})"))
@@ -452,8 +452,8 @@ def check_monotonicity(draws, chains, levels, sub_levels, chain_levels) -> dict:
     for i, ((n, g, sub, f, k, kprime), bases, bases_sub) in enumerate(
             zip(draws, levels, sub_levels, strict=True)):
         lhs, rhs = diagnostics.monotonicity_inequality_check(
-            g, sub, k, kprime, fourier.spectral_profile(f, bases),
-            fourier.spectral_profile(f, bases_sub),
+            g, sub, k, kprime, fourier.bases_profile(f, bases),
+            fourier.bases_profile(f, bases_sub),
         )
         rows.append((lhs - rhs, diagnostics.MONOTONICITY_TOL,
                      f"draw {i} (n={n}, k={k:.3f}, k'={kprime:.3f})"))
@@ -484,7 +484,7 @@ def check_monte_carlo(cases, seed: int, samples: int, levels) -> dict:
     """Estimates agree with the exact formulas within 3 standard errors."""
     rows = []
     for idx, ((label, g, f, kind, t), bases) in enumerate(zip(cases, levels, strict=True)):
-        profile = fourier.spectral_profile(f, bases)
+        profile = fourier.bases_profile(f, bases)
         spec = dynamics.SimulationSpec(seed=seed + idx, samples=samples)
         if kind == "cov":
             est = dynamics.estimate_covariance(g, f, t, spec)

@@ -118,7 +118,7 @@ def test_criterion_4_spectral_vs_oracle_correlation():
         g = verify.random_connected_graph(rng, n, float(rng.uniform(0.2, 1.5)))
         f = verify.random_boolean_function(rng, n)
         t = float(rng.uniform(0.0, 2.5))
-        profile = fourier.spectral_profile(f, solve_alone(g))
+        profile = fourier.bases_profile(f, solve_alone(g))
         err = abs(fourier.exact_correlation(profile, t)
                   - oracle.brute_force_correlation(g, f, t))
         worst = max(worst, err)
@@ -143,7 +143,7 @@ def test_criterion_5_monte_carlo_consistency():
     ]
     passes = 0
     for idx, (g, f, kind, t) in enumerate(instances):
-        profile = fourier.spectral_profile(f, solve_alone(g))
+        profile = fourier.bases_profile(f, solve_alone(g))
         spec = dynamics.SimulationSpec(seed=MC_SEED + idx, samples=100_000)
         if kind == "cov":
             est = dynamics.estimate_covariance(g, f, t, spec)
@@ -198,8 +198,8 @@ def test_criterion_7_projection_mass_inequality():
         f = verify.random_boolean_function(rng, n)
         k = float(rng.uniform(0.05, n / 4.0))
         lhs, rhs = diagnostics.projection_mass_inequality(
-            complete, other, k, fourier.spectral_profile(f, solve_alone(complete)),
-            fourier.spectral_profile(f, solve_alone(other)))
+            complete, other, k, fourier.bases_profile(f, solve_alone(complete)),
+            fourier.bases_profile(f, solve_alone(other)))
         gap = rhs - lhs
         worst = max(worst, gap)
         if gap > 1e-10:
@@ -222,8 +222,8 @@ def test_criterion_8_monotonicity():
         k = float(rng.uniform(1e-3, 2.0 * lam_max))
         kprime = float(rng.uniform(1e-3, 2.0 * lam_max))
         lhs, rhs = diagnostics.monotonicity_inequality_check(
-            g, sub, k, kprime, fourier.spectral_profile(f, solve_alone(g)),
-            fourier.spectral_profile(f, solve_alone(sub)))
+            g, sub, k, kprime, fourier.bases_profile(f, solve_alone(g)),
+            fourier.bases_profile(f, solve_alone(sub)))
         gap = lhs - rhs
         worst = max(worst, gap)
         if gap > 1e-10:

@@ -191,6 +191,29 @@ def test_graph_file_and_rate_policy(tmp_path, capsys):
     assert rates == {1 / 3}
 
 
+RATE_UNDER_POLICY = {  # argv giving a rate flag with its one-over-max-degree policy
+    "exact": (["exact", "--graph", "cycle:5", "--rate", "7", "--rate-policy",
+               "one-over-max-degree", "--function", "majority", "--t", "1"], ""),
+    "compare --rate-b": (["compare", "--graph", "complete:5", "--rate", "1", "--graph-b",
+                          "cycle:5", "--rate-b", "1", "--rate-policy-b",
+                          "one-over-max-degree"], "-b"),
+    "--n-grid": (["profile", "--graph", "cycle", "--rate", "1", "--rate-policy",
+                  "one-over-max-degree", "--function", "majority", "--n-grid", "3:5"], ""),
+    "@file": (["spectrum", "--graph", "@g.json", "--rate", "2", "--rate-policy",
+               "one-over-max-degree"], ""),
+}
+
+
+@pytest.mark.parametrize("case", RATE_UNDER_POLICY)
+def test_rate_with_one_over_max_degree_exit_2(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    save_graph(make_cycle(5, 1.0), "g.json")
+    argv, b = RATE_UNDER_POLICY[case]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: --rate{b}: not read with --rate-policy{b} one-over-max-degree\n"
+
+
 def test_function_table_file(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"n": 3, "values": [0, 1, 1, 0, 1, 0, 0, 1]}))
@@ -746,6 +769,15 @@ def test_too_many_samples_names_samples(capsys, address_space_limit):
                           "to allocate")
 
 
+def test_too_many_mc_samples_names_mc_samples(capsys, monkeypatch, address_space_limit):
+    # arrays of 10^12 doubles, 7.3 TiB each: refused under the 1 TiB cap before any check
+    monkeypatch.setattr(verify, "run_suite", None)
+    code, out, err = run(["verify", "--nmax", "4", "--mc-samples", "1000000000000"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: --mc-samples: 1000000000000 samples are too many "
+                          "to allocate") and err.count("\n") == 1
+
+
 def test_config_file_missing_names_flag_and_path(tmp_path, capsys):
     path = tmp_path / "nothere.json"
     code, out, err = run(["--config", str(path)], capsys)
@@ -834,11 +866,11 @@ def test_every_solve_lands_in_eigendecompose_stack(tmp_path, capsys, monkeypatch
     for name in calls:
         inner = getattr(spectral, name)
 
-        def counting(members, name=name, inner=inner):
+        def counting(members, *read, name=name, inner=inner):
             calls[name] += len(members)
             if name == "eigendecompose_stack":
                 solved.append(type(members))
-            return inner(members)
+            return inner(members, *read)
 
         monkeypatch.setattr(spectral, name, counting)
     assert run(SOLVING_COMMANDS[command], capsys)[0] == 0

@@ -12,7 +12,7 @@ from xproc.diagnostics import (
     sensitivity_profile,
     spectra_domination_gap,
 )
-from xproc.fourier import BooleanFunction, dictator, parity_on_set, spectral_profile
+from xproc.fourier import BooleanFunction, bases_profile, dictator, parity_on_set
 from xproc.graph import make_complete, make_cycle, make_half_complete_cycle, max_degree, with_rate
 from xproc.verify import random_boolean_function, random_connected_graph, random_connected_subgraph
 
@@ -26,13 +26,13 @@ def containment(complete, other, k, kprime):
 
 def projection_mass(complete, other, f, k):
     return projection_mass_inequality(complete, other, k,
-                                      spectral_profile(f, solve_alone(complete)),
-                                      spectral_profile(f, solve_alone(other)))
+                                      bases_profile(f, solve_alone(complete)),
+                                      bases_profile(f, solve_alone(other)))
 
 
 def monotonicity(g, sub, f, k, kprime):
-    return monotonicity_inequality_check(g, sub, k, kprime, spectral_profile(f, solve_alone(g)),
-                                         spectral_profile(f, solve_alone(sub)))
+    return monotonicity_inequality_check(g, sub, k, kprime, bases_profile(f, solve_alone(g)),
+                                         bases_profile(f, solve_alone(sub)))
 
 
 def test_containment_vacuous_below_gap():
@@ -189,7 +189,7 @@ def test_comparison_checks_solve_nothing(monkeypatch):
     other = with_rate(sub, 0.5)
     f = dictator(n, 0)
     bases = {g: solve_alone(g) for g in (complete, sub, other)}
-    profiles = {g: spectral_profile(f, bases[g]) for g in bases}
+    profiles = {g: bases_profile(f, bases[g]) for g in bases}
 
     def no_solve(gens):
         raise AssertionError("a comparison check solved a level")
@@ -244,7 +244,7 @@ def solved(make):
     """The make_profile of sensitivity_profile for a make(n) -> (graph, function)."""
     def make_profile(n):
         g, f = make(n)
-        return spectral_profile(f, solve_alone(g))
+        return bases_profile(f, solve_alone(g))
     return make_profile
 
 

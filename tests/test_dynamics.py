@@ -28,11 +28,11 @@ from xproc.dynamics import (
 )
 from xproc.fourier import (
     BooleanFunction,
+    bases_profile,
     dictator,
     exact_covariance,
     exact_flip_probability,
     parity_on_set,
-    spectral_profile,
 )
 from xproc.generator import build_level_generator
 from xproc.graph import Graph, make_complete, make_cycle
@@ -244,7 +244,7 @@ def test_covariance_at_lag_zero_matches_variance():
 def test_covariance_matches_exact():
     g = make_complete(4, 0.25)
     f = dictator(4, 0)
-    profile = spectral_profile(f, solve_alone(g))
+    profile = bases_profile(f, solve_alone(g))
     est = estimate_covariance(g, f, 1.0, SimulationSpec(seed=3, samples=20000))
     assert est.std_error > 0
     assert abs(est.point - exact_covariance(profile, 1.0)) <= 3 * est.std_error
@@ -275,7 +275,7 @@ def test_flip_zero_time_and_constant():
 def test_flip_matches_exact():
     g = make_cycle(8, 0.5)
     f = parity_on_set(8, [0, 2, 4, 6])
-    profile = spectral_profile(f, solve_alone(g))
+    profile = bases_profile(f, solve_alone(g))
     est = estimate_flip_probability(g, f, 0.3, SimulationSpec(seed=6, samples=20000))
     assert abs(est.point - exact_flip_probability(profile, 0.3)) <= 3 * est.std_error
 

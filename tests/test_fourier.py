@@ -10,6 +10,7 @@ from xproc.fourier import (
     BooleanFunction,
     SpectralProfile,
     band_mass,
+    bases_profile,
     dictator,
     exact_correlation,
     exact_covariance,
@@ -20,7 +21,6 @@ from xproc.fourier import (
     parity_on_set,
     profile_csv_rows,
     profile_summary,
-    spectral_profile,
     threshold_mask,
 )
 from xproc.graph import make_complete, make_cycle
@@ -117,7 +117,7 @@ def test_table_validation():
 def test_profile_of_constant():
     g = make_cycle(4, 1.0)
     f = BooleanFunction(4, np.ones(16))
-    profile = spectral_profile(f, solve_alone(g))
+    profile = bases_profile(f, solve_alone(g))
     assert profile.total_mass == pytest.approx(1.0, abs=1e-12)
     assert profile.zero_mass() == pytest.approx(1.0, abs=1e-12)
     assert profile.conditional_mean_variance == pytest.approx(0.0, abs=1e-12)
@@ -131,7 +131,7 @@ def test_profile_dictator_k2_frozen():
     #   leaving 1/8 at the swap eigenvalue lambda = 2.
     g = make_complete(2, 1.0)
     f = dictator(2, 0)
-    profile = spectral_profile(f, solve_alone(g))
+    profile = bases_profile(f, solve_alone(g))
     assert profile.total_mass == pytest.approx(0.5, abs=1e-12)
     assert profile.mean == pytest.approx(0.5)
     assert profile.zero_mass() == pytest.approx(3 / 8, abs=1e-12)
@@ -146,7 +146,7 @@ def test_zero_block_equals_conditional_means():
     n = 5
     g = make_cycle(n, 0.7)
     f = BooleanFunction(n, rng.integers(0, 2, size=32).astype(float))
-    profile = spectral_profile(f, solve_alone(g))
+    profile = bases_profile(f, solve_alone(g))
     # independent conditional averaging
     expected = 0.0
     for level in range(n + 1):
@@ -165,7 +165,7 @@ def test_parseval(seed):
     n = int(rng.integers(3, 7))
     g = make_cycle(n, float(rng.uniform(0.2, 1.5)))
     f = BooleanFunction(n, rng.integers(0, 2, size=1 << n).astype(float))
-    profile = spectral_profile(f, solve_alone(g))
+    profile = bases_profile(f, solve_alone(g))
     assert profile.total_mass == pytest.approx(float(np.mean(f.values**2)), abs=1e-10)
 
 
@@ -174,9 +174,9 @@ def test_profile_requires_all_levels():
     bases = solve_alone(g)
     f = dictator(4, 0)
     with pytest.raises(ValueError):
-        spectral_profile(f, bases[:-1])
+        bases_profile(f, bases[:-1])
     with pytest.raises(ValueError):
-        spectral_profile(dictator(5, 0), bases)
+        bases_profile(dictator(5, 0), bases)
 
 
 def test_profile_invariant_under_basis_choice():
@@ -185,14 +185,14 @@ def test_profile_invariant_under_basis_choice():
     n = 6
     g = make_complete(n, 0.5)
     f = parity_on_set(n, [0, 2])
-    generic = spectral_profile(f, solve_alone(g))
+    generic = bases_profile(f, solve_alone(g))
     closed = []
     for level in range(n + 1):
         if level <= n // 2:
             closed.append(complete_graph_basis(n, level, 0.5))
         else:
             closed.append(mirror_basis(complete_graph_basis(n, n - level, 0.5)))
-    special = spectral_profile(f, closed)
+    special = bases_profile(f, closed)
     a = dict(mass_by_eigenvalue(generic))
     b = dict(mass_by_eigenvalue(special))
     assert set(map(round_key, a)) == set(map(round_key, b))
@@ -211,7 +211,7 @@ def test_eigenvalue_bound_in_profiles():
 
     g = make_cycle(6, 0.5)
     f = parity_on_set(6, [0, 3])
-    profile = spectral_profile(f, solve_alone(g))
+    profile = bases_profile(f, solve_alone(g))
     d = max_degree(g)
     for level, lam, _ in profile.entries():
         assert lam <= 2 * 0.5 * level * d + 1e-9
@@ -222,7 +222,7 @@ def test_eigenvalue_bound_in_profiles():
 # ---------------------------------------------------------------------------
 
 def profile_for(g, f):
-    return spectral_profile(f, solve_alone(g))
+    return bases_profile(f, solve_alone(g))
 
 
 def test_correlation_at_zero_and_infinity():
@@ -406,7 +406,7 @@ def test_decomposition_identity_random():
     spectrum = np.unique(np.concatenate([b.eigenvalues for b in bases]))
     for _ in range(10):
         f = BooleanFunction(n, rng.integers(0, 2, size=64).astype(float))
-        profile = spectral_profile(f, bases)
+        profile = bases_profile(f, bases)
         k = float(rng.uniform(0.05, spectrum[-1] * 1.2))
         # place k strictly between eigenvalues so both conventions agree
         if np.min(np.abs(spectrum - k)) < 1e-6:

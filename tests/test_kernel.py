@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from xproc.fourier import dictator, majority, mass_by_eigenvalue, parity_on_set, spectral_profile
+from xproc.fourier import bases_profile, dictator, majority, mass_by_eigenvalue, parity_on_set
 from xproc import spectral
 from xproc.generator import build_level_generator, build_stack, dirichlet_form
 from xproc.graph import Graph, make_complete, make_cycle, make_half_complete_cycle
@@ -539,7 +539,7 @@ def test_pooled_masses_match_reference_bit_for_bit(name):
          "random_12": lambda: unequal_rate_graph(np.random.default_rng(12), 12)}[name]()
     bases = solve_alone(g)
     for f in (majority(12), dictator(12, 0), parity_on_set(12, [0, 2, 5])):
-        profile = spectral_profile(f, bases)
+        profile = bases_profile(f, bases)
         assert mass_by_eigenvalue(profile) == ref_mass_by_eigenvalue(profile)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xproc.fourier import BooleanFunction, dictator, spectral_profile
+from xproc.fourier import BooleanFunction, bases_profile, dictator
 from xproc.fourier import exact_correlation
 from xproc.generator import NumericalError, build_level_generator
 from xproc.graph import Graph, make_complete, make_cycle
@@ -100,7 +100,7 @@ def test_oracle_matches_spectral_formula(seed):
     g = Graph(n, tuple(edges))
     f = BooleanFunction(n, rng.integers(0, 2, size=1 << n).astype(float))
     t = float(rng.uniform(0.0, 2.5))
-    profile = spectral_profile(f, solve_alone(g))
+    profile = bases_profile(f, solve_alone(g))
     assert exact_correlation(profile, t) == pytest.approx(
         brute_force_correlation(g, f, t), abs=1e-8
     )

@@ -1,6 +1,8 @@
 """Stacked level solves: levels of one size are built and solved together, bit for bit
 as one at a time."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -102,15 +104,41 @@ def test_stacks_keep_to_the_byte_limit(monkeypatch):
 
     monkeypatch.setattr(spectral, "eigendecompose_stack", recording)
     pairs = [(g, level) for g in rated_graphs(2, 5, 4) for level in range(6)]
-    seen = []
-    for i, gen, basis in spectral.solve_stacks(pairs):
-        assert (gen.graph, gen.space.level) == pairs[i]
-        assert basis.space is gen.space
-        seen.append(i)
-    assert sorted(seen) == list(range(len(pairs)))
+    seen = spectral.solve_stacks(
+        pairs, lambda gen, basis: (gen.graph, gen.space.level, basis.space is gen.space))
+    assert seen == [(g, level, True) for g, level in pairs]
     # Sizes 10, 5 and 1, largest first, 8 members each (levels l and 5 - l
     # of 4 graphs). A stack holds 3 matrices of 10 states and 12 of 5.
     assert stacks == [(3, 10)] * 2 + [(2, 10), (8, 5), (8, 1)]
+
+
+def test_solve_stacks_reads_stack_by_stack_and_returns_in_pair_order(monkeypatch):
+    monkeypatch.setattr(spectral, "STACK_BYTES", 8 * 10 * 10 * 3)
+    graphs = [*rated_graphs(13, 5, 2), make_cycle(6, 0.5), make_complete(4, 1.0)]
+    pairs = [(g, level) for g in graphs for level in range(g.n + 1)]
+    pairs = [pairs[i] for i in np.random.default_rng(2).permutation(len(pairs))]
+    stacks, reads = [], []
+    real = spectral.eigendecompose_stack
+
+    def recording(gens):
+        stacks.append([(gen.graph, gen.space.level) for gen in gens])
+        return real(gens)
+
+    def read(gen, basis):
+        reads.append((len(stacks), (gen.graph, gen.space.level)))
+        return basis
+
+    monkeypatch.setattr(spectral, "eigendecompose_stack", recording)
+    out = spectral.solve_stacks(pairs, read)
+    # Each stack is read, member by member, after it is solved and before the
+    # next one starts; stacks come largest first.
+    assert reads == [(s + 1, pair) for s, stack in enumerate(stacks) for pair in stack]
+    sizes = [math.comb(g.n, level) for stack in stacks for g, level in stack[:1]]
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] == 20
+    assert len(stacks) > len(set(sizes))   # some size takes more than one stack
+    assert len(out) == len(pairs)
+    for (g, level), basis in zip(pairs, out, strict=True):
+        assert_same_basis(basis, solve_alone(g, [level])[0])
 
 
 def mixed_stack():
@@ -271,13 +299,13 @@ def test_a_solve_stack_of_mixed_slices_is_one_array_solved_in_place(monkeypatch)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     monkeypatch.setattr(spectral, "eigendecompose_stack", recording)
-    out = list(spectral.solve_stacks(pairs))
+    out = spectral.solve_stacks(pairs, lambda gen, basis: (gen, basis))
     [gens] = stacks
     assert len(solved) == 1 and solved[0] is gens.matrices
     assert gens.matrices.shape == (8, 10, 10)
-    assert sorted(i for i, _, _ in out) == list(range(8))
-    for i, gen, basis in out:
-        g, level = pairs[i]
+    assert len(out) == 8
+    for (g, level), (gen, basis) in zip(pairs, out, strict=True):
+        assert (gen.graph, gen.space.level) == (g, level)
         assert np.shares_memory(gen.matrix, gens.matrices)
         assert gen.matrix.tobytes() == build_level_generator(g, level).matrix.tobytes()
         assert_same_basis(basis, solve_alone(g, [level])[0])

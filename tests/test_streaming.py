@@ -1,13 +1,15 @@
 """Level bases are solved, read and freed one stack at a time."""
 
+import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from xproc import diagnostics, spectral
-from xproc.cli import main
-from xproc.fourier import BooleanFunction, dictator, spectral_profile
+from xproc.cli import main, solve_profile
+from xproc.fourier import BooleanFunction, dictator, level_piece, spectral_profile
 from xproc.graph import make_complete, make_cycle
 
 from conftest import solve_alone
@@ -63,7 +65,7 @@ def test_commands_free_each_level_before_the_next(live_bases, capsys, command):
 
 def test_sensitivity_profile_frees_each_level(live_bases):
     def make_profile(n):
-        return spectral_profile(dictator(n, 0), spectral.solve_graph(make_cycle(n, 1.0)))
+        return solve_profile(make_cycle(n, 1.0), dictator(n, 0))
 
     report = diagnostics.sensitivity_profile(make_profile, [4, 5, 6], [0.5, 2.0])
     assert len(report["records"]) == 3
@@ -72,53 +74,57 @@ def test_sensitivity_profile_frees_each_level(live_bases):
 
 
 def test_domination_gap_frees_each_level(live_bases):
-    # Two graphs on one n: solve_graph gives their levels in the same order.
+    # The gap reads only eigenvalues: a read that keeps only those keeps no basis.
     cycle, complete = make_cycle(6, 1.0), make_complete(6, 1.0)
-    gaps = diagnostics.spectra_domination_gap(cycle, complete, spectral.solve_graph(cycle),
-                                              spectral.solve_graph(complete))
+    spectra = spectral.solve_stacks(
+        [(g, level) for g in (cycle, complete) for level in range(7)],
+        lambda _, basis: SimpleNamespace(eigenvalues=basis.eigenvalues))
+    gaps = diagnostics.spectra_domination_gap(cycle, complete, spectra[:7], spectra[7:])
     assert max(gaps) <= diagnostics.DOMINATION_TOL
     assert live_bases["solves"] == 2 * 7
     assert live_bases["stale"] == []
 
 
-def test_solve_graph_solves_each_stack_when_asked(solves):
-    g = make_cycle(5, 0.5)
-    stream = spectral.solve_graph(g)
-    assert not solves
-    # Largest first: levels 2 and 3 (10 states) share a stack, then 1 and 4, then 0 and 5.
-    for level, solved in [(2, 2), (3, 2), (1, 4), (4, 4), (0, 6), (5, 6)]:
-        assert next(stream).space.level == level
-        assert sum(solves.values()) == solved
-    assert next(stream, None) is None
+def test_a_basis_outlives_its_stack_only_when_read_returns_it(live_bases):
+    pairs = [(make_cycle(5, 0.5), level) for level in range(6)]
+    spectral.solve_stacks(pairs, lambda _, basis: basis.eigenvalues)
+    assert live_bases["stale"] == []
+    kept = spectral.solve_stacks(pairs, lambda _, basis: basis)
+    # Stacks of 10, 5 and 1 states, two levels each: every basis of an earlier
+    # stack is alive when the next starts, and no generator is.
+    assert sorted(live_bases["stale"]) == sorted(
+        (pairs[0][0], old, new) for olds, news in (((2, 3), (1, 4, 0, 5)), ((1, 4), (0, 5)))
+        for old in olds for new in news)
+    assert [basis.space.level for basis in kept] == list(range(6))
 
 
-def test_profile_takes_the_levels_in_any_order():
+def test_profile_takes_the_levels_in_level_order():
     g = make_cycle(6, 0.5)
     f = BooleanFunction(6, np.random.default_rng(4).integers(0, 2, 1 << 6))
-    bases = solve_alone(g)
-    ordered = spectral_profile(f, bases)
-    orders = [np.random.default_rng(seed).permutation(7) for seed in range(3)]
-    for profile in [spectral_profile(f, spectral.solve_graph(g)),
-                    *(spectral_profile(f, [bases[level] for level in order])
-                      for order in orders)]:
-        for name in ("levels", "eigenvalues", "coefficients"):
-            assert np.array_equal(getattr(profile, name), getattr(ordered, name))
-        assert profile.total_mass == ordered.total_mass
-        assert profile.conditional_mean_variance == ordered.conditional_mean_variance
+    pieces = [level_piece(f, basis) for basis in solve_alone(g)]
+    profile = spectral_profile(f, pieces)
+    assert profile.levels.tolist() == [level for level in range(7)
+                                       for _ in range(math.comb(6, level))]
+    assert solve_profile(g, f).coefficients.tobytes() == profile.coefficients.tobytes()
+    # Reversed, the pieces have the same sizes, and they are still refused.
+    with pytest.raises(ValueError, match=r"need the pieces of levels 0\.\.6 in level order"):
+        spectral_profile(f, pieces[::-1])
+    with pytest.raises(ValueError, match=r"basis is for n=5, function for n=6"):
+        level_piece(f, solve_alone(make_cycle(5, 0.5), [2])[0])
 
 
-BAD_STREAMS = {  # levels of cycle:4 bases (5 is cycle:5's top level), and the error
-    "too few": ([0, 1, 2, 3], r"need bases for all levels 0\.\.4, got 4"),
-    "too many": ([0, 1, 2, 3, 4, 5], r"basis at position 5 is for \(n=5, level=5\)"),
-    "missing": ([4, 2, 0, 3], r"need bases for all levels 0\.\.4, got 4"),
-    "repeated": ([3, 1, 3, 0, 2, 4], r"basis at position 2 repeats level 3"),
-    "another n": ([2, 5, 0, 1, 3, 4], r"basis at position 1 is for \(n=5, level=5\), not n=4"),
+BAD_STREAMS = {  # levels of cycle:4 pieces (5 is cycle:5's top level)
+    "too few": [0, 1, 2, 3],
+    "too many": [0, 1, 2, 3, 4, 5],
+    "missing": [0, 1, 3, 4],
+    "repeated": [0, 1, 1, 2, 3, 4],
+    "another n": [0, 1, 2, 3, 5],
 }
 
 
 @pytest.mark.parametrize("case", BAD_STREAMS)
 def test_profile_rejects_bad_level_streams(case):
     bases = solve_alone(make_cycle(4, 1.0)) + solve_alone(make_cycle(5, 1.0), [5])
-    levels, message = BAD_STREAMS[case]
-    with pytest.raises(ValueError, match=message):
-        spectral_profile(dictator(4, 0), (bases[level] for level in levels))
+    pieces = [level_piece(dictator(basis.space.n, 0), basis) for basis in bases]
+    with pytest.raises(ValueError, match=r"need the pieces of levels 0\.\.4 in level order"):
+        spectral_profile(dictator(4, 0), [pieces[level] for level in BAD_STREAMS[case]])

@@ -162,9 +162,9 @@ def test_a_later_group_read_first_solves_the_batch(monkeypatch, solves):
     calls = []
     inner = spectral.solve_stacks
 
-    def recording(pairs):
+    def recording(pairs, read):
         calls.append(list(pairs))
-        return inner(pairs)
+        return inner(pairs, read)
 
     monkeypatch.setattr(spectral, "solve_stacks", recording)
     cycle, complete = make_cycle(6, 1.0), make_complete(5, 0.5)
@@ -183,10 +183,10 @@ def test_a_later_group_read_first_solves_the_batch(monkeypatch, solves):
     assert not table._reads and not table._bases
 
 
-def solve_each_alone(pairs):
+def solve_each_alone(pairs, read):
     """spectral.solve_stacks with every pair solved as a stack of one, in order."""
-    for i, (g, level) in enumerate(pairs):
-        yield i, build_level_generator(g, level), solve_alone(g, [level])[0]
+    return [read(build_level_generator(g, level), solve_alone(g, [level])[0])
+            for g, level in pairs]
 
 
 @pytest.mark.parametrize("nmax", [6, 8])
@@ -200,9 +200,9 @@ def test_a_run_solves_its_small_levels_in_one_batch(monkeypatch):
     calls = []
     inner = spectral.solve_stacks
 
-    def recording(pairs):
+    def recording(pairs, read):
         calls.append([math.comb(g.n, level) for g, level in pairs])
-        return inner(pairs)
+        return inner(pairs, read)
 
     monkeypatch.setattr(spectral, "solve_stacks", recording)
     verify.run_suite(nmax=10, seed=7, mc_samples=400)
