@@ -51,7 +51,6 @@ from .fourier import (
 )
 from .dynamics import (
     EstimateResult,
-    SimulationSpec,
     estimate_covariance,
     estimate_flip_probability,
     simulate_path,

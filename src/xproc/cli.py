@@ -384,7 +384,6 @@ def cmd_simulate(args) -> tuple:
         level = parse_levels(args.level, g.n)[0]
     config = config_echo(args, ["graph", "rate", "rate_policy", "function", "t",
                                 "eps", "level", "samples", "seed"])
-    spec = dynamics.SimulationSpec(level=level, seed=args.seed, samples=args.samples)
     body: dict = {}
     for name, flag, horizon, estimate in (
             ("covariance", "--t", args.t, dynamics.estimate_covariance),
@@ -392,7 +391,7 @@ def cmd_simulate(args) -> tuple:
         if horizon is None:
             continue
         try:
-            est = estimate(g, f, horizon, spec)
+            est = estimate(g, f, horizon, samples=args.samples, seed=args.seed, level=level)
         except ValueError as exc:   # a horizon with too many jumps to sample
             raise ConfigError(f"{flag}: {exc}") from exc
         except MemoryError as exc:
@@ -438,18 +437,27 @@ def cmd_compare(args) -> tuple:
     if args.function and not (subgraph and args.k is not None and args.kprime is not None):
         raise ConfigError("--function: no check reads it; the monotonicity check needs "
                           "--graph-b to be an edge subgraph of --graph, and --k and --kprime")
+    if args.k is not None and not (is_complete(g_a) or args.function):
+        raise ConfigError("--k: no check reads it; containment needs --graph to be complete, "
+                          "and the monotonicity check needs --function")
     f = resolve_function(args.function, g_a.n) if args.function else None
     holds = None  # the containment hypothesis; None when g_a is not complete or k is unset
     if is_complete(g_a) and args.k is not None:
         kprime = args.kprime if args.kprime is not None else 2.0 * args.k
         holds = diagnostics.containment_hypothesis(g_a, args.k, kprime)
+    n = g_a.n
     if subgraph or holds:
-        bases_a, bases_b = (spectral.solve_stacks([(g, level) for level in range(g.n + 1)],
-                                                  lambda _, basis: basis) for g in (g_a, g_b))
+        # Both graphs' levels in one call. Containment and monotonicity read
+        # eigenvectors; domination alone keeps each level's eigenvalues only.
+        keep = bool(holds) or f is not None
+        solved = spectral.solve_stacks([(g, level) for g in (g_a, g_b) for level in range(n + 1)],
+                                       lambda _, basis: basis if keep else basis.eigenvalues)
+        bases_a, bases_b = solved[:n + 1], solved[n + 1:]
+        spectra = [basis.eigenvalues for basis in solved] if keep else solved
     if subgraph:
         checks.append(diagnostics.check_record(
             "spectra_dominated_by_supergraph",
-            diagnostics.spectra_domination_gap(g_b, g_a, bases_b, bases_a),
+            diagnostics.spectra_domination_gap(g_b, g_a, spectra[n + 1:], spectra[:n + 1]),
             diagnostics.DOMINATION_TOL))
         if f is not None:
             lhs, rhs = diagnostics.monotonicity_inequality_check(

@@ -55,24 +55,6 @@ POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
-class SimulationSpec:
-    """Sampling policy of the estimators: start distribution, seed, sample count.
-
-    level None draws the start uniformly over all 2^n configurations;
-    an integer draws uniformly over that level slice.
-    """
-
-    level: int | None = None
-    seed: int = 0
-    samples: int = 1
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"need at least 1 sample, got {self.samples}")
-        _check_seed(self.seed)
-
-
-@dataclass(frozen=True)
 class EstimateResult:
     point: float
     std_error: float
@@ -213,17 +195,28 @@ def simulate_path(g: Graph, x0: Configuration, t: float, seed: int) -> Configura
     return Configuration(g.n, int(word[0]))
 
 
-def estimate_covariance(g: Graph, f: BooleanFunction, t: float,
-                        spec: SimulationSpec) -> EstimateResult:
-    """Monte Carlo Cov(f(X_0), f(X_t)) with a jackknife standard error."""
+def _check_estimate(g: Graph, f: BooleanFunction, t: float, samples: int, seed: int) -> None:
+    if samples < 1:
+        raise ValueError(f"need at least 1 sample, got {samples}")
+    _check_seed(seed)
     if f.n != g.n:
         raise ValueError(f"function is on {f.n} vertices, graph has {g.n}")
     _check_horizon(t)
-    m = spec.samples
+
+
+def estimate_covariance(g: Graph, f: BooleanFunction, t: float, *, samples: int,
+                        seed: int = 0, level: int | None = None) -> EstimateResult:
+    """Monte Carlo Cov(f(X_0), f(X_t)) with a jackknife standard error.
+
+    level None draws the start uniformly over all 2^n configurations; an
+    integer draws it uniformly over that level slice.
+    """
+    _check_estimate(g, f, t, samples, seed)
+    m = samples
     a = np.empty(m)   # f at the start
     p = np.empty(m)   # product across the pair
     lo = 0
-    for w0, wt in _start_end(g, spec.level, t, spec.seed, m):
+    for w0, wt in _start_end(g, level, t, seed, m):
         hi = lo + w0.size
         a[lo:hi] = f.values[w0]
         p[lo:hi] = a[lo:hi] * f.values[wt]
@@ -238,16 +231,14 @@ def estimate_covariance(g: Graph, f: BooleanFunction, t: float,
     return EstimateResult(point, se, m)
 
 
-def estimate_flip_probability(g: Graph, f: BooleanFunction, eps: float,
-                              spec: SimulationSpec) -> EstimateResult:
-    """Monte Carlo P(f(X_0) != f(X_eps)) with a binomial standard error."""
-    if f.n != g.n:
-        raise ValueError(f"function is on {f.n} vertices, graph has {g.n}")
-    _check_horizon(eps)
-    m = spec.samples
+def estimate_flip_probability(g: Graph, f: BooleanFunction, eps: float, *, samples: int,
+                              seed: int = 0, level: int | None = None) -> EstimateResult:
+    """Monte Carlo P(f(X_0) != f(X_eps)) with a binomial standard error; level
+    as in estimate_covariance."""
+    _check_estimate(g, f, eps, samples, seed)
     flips = 0
-    for w0, wt in _start_end(g, spec.level, eps, spec.seed, m):
+    for w0, wt in _start_end(g, level, eps, seed, samples):
         flips += int(np.count_nonzero(f.values[w0] != f.values[wt]))
-    p_hat = flips / m
-    se = math.sqrt(p_hat * (1.0 - p_hat) / m)
-    return EstimateResult(p_hat, se, m)
+    p_hat = flips / samples
+    se = math.sqrt(p_hat * (1.0 - p_hat) / samples)
+    return EstimateResult(p_hat, se, samples)

@@ -96,17 +96,17 @@ def build_stack(pairs: Sequence[tuple[Graph, int]]) -> GeneratorStack:
     return gens
 
 
-def dirichlet_form(gen: LevelGenerator, f: np.ndarray) -> float:
-    """<-Q f, f> computed as the rate-weighted edge sum of squared increments.
+def dirichlet_form(g: Graph, level: int, f: np.ndarray) -> float:
+    """<-Q f, f> on one level of g, as the rate-weighted edge sum of squared increments.
 
     Swaps that fix a state contribute zero automatically.
     """
+    space = enumerate_level(g.n, level)
     f = np.asarray(f, dtype=float)
-    if f.shape != (gen.space.size,):
-        raise ValueError(f"function has shape {f.shape}, expected ({gen.space.size},)")
-    diffs = f - f[gen.space.swaps[gen.graph.swap_rows]]
+    if f.shape != (space.size,):
+        raise ValueError(f"function has shape {f.shape}, expected ({space.size},)")
+    diffs = f - f[space.swaps[g.swap_rows]]
     # One dot per edge, each with the bits of diff @ diff, summed in edge order.
     squares = np.matmul(diffs[:, None, :], diffs[:, :, None]).reshape(-1)
-    total = np.cumsum(gen.graph.rates * squares)
-    return float(total[-1]) / (2.0 * gen.space.size)
-
+    total = np.cumsum(g.rates * squares)
+    return float(total[-1]) / (2.0 * space.size)

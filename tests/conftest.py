@@ -19,6 +19,11 @@ def solve_alone(g, levels=None):
             for level in levels]
 
 
+def spectra(bases):
+    """The eigenvalue array of each basis, in order: what the domination gap reads."""
+    return [basis.eigenvalues for basis in bases]
+
+
 @pytest.fixture
 def solves(monkeypatch):
     """Count solves per (graph, level): one per member of each eigendecompose_stack call.

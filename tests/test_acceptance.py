@@ -19,7 +19,7 @@ from xproc.graph import (
     with_rate,
 )
 
-from conftest import solve_alone
+from conftest import solve_alone, spectra
 
 MC_SEED = 20260810
 
@@ -144,12 +144,12 @@ def test_criterion_5_monte_carlo_consistency():
     passes = 0
     for idx, (g, f, kind, t) in enumerate(instances):
         profile = fourier.bases_profile(f, solve_alone(g))
-        spec = dynamics.SimulationSpec(seed=MC_SEED + idx, samples=100_000)
         if kind == "cov":
-            est = dynamics.estimate_covariance(g, f, t, spec)
+            est = dynamics.estimate_covariance(g, f, t, samples=100_000, seed=MC_SEED + idx)
             exact = fourier.exact_covariance(profile, t)
         else:
-            est = dynamics.estimate_flip_probability(g, f, t, spec)
+            est = dynamics.estimate_flip_probability(g, f, t, samples=100_000,
+                                                     seed=MC_SEED + idx)
             exact = fourier.exact_flip_probability(profile, t)
         if abs(est.point - exact) <= 3.0 * est.std_error:
             passes += 1
@@ -237,7 +237,7 @@ def test_criterion_8_monotonicity():
         ]
         for small, big in zip(chain, chain[1:]):
             gaps = diagnostics.spectra_domination_gap(
-                small, big, solve_alone(small), solve_alone(big))
+                small, big, spectra(solve_alone(small)), spectra(solve_alone(big)))
             if max(gaps) > 1e-10:
                 chain_ok = False
     report(8, violations == 0 and chain_ok,

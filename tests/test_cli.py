@@ -812,8 +812,37 @@ def test_compare_function_no_check_reads_exit_2(capsys, case):
                          capsys)
     assert code == 2 and out == ""
     assert err.startswith("config error: --function: no check reads it")
-    code, _, _ = run(["compare", *UNREAD_FUNCTION[case]], capsys)
+    code, out, err = run(["compare", *UNREAD_FUNCTION[case]], capsys)
+    if case == "not a subgraph":  # nor --k: containment needs a complete --graph
+        assert code == 2 and out == ""
+        assert err.startswith("config error: --k: no check reads it")
+    else:
+        assert code == 0
+
+
+UNREAD_K = {  # --graph is not complete and no --function is given
+    "subgraph": ["--graph", "cycle:6", "--rate", "1", "--graph-b", "cycle:6",
+                 "--rate-b", "1", "--k", "1", "--kprime", "3"],
+    "--k only": ["--graph", "half_complete_cycle:3", "--rate", "1", "--graph-b", "cycle:6",
+                 "--rate-b", "1", "--k", "1"],
+}
+
+
+@pytest.mark.parametrize("case", UNREAD_K)
+def test_compare_k_no_check_reads_exit_2(capsys, case):
+    code, out, err = run(["compare", *UNREAD_K[case]], capsys)
+    assert code == 2 and out == ""
+    assert err == ("config error: --k: no check reads it; containment needs --graph to be "
+                   "complete, and the monotonicity check needs --function\n")
+
+
+def test_compare_k_is_read_by_monotonicity_on_a_supergraph_not_complete(capsys):
+    code, out, _ = run(["compare", "--graph", "half_complete_cycle:3", "--rate", "1",
+                        "--graph-b", "cycle:6", "--rate-b", "1", "--function", "dictator:0",
+                        "--k", "1", "--kprime", "2"], capsys)
     assert code == 0
+    assert [c["name"] for c in json.loads(out)["checks"]] == [
+        "spectra_dominated_by_supergraph", "monotonicity_inequality"]
 
 
 def test_profile_k_without_n_grid_exit_2(capsys):

@@ -16,7 +16,7 @@ from xproc.fourier import BooleanFunction, bases_profile, dictator, parity_on_se
 from xproc.graph import make_complete, make_cycle, make_half_complete_cycle, max_degree, with_rate
 from xproc.verify import random_boolean_function, random_connected_graph, random_connected_subgraph
 
-from conftest import solve_alone
+from conftest import solve_alone, spectra
 
 
 def containment(complete, other, k, kprime):
@@ -178,7 +178,8 @@ def test_spectra_grow_with_edges():
             make_complete(2 * half, 0.5),
         ]
         for small, big in zip(chain, chain[1:]):
-            gaps = spectra_domination_gap(small, big, solve_alone(small), solve_alone(big))
+            gaps = spectra_domination_gap(small, big, spectra(solve_alone(small)),
+                                          spectra(solve_alone(big)))
             assert len(gaps) == 2 * half + 1
             assert max(gaps) <= 1e-10
 
@@ -203,7 +204,8 @@ def test_comparison_checks_solve_nothing(monkeypatch):
                                     bases[other])) == n + 1
     projection_mass_inequality(complete, other, 1.0, profiles[complete], profiles[other])
     monotonicity_inequality_check(complete, sub, 1.0, 2.0, profiles[complete], profiles[sub])
-    assert len(spectra_domination_gap(sub, complete, bases[sub], bases[complete])) == n + 1
+    assert len(spectra_domination_gap(sub, complete, spectra(bases[sub]),
+                                      spectra(bases[complete]))) == n + 1
     assert sensitivity_profile(lambda _: profiles[complete], [n], [1.0])["records"][0]["n"] == n
 
 
@@ -211,7 +213,7 @@ def test_level_checks_refuse_unequal_level_counts():
     complete, sub = make_complete(4, 0.25), make_cycle(4, 0.25)
     bases, bases_sub = solve_alone(complete), solve_alone(sub)
     with pytest.raises(ValueError, match=r"zip\(\) argument 2 is longer"):
-        spectra_domination_gap(sub, complete, bases_sub[:-1], bases)
+        spectra_domination_gap(sub, complete, spectra(bases_sub[:-1]), spectra(bases))
     with pytest.raises(ValueError, match=r"zip\(\) argument 2 is shorter"):
         containment_residual(complete, with_rate(sub, 0.5), 1.0, 2.0, bases, bases_sub[:-1])
 

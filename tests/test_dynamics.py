@@ -16,7 +16,6 @@ from xproc.dynamics import (
     SEED_MAX,
     SEED_MIN,
     SWAP_TABLE_ENTRIES,
-    SimulationSpec,
     _chunk_rng,
     _EdgeTable,
     _edge_table,
@@ -92,13 +91,12 @@ def test_negative_time_rejected():
 def test_bad_horizon_rejected(t):
     g = make_cycle(5, 1.0)
     f = parity_on_set(5, [0, 2])
-    spec = SimulationSpec(seed=0, samples=10)
     with pytest.raises(ValueError, match="finite and >= 0"):
         simulate_path(g, Configuration(5, 1), t, seed=0)
     with pytest.raises(ValueError, match="finite and >= 0"):
-        estimate_covariance(g, f, t, spec)
+        estimate_covariance(g, f, t, samples=10)
     with pytest.raises(ValueError, match="finite and >= 0"):
-        estimate_flip_probability(g, f, t, spec)
+        estimate_flip_probability(g, f, t, samples=10)
 
 
 def test_paths_conserve_marbles():
@@ -170,9 +168,8 @@ def test_stationarity_on_level():
     g = make_cycle(5, 0.8)
     space = enumerate_level(5, 2)
     samples = 20000
-    spec = SimulationSpec(level=2, seed=5, samples=samples)
     counts = np.zeros(space.size)
-    for _, wt in _start_end(g, spec.level, 0.6, spec.seed, spec.samples):
+    for _, wt in _start_end(g, 2, 0.6, 5, samples):
         counts += np.bincount(space.rank(wt), minlength=space.size)
     expected = samples / space.size
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -214,12 +211,11 @@ def test_runs_shorter_than_a_chunk(samples):
     space.rank(w0)      # raises unless every word is on the start level
     space.rank(wt)
     f = parity_on_set(6, [0, 3])
-    spec = SimulationSpec(level=3, seed=12, samples=samples)
-    cov = estimate_covariance(g, f, 0.9, spec)
+    cov = estimate_covariance(g, f, 0.9, samples=samples, seed=12, level=3)
     a, b = f.values[w0], f.values[wt]
     assert cov.samples == samples
     assert cov.point == float((a * b).mean() - a.mean() ** 2)
-    flip = estimate_flip_probability(g, f, 0.9, spec)
+    flip = estimate_flip_probability(g, f, 0.9, samples=samples, seed=12, level=3)
     assert flip.samples == samples
     assert flip.point == np.count_nonzero(a != b) / samples
     if samples == 1:
@@ -229,7 +225,7 @@ def test_runs_shorter_than_a_chunk(samples):
 def test_covariance_constant_function():
     g = make_cycle(4, 1.0)
     f = BooleanFunction(4, np.ones(16))
-    est = estimate_covariance(g, f, 0.5, SimulationSpec(seed=1, samples=500))
+    est = estimate_covariance(g, f, 0.5, samples=500, seed=1)
     assert est.point == 0.0
     assert est.std_error == 0.0
 
@@ -237,7 +233,7 @@ def test_covariance_constant_function():
 def test_covariance_at_lag_zero_matches_variance():
     g = make_complete(4, 0.25)
     f = dictator(4, 0)
-    est = estimate_covariance(g, f, 0.0, SimulationSpec(seed=2, samples=20000))
+    est = estimate_covariance(g, f, 0.0, samples=20000, seed=2)
     assert abs(est.point - f.variance()) <= 3 * est.std_error
 
 
@@ -245,7 +241,7 @@ def test_covariance_matches_exact():
     g = make_complete(4, 0.25)
     f = dictator(4, 0)
     profile = bases_profile(f, solve_alone(g))
-    est = estimate_covariance(g, f, 1.0, SimulationSpec(seed=3, samples=20000))
+    est = estimate_covariance(g, f, 1.0, samples=20000, seed=3)
     assert est.std_error > 0
     assert abs(est.point - exact_covariance(profile, 1.0)) <= 3 * est.std_error
 
@@ -253,7 +249,7 @@ def test_covariance_matches_exact():
 def test_covariance_level_start():
     g = make_complete(4, 0.25)
     f = dictator(4, 0)
-    est = estimate_covariance(g, f, 0.4, SimulationSpec(level=2, seed=9, samples=8000))
+    est = estimate_covariance(g, f, 0.4, samples=8000, seed=9, level=2)
     # conditional start: covariance of a dictator on the level-2 slice
     gen = build_level_generator(g, 2)
     probs = matrix_exponential(gen, 0.4).probs
@@ -265,10 +261,10 @@ def test_covariance_level_start():
 def test_flip_zero_time_and_constant():
     g = make_cycle(8, 0.5)
     f = parity_on_set(8, [0, 2, 4, 6])
-    est = estimate_flip_probability(g, f, 0.0, SimulationSpec(seed=4, samples=2000))
+    est = estimate_flip_probability(g, f, 0.0, samples=2000, seed=4)
     assert est.point == 0.0
     const = BooleanFunction(8, np.ones(256))
-    est = estimate_flip_probability(g, const, 0.7, SimulationSpec(seed=4, samples=2000))
+    est = estimate_flip_probability(g, const, 0.7, samples=2000, seed=4)
     assert est.point == 0.0
 
 
@@ -276,33 +272,34 @@ def test_flip_matches_exact():
     g = make_cycle(8, 0.5)
     f = parity_on_set(8, [0, 2, 4, 6])
     profile = bases_profile(f, solve_alone(g))
-    est = estimate_flip_probability(g, f, 0.3, SimulationSpec(seed=6, samples=20000))
+    est = estimate_flip_probability(g, f, 0.3, samples=20000, seed=6)
     assert abs(est.point - exact_flip_probability(profile, 0.3)) <= 3 * est.std_error
 
 
 def test_estimators_bit_reproducible():
     g = make_cycle(6, 0.5)
     f = parity_on_set(6, [0, 3])
-    spec = SimulationSpec(seed=42, samples=3000)
-    a = estimate_covariance(g, f, 0.8, spec)
-    b = estimate_covariance(g, f, 0.8, spec)
+    a = estimate_covariance(g, f, 0.8, samples=3000, seed=42)
+    b = estimate_covariance(g, f, 0.8, samples=3000, seed=42)
     assert a == b
-    c = estimate_flip_probability(g, f, 0.8, spec)
-    d = estimate_flip_probability(g, f, 0.8, spec)
+    c = estimate_flip_probability(g, f, 0.8, samples=3000, seed=42)
+    d = estimate_flip_probability(g, f, 0.8, samples=3000, seed=42)
     assert c == d
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        SimulationSpec(samples=0)
+    for estimate in (estimate_covariance, estimate_flip_probability):
+        with pytest.raises(ValueError, match="need at least 1 sample, got 0"):
+            estimate(make_cycle(5, 1.0), dictator(5, 0), 1.0, samples=0)
 
 
 @pytest.mark.parametrize("seed", [SEED_MIN - 1, SEED_MAX + 1, 2**64 - 1, 2**64])
 def test_seed_outside_64_bits_rejected(seed):
     # the stream key masks the seed to 64 bits: outside the signed range two
     # seeds would share a stream (-1 and 2^64 - 1, 0 and 2^64)
-    with pytest.raises(ValueError, match="seed must be in"):
-        SimulationSpec(seed=seed, samples=10)
+    for estimate in (estimate_covariance, estimate_flip_probability):
+        with pytest.raises(ValueError, match="seed must be in"):
+            estimate(make_cycle(5, 1.0), dictator(5, 0), 1.0, samples=10, seed=seed)
     with pytest.raises(ValueError, match="seed must be in"):
         simulate_path(make_cycle(5, 1.0), Configuration(5, 1), 1.0, seed=seed)
 
@@ -501,10 +498,9 @@ def test_the_poisson_limit_is_numpys():
                                  (make_cycle(5, 1e300), 1.0)])
 def test_a_horizon_over_the_poisson_limit_is_refused(g, t):
     f = dictator(5, 0)
-    spec = SimulationSpec(seed=0, samples=10)
     expects = re.escape(f"expects {g.edges[0][2] * 5 * t:g} jumps")
-    for run in (lambda: estimate_covariance(g, f, t, spec),
-                lambda: estimate_flip_probability(g, f, t, spec),
+    for run in (lambda: estimate_covariance(g, f, t, samples=10),
+                lambda: estimate_flip_probability(g, f, t, samples=10),
                 lambda: simulate_path(g, Configuration(5, 1), t, seed=0)):
         with pytest.raises(ValueError, match=expects):
             run()

@@ -1,8 +1,8 @@
 """Level bases are solved, read and freed one stack at a time."""
 
+import json
 import math
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,9 +78,20 @@ def test_domination_gap_frees_each_level(live_bases):
     cycle, complete = make_cycle(6, 1.0), make_complete(6, 1.0)
     spectra = spectral.solve_stacks(
         [(g, level) for g in (cycle, complete) for level in range(7)],
-        lambda _, basis: SimpleNamespace(eigenvalues=basis.eigenvalues))
+        lambda _, basis: basis.eigenvalues)
     gaps = diagnostics.spectra_domination_gap(cycle, complete, spectra[:7], spectra[7:])
     assert max(gaps) <= diagnostics.DOMINATION_TOL
+    assert live_bases["solves"] == 2 * 7
+    assert live_bases["stale"] == []
+
+
+def test_domination_only_compare_frees_each_level(live_bases, capsys):
+    # No --k and no --function: only the domination check runs, and it reads
+    # eigenvalues alone, so no basis outlives its stack.
+    assert main(["compare", "--graph", "complete:6", "--rate", "1",
+                 "--graph-b", "cycle:6", "--rate-b", "1"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == ["spectra_dominated_by_supergraph"]
     assert live_bases["solves"] == 2 * 7
     assert live_bases["stale"] == []
 
