@@ -12,7 +12,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -117,12 +117,20 @@ class Graph:
         return hash((self.n, self.edges))
 
 
+# A named graph is built once per (size, rate) and shared: every caller gets
+# one object, so the dicts that graphs key compare it by identity, not edge
+# by edge. typed: a bool, int or float rate is its own key, as Graph checks it.
+named_graph = lru_cache(maxsize=None, typed=True)
+
+
+@named_graph
 def make_complete(n: int, rate: float) -> Graph:
     """Complete graph on n vertices, every edge at the given rate."""
     edges = [(u, v, rate) for u in range(n) for v in range(u + 1, n)]
     return Graph(n, tuple(edges))
 
 
+@named_graph
 def make_cycle(n: int, rate: float) -> Graph:
     """Cycle 0-1-2-...-(n-1)-0, every vertex of degree 2."""
     if n < 3:
@@ -132,6 +140,7 @@ def make_cycle(n: int, rate: float) -> Graph:
     return Graph(n, tuple(edges))
 
 
+@named_graph
 def make_half_complete_cycle(n: int, rate: float) -> Graph:
     """Cycle on 2n vertices plus all chords among the upper half {n..2n-1}.
 

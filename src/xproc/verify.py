@@ -8,7 +8,6 @@ violation.
 """
 
 import math
-from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -19,6 +18,7 @@ from .graph import (
     Graph, make_complete, make_cycle, make_half_complete_cycle, max_degree,
     with_rate,
 )
+from .statespace import enumerate_level
 
 # Fewest samples at which check_monte_carlo's 3-standard-error test means
 # something: below it a sample with no spread, and so a zero standard error,
@@ -32,57 +32,92 @@ KEEP_PROB = 0.5         # random_connected_subgraph: chance of keeping each non-
 
 
 class BasisTable:
-    """The solve plan of one suite run, and the store of its bases.
+    """The solve plan of one suite run, and the store of what its reads need.
 
-    Starts empty. plan and levels add one planned read per (Graph, level)
-    pair when called, and return the reads: Graph is a frozen dataclass, so a
-    graph built at two call sites with equal rates is one key. A read solves
-    its pairs not held, in one spectral.solve_stacks call; if one of them
-    shares a stack with others (shares_a_stack), the call also takes every
-    planned pair not held that shares one. So the first read of a small level
-    solves the run's batch, a larger level is solved by its first read, and
-    each pair is solved once. A basis is held while the plan has reads of it
-    left and dropped by its last read, after which the reader's reference is
-    the only one. Held arrays are read-only, so no check can change a basis
-    another check reads. A solve is deterministic for identical input,
-    stacked or not, so the plan changes no report.
+    Starts empty. plan and levels add planned reads of (Graph, level) pairs
+    when called, and return the reads: Graph is a frozen dataclass, so a
+    graph built at two call sites with equal rates is one key. Each read
+    names its need, and a read of a pair returns what that need reads:
+    "vectors" the SpectralBasis, "spectrum" its eigenvalue array, and a
+    BooleanFunction f its fourier.level_piece. A read solves its pairs not
+    held, in one spectral.solve_stacks call; if one of them shares a stack
+    with others (shares_a_stack), the call also takes every planned pair not
+    held that shares one. So the first read of a small level solves the
+    run's batch, a larger level is solved by its first read, and each pair
+    is solved once. While a stack is live, each of its pairs keeps one value
+    per need its planned reads name, and no more: a basis is held only while
+    a "vectors" read of it is left. A value is dropped by the last read of
+    its need, after which the reader's reference is the only one. A held
+    basis and every held eigenvalue array are read-only, so no check can
+    change what another check reads. A solve is deterministic for identical
+    input, stacked or not, and a piece is level_piece on the solve's own
+    arrays, so the plan changes no report.
     """
 
     def __init__(self):
-        self._reads = Counter()   # reads left, per pair
-        self._bases: dict[tuple[Graph, int], spectral.SpectralBasis] = {}
+        self._reads = {}   # pair -> the need of each of its reads left
+        self._held = {}    # (pair, need) -> value
 
     def plan(self, groups):
-        """Plan one read of each group of (graph, level) pairs.
+        """Plan one read of each (pairs, need) group of (graph, level) pairs.
 
-        Returns an iterator that yields, per group in order, the bases of its
-        pairs; the group's pairs not held are solved as it is read, in one
-        solve_stacks call.
+        Returns an iterator that yields, per group in order, what the need
+        reads of each of its pairs; the group's pairs not held are solved as
+        it is read, in one solve_stacks call.
         """
-        groups = [list(group) for group in groups]
-        self._reads.update(pair for group in groups for pair in group)
-        return map(self._read, groups)
+        groups = [(list(pairs), need) for pairs, need in groups]
+        for pairs, need in groups:
+            for pair in pairs:
+                self._reads.setdefault(pair, []).append(need)
+        return (self._read(pairs, need) for pairs, need in groups)
 
-    def levels(self, graphs):
-        """plan of each graph's levels 0..n, one group per graph."""
-        return self.plan([(g, level) for level in range(g.n + 1)] for g in graphs)
+    def levels(self, reads):
+        """plan of levels 0..n of each (graph, need) read, one group per read."""
+        return self.plan(([(g, level) for level in range(g.n + 1)], need) for g, need in reads)
 
-    def _read(self, pairs) -> list[spectral.SpectralBasis]:
-        missing = [pair for pair in dict.fromkeys(pairs) if pair not in self._bases]
+    def finish(self) -> None:
+        """Raise if a planned read was never made: a check stopped reading early."""
+        if self._reads:
+            (g, level), needs = next(iter(self._reads.items()))
+            raise RuntimeError(f"planned reads of {len(self._reads)} (graph, level) pairs were "
+                               f"not made, the first of n={g.n} level {level} for {needs!r}")
+
+    def _read(self, pairs, need) -> list:
+        missing = [pair for pair in dict.fromkeys(pairs) if (pair, need) not in self._held]
         if any(shares_a_stack(*pair) for pair in missing):
-            batch = [pair for pair in self._reads
-                     if pair not in self._bases and shares_a_stack(*pair)]
+            # A solved pair holds every need it has reads of left, its first too.
+            batch = [pair for pair, needs in self._reads.items()
+                     if (pair, needs[0]) not in self._held and shares_a_stack(*pair)]
             missing = list(dict.fromkeys([*missing, *batch]))
-        for pair, basis in zip(missing, spectral.solve_stacks(missing, lambda _, basis: basis)):
-            basis.eigenvalues.flags.writeable = False
-            basis.vectors.flags.writeable = False
-            self._bases[pair] = basis
-        found = [self._bases[pair] for pair in pairs]
+        if missing:
+            needs = {pair: list(dict.fromkeys(self._reads[pair])) for pair in missing}
+
+            def keep(gen, basis):   # while the basis's stack is live
+                basis.eigenvalues.flags.writeable = False
+                basis.vectors.flags.writeable = False
+                return [read_need(planned, basis) for planned in needs[gen.graph, gen.space.level]]
+
+            for pair, values in zip(missing, spectral.solve_stacks(missing, keep)):
+                self._held.update(zip([(pair, planned) for planned in needs[pair]], values))
+        found = [self._held[pair, need] for pair in pairs]
         for pair in pairs:
-            self._reads[pair] -= 1
-            if not self._reads[pair]:
-                del self._reads[pair], self._bases[pair]
+            left = self._reads[pair]
+            left.remove(need)
+            if need not in left:
+                del self._held[pair, need]
+            if not left:
+                del self._reads[pair]
         return found
+
+
+def read_need(need, basis):
+    """What a read of need takes from a basis: the basis itself for "vectors", its
+    eigenvalues for "spectrum", and a function's fourier.level_piece."""
+    if need == "vectors":
+        return basis
+    if need == "spectrum":
+        return basis.eigenvalues
+    return fourier.level_piece(need, basis)
 
 
 def shares_a_stack(g: Graph, level: int) -> bool:
@@ -234,7 +269,8 @@ def draw_eigensolver(nmax: int, rng: np.random.Generator, table: BasisTable):
              for name, g in (("K", make_complete(n, 1.0)), ("C", make_cycle(n, 0.5)),
                              ("random", random_connected_graph(rng, n, 1.0)))]
     groups = level_groups(named)
-    return partial(check_eigensolver, named, groups, table.plan(groups))
+    return partial(check_eigensolver, named, groups,
+                   table.plan((group, "vectors") for group in groups))
 
 
 def check_eigensolver(named, groups, reads) -> dict:
@@ -273,37 +309,51 @@ def complete_graph_cases(nmax: int, table: BasisTable):
               for n in range(2, nmax + 1) for alpha in (1.0, 1.0 / n)]
     cases = [(n, alpha, g, level) for n, alpha, g in graphs for level in range(n // 2 + 1)]
     return partial(check_complete_graphs, cases,
-                   table.plan([(g, level)] for _, _, g, level in cases))
+                   table.plan(([(g, level)], "vectors") for _, _, g, level in cases))
 
 
 def check_complete_graphs(cases, reads) -> list[dict]:
     """The closed forms of K_n on the complete_graph_cases.
 
     One pass reads each basis, one at a time, and lifts it once in each
-    direction, for three records: the spectrum against
+    direction (complete_graph_rows), for three records: the spectrum against
     complete_graph_eigenvalue_table, the lift lengths, and, at rate 1 for
     n >= 3 and level >= 1, the orthogonality of the lifted eigenvectors.
+    A case's basis and lifts are gone before the next case's read, which may
+    solve a level: the reads are taken by next, since a zip with the cases
+    would keep the last read in the tuple it reuses.
     """
     spectrum, lengths, orthogonality = [], [], []
-    for (n, alpha, g, level), [basis] in zip(cases, reads, strict=True):
-        label = f"K_{n} alpha={alpha:g} level {level}"
-        lam, mult = zip(*spectral.complete_graph_eigenvalue_table(n, level, alpha))
-        expected = np.sort(np.repeat(lam, mult))
-        err = np.max(np.abs(np.sort(basis.eigenvalues) - expected) / np.maximum(1.0, expected))
-        spectrum.append((float(err), 1e-8, label))
-        down = spectral.lift_down(basis.space, basis.vectors) if level >= 1 else None
-        up = spectral.lift_up(basis.space, basis.vectors)
-        lengths.append((lift_length_error(n, level, alpha, basis.eigenvalues, down, up),
-                        1e-8, label))
-        if alpha == 1.0 and n >= 3 and level >= 1:
-            for tag, mat in (("down", down), ("up", up)):
-                gram = mat.T @ mat / mat.shape[0]
-                off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
-                orthogonality.append((off, 1e-10 * max(1.0, float(np.max(np.abs(gram)))),
-                                      f"K_{n} level {level} {tag}"))
+    for n, alpha, _, level in cases:
+        spectrum_row, length_row, orthogonality_rows = complete_graph_rows(
+            n, alpha, level, *next(reads))
+        spectrum.append(spectrum_row)
+        lengths.append(length_row)
+        orthogonality += orthogonality_rows
     return [_record("complete_graph_multiplicities", spectrum),
             _record("lift_length_formulas", lengths),
             _record("lift_orthogonality", orthogonality)]
+
+
+def complete_graph_rows(n: int, alpha: float, level: int, basis):
+    """check_complete_graphs' rows of one K_n level: its spectrum row, its lift
+    length row and its lift orthogonality rows."""
+    label = f"K_{n} alpha={alpha:g} level {level}"
+    lam, mult = zip(*spectral.complete_graph_eigenvalue_table(n, level, alpha))
+    expected = np.sort(np.repeat(lam, mult))
+    err = np.max(np.abs(np.sort(basis.eigenvalues) - expected) / np.maximum(1.0, expected))
+    down = spectral.lift_down(basis.space, basis.vectors) if level >= 1 else None
+    up = spectral.lift_up(basis.space, basis.vectors)
+    orthogonality = []
+    if alpha == 1.0 and n >= 3 and level >= 1:
+        for tag, mat in (("down", down), ("up", up)):
+            gram = mat.T @ mat / mat.shape[0]
+            off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
+            orthogonality.append((off, 1e-10 * max(1.0, float(np.max(np.abs(gram)))),
+                                  f"K_{n} level {level} {tag}"))
+    return ((float(err), 1e-8, label),
+            (lift_length_error(n, level, alpha, basis.eigenvalues, down, up), 1e-8, label),
+            orthogonality)
 
 
 def draw_eigenvalue_bound(nmax: int, rng: np.random.Generator, table: BasisTable):
@@ -312,16 +362,17 @@ def draw_eigenvalue_bound(nmax: int, rng: np.random.Generator, table: BasisTable
         n = int(rng.integers(3, min(nmax, 8) + 1))
         rate = float(rng.uniform(0.1, 1.5))
         draws.append((n, rate, random_connected_graph(rng, n, rate)))
-    return partial(check_eigenvalue_bound, draws, table.levels(g for _, _, g in draws))
+    return partial(check_eigenvalue_bound, draws,
+                   table.levels((g, "spectrum") for _, _, g in draws))
 
 
-def check_eigenvalue_bound(draws, levels) -> dict:
+def check_eigenvalue_bound(draws, spectra) -> dict:
     rows = []
-    for i, ((n, rate, g), bases) in enumerate(zip(draws, levels, strict=True)):
+    for i, ((n, rate, g), levels) in enumerate(zip(draws, spectra, strict=True)):
         d = max_degree(g)
-        for level, basis in enumerate(bases):
+        for level, lam in enumerate(levels):
             bound = 2.0 * rate * level * d
-            gap = float(basis.eigenvalues[-1]) - bound
+            gap = float(lam[-1]) - bound
             rows.append((gap, 1e-9 * max(1.0, bound), f"draw {i} (n={n}) level {level}"))
     return _record("eigenvalue_upper_bound", rows)
 
@@ -332,17 +383,18 @@ def draw_parseval(nmax: int, rng: np.random.Generator, table: BasisTable):
         n = int(rng.integers(3, min(nmax, 7) + 1))
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
         draws.append((n, g, random_boolean_function(rng, n)))
-    return partial(check_parseval, draws, table.levels(g for _, g, _ in draws))
+    return partial(check_parseval, draws, table.levels((g, f) for _, g, f in draws))
 
 
-def check_parseval(draws, levels) -> dict:
+def check_parseval(draws, pieces) -> dict:
     rows = []
-    for i, ((n, g, f), bases) in enumerate(zip(draws, levels, strict=True)):
-        profile = fourier.bases_profile(f, bases)
+    for i, ((n, g, f), levels) in enumerate(zip(draws, pieces, strict=True)):
+        profile = fourier.spectral_profile(f, levels)
         direct = float(np.mean(f.values**2))
         cond = 0.0
-        for basis in bases:
-            cond += basis.size / 2.0**n * float(f.values[basis.space.words].mean()) ** 2
+        for level in range(n + 1):
+            space = enumerate_level(n, level)
+            cond += space.size / 2.0**n * float(f.values[space.words].mean()) ** 2
         err = float(np.max(np.abs([profile.total_mass - direct,
                                    profile.zero_mass() - cond,
                                    fourier.exact_correlation(profile, 0.0) - direct])))
@@ -357,13 +409,14 @@ def draw_oracle_equivalence(rng: np.random.Generator, table: BasisTable):
         g = random_connected_graph(rng, n, float(rng.uniform(0.3, 1.2)))
         f = random_boolean_function(rng, n)
         draws.append((n, g, f, float(rng.uniform(0.0, 2.0))))
-    return partial(check_oracle_equivalence, draws, table.levels(g for _, g, _, _ in draws))
+    return partial(check_oracle_equivalence, draws,
+                   table.levels((g, f) for _, g, f, _ in draws))
 
 
-def check_oracle_equivalence(draws, levels) -> dict:
+def check_oracle_equivalence(draws, pieces) -> dict:
     rows = []
-    for i, ((n, g, f, t), bases) in enumerate(zip(draws, levels, strict=True)):
-        profile = fourier.bases_profile(f, bases)
+    for i, ((n, g, f, t), levels) in enumerate(zip(draws, pieces, strict=True)):
+        profile = fourier.spectral_profile(f, levels)
         err = abs(fourier.exact_correlation(profile, t)
                   - oracle.brute_force_correlation(g, f, t))
         rows.append((err, 1e-8, f"draw {i} (n={n}, t={t:.3f})"))
@@ -372,7 +425,8 @@ def check_oracle_equivalence(draws, levels) -> dict:
 
 def draw_containment(nmax: int, rng: np.random.Generator, table: BasisTable):
     """check_containment per n in 6, 8, 10, 12 up to nmax: K_n at rate 1/n and the
-    named other graphs, each at rate 1 / its max degree."""
+    named other graphs, each at rate 1 / its max degree. Each n reads its levels
+    in order, K_n's level and then each other graph's, one basis per read."""
     cases = []
     for n in range(6, min(nmax, 12) + 1, 2):
         others = [("cycle", make_cycle(n, 1.0)),
@@ -381,22 +435,30 @@ def draw_containment(nmax: int, rng: np.random.Generator, table: BasisTable):
         cases.append((n, make_complete(n, 1.0 / n),
                       [(name, with_rate(raw, 1.0 / max_degree(raw))) for name, raw in others]))
     return partial(check_containment, cases, [
-        (table.levels([complete]), table.levels(other for _, other in others))
-        for _, complete, others in cases])
+        table.plan(([(g, level)], "vectors") for level in range(n + 1)
+                   for g in (complete, *(other for _, other in others)))
+        for n, complete, others in cases])
 
 
 def check_containment(cases, reads) -> dict:
     rows = []
-    for (n, complete, others), ([bases_c], other_levels) in zip(cases, reads, strict=True):
-        # One other graph at a time: all nine at once would hold their
-        # bases together, 1.5 MB per graph at n = 10.
-        for (name, other), bases_o in zip(others, other_levels, strict=True):
-            for k in (0.5, 1.0, 2.0, n / 4.0):
-                residuals = diagnostics.containment_residual(complete, other, k, 2.0 * k,
-                                                             bases_c, bases_o)
-                for level, res in enumerate(residuals):
-                    rows.append((res, diagnostics.CONTAINMENT_TOL,
-                                 f"{name} n={n} k={k:g} level {level}"))
+    for (n, complete, others), levels in zip(cases, reads, strict=True):
+        ks = (0.5, 1.0, 2.0, n / 4.0)
+        residual = {}
+        # One basis at a time past K_n's: the bases of one level, 0.5 MB each
+        # at n = 10, are dropped before the next read, which may solve one.
+        for level in range(n + 1):
+            [basis_c] = next(levels)
+            for name, other in others:
+                [basis_o] = next(levels)
+                for k in ks:
+                    [residual[name, k, level]] = diagnostics.containment_residual(
+                        complete, other, k, 2.0 * k, [basis_c], [basis_o])
+                del basis_o
+            del basis_c
+        rows += [(residual[name, k, level], diagnostics.CONTAINMENT_TOL,
+                  f"{name} n={n} k={k:g} level {level}")
+                 for name, _ in others for k in ks for level in range(n + 1)]
     return _record("containment_residual", rows)
 
 
@@ -409,17 +471,17 @@ def draw_projection_mass(nmax: int, rng: np.random.Generator, table: BasisTable)
         f = random_boolean_function(rng, n)
         draws.append((n, make_complete(n, 1.0 / n), other, f, float(rng.uniform(0.05, n / 4.0))))
     return partial(check_projection_mass, draws,
-                   table.levels(complete for _, complete, *_ in draws),
-                   table.levels(other for _, _, other, *_ in draws))
+                   table.levels((complete, f) for _, complete, _, f, _ in draws),
+                   table.levels((other, f) for _, _, other, f, _ in draws))
 
 
-def check_projection_mass(draws, complete_levels, other_levels) -> dict:
+def check_projection_mass(draws, complete_pieces, other_pieces) -> dict:
     rows = []
-    for i, ((n, complete, other, f, k), bases_c, bases_o) in enumerate(
-            zip(draws, complete_levels, other_levels, strict=True)):
+    for i, ((n, complete, other, f, k), pieces_c, pieces_o) in enumerate(
+            zip(draws, complete_pieces, other_pieces, strict=True)):
         lhs, rhs = diagnostics.projection_mass_inequality(
-            complete, other, k, fourier.bases_profile(f, bases_c),
-            fourier.bases_profile(f, bases_o),
+            complete, other, k, fourier.spectral_profile(f, pieces_c),
+            fourier.spectral_profile(f, pieces_o),
         )
         rows.append((rhs - lhs, diagnostics.PROJECTION_MASS_TOL,
                      f"draw {i} (n={n}, k={k:.3f})"))
@@ -442,24 +504,24 @@ def draw_monotonicity(rng: np.random.Generator, table: BasisTable):
                ("half_complete_cycle", make_half_complete_cycle(half, 0.5)),
                ("complete", make_complete(2 * half, 0.5))) for half in (2, 3)]
     return partial(check_monotonicity, draws, chains,
-                   table.levels(g for _, g, *_ in draws),
-                   table.levels(sub for _, _, sub, *_ in draws),
-                   [table.levels(g for _, g in chain) for chain in chains])
+                   table.levels((g, f) for _, g, _, f, *_ in draws),
+                   table.levels((sub, f) for _, _, sub, f, *_ in draws),
+                   [table.levels((g, "spectrum") for _, g in chain) for chain in chains])
 
 
-def check_monotonicity(draws, chains, levels, sub_levels, chain_levels) -> dict:
+def check_monotonicity(draws, chains, pieces, sub_pieces, chain_spectra) -> dict:
     rows = []
-    for i, ((n, g, sub, f, k, kprime), bases, bases_sub) in enumerate(
-            zip(draws, levels, sub_levels, strict=True)):
+    for i, ((n, g, sub, f, k, kprime), pieces_g, pieces_sub) in enumerate(
+            zip(draws, pieces, sub_pieces, strict=True)):
         lhs, rhs = diagnostics.monotonicity_inequality_check(
-            g, sub, k, kprime, fourier.bases_profile(f, bases),
-            fourier.bases_profile(f, bases_sub),
+            g, sub, k, kprime, fourier.spectral_profile(f, pieces_g),
+            fourier.spectral_profile(f, pieces_sub),
         )
         rows.append((lhs - rhs, diagnostics.MONOTONICITY_TOL,
                      f"draw {i} (n={n}, k={k:.3f}, k'={kprime:.3f})"))
     # the example chains: spectra grow pointwise under edge addition
-    for chain, reads in zip(chains, chain_levels, strict=True):
-        spectra = [[basis.eigenvalues for basis in bases] for bases in reads]
+    for chain, reads in zip(chains, chain_spectra, strict=True):
+        spectra = list(reads)
         for i, ((sname, small), (bname, big)) in enumerate(zip(chain, chain[1:])):
             gap = float(np.max(
                 diagnostics.spectra_domination_gap(small, big, spectra[i], spectra[i + 1])))
@@ -477,14 +539,15 @@ def monte_carlo_cases(seed: int, samples: int, table: BasisTable):
         ("half_complete_cycle_3 dictator cov t=0.5", make_half_complete_cycle(3, 0.25),
          fourier.dictator(6, 1), "cov", 0.5),
     ]
-    return partial(check_monte_carlo, cases, seed, samples, table.levels(g for _, g, *_ in cases))
+    return partial(check_monte_carlo, cases, seed, samples,
+                   table.levels((g, f) for _, g, f, *_ in cases))
 
 
-def check_monte_carlo(cases, seed: int, samples: int, levels) -> dict:
+def check_monte_carlo(cases, seed: int, samples: int, pieces) -> dict:
     """Estimates agree with the exact formulas within 3 standard errors."""
     rows = []
-    for idx, ((label, g, f, kind, t), bases) in enumerate(zip(cases, levels, strict=True)):
-        profile = fourier.bases_profile(f, bases)
+    for idx, ((label, g, f, kind, t), levels) in enumerate(zip(cases, pieces, strict=True)):
+        profile = fourier.spectral_profile(f, levels)
         if kind == "cov":
             est = dynamics.estimate_covariance(g, f, t, samples=samples, seed=seed + idx)
             exact = fourier.exact_covariance(profile, t)
@@ -503,7 +566,8 @@ def run_suite(*, nmax: int, seed: int, mc_samples: int) -> dict:
     order; each draw plans its reads in one BasisTable. Then the checks run
     in report order: the run's first read, check_eigensolver's, solves the
     planned levels that share a stack, and the larger levels are solved when
-    read.
+    read. A planned read left unread when the checks are done raises
+    (BasisTable.finish).
     """
     rng = np.random.default_rng(seed)
     table = BasisTable()
@@ -520,6 +584,7 @@ def run_suite(*, nmax: int, seed: int, mc_samples: int) -> dict:
         monte_carlo_cases(seed, mc_samples, table),
     ]
     checks = [invariants(), eigensolver(), *complete(), *(check() for check in others)]
+    table.finish()
     return {
         "suite": "all",
         "nmax": nmax,

@@ -86,7 +86,7 @@ def test_basis_table_levels_equal_per_level_solves(monkeypatch, stack_bytes):
     # Planned, as verify plans a run: the first read solves the levels that
     # share a stack under the limit, and each later read solves the rest.
     table = verify.BasisTable()
-    reads = table.levels(graphs)
+    reads = table.levels((g, "vectors") for g in graphs)
     for g, bases in zip(graphs, reads, strict=True):
         assert len(bases) == g.n + 1
         for basis, alone in zip(bases, solve_alone(g)):
@@ -329,7 +329,8 @@ def test_a_disconnected_graph_is_refused():
     with pytest.raises(ValueError, match="generator requires a connected graph"):
         build_stack([(make_cycle(4, 1.0), 2), (two_pairs, 2)])
     with pytest.raises(ValueError, match="generator requires a connected graph"):
-        list(verify.BasisTable().levels([make_cycle(4, 1.0), two_pairs]))
+        list(verify.BasisTable().levels([(make_cycle(4, 1.0), "vectors"),
+                                         (two_pairs, "vectors")]))
     # One disconnected member among three, refused at every level and on
     # every call once its verdict is cached.
     for level in (2, 0, 2, 4):
@@ -348,7 +349,7 @@ def test_connectivity_is_checked_once_per_graph(monkeypatch):
 
     monkeypatch.setattr(graph_module, "is_connected", counting)
     graphs = rated_graphs(5, 6, 3)
-    list(verify.BasisTable().levels(graphs))
+    list(verify.BasisTable().levels((g, "spectrum") for g in graphs))
     for level in range(7):
         build_stack([(g, level) for g in graphs])
     assert calls == graphs

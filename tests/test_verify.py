@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from xproc import spectral, verify
+from xproc.fourier import BooleanFunction, level_piece
 from xproc.generator import build_level_generator
-from xproc.graph import is_complete, make_complete, make_cycle, make_half_complete_cycle
+from xproc.graph import (
+    is_complete, make_complete, make_cycle, make_half_complete_cycle, with_rate,
+)
 
 from conftest import solve_alone
 
@@ -62,10 +65,12 @@ def test_each_run_starts_with_an_empty_table(solves):
 def test_held_bases_are_shared_and_read_only():
     k5 = make_complete(5, 0.2)
     table = verify.BasisTable()
-    reads = table.plan([[(k5, 2)], [(make_complete(5, 1.0 / 5), 2)]])
-    [levels] = table.levels([make_complete(5, 0.2)])
-    [basis], [again] = reads
-    assert again is basis and levels[2] is basis
+    # with_rate builds a second graph equal to k5: one key of the table.
+    reads = table.plan([([(k5, 2)], "vectors"), ([(with_rate(k5, 0.2), 2)], "vectors"),
+                        ([(k5, 2)], "spectrum")])
+    [levels] = table.levels([(k5, "vectors")])
+    [basis], [again], [lam] = reads
+    assert again is basis and levels[2] is basis and lam is basis.eigenvalues
     with pytest.raises(ValueError):
         basis.vectors[0, 0] = 2.0
     with pytest.raises(ValueError):
@@ -75,20 +80,23 @@ def test_held_bases_are_shared_and_read_only():
 def test_a_plan_is_read_once_in_order():
     cycle = make_cycle(5, 1.0)
     table = verify.BasisTable()
-    reads = table.plan([[(cycle, 2)], [(cycle, 3), (cycle, 2)]])
-    assert table._bases == {}   # nothing is solved before its first read
+    reads = table.plan([([(cycle, 2)], "vectors"), ([(cycle, 3), (cycle, 2)], "vectors")])
+    assert table._held == {}   # nothing is solved before its first read
     [first] = next(reads)
     [other, second] = next(reads)
     assert second is first and other.space.level == 3
-    assert next(reads, None) is None and not table._reads and not table._bases
+    assert next(reads, None) is None and not table._reads and not table._held
+    table.finish()
 
 
 def test_a_held_basis_is_gone_after_its_last_reader():
     cycle = make_cycle(6, 1.0)
     table = verify.BasisTable()
-    reads = table.plan([[(cycle, 2)], [(cycle, 2)], [(cycle, 3)]])
+    reads = table.plan([([(cycle, 2)], "vectors"), ([(cycle, 2)], "vectors"),
+                        ([(cycle, 3)], "vectors")])
     [basis] = next(reads)
-    assert set(table._bases) == {(cycle, 2), (cycle, 3)}   # the batch: both share a stack
+    # the batch: both share a stack
+    assert set(table._held) == {((cycle, 2), "vectors"), ((cycle, 3), "vectors")}
     ref = weakref.ref(basis)
     del basis
     assert ref() is not None   # one read of it left
@@ -97,17 +105,29 @@ def test_a_held_basis_is_gone_after_its_last_reader():
     assert ref() is None
 
 
+def read_object(need, value):
+    """The object a read of need returns that no other need shares: a basis, the
+    eigenvalue array of a spectrum, a function piece's coefficient array."""
+    return value[2] if isinstance(need, BooleanFunction) else value
+
+
 def test_each_basis_is_gone_after_its_last_reader_in_a_run(monkeypatch):
-    # Every basis a check read is gone once that check has returned, unless a
-    # later check reads it too.
+    # Every value a check read is gone once that check has returned, unless a
+    # later check reads it too. A spectrum is the eigenvalue array that every
+    # need of its pair shares, so it lives until the pair's last read.
     reads, tables = [], []
     inner = verify.BasisTable._read
 
-    def recording(table, pairs):
+    def recording(table, pairs, need):
         tables.append(table)
-        bases = inner(table, pairs)
-        reads.extend((pair, weakref.ref(basis)) for pair, basis in zip(pairs, bases))
-        return bases
+        values = inner(table, pairs, need)
+        reads.extend((pair, need, weakref.ref(read_object(need, value)))
+                     for pair, value in zip(pairs, values))
+        return values
+
+    def left(pair, need):
+        planned = tables[-1]._reads.get(pair, [])
+        return bool(planned) if need == "spectrum" else need in planned
 
     monkeypatch.setattr(verify.BasisTable, "_read", recording)
     checked = []
@@ -117,21 +137,22 @@ def test_each_basis_is_gone_after_its_last_reader_in_a_run(monkeypatch):
                  "check_monotonicity", "check_monte_carlo"):
         def after(*args, check=getattr(verify, name), **kwargs):
             record = check(*args, **kwargs)
-            left = tables[-1]._reads
-            alive = [pair for pair, ref in reads if ref() is not None and left[pair] == 0]
+            alive = [(pair, need) for pair, need, ref in reads
+                     if ref() is not None and not left(pair, need)]
             checked.append(len(reads))
             assert alive == []
             return record
         monkeypatch.setattr(verify, name, after)
     verify.run_suite(nmax=8, seed=7, mc_samples=400)
     assert len(checked) == 9 and checked[-1] > 500
-    assert not tables[-1]._reads and not tables[-1]._bases
+    assert {need for _, need, _ in reads} > {"vectors", "spectrum"}
+    assert not tables[-1]._reads and not tables[-1]._held
 
 
 def test_held_basis_equals_a_fresh_solve():
     g = make_complete(6, 1.0)
     table = verify.BasisTable()
-    first, held_levels = table.levels([g, make_complete(6, 1.0)])
+    first, held_levels = table.levels([(g, "vectors"), (with_rate(g, 1.0), "vectors")])
     for level, (held, fresh) in enumerate(zip(held_levels, solve_alone(g), strict=True)):
         assert held is first[level]
         assert np.array_equal(held.vectors, fresh.vectors)
@@ -139,12 +160,25 @@ def test_held_basis_equals_a_fresh_solve():
         assert held.groups == fresh.groups
 
 
+def test_spectra_and_pieces_from_the_batch_equal_a_fresh_solve_bit_for_bit():
+    g = make_cycle(6, 0.5)
+    f = BooleanFunction(6, np.random.default_rng(4).integers(0, 2, 1 << 6))
+    table = verify.BasisTable()
+    # Every level of cycle:6 shares a stack: the first read solves the batch.
+    spectra, pieces = table.levels([(g, "spectrum"), (g, f)])
+    for level, fresh in enumerate(solve_alone(g)):
+        assert spectra[level].tobytes() == fresh.eigenvalues.tobytes()
+        piece, want = pieces[level], level_piece(f, fresh)
+        assert piece[0] == want[0] == level and piece[1] is spectra[level]
+        assert piece[2].tobytes() == want[2].tobytes()
+
+
 def test_the_first_read_holds_the_small_levels_and_leaves_the_large_to_their_reads(solves):
     cycle, complete = make_cycle(10, 1.0), make_complete(10, 0.1)
     table = verify.BasisTable()
     pairs = [(complete, 2), (complete, 5)]
-    first = table.plan([pairs])
-    reads = table.levels([cycle])
+    first = table.plan([(pairs, "vectors")])
+    reads = table.levels([(cycle, "spectrum")])
     [[b2, b5]] = first
     assert b2.space.level == 2 and b5.space.level == 5
     # The cycle's 1-, 10-, 45- and 120-state levels share stacks; its 210-
@@ -152,10 +186,10 @@ def test_the_first_read_holds_the_small_levels_and_leaves_the_large_to_their_rea
     small = [level for level in range(11) if math.comb(10, level) <= 128]
     assert small == [0, 1, 2, 3, 7, 8, 9, 10]
     assert all(verify.shares_a_stack(cycle, level) == (level in small) for level in range(11))
-    assert sorted(table._bases) == [(cycle, level) for level in small]
-    assert set(solves) == {*pairs, *table._bases}
+    assert sorted(table._held) == [((cycle, level), "spectrum") for level in small]
+    assert set(solves) == {*pairs, *(pair for pair, _ in table._held)}
     list(reads)
-    assert set(solves.values()) == {1} and not table._bases
+    assert set(solves.values()) == {1} and not table._held
 
 
 def test_a_later_group_read_first_solves_the_batch(monkeypatch, solves):
@@ -169,18 +203,108 @@ def test_a_later_group_read_first_solves_the_batch(monkeypatch, solves):
     monkeypatch.setattr(spectral, "solve_stacks", recording)
     cycle, complete = make_cycle(6, 1.0), make_complete(5, 0.5)
     table = verify.BasisTable()
-    earlier = table.levels([cycle])
-    later = table.plan([[(complete, 2)], [(complete, level) for level in range(6)]])
+    earlier = table.levels([(cycle, "vectors")])
+    later = table.plan([([(complete, 2)], "spectrum"),
+                        ([(complete, level) for level in range(6)], "vectors")])
     [_, later_levels] = later   # the second group holds every level of K_5
     # The first read solved every planned level in one solve_stacks call (all
-    # share a stack), and the second read passes it nothing.
-    assert [len(pairs) for pairs in calls] == [13, 0]
+    # share a stack); the second read solves nothing.
+    assert [len(pairs) for pairs in calls] == [13]
     assert set(calls[0]) == {*levels_of(cycle), *levels_of(complete)}
     [cycle_levels] = earlier
-    assert [len(pairs) for pairs in calls] == [13, 0, 0] and set(solves.values()) == {1}
+    assert [len(pairs) for pairs in calls] == [13] and set(solves.values()) == {1}
     assert [b.space.level for b in cycle_levels] == list(range(7))
     assert [b.space.level for b in later_levels] == list(range(6))
-    assert not table._reads and not table._bases
+    assert not table._reads and not table._held
+
+
+def test_the_batch_holds_vectors_only_for_vectors_reads(monkeypatch):
+    # Right after the first read of a --nmax 10 --seed 3 run: a pair keeps its
+    # basis only for a "vectors" read left; a spectrum or a function piece is
+    # 1-D, so a pair read only through them holds no size x size array.
+    after_first = []
+    inner = verify.BasisTable._read
+
+    def recording(table, pairs, need):
+        values = inner(table, pairs, need)
+        if not after_first:
+            after_first.append((dict(table._held),
+                                {(pair, planned) for pair, needs in table._reads.items()
+                                 for planned in needs}))
+        return values
+
+    monkeypatch.setattr(verify.BasisTable, "_read", recording)
+    verify.run_suite(nmax=10, seed=3, mc_samples=400)
+    [(held, left)] = after_first
+    vector_bytes = 0
+    for (pair, need), value in held.items():
+        assert (pair, need) in left
+        if need == "vectors":
+            vector_bytes += value.vectors.nbytes
+        else:
+            arrays = [value] if need == "spectrum" else list(value[1:])
+            assert all(a.ndim == 1 and a.size == math.comb(pair[0].n, pair[1]) for a in arrays)
+    batch = {pair for pair, need in left if need == "vectors" and verify.shares_a_stack(*pair)}
+    assert {pair for pair, need in held if need == "vectors"} == batch
+    assert len(batch) == 225
+    # 2.24 MiB; the batch held 4.33 MiB of vectors when it kept every basis.
+    assert vector_bytes == sum(8 * math.comb(g.n, level) ** 2 for g, level in batch)
+    assert vector_bytes < 2.3 * 2**20
+
+
+def test_a_check_that_skips_its_reads_makes_the_run_raise(monkeypatch):
+    def skipping(cases, seed, samples, pieces):
+        next(pieces)   # reads its first case and no other
+        return verify._record("monte_carlo_agreement", [])
+
+    monkeypatch.setattr(verify, "check_monte_carlo", skipping)
+    with pytest.raises(RuntimeError, match=r"planned reads of \d+ \(graph, level\) pairs were not made"):
+        verify.run_suite(nmax=6, seed=3, mc_samples=400)
+
+
+def test_the_lift_and_containment_checks_drop_each_basis_before_the_next_solve(monkeypatch):
+    # When a read inside check_complete_graphs or check_containment solves, the
+    # check holds no basis the table has let go of, other than the one it is
+    # still reading: none in check_complete_graphs, K_n's current level in
+    # check_containment.
+    running, read, tables, seen = [], [], [], []
+    inner_read, inner_solve = verify.BasisTable._read, spectral.eigendecompose_stack
+
+    def recording(table, *args):
+        tables.append(table)
+        values = inner_read(table, *args)
+        read.extend(weakref.ref(v) for v in values if isinstance(v, spectral.SpectralBasis))
+        return values
+
+    def held(obj):
+        return any(value is obj for store in vars(tables[-1]).values()
+                   if isinstance(store, dict) for value in store.values())
+
+    def watching(gens):
+        if running:
+            alive = [ref() for ref in read]
+            seen.append((running[0], sum(b is not None and not held(b) for b in alive)))
+            del alive
+        return inner_solve(gens)
+
+    for name in ("check_complete_graphs", "check_containment"):
+        def check(*args, name=name, inner=getattr(verify, name)):
+            running.append(name)
+            read.clear()
+            try:
+                return inner(*args)
+            finally:
+                running.clear()
+        monkeypatch.setattr(verify, name, check)
+    monkeypatch.setattr(verify.BasisTable, "_read", recording)
+    monkeypatch.setattr(spectral, "eigendecompose_stack", watching)
+    verify.run_suite(nmax=10, seed=3, mc_samples=400)
+    # K_10's 210- and 252-state levels at rates 1 and 1/10; then levels 4 and
+    # 5 of the three other graphs (K_10's at rate 1/10 are held), K_10's level
+    # 6 and the other graphs' level 6.
+    containment = [("check_containment", 1)] * 3
+    assert seen == ([("check_complete_graphs", 0)] * 4 + containment * 2
+                    + [("check_containment", 0)] + containment)
 
 
 def solve_each_alone(pairs, read):
